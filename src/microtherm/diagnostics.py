@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrete1d import DiscreteOperator, State1D, staggered_difference
 from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                     IndefiniteForm, SizeLimit)
+                     IndefiniteForm, NonFinite, SizeLimit, SolveFailure)
 from .evolve import InitialData, Trajectory, run_forward, time_reversal
 
 __all__ = [
@@ -386,8 +386,9 @@ class LocalizationReport:
     E(t)/E(0).  energy_positive: E(t) > 0 at every step.
     round_trip_error: max-abs mismatch after integrating forward
     n_steps, flipping rates, integrating the time-reversed operator
-    n_steps and flipping back; inf when the reversed run overflowed
-    (strong dissipation amplifies round-off beyond float range).
+    n_steps and flipping back; inf when the reversed run overflows or
+    its solve misses the residual guard (strong dissipation amplifies
+    round-off beyond float range).
     """
 
     trivial: bool
@@ -407,12 +408,16 @@ def localization_probe(op_fwd: DiscreteOperator, op_bwd: DiscreteOperator,
     energies = energy_series(traj, op_fwd)
     ratios = energies / energies[0]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        flipped = InitialData.from_state(time_reversal(traj.snapshots[-1]))
-        back = run_forward(op_bwd, flipped, dt, n_steps, snapshot_every=max(n_steps, 1))
-        recovered = time_reversal(back.snapshots[-1]).to_vector()
-        err = np.abs(recovered - init_vec).max()
-    round_trip = float(err) if np.isfinite(err) else float("inf")
+    flipped = InitialData.from_state(time_reversal(traj.snapshots[-1]))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = run_forward(op_bwd, flipped, dt, n_steps,
+                               snapshot_every=max(n_steps, 1))
+            recovered = time_reversal(back.snapshots[-1]).to_vector()
+            err = float(np.abs(recovered - init_vec).max())
+    except (NonFinite, SolveFailure):
+        err = float("inf")
+    round_trip = err if math.isfinite(err) else float("inf")
 
     return LocalizationReport(
         trivial=False,

@@ -18,7 +18,7 @@ from .diagnostics import (backward_functionals, dissipation_rate, energy,
                           localization_probe, spectral_report)
 from .discrete1d import assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
-from .errors import IndefiniteForm
+from .errors import IndefiniteForm, NonFinite, SolveFailure
 from .evolve import run_forward
 from .material import to_moduli_1d
 from .scenario import Scenario, build_initial
@@ -142,11 +142,16 @@ def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes, threads):
 
 def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
     try:
-        traj = run_forward(op_bwd, init, scenario.backward_dt,
-                           scenario.backward_n_steps)
+        # an overflowing run stops with NonFinite; its last step's
+        # overflow is reported by that error, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run_forward(op_bwd, init, scenario.backward_dt,
+                               scenario.backward_n_steps)
         funcs = backward_functionals(traj, op_bwd, eps=scenario.eps,
                                      lam=scenario.lam)
-    except IndefiniteForm as exc:
+    except (IndefiniteForm, NonFinite, SolveFailure) as exc:
+        # an indefinite form, or a reversed run that overflows or misses
+        # the solve guard, leaves positivity uncertified
         certs.append(Certificate("backward positivity", False, str(exc)))
         return
     _write_csv(os.path.join(out_dir, "backward.csv"),

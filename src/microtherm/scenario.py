@@ -2,7 +2,8 @@
 
 Required sections [material], [grid], [time], [init], [tasks]; optional
 [dispersion], [backward], [output].  Every key is validated against a
-known set so typos fail loudly at parse time, before any numerics run.
+known set, and every number against its range, so bad input fails loudly
+at parse time, before any numerics run.
 
 The [material] section selects model = type2 (conservative) or type3
 (dissipative) and may override any isotropic modulus; unset moduli fall
@@ -12,6 +13,7 @@ under model = type2 is rejected.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,8 +173,8 @@ def parse_scenario(text: str) -> Scenario:
     n_steps = _as_int("time", "n_steps", _require(parsed, "time", "n_steps"))
     snapshot_every = _as_int("time", "snapshot_every",
                              time_raw.get("snapshot_every", "1"))
-    if dt <= 0:
-        raise ParseError(f"[time] dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ParseError(f"[time] dt must be positive and finite, got {dt}")
     if n_steps < 0 or snapshot_every < 1 or n_steps % snapshot_every:
         raise ParseError(
             f"[time] n_steps = {n_steps} must be a nonnegative multiple of "
@@ -189,6 +191,8 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if key in ("seed", "node"):
             params[key] = _as_int("init", key, raw)
+            if key == "seed" and params[key] < 0:
+                raise ParseError(f"[init] seed must be >= 0, got {params[key]}")
         elif key == "field":
             if raw.strip() not in FIELDS:
                 raise ParseError(f"[init] field must be one of {FIELDS}, got {raw!r}")
@@ -229,6 +233,17 @@ def parse_scenario(text: str) -> Scenario:
         lam=_as_float("backward", "lam", back.get("lam", "2.0")),
         out_dir=out.get("directory", ""),
     )
+    if not 0 < scenario.backward_dt < math.inf:
+        raise ParseError(
+            f"[backward] dt must be positive and finite, got {scenario.backward_dt}")
+    if scenario.backward_n_steps < 0:
+        raise ParseError(
+            f"[backward] n_steps must be >= 0, got {scenario.backward_n_steps}")
+    if not 0 < scenario.eps < 1:
+        raise ParseError(f"[backward] eps must be in (0, 1), got {scenario.eps}")
+    if not 0 < scenario.lam < math.inf:
+        raise ParseError(
+            f"[backward] lam must be positive and finite, got {scenario.lam}")
     if scenario.n_k < 1 or not 0 < scenario.k_min <= scenario.k_max:
         raise ParseError(
             f"[dispersion] needs 0 < k_min <= k_max and n_k >= 1, got "

@@ -30,6 +30,39 @@ run = simulate
 """
 
 
+LOCALIZATION_1024 = """\
+[material]
+model = type3
+
+[grid]
+n_interior = 1024
+
+[time]
+dt = 1e-3
+n_steps = 300
+
+[init]
+preset = sine
+u_amp = 1.0
+theta_amp = 0.5
+theta_mode = 2
+
+[tasks]
+run = simulate, localization
+"""
+
+# id -> (text to replace in UNSTABLE, replacement, key named in the error)
+INVALID = {
+    "time-dt-nan": ("dt = 0.2", "dt = nan", "dt"),
+    "backward-dt-negative": ("[tasks]", "[backward]\ndt = -1\n\n[tasks]", "dt"),
+    "backward-eps-above-1": ("[tasks]", "[backward]\neps = 1.5\n\n[tasks]", "eps"),
+    "backward-n_steps-negative": ("[tasks]", "[backward]\nn_steps = -3\n\n[tasks]",
+                                  "n_steps"),
+    "backward-lam-zero": ("[tasks]", "[backward]\nlam = 0\n\n[tasks]", "lam"),
+    "init-seed-negative": ("u_amp = 1.0", "u_amp = 1.0\nseed = -4", "seed"),
+}
+
+
 def write(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -95,6 +128,32 @@ class TestRun:
         assert main(["run", TYPE2, "--out", str(b), "--threads", "2"]) == 0
         assert (a / "dispersion.csv").read_bytes() == (b / "dispersion.csv").read_bytes()
 
+    def test_reversed_run_that_trips_the_solve_guard_is_recorded(self, tmp_path):
+        # the time-reversed type3 run misses the residual guard long
+        # before it overflows; the probe records it as an infinite
+        # round-trip error instead of aborting the run
+        cfg = write(tmp_path, LOCALIZATION_1024)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "no finite time extinction: PASS" in report
+        assert "# round trip error = inf (recorded, not asserted)" in report
+        assert "overall: PASS" in report
+
+    def test_overflowing_backward_run_fails_its_certificate(self, tmp_path):
+        # over a long horizon the reversed type3 run leaves float range;
+        # the run stops there and reports the certificate as failed
+        text = (pathlib.Path(TYPE3).read_text().replace("dt = 5e-5", "dt = 1e-3")
+                .replace("n_steps = 200", "n_steps = 20000")
+                .replace("run = simulate, spectrum, dispersion, backward, localization",
+                         "run = backward"))
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, text), "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "backward positivity: FAIL (midpoint step left the float range" in report
+        assert "gronwall bound" not in report
+        assert not (out / "backward.csv").exists()
+
 
 class TestCheck:
     def test_valid_config(self, capsys):
@@ -114,6 +173,17 @@ class TestCheck:
             "model = type3", "model = type2\nh_cond = 0.5"))
         assert main(["check", cfg]) == 2
         assert "type II requires H=0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", INVALID.values(), ids=INVALID)
+    def test_out_of_range_values_are_rejected_before_running(
+            self, tmp_path, capsys, old, new, key):
+        cfg = write(tmp_path, UNSTABLE.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["check", cfg]) == 2
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and key in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2

@@ -4,11 +4,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, InitialData, NonFinite,
-                        SolveFailure, State1D, Trajectory, assemble_operator,
-                        energy_series, gram_norm, reference_type2,
-                        reference_type3, run_forward, step_midpoint,
-                        time_reversal, to_moduli_1d)
-from microtherm.evolve import MidpointStepper
+                        SolveFailure, State1D, Trajectory, assemble_backward,
+                        assemble_operator, energy_series, gram_norm,
+                        reference_type2, reference_type3, run_forward,
+                        step_midpoint, time_reversal, to_moduli_1d)
+from microtherm.evolve import MidpointStepper, _field_major, _node_major
 
 from conftest import random_state, sine_init
 
@@ -153,6 +153,54 @@ class TestMidpointStructure:
         assert diff <= 1e-3  # independent schemes, both at least 2nd order
 
 
+def with_entry(op, row, col, value):
+    """op with a_mat[row, col] set to value."""
+    a_mat = op.a_mat.tolil()
+    a_mat[row, col] = value
+    return op._replace(a_mat=a_mat.tocsr())
+
+
+class TestBandedStepper:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_each_step_matches_dense_solve(self, n, model, direction):
+        grid = Grid1D(n_interior=n)
+        moduli = to_moduli_1d(reference_type2() if model == "type2"
+                              else reference_type3())
+        assemble = assemble_operator if direction == "forward" else assemble_backward
+        op = assemble(grid, moduli)
+        dt = 0.01 if direction == "forward" else 5e-5
+        a_dense = op.a_mat.toarray()
+        eye = np.eye(6 * n)
+        lhs, rhs_mat = eye - 0.5 * dt * a_dense, eye + 0.5 * dt * a_dense
+        traj = run_forward(op, sine_init(grid), dt, 20)
+        for before, after in zip(traj.snapshots, traj.snapshots[1:]):
+            expected = np.linalg.solve(lhs, rhs_mat @ before.to_vector())
+            got = after.to_vector()
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_reversed_type3_run_stops_at_first_overflow(self, op3, op3_back):
+        dt = 0.01
+        fwd = run_forward(op3, sine_init(op3.grid), dt, 400, snapshot_every=400)
+        turned = time_reversal(fwd.snapshots[-1]).to_vector()
+        stepper = MidpointStepper(op3_back, dt)
+        kept = []
+        with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
+            for x in stepper.states(_node_major(turned)):
+                kept.append(x)
+                assert len(kept) < 400
+        assert kept and all(np.isfinite(x).all() for x in kept)
+        # the next right-hand side is where the run leaves float range
+        rhs = (sp.identity(6 * op3.n) + 0.5 * dt * op3_back.a_mat) \
+            @ _field_major(kept[-1])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(rhs @ rhs)
+        with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
+            run_forward(op3_back, InitialData.from_state(State1D.from_vector(turned)),
+                        dt, 400)
+
+
 class TestSolverGuard:
     def test_singular_midpoint_matrix_raises(self, op2, grid16, moduli2):
         dt = 0.01
@@ -160,6 +208,30 @@ class TestSolverGuard:
         degenerate = op2._replace(a_mat=sp.identity(size, format="csr") * (2.0 / dt))
         with pytest.raises(SolveFailure):
             MidpointStepper(degenerate, dt)
+
+    def test_singular_reduced_matrix_raises(self, op2):
+        # position rows [0 | I], rate rows [0 | 2/dt I]: C = 2/dt I
+        # makes I - dt/2 C - dt^2/4 K vanish
+        dt = 0.01
+        a_mat = sp.kron(sp.identity(3), [[0.0, 1.0], [0.0, 2.0 / dt]])
+        a_mat = sp.kron(a_mat, sp.identity(op2.n), format="csr")
+        with pytest.raises(SolveFailure, match="factored"):
+            MidpointStepper(op2._replace(a_mat=a_mat), dt)
+
+    @pytest.mark.parametrize("row, col, value", [
+        (0, 16, 2.0),    # du/dt = 2 v
+        (0, 3, 1.0),     # du/dt picks up a displacement
+        (32, 16, 0.5),   # dtau/dt picks up a velocity
+        (36, 52, 0.0),   # dtau/dt loses its temperature
+    ])
+    def test_position_rows_must_be_zero_identity(self, op2, row, col, value):
+        with pytest.raises(SolveFailure, match=r"\[0 \| I\]"):
+            MidpointStepper(with_entry(op2, row, col, value), 0.01)
+
+    def test_rate_rows_must_fit_the_band(self, op2):
+        # dv/dt at node 0 coupled to u at node 3: outside kl = ku = 5
+        with pytest.raises(SolveFailure, match="band"):
+            MidpointStepper(with_entry(op2, 16, 3, 1.0), 0.01)
 
     def test_bad_dt_rejected(self, op2):
         with pytest.raises(ValueError):
