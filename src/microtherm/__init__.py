@@ -11,8 +11,8 @@ dispersion, and a scenario-driven command line.
 from .diagnostics import (BackwardFunctionals, DecayFit, EnergyBreakdown,
                           LocalizationReport, SpectralReport,
                           backward_functionals, backward_identity_residual,
-                          dissipation_rate, dissipation_series, energy,
-                          energy_balance_residuals, energy_series, fit_decay,
+                          dissipation_rate, energy, energy_balance_residuals,
+                          energy_series, energy_table, fit_decay,
                           localization_probe, spectral_report)
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
                          assemble_backward, assemble_operator,
@@ -21,13 +21,12 @@ from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
 from .dispersion import (CharacteristicMatrix, DispersionResult,
                          characteristic_matrix, first_order_symbol,
                          root_set_distance, solve_branches,
-                         symbol_frequencies, thread_count)
+                         symbol_frequencies)
 from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                      IndefiniteForm, InvalidGrid, InvalidMaterial,
                      MicrothermError, NonFinite, ParseError, RootFailure,
                      SizeLimit, SolveFailure, ValidationError)
-from .evolve import (InitialData, Trajectory, run_forward, step_midpoint,
-                     time_reversal)
+from .evolve import Trajectory, run_forward, step_midpoint, time_reversal
 from .material import (AnisotropicTensors, MaterialIsotropic, Moduli1D,
                        ValidationReport, isotropic_embedding, reference_type2,
                        reference_type3, to_moduli_1d, validate_anisotropic,
@@ -52,7 +51,6 @@ __all__ = [
     "Grid1D",
     "IndefiniteForm",
     "InitSpec",
-    "InitialData",
     "InvalidGrid",
     "InvalidMaterial",
     "LocalizationReport",
@@ -77,10 +75,10 @@ __all__ = [
     "build_initial",
     "characteristic_matrix",
     "dissipation_rate",
-    "dissipation_series",
     "energy",
     "energy_balance_residuals",
     "energy_series",
+    "energy_table",
     "first_difference",
     "first_order_symbol",
     "fit_decay",
@@ -91,7 +89,6 @@ __all__ = [
     "reference_type2",
     "reference_type3",
     "root_set_distance",
-    "thread_count",
     "run_forward",
     "run_scenario",
     "second_difference",

@@ -1,8 +1,8 @@
 """Command line front end.
 
-    microtherm run CONFIG [--out DIR] [--seed N] [--threads N]
+    microtherm run CONFIG [--out DIR] [--seed N]
     microtherm check CONFIG
-    microtherm dispersion CONFIG [--out DIR] [--threads N]
+    microtherm dispersion CONFIG [--out DIR]
 
 Exit codes: 0 all certificates passed (or nothing to certify), 1 at
 least one certificate failed, 2 configuration or runtime error.
@@ -45,9 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="", help="output directory")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
-    run.add_argument("--threads", type=int, default=None,
-                     help="workers for dispersion solves "
-                          "(default MICROTHERM_THREADS or 1)")
 
     check = sub.add_parser("check", help="parse and validate, run nothing")
     check.add_argument("config", help="scenario file (INI)")
@@ -55,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     disp = sub.add_parser("dispersion", help="solve only the dispersion task")
     disp.add_argument("config", help="scenario file (INI)")
     disp.add_argument("--out", default="", help="output directory")
-    disp.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -74,10 +70,13 @@ def main(argv=None) -> int:
     if args.command == "dispersion":
         scenario = dataclasses.replace(scenario, tasks=("dispersion",))
     elif args.seed is not None:
+        if args.seed < 0:
+            print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+            return 2
         scenario = dataclasses.replace(scenario, seed=args.seed)
 
     try:
-        return run_scenario(scenario, out_dir=args.out, threads=args.threads)
+        return run_scenario(scenario, out_dir=args.out)
     except MicrothermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

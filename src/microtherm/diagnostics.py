@@ -1,9 +1,11 @@
 """Verification quantities: energies, dissipation, spectra, decay fits,
 time-reversed functionals and the non-extinction probe.
 
-All quantities are derived from the same staggered-gradient quadrature
-that defines the Gram matrix, so the structural identities hold at
-round-off level rather than discretization level:
+Every energy-type quantity is one of the operator's quadratic forms
+(discrete1d.form_tables), evaluated along a whole trajectory at once by
+discrete1d.form_values.  The same tables define the Gram matrix, so the
+structural identities hold at round-off level rather than
+discretization level:
 
 * energy().total is exactly half the squared Gram norm;
 * dissipation_rate equals -U^T G A U (the generator's quadratic form);
@@ -12,14 +14,14 @@ round-off level rather than discretization level:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .discrete1d import DiscreteOperator, State1D, staggered_difference
-from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                     IndefiniteForm, NonFinite, SizeLimit, SolveFailure)
-from .evolve import InitialData, Trajectory, run_forward, time_reversal
+from .discrete1d import FORMS, DiscreteOperator, State1D, form_values
+from .errors import (DegenerateTrajectory, EigenFailure, IndefiniteForm,
+                     NonFinite, SizeLimit, SolveFailure)
+from .evolve import Trajectory, run_forward, time_reversal
 
 __all__ = [
     "EnergyBreakdown",
@@ -28,9 +30,9 @@ __all__ = [
     "BackwardFunctionals",
     "LocalizationReport",
     "energy",
+    "energy_table",
     "energy_series",
     "dissipation_rate",
-    "dissipation_series",
     "energy_balance_residuals",
     "spectral_report",
     "fit_decay",
@@ -73,45 +75,26 @@ class EnergyBreakdown:
                 self.coupling, self.tau_gradient, self.r_gradient)
 
 
-def _check_state(op: DiscreteOperator, s: State1D):
-    if s.n != op.grid.n_interior:
-        raise DimensionMismatch(
-            f"state has {s.n} nodes, operator grid has {op.grid.n_interior}"
-        )
+# the forms named by the EnergyBreakdown fields, in field order
+_BREAKDOWN = tuple(f.name for f in fields(EnergyBreakdown))
 
 
 def energy(op: DiscreteOperator, s: State1D) -> EnergyBreakdown:
-    """Per-term energy of one state; total computed as 1/2 U^T G U."""
-    _check_state(op, s)
-    m, h = op.moduli, op.grid.h
-    vec = s.to_vector()
-    total = 0.5 * float(vec @ (op.g_mat @ vec))
-    du = staggered_difference(s.u, h)
-    dtau = staggered_difference(s.tau, h)
-    dr = staggered_difference(s.r, h)
-    return EnergyBreakdown(
-        total=total,
-        kinetic=0.5 * h * m.rho * float(s.v @ s.v),
-        thermal=0.5 * h * m.c_cap * float(s.theta @ s.theta),
-        microthermal=0.5 * h * m.alpha_m * float(s.m @ s.m),
-        elastic=0.5 * h * m.m_uu * float(du @ du),
-        coupling=h * m.m_ur * float(du @ dr),
-        tau_gradient=0.5 * h * m.k_cond * float(dtau @ dtau),
-        r_gradient=0.5 * h * m.m_rr * float(dr @ dr),
-        dissipation_rate=dissipation_rate(op, s),
-    )
+    """Per-term energy of one state: a one-snapshot energy_table row."""
+    row = form_values(op, s.to_vector()[None], _BREAKDOWN)[0]
+    return EnergyBreakdown(*map(float, row))
+
+
+def energy_table(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
+    """The EnergyBreakdown of every snapshot, one field per column:
+    (n_snapshots, 9), total first and dissipation_rate last."""
+    return form_values(op, traj.states, _BREAKDOWN)
 
 
 def energy_series(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
-    """E(t_j) = 1/2 U_j^T G U_j for every snapshot.
-
-    Evaluated per snapshot through the same expression as
-    energy().total so the two agree bit for bit.
-    """
-    stacked = traj.stacked()
-    if stacked.shape[1] != op.g_mat.shape[0]:
-        raise DimensionMismatch("trajectory and operator sizes differ")
-    return np.array([0.5 * float(vec @ (op.g_mat @ vec)) for vec in stacked])
+    """E(t_j) = 1/2 U_j^T G U_j for every snapshot; equal bit for bit
+    to energy().total of each snapshot."""
+    return energy_table(traj, op)[:, 0]
 
 
 def dissipation_rate(op: DiscreteOperator, s: State1D) -> float:
@@ -122,16 +105,7 @@ def dissipation_rate(op: DiscreteOperator, s: State1D) -> float:
     forward operators and <= 0 (energy production) for time-reversed
     ones.  Identically zero for conservative moduli.
     """
-    _check_state(op, s)
-    m, h = op.moduli, op.grid.h
-    dtheta = staggered_difference(s.theta, h)
-    dm = staggered_difference(s.m, h)
-    quad = h * (m.h_cond * float(dtheta @ dtheta) + m.m_rr_rate * float(dm @ dm))
-    return op.time_sign * quad
-
-
-def dissipation_series(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
-    return np.array([dissipation_rate(op, s) for s in traj.snapshots])
+    return energy(op, s).dissipation_rate
 
 
 def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
@@ -151,18 +125,12 @@ def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
     """
     if sampling not in ("midpoint", "trapezoid"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    energies = energy_series(traj, op)
-    dt_snap = traj.snapshot_every * traj.dt
-    residuals = np.empty(len(traj) - 1)
-    for k in range(len(traj) - 1):
-        a, b = traj.snapshots[k], traj.snapshots[k + 1]
-        if sampling == "midpoint":
-            mid = State1D.from_vector(0.5 * (a.to_vector() + b.to_vector()))
-            d = dissipation_rate(op, mid)
-        else:
-            d = 0.5 * (dissipation_rate(op, a) + dissipation_rate(op, b))
-        residuals[k] = energies[k + 1] - energies[k] + dt_snap * d
-    return residuals
+    table = energy_table(traj, op)
+    if sampling == "midpoint":
+        rates = form_values(op, traj.states, ("dissipation_rate",), midpoints=True)[:, 0]
+    else:
+        rates = 0.5 * (table[:-1, -1] + table[1:, -1])
+    return np.diff(table[:, 0]) + traj.snapshot_every * traj.dt * rates
 
 
 @dataclass(frozen=True)
@@ -306,37 +274,12 @@ def backward_functionals(traj: Trajectory, op: DiscreteOperator,
             f"lam*m_rr_rate + (eps-2)*m_rr = {coeff_r}"
         )
 
-    h = op.grid.h
+    values = dict(zip(FORMS, form_values(op, traj.states).T))
+    e1 = values["total"]
+    e2 = (values["kinetic"] - values["thermal"] - values["microthermal"]
+          + values["elastic"] - values["tau_gradient"] - values["r_gradient"])
+    e3 = values["e3"]
     n_snap = len(traj)
-    e1 = energy_series(traj, op)
-    e2 = np.empty(n_snap)
-    e3 = np.empty(n_snap)
-    for j, s in enumerate(traj.snapshots):
-        _check_state(op, s)
-        du = staggered_difference(s.u, h)
-        dtau = staggered_difference(s.tau, h)
-        dr = staggered_difference(s.r, h)
-        e2[j] = 0.5 * h * (
-            m.rho * float(s.v @ s.v)
-            - m.c_cap * float(s.theta @ s.theta)
-            - m.alpha_m * float(s.m @ s.m)
-            + m.m_uu * float(du @ du)
-            - m.k_cond * float(dtau @ dtau)
-            - m.m_rr * float(dr @ dr)
-        )
-        # tau sampled at interval midpoints to pair with the staggered u'
-        tau_mid = np.empty(s.n + 1)
-        tau_mid[0] = 0.5 * s.tau[0]
-        tau_mid[1:-1] = 0.5 * (s.tau[1:] + s.tau[:-1])
-        tau_mid[-1] = 0.5 * s.tau[-1]
-        e3[j] = h * (
-            m.rho * float(s.u @ s.v)
-            - m.c_cap * float(s.theta @ s.tau)
-            - m.alpha_m * float(s.m @ s.r)
-            + 0.5 * m.h_cond * float(dtau @ dtau)
-            + 0.5 * m.m_rr_rate * float(dr @ dr)
-            + m.beta * float(tau_mid @ du)
-        )
 
     integrand = eps * e1 + e2 + lam * e3
     cal_e = np.zeros(n_snap)
@@ -365,16 +308,9 @@ def backward_identity_residual(op: DiscreteOperator, s: State1D) -> float:
     integrated over the domain.  Exactly zero on the null state; along
     nonzero time-reversed runs it is recorded as a measurement.
     """
-    _check_state(op, s)
-    m, h = op.moduli, op.grid.h
-    du = staggered_difference(s.u, h)
-    dtau = staggered_difference(s.tau, h)
-    dr = staggered_difference(s.r, h)
-    lhs = h * (m.m_uu * float(du @ du) + m.c_cap * float(s.theta @ s.theta)
-               + m.alpha_m * float(s.m @ s.m))
-    rhs = h * (m.rho * float(s.v @ s.v) + m.k_cond * float(dtau @ dtau)
-               + m.m_rr * float(dr @ dr))
-    return lhs - rhs
+    b = energy(op, s)
+    return (2.0 * (b.elastic + b.thermal + b.microthermal)
+            - 2.0 * (b.kinetic + b.tau_gradient + b.r_gradient))
 
 
 @dataclass(frozen=True)
@@ -398,8 +334,8 @@ class LocalizationReport:
 
 
 def localization_probe(op_fwd: DiscreteOperator, op_bwd: DiscreteOperator,
-                       init: InitialData, dt: float, n_steps: int) -> LocalizationReport:
-    init_vec = init.to_state().to_vector()
+                       init: State1D, dt: float, n_steps: int) -> LocalizationReport:
+    init_vec = init.to_vector()
     if not init_vec.any():
         return LocalizationReport(trivial=True, min_energy_ratio=float("nan"),
                                   energy_positive=False, round_trip_error=0.0)
@@ -408,12 +344,11 @@ def localization_probe(op_fwd: DiscreteOperator, op_bwd: DiscreteOperator,
     energies = energy_series(traj, op_fwd)
     ratios = energies / energies[0]
 
-    flipped = InitialData.from_state(time_reversal(traj.snapshots[-1]))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            back = run_forward(op_bwd, flipped, dt, n_steps,
+            back = run_forward(op_bwd, time_reversal(traj[-1]), dt, n_steps,
                                snapshot_every=max(n_steps, 1))
-            recovered = time_reversal(back.snapshots[-1]).to_vector()
+            recovered = time_reversal(back[-1]).to_vector()
             err = float(np.abs(recovered - init_vec).max())
     except (NonFinite, SolveFailure):
         err = float("inf")

@@ -21,9 +21,12 @@ discrete setting (up to round-off):
   holds exactly, pairing the stiffness rows of A with the gradient
   blocks of G.
 
-The Gram matrix G realizes twice the energy: U^T G U =
+Every energy-type quantity is a quadratic form given by a coefficient
+table over field pairs and three stencils (form_tables): the Gram matrix
+G is assembled from the seven energy-term tables, U^T G U =
 sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 +
-2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2).
+2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2) is twice the energy, and
+form_values evaluates any of the forms along a whole trajectory.
 """
 
 from dataclasses import dataclass
@@ -32,11 +35,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidGrid, InvalidMaterial
+from .errors import DimensionMismatch, InvalidGrid, InvalidMaterial, NonFinite
 from .material import Moduli1D
 
 __all__ = [
     "FIELDS",
+    "FORMS",
     "Grid1D",
     "State1D",
     "DiscreteOperator",
@@ -45,10 +49,19 @@ __all__ = [
     "staggered_difference",
     "assemble_operator",
     "assemble_backward",
+    "form_tables",
+    "form_values",
     "gram_norm",
 ]
 
 FIELDS = ("u", "v", "tau", "theta", "r", "m")
+# the quadratic forms of form_tables: the energy, its seven terms and
+# the rate quadrature, which name the fields of diagnostics.EnergyBreakdown,
+# and the third backward functional e3
+FORMS = ("total", "kinetic", "thermal", "microthermal", "elastic", "coupling",
+         "tau_gradient", "r_gradient", "dissipation_rate", "e3")
+
+_BLOCK_ENTRIES = 1 << 15  # state entries per block of form_values: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,7 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class State1D:
-    """The six grid fields at one time instant.
+    """The six grid fields at one time instant; all finite, equal lengths.
 
     u: displacement, v: velocity, tau: thermal displacement,
     theta: temperature, r: microtemperature displacement,
@@ -105,6 +118,8 @@ class State1D:
                 raise DimensionMismatch(
                     f"field {name} has length {arr.size}, expected {n}"
                 )
+            if not np.isfinite(arr).all():
+                raise NonFinite(f"field {name} contains non-finite entries")
             object.__setattr__(self, name, arr)
 
     @property
@@ -133,12 +148,15 @@ class DiscreteOperator(NamedTuple):
     """Sparse realization of the evolution operator and the energy Gram.
 
     a_mat: 6n x 6n generator of dU/dt = A U; g_mat: symmetric positive
-    definite Gram with U^T G U = 2 * energy; time_sign: +1 for the
-    forward system, -1 for the time-reversed one.  Treat as read-only.
+    definite Gram with U^T G U = 2 * energy; forms: the coefficient
+    tables of form_tables, from which g_mat is assembled; time_sign: +1
+    for the forward system, -1 for the time-reversed one.  Treat as
+    read-only.
     """
 
     a_mat: sp.csr_matrix
     g_mat: sp.csr_matrix
+    forms: np.ndarray
     moduli: Moduli1D
     grid: Grid1D
     time_sign: int = 1
@@ -245,20 +263,105 @@ def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
          m.m_rr / m.alpha_m * lap, q / m.alpha_m * lap],
     ], format="csr")
 
-    # stiff = tridiag(-1,2,-1)/h realizes the staggered-gradient
-    # quadrature: f @ stiff @ f = h * sum_i (staggered_difference f)_i^2
-    stiff = (-h) * lap
-    g_mat = sp.bmat([
-        [m.m_uu * stiff, None, None, None, m.m_ur * stiff, None],
-        [None, m.rho * h * eye, None, None, None, None],
-        [None, None, m.k_cond * stiff, None, None, None],
-        [None, None, None, m.c_cap * h * eye, None, None],
-        [m.m_ur * stiff, None, None, None, m.m_rr * stiff, None],
-        [None, None, None, None, None, m.alpha_m * h * eye],
-    ], format="csr")
+    forms = form_tables(m, time_sign)
+    # the mass, staggered stiffness and centered gradient stencils of
+    # form_tables; f @ stiff @ f = h * sum_i (staggered_difference f)_i^2
+    stencils = (h * eye, (-h) * lap, h * grad)
+    total = 2.0 * forms[FORMS.index("total")]
 
-    return DiscreteOperator(a_mat=a_mat, g_mat=g_mat, moduli=m, grid=grid,
-                            time_sign=int(time_sign))
+    def block(a, b):
+        terms = [c * stencil for c, stencil in zip(total[:, a, b], stencils) if c]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    g_mat = sp.bmat([[block(a, b) for b in range(6)] for a in range(6)], format="csr")
+    return DiscreteOperator(a_mat=a_mat, g_mat=g_mat, forms=forms, moduli=m,
+                            grid=grid, time_sign=int(time_sign))
+
+
+def form_tables(m: Moduli1D, time_sign: int) -> np.ndarray:
+    """Coefficient tables T[f, k, a, b] of the quadratic forms in FORMS.
+
+    Form f takes the value sum_{k,a,b} T[f, k, a, b] <U_a, S_k U_b> at a
+    state U with fields U_a in FIELDS order, under three stencils: S_0 =
+    h I (mass), S_1 = tridiag(-1, 2, -1)/h (the staggered stiffness,
+    <f, S_1 g> = h sum_i f'_i g'_i over the n+1 intervals) and S_2 = h D
+    with D the centered gradient.  The seven energy terms carry half the
+    Gram blocks and total is their sum, so G = 2 * total exactly.
+    dissipation_rate is the gradient-rate quadrature, signed by
+    time_sign; e3 is the third backward functional, whose beta term
+    beta <tau, h D u> pairs tau at the interval midpoints with u'.
+    """
+    u, v, tau, theta, r, mm = range(6)
+    mass, stiff, grad = range(3)
+    (total, kinetic, thermal, micro, elastic, coupling, tau_gradient,
+     r_gradient, dissipation, e3) = range(len(FORMS))
+    t = np.zeros((len(FORMS), 3, 6, 6))
+    t[kinetic, mass, v, v] = 0.5 * m.rho
+    t[thermal, mass, theta, theta] = 0.5 * m.c_cap
+    t[micro, mass, mm, mm] = 0.5 * m.alpha_m
+    t[elastic, stiff, u, u] = 0.5 * m.m_uu
+    t[coupling, stiff, u, r] = t[coupling, stiff, r, u] = 0.5 * m.m_ur
+    t[tau_gradient, stiff, tau, tau] = 0.5 * m.k_cond
+    t[r_gradient, stiff, r, r] = 0.5 * m.m_rr
+    t[total] = t[kinetic:dissipation].sum(axis=0)
+    t[dissipation, stiff, theta, theta] = time_sign * m.h_cond
+    t[dissipation, stiff, mm, mm] = time_sign * m.m_rr_rate
+    t[e3, mass, u, v] = t[e3, mass, v, u] = 0.5 * m.rho
+    t[e3, mass, tau, theta] = t[e3, mass, theta, tau] = -0.5 * m.c_cap
+    t[e3, mass, r, mm] = t[e3, mass, mm, r] = -0.5 * m.alpha_m
+    t[e3, stiff, tau, tau] = 0.5 * m.h_cond
+    t[e3, stiff, r, r] = 0.5 * m.m_rr_rate
+    t[e3, grad, tau, u] = m.beta
+    return t
+
+
+def form_values(op: DiscreteOperator, states, forms=FORMS,
+                midpoints: bool = False) -> np.ndarray:
+    """The named forms of op.forms at every row of states, (n_rows, 6n).
+
+    Returns an (n_rows, len(forms)) array; with midpoints=True the forms
+    are evaluated at the averages (U_k + U_{k+1})/2 of consecutive rows,
+    one row fewer.  Each row's 6x6 field Gram tensors under the three
+    stencils are contracted with the tables.  Rows are taken in blocks,
+    so no temporary grows with the trajectory, and a row's values do not
+    depend on the other rows.
+    """
+    n = op.n
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 6 * n:
+        raise DimensionMismatch(
+            f"states of shape {states.shape} do not match the operator's 6n = {6 * n}")
+    tables = op.forms[[FORMS.index(name) for name in forms]]
+    used = tables.any(axis=(0, 2, 3))
+    rows = max(len(states) - midpoints, 0)
+    out = np.empty((rows, len(forms)))
+    block = max(_BLOCK_ENTRIES // (6 * n), 1)
+    for start in range(0, rows, block):
+        x = states[start:start + block + midpoints]
+        if midpoints:
+            x = 0.5 * (x[:-1] + x[1:])
+        grams = _field_grams(x.reshape(len(x), 6, n), op.grid.h, used)
+        out[start:start + block] = np.einsum("skab,fkab->sf", grams, tables)
+    return out
+
+
+def _field_grams(x: np.ndarray, h: float, used) -> np.ndarray:
+    """<U_a, S_k U_b> for each state x[s] (six fields of n nodes) and
+    each stencil k with used[k]; zero for the others."""
+    grams = np.zeros((len(x), 3, 6, 6))
+    if used[0]:
+        grams[:, 0] = h * (x @ x.transpose(0, 2, 1))
+    if used[1] or used[2]:
+        # jumps over the n-1 inner intervals; those over the two boundary
+        # intervals are the first and last values (zero ghosts)
+        jumps_t = (x[..., 1:] - x[..., :-1]).transpose(0, 2, 1)
+        first = x[:, :, None, 0] * x[:, None, :, 0]
+        last = x[:, :, None, -1] * x[:, None, :, -1]
+    if used[1]:
+        grams[:, 1] = (jumps_t.transpose(0, 2, 1) @ jumps_t + first + last) / h
+    if used[2]:
+        grams[:, 2] = 0.5 * (x[..., :-1] @ jumps_t + x[..., 1:] @ jumps_t + first - last)
+    return grams
 
 
 def assemble_operator(g: Grid1D, m: Moduli1D) -> DiscreteOperator:

@@ -17,8 +17,6 @@ yield real frequencies (no temporal decay) with k-independent phase
 speeds; rate terms bend the roots into the lower half plane.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,6 @@ __all__ = [
     "symbol_frequencies",
     "root_set_distance",
     "solve_branches",
-    "thread_count",
 ]
 
 _RESIDUAL_TOL = 1e-8   # relative to the magnitude-weighted coefficient scale
@@ -200,35 +197,14 @@ class DispersionResult:
         return np.gradient(self.omega.real, self.k_values, axis=0)
 
 
-def thread_count(requested=None) -> int:
-    """Worker count for per-wavenumber root solves.
-
-    Explicit argument wins; otherwise MICROTHERM_THREADS; otherwise 1.
-    """
-    if requested is not None:
-        return max(int(requested), 1)
-    env = os.environ.get("MICROTHERM_THREADS", "")
-    if env.strip():
-        return max(int(env), 1)
-    return 1
-
-
-def solve_branches(m: Moduli1D, k_values, threads=None) -> DispersionResult:
+def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     ks = np.asarray(k_values, dtype=float)
     if ks.ndim != 1 or len(ks) == 0:
         raise ValueError("k_values must be a nonempty 1-d array")
     if not (ks > 0).all():
         raise ValueError("all wavenumbers must be positive")
 
-    def roots_at(k: float) -> np.ndarray:
-        return characteristic_matrix(m, k).roots()
-
-    workers = thread_count(threads)
-    if workers > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_k = list(pool.map(roots_at, ks))
-    else:
-        per_k = [roots_at(k) for k in ks]
+    per_k = [characteristic_matrix(m, k).roots() for k in ks]
 
     omega = np.empty((len(ks), 6), dtype=complex)
     crossings = np.zeros(len(ks), dtype=bool)

@@ -32,17 +32,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
-                         assemble_backward)
+from .discrete1d import DiscreteOperator, State1D
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
-    "InitialData",
     "Trajectory",
     "MidpointStepper",
     "step_midpoint",
     "run_forward",
-    "assemble_backward",
     "time_reversal",
 ]
 
@@ -51,76 +48,38 @@ _BAND = 5  # kl = ku of the node-major reduced rate system
 
 
 @dataclass(frozen=True)
-class InitialData:
-    """Initial values for the six fields; all finite, equal lengths."""
-
-    u0: np.ndarray
-    v0: np.ndarray
-    tau0: np.ndarray
-    theta0: np.ndarray
-    r0: np.ndarray
-    m0: np.ndarray
-
-    def __post_init__(self):
-        n = None
-        for name in ("u0", "v0", "tau0", "theta0", "r0", "m0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DimensionMismatch(f"{name} must be a 1-D vector")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise DimensionMismatch(f"{name} has length {arr.size}, expected {n}")
-            if not np.isfinite(arr).all():
-                raise NonFinite(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.u0.size
-
-    @classmethod
-    def zeros(cls, n: int) -> "InitialData":
-        return cls(*(np.zeros(n) for _ in range(6)))
-
-    @classmethod
-    def from_state(cls, s: State1D) -> "InitialData":
-        return cls(s.u, s.v, s.tau, s.theta, s.r, s.m)
-
-    def to_state(self) -> State1D:
-        return State1D(self.u0, self.v0, self.tau0, self.theta0, self.r0, self.m0)
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run.
+    """The kept states of one run.
 
-    times[j] = j * snapshot_every * dt (so times[k] = k*dt when every
-    step is kept); snapshots[0] is the initial state; dt is the
-    integration step, scheme the integrator tag.
+    states[j] is the stacked field-major state (u, v, tau, theta, r, m)
+    at times[j] = j * snapshot_every * dt, one (n_snapshots, 6n) array;
+    states[0] is the initial state and traj[j] the State1D of row j.
+    dt is the integration step, scheme the integrator tag.
     """
 
     times: np.ndarray
-    snapshots: tuple
+    states: np.ndarray
     dt: float
     scheme: str
     snapshot_every: int = 1
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size != len(self.snapshots):
-            raise DimensionMismatch("times and snapshots must have equal length")
+        states = np.asarray(self.states, dtype=float)
+        if (times.ndim != 1 or states.ndim != 2 or len(states) != times.size
+                or states.shape[1] % 6):
+            raise DimensionMismatch(
+                f"need times (n,) and states (n, 6m), got {times.shape} and {states.shape}")
         if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing and start at 0")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        object.__setattr__(self, "states", states)
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.times)
 
-    def stacked(self) -> np.ndarray:
-        """All snapshots as one (n_snapshots, 6n) array."""
-        return np.stack([s.to_vector() for s in self.snapshots])
+    def __getitem__(self, j) -> State1D:
+        return State1D.from_vector(self.states[j])
 
 
 class MidpointStepper:
@@ -293,7 +252,7 @@ def _rk4_states(a_mat, vec, dt):
         yield vec
 
 
-def run_forward(op: DiscreteOperator, init: InitialData, dt: float,
+def run_forward(op: DiscreteOperator, init: State1D, dt: float,
                 n_steps: int, snapshot_every: int = 1,
                 scheme: str = "midpoint") -> Trajectory:
     """Integrate n_steps steps from init, keeping every
@@ -316,8 +275,9 @@ def run_forward(op: DiscreteOperator, init: InitialData, dt: float,
     if scheme not in ("midpoint", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    vec = init.to_state().to_vector()
-    snaps = [State1D.from_vector(vec.copy())]
+    vec = init.to_vector()
+    kept = np.empty((n_steps // snapshot_every + 1, vec.size))
+    kept[0] = vec
     if n_steps:
         if scheme == "midpoint":
             # looked up as a module global at each call, so that
@@ -326,12 +286,12 @@ def run_forward(op: DiscreteOperator, init: InitialData, dt: float,
             unpack = _field_major
         else:
             states = _rk4_states(op.a_mat, vec, dt)
-            unpack = np.copy
+            unpack = np.asarray
         for k, state in zip(range(1, n_steps + 1), states):
             if k % snapshot_every == 0:
-                snaps.append(State1D.from_vector(unpack(state)))
-    times = np.arange(len(snaps)) * (snapshot_every * dt)
-    return Trajectory(times=times, snapshots=tuple(snaps), dt=float(dt),
+                kept[k // snapshot_every] = unpack(state)
+    times = np.arange(len(kept)) * (snapshot_every * dt)
+    return Trajectory(times=times, states=kept, dt=float(dt),
                       scheme=scheme, snapshot_every=int(snapshot_every))
 
 

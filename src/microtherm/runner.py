@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (backward_functionals, dissipation_rate, energy,
-                          energy_balance_residuals, energy_series,
-                          localization_probe, spectral_report)
+from .diagnostics import (backward_functionals, energy_balance_residuals,
+                          energy_table, localization_probe, spectral_report)
 from .discrete1d import assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
 from .errors import IndefiniteForm, NonFinite, SolveFailure
@@ -55,17 +54,12 @@ def _simulate(scenario: Scenario, op, init, out_dir, certs, notes):
     traj = run_forward(op, init, scenario.dt, scenario.n_steps,
                        snapshot_every=scenario.snapshot_every,
                        scheme=scenario.scheme)
-    energies = energy_series(traj, op)
-    rows = []
-    for t, state in zip(traj.times, traj.snapshots):
-        b = energy(op, state)
-        rows.append((t, b.total, b.kinetic, b.thermal, b.microthermal,
-                     b.elastic, b.coupling, b.tau_gradient, b.r_gradient,
-                     b.dissipation_rate))
+    table = energy_table(traj, op)
     _write_csv(os.path.join(out_dir, "energy.csv"),
                ("t", "total", "kinetic", "thermal", "microthermal", "elastic",
                 "coupling", "tau_gradient", "r_gradient", "dissipation_rate"),
-               rows)
+               np.column_stack([traj.times, table]).tolist())
+    energies = table[:, 0]
 
     e0 = energies[0]
     scale = max(float(e0), _ABS_FLOOR)
@@ -110,9 +104,9 @@ def _spectrum(scenario: Scenario, op, out_dir, certs, notes):
         f"margin = {report.dissipativity_margin:.6e}"))
 
 
-def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes, threads):
+def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes):
     ks = np.linspace(scenario.k_min, scenario.k_max, scenario.n_k)
-    result = solve_branches(moduli, ks, threads=threads)
+    result = solve_branches(moduli, ks)
     rows = []
     for i, k in enumerate(result.k_values):
         for j in range(6):
@@ -186,7 +180,7 @@ def _localization(scenario: Scenario, op, op_bwd, init, certs, notes):
             f"round trip error = {probe.round_trip_error} (recorded, not asserted)")
 
 
-def run_scenario(scenario: Scenario, out_dir: str = "", threads=None) -> int:
+def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     """Run every task, write outputs, return 0 iff all certificates pass."""
     out_dir = out_dir or scenario.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -219,7 +213,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "", threads=None) -> int:
         elif task == "spectrum":
             _spectrum(scenario, op, out_dir, certs, notes)
         elif task == "dispersion":
-            _dispersion(scenario, moduli, out_dir, certs, notes, threads)
+            _dispersion(scenario, moduli, out_dir, certs, notes)
         elif task == "backward":
             _backward(scenario, op_bwd, init, out_dir, certs, notes)
         elif task == "localization":

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete1d import FIELDS, Grid1D
+from .discrete1d import FIELDS, Grid1D, State1D
 from .errors import ParseError, ValidationError
-from .evolve import InitialData
 from .material import MaterialIsotropic, reference_type2, reference_type3, validate_isotropic
 
 __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
@@ -201,6 +200,10 @@ def parse_scenario(text: str) -> Scenario:
             params[key] = _as_int("init", key, raw)
         else:
             params[key] = _as_float("init", key, raw)
+    node = params.get("node", grid.n_interior // 2)
+    if preset == "impulse" and not 0 <= node < grid.n_interior:
+        raise ParseError(
+            f"[init] node = {node} outside the grid nodes 0..{grid.n_interior - 1}")
     init = InitSpec(preset=preset, params=params)
     seed = int(params.get("seed", 0))
 
@@ -256,7 +259,7 @@ def _material_fields(m: MaterialIsotropic) -> dict:
     return {name: getattr(m, name) for name in _MATERIAL_KEYS if name != "model"}
 
 
-def build_initial(scenario: Scenario) -> InitialData:
+def build_initial(scenario: Scenario) -> State1D:
     """Realize the [init] recipe on the scenario grid."""
     grid, spec = scenario.grid, scenario.init
     n = grid.n_interior
@@ -283,5 +286,4 @@ def build_initial(scenario: Scenario) -> InitialData:
             arrays[name] = amp * rng.standard_normal(n)
     elif spec.preset != "zero":
         raise ValidationError(f"unknown preset {spec.preset!r}")
-    return InitialData(u0=arrays["u"], v0=arrays["v"], tau0=arrays["tau"],
-                       theta0=arrays["theta"], r0=arrays["r"], m0=arrays["m"])
+    return State1D(**arrays)

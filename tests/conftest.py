@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from microtherm import (Grid1D, InitialData, MaterialIsotropic, State1D,
+from microtherm import (Grid1D, MaterialIsotropic, State1D,
                         assemble_backward, assemble_operator,
                         isotropic_embedding, reference_type2, reference_type3,
                         to_moduli_1d, validate_isotropic)
@@ -59,16 +59,16 @@ def random_state(n: int, rng) -> State1D:
     return State1D.from_vector(rng.standard_normal(6 * n))
 
 
-def sine_init(grid: Grid1D, u_amp=1.0, theta_amp=0.5, theta_mode=2) -> InitialData:
+def sine_init(grid: Grid1D, u_amp=1.0, theta_amp=0.5, theta_mode=2) -> State1D:
     x = grid.nodes
     n = grid.n_interior
-    return InitialData(
-        u0=u_amp * np.sin(np.pi * x / grid.length),
-        v0=np.zeros(n),
-        tau0=np.zeros(n),
-        theta0=theta_amp * np.sin(theta_mode * np.pi * x / grid.length),
-        r0=np.zeros(n),
-        m0=np.zeros(n),
+    return State1D(
+        u=u_amp * np.sin(np.pi * x / grid.length),
+        v=np.zeros(n),
+        tau=np.zeros(n),
+        theta=theta_amp * np.sin(theta_mode * np.pi * x / grid.length),
+        r=np.zeros(n),
+        m=np.zeros(n),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from microtherm import (Grid1D, InitialData, assemble_backward,
+from microtherm import (Grid1D, State1D, assemble_backward,
                         assemble_operator, backward_functionals,
                         characteristic_matrix, energy_balance_residuals,
                         energy_series, first_order_symbol, fit_decay,
@@ -164,25 +164,25 @@ def test_criterion_6_discretization_orders(capsys):
         grid = Grid1D(n_interior=n)
         s = np.sin(np.pi * grid.nodes)
         zero = np.zeros(n)
-        init = InitialData(u0=1.0 * s, v0=zero, tau0=zero, theta0=zero,
-                           r0=0.3 * s, m0=zero)
+        init = State1D(u=1.0 * s, v=zero, tau=zero, theta=zero,
+                       r=0.3 * s, m=zero)
         op = assemble_operator(grid, m)
         n_steps = int(round(horizon / dt_fine))
         traj = run_forward(op, init, dt_fine, n_steps, snapshot_every=n_steps)
         exact = np.concatenate([c * s for c in coeff_t])
-        errs.append(float(np.abs(traj.snapshots[-1].to_vector() - exact).max()))
+        errs.append(float(np.abs(traj.states[-1] - exact).max()))
     space_orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
 
     # time: fixed grid, dense matrix exponential as the reference
     grid = Grid1D(n_interior=16)
     op = assemble_operator(grid, to_moduli_1d(reference_type3()))
     init = sine_init(grid)
-    u_ref = expm(horizon * op.a_mat.toarray()) @ init.to_state().to_vector()
+    u_ref = expm(horizon * op.a_mat.toarray()) @ init.to_vector()
     terrs = []
     for dt in (4e-3, 2e-3, 1e-3):
         n_steps = int(round(horizon / dt))
         traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
-        terrs.append(float(np.abs(traj.snapshots[-1].to_vector() - u_ref).max()))
+        terrs.append(float(np.abs(traj.states[-1] - u_ref).max()))
     time_orders = [float(np.log2(terrs[i] / terrs[i + 1])) for i in range(2)]
 
     agree = 0.0

@@ -60,6 +60,8 @@ INVALID = {
                                   "n_steps"),
     "backward-lam-zero": ("[tasks]", "[backward]\nlam = 0\n\n[tasks]", "lam"),
     "init-seed-negative": ("u_amp = 1.0", "u_amp = 1.0\nseed = -4", "seed"),
+    "init-impulse-node-outside-grid": ("preset = sine", "preset = impulse\nnode = 16",
+                                       "node"),
 }
 
 
@@ -122,11 +124,13 @@ class TestRun:
         assert main(["run", TYPE2, "--out", str(out), "--seed", "7"]) == 0
         assert "# seed = 7" in (out / "report.txt").read_text()
 
-    def test_threads_flag_does_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", TYPE2, "--out", str(a)]) == 0
-        assert main(["run", TYPE2, "--out", str(b), "--threads", "2"]) == 0
-        assert (a / "dispersion.csv").read_bytes() == (b / "dispersion.csv").read_bytes()
+    def test_negative_seed_override_is_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", TYPE2, "--out", str(out), "--seed", "-4"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert len(err.splitlines()) == 1
 
     def test_reversed_run_that_trips_the_solve_guard_is_recorded(self, tmp_path):
         # the time-reversed type3 run misses the residual guard long

@@ -5,21 +5,143 @@ import numpy as np
 import pytest
 
 from microtherm import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                        Grid1D, IndefiniteForm, InitialData, SizeLimit,
+                        Grid1D, IndefiniteForm, SizeLimit,
                         State1D, Trajectory, assemble_backward,
                         assemble_operator, backward_functionals,
                         backward_identity_residual, dissipation_rate,
-                        dissipation_series, energy, energy_balance_residuals,
-                        energy_series, fit_decay, gram_norm,
+                        energy, energy_balance_residuals,
+                        energy_series, energy_table, fit_decay, gram_norm,
                         localization_probe, reference_type2, reference_type3,
-                        run_forward, spectral_report, to_moduli_1d)
+                        run_forward, spectral_report, staggered_difference,
+                        to_moduli_1d)
 
 from conftest import random_state, random_valid_material, sine_init
 
 
 def single_state_trajectory(s: State1D) -> Trajectory:
-    return Trajectory(times=np.array([0.0]), snapshots=(s,), dt=1.0,
+    return Trajectory(times=np.array([0.0]), states=s.to_vector()[None], dt=1.0,
                       scheme="midpoint")
+
+
+def reference_energy_terms(op, s):
+    """The seven energy terms by per-state staggered differences."""
+    m, h = op.moduli, op.grid.h
+    du = staggered_difference(s.u, h)
+    dtau = staggered_difference(s.tau, h)
+    dr = staggered_difference(s.r, h)
+    return np.array([
+        0.5 * h * m.rho * float(s.v @ s.v),
+        0.5 * h * m.c_cap * float(s.theta @ s.theta),
+        0.5 * h * m.alpha_m * float(s.m @ s.m),
+        0.5 * h * m.m_uu * float(du @ du),
+        h * m.m_ur * float(du @ dr),
+        0.5 * h * m.k_cond * float(dtau @ dtau),
+        0.5 * h * m.m_rr * float(dr @ dr),
+    ])
+
+
+def reference_dissipation(op, s):
+    m, h = op.moduli, op.grid.h
+    dtheta = staggered_difference(s.theta, h)
+    dm = staggered_difference(s.m, h)
+    quad = h * (m.h_cond * float(dtheta @ dtheta) + m.m_rr_rate * float(dm @ dm))
+    return op.time_sign * quad
+
+
+def reference_e2_e3(op, s):
+    m, h = op.moduli, op.grid.h
+    du = staggered_difference(s.u, h)
+    dtau = staggered_difference(s.tau, h)
+    dr = staggered_difference(s.r, h)
+    e2 = 0.5 * h * (
+        m.rho * float(s.v @ s.v)
+        - m.c_cap * float(s.theta @ s.theta)
+        - m.alpha_m * float(s.m @ s.m)
+        + m.m_uu * float(du @ du)
+        - m.k_cond * float(dtau @ dtau)
+        - m.m_rr * float(dr @ dr)
+    )
+    # tau sampled at interval midpoints to pair with the staggered u'
+    tau_mid = np.empty(s.n + 1)
+    tau_mid[0] = 0.5 * s.tau[0]
+    tau_mid[1:-1] = 0.5 * (s.tau[1:] + s.tau[:-1])
+    tau_mid[-1] = 0.5 * s.tau[-1]
+    e3 = h * (
+        m.rho * float(s.u @ s.v)
+        - m.c_cap * float(s.theta @ s.tau)
+        - m.alpha_m * float(s.m @ s.r)
+        + 0.5 * m.h_cond * float(dtau @ dtau)
+        + 0.5 * m.m_rr_rate * float(dr @ dr)
+        + m.beta * float(tau_mid @ du)
+    )
+    return e2, e3
+
+
+def reference_identity_residual(op, s):
+    m, h = op.moduli, op.grid.h
+    du = staggered_difference(s.u, h)
+    dtau = staggered_difference(s.tau, h)
+    dr = staggered_difference(s.r, h)
+    lhs = h * (m.m_uu * float(du @ du) + m.c_cap * float(s.theta @ s.theta)
+               + m.alpha_m * float(s.m @ s.m))
+    rhs = h * (m.rho * float(s.v @ s.v) + m.k_cond * float(dtau @ dtau)
+               + m.m_rr * float(dr @ dr))
+    return lhs - rhs
+
+
+class TestAgainstReferenceLoops:
+    """The table-driven diagnostics against per-snapshot loops over the
+    staggered-difference formulas they replace."""
+
+    @pytest.fixture(params=[(16, "forward"), (16, "backward"),
+                            (64, "forward"), (64, "backward")],
+                    ids=lambda p: f"n{p[0]}-{p[1]}")
+    def run(self, request, moduli3):
+        n, direction = request.param
+        assemble = assemble_operator if direction == "forward" else assemble_backward
+        op = assemble(Grid1D(n_interior=n), moduli3)
+        dt = 0.01 if direction == "forward" else 5e-5
+        init = random_state(n, np.random.default_rng(n))
+        return op, run_forward(op, init, dt, 30)
+
+    def test_energy_terms_and_dissipation(self, run):
+        op, traj = run
+        table = energy_table(traj, op)
+        for row, s in zip(table, traj):
+            terms = reference_energy_terms(op, s)
+            total = terms.sum()
+            assert abs(row[0] - total) <= 1e-13 * total
+            # every term but the coupling is a sum of squares
+            for j in (0, 1, 2, 3, 5, 6):
+                assert abs(row[1 + j] - terms[j]) <= 1e-13 * terms[j]
+            assert abs(row[5] - terms[4]) <= 1e-13 * total
+            d = reference_dissipation(op, s)
+            assert abs(row[8] - d) <= 1e-13 * abs(d)
+
+    def test_backward_functionals(self, run):
+        op, traj = run
+        f = backward_functionals(traj, op)
+        for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, traj):
+            ref2, ref3 = reference_e2_e3(op, s)
+            assert abs(e2 - ref2) <= 1e-13 * e1
+            assert abs(e3 - ref3) <= 1e-13 * e1
+            residual = backward_identity_residual(op, s)
+            assert abs(residual - reference_identity_residual(op, s)) <= 1e-13 * e1
+
+    @pytest.mark.parametrize("sampling", ["midpoint", "trapezoid"])
+    def test_energy_balance_residuals(self, run, sampling):
+        op, traj = run
+        got = energy_balance_residuals(traj, op, sampling=sampling)
+        snaps = list(traj)
+        energies = [reference_energy_terms(op, s).sum() for s in snaps]
+        for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
+            if sampling == "midpoint":
+                mid = State1D.from_vector(0.5 * (a.to_vector() + b.to_vector()))
+                d = reference_dissipation(op, mid)
+            else:
+                d = 0.5 * (reference_dissipation(op, a) + reference_dissipation(op, b))
+            expected = energies[k + 1] - energies[k] + traj.dt * d
+            assert abs(got[k] - expected) <= 1e-13 * energies[k]
 
 
 class TestEnergyBreakdown:
@@ -67,7 +189,7 @@ class TestEnergyBreakdown:
     def test_series_matches_pointwise_energy(self, op3):
         traj = run_forward(op3, sine_init(op3.grid), 0.01, 20)
         series = energy_series(traj, op3)
-        for val, snap in zip(series, traj.snapshots):
+        for val, snap in zip(series, traj):
             assert val == energy(op3, snap).total
 
 
@@ -103,7 +225,7 @@ class TestDissipationRate:
 
     def test_series_sign_follows_orientation(self, op3_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
-        series = dissipation_series(traj, op3_back)
+        series = energy_table(traj, op3_back)[:, -1]
         assert (series[1:] < 0.0).all()  # time-reversed: production
 
 
@@ -195,7 +317,7 @@ class TestFitDecay:
             fit.time_to_fraction(0.01)
 
     def test_degenerate_and_short_trajectories(self, op3):
-        zero = run_forward(op3, InitialData.zeros(16), 0.01, 20)
+        zero = run_forward(op3, State1D.zeros(16), 0.01, 20)
         with pytest.raises(DegenerateTrajectory):
             fit_decay(zero, op3)
         short = run_forward(op3, sine_init(op3.grid), 0.01, 5)
@@ -211,7 +333,7 @@ class TestFitDecay:
 
 class TestBackwardFunctionals:
     def test_zero_trajectory_all_vanish(self, op3_back):
-        traj = run_forward(op3_back, InitialData.zeros(16), 5e-5, 20)
+        traj = run_forward(op3_back, State1D.zeros(16), 5e-5, 20)
         f = backward_functionals(traj, op3_back)
         assert not f.e1.any() and not f.e2.any() and not f.e3.any()
         assert not f.cal_e.any()
@@ -220,7 +342,7 @@ class TestBackwardFunctionals:
     def test_e1_is_bitwise_energy(self, op3_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 50)
         f = backward_functionals(traj, op3_back)
-        for val, snap in zip(f.e1, traj.snapshots):
+        for val, snap in zip(f.e1, traj):
             assert val == energy(op3_back, snap).total
 
     def test_e1_e2_recombination(self, op3_back):
@@ -260,27 +382,17 @@ class TestBackwardFunctionals:
         with pytest.raises(ValueError):
             backward_functionals(traj, op3_back, lam=-1.0)
 
-    def test_identity_residual(self, op3_back, moduli3):
+    def test_identity_residual(self, op3_back):
         assert backward_identity_residual(op3_back, State1D.zeros(16)) == 0.0
         rng = np.random.default_rng(5)
         s = random_state(16, rng)
-        from microtherm import staggered_difference
-        h = op3_back.grid.h
-        m = moduli3
-        du = staggered_difference(s.u, h)
-        dtau = staggered_difference(s.tau, h)
-        dr = staggered_difference(s.r, h)
-        lhs = h * (m.m_uu * du @ du + m.c_cap * s.theta @ s.theta
-                   + m.alpha_m * s.m @ s.m)
-        rhs = h * (m.rho * s.v @ s.v + m.k_cond * dtau @ dtau
-                   + m.m_rr * dr @ dr)
         got = backward_identity_residual(op3_back, s)
-        assert got == pytest.approx(lhs - rhs, rel=1e-12)
+        assert got == pytest.approx(reference_identity_residual(op3_back, s), rel=1e-12)
 
 
 class TestLocalizationProbe:
     def test_trivial_zero_data_flagged(self, op2, op2_back):
-        probe = localization_probe(op2, op2_back, InitialData.zeros(16), 0.01, 10)
+        probe = localization_probe(op2, op2_back, State1D.zeros(16), 0.01, 10)
         assert probe.trivial
         assert math.isnan(probe.min_energy_ratio)
         assert probe.round_trip_error == 0.0

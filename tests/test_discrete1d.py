@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from microtherm import (DimensionMismatch, Grid1D, InvalidGrid,
                         InvalidMaterial, State1D, assemble_backward,
                         assemble_operator, first_difference, gram_norm,
-                        reference_type2, second_difference,
+                        reference_type2, reference_type3, second_difference,
                         staggered_difference, to_moduli_1d)
+from microtherm.discrete1d import FORMS, form_tables, form_values
 
 from conftest import random_state, random_valid_material
 
@@ -133,6 +134,57 @@ class TestOperatorAssembly:
                        + m.m_rr * dr @ dr)
         quad = float(s.to_vector() @ (op3.g_mat @ s.to_vector()))
         assert quad == pytest.approx(by_hand, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_gram_equals_explicit_block_assembly_bit_for_bit(self, n, reference, assemble):
+        grid = Grid1D(n_interior=n)
+        m = to_moduli_1d(reference())
+        h = grid.h
+        off = np.ones(n - 1)
+        lap = sp.diags([off, np.full(n, -2.0), off], (-1, 0, 1), format="csr") / (h * h)
+        eye = sp.identity(n, format="csr")
+        stiff = (-h) * lap
+        explicit = sp.bmat([
+            [m.m_uu * stiff, None, None, None, m.m_ur * stiff, None],
+            [None, m.rho * h * eye, None, None, None, None],
+            [None, None, m.k_cond * stiff, None, None, None],
+            [None, None, None, m.c_cap * h * eye, None, None],
+            [m.m_ur * stiff, None, None, None, m.m_rr * stiff, None],
+            [None, None, None, None, None, m.alpha_m * h * eye],
+        ], format="csr")
+        g = assemble(grid, m).g_mat
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g, attr), getattr(explicit, attr)), attr
+        assert g.data.tobytes() == explicit.data.tobytes()
+
+    def test_gram_is_twice_the_energy_tables(self, moduli3):
+        tables = form_tables(moduli3, -1)
+        terms = tables[FORMS.index("kinetic"):FORMS.index("r_gradient") + 1]
+        assert len(terms) == 7
+        assert np.array_equal(tables[FORMS.index("total")], terms.sum(axis=0))
+        # every energy table is symmetric in the field pair; the time
+        # orientation signs only the rate quadrature
+        assert np.array_equal(terms, terms.transpose(0, 1, 3, 2))
+        forward = form_tables(moduli3, 1)
+        flip = FORMS.index("dissipation_rate")
+        assert np.array_equal(np.delete(forward, flip, 0), np.delete(tables, flip, 0))
+        assert np.array_equal(forward[flip], -tables[flip])
+
+    @pytest.mark.parametrize("midpoints", [False, True])
+    def test_form_values_rows_do_not_depend_on_blocks(self, moduli3, midpoints):
+        # 400 rows of a 6n = 384 state span several blocks of form_values
+        op = assemble_operator(Grid1D(n_interior=64), moduli3)
+        rng = np.random.default_rng(13)
+        states = rng.standard_normal((400, 6 * 64))
+        batched = form_values(op, states, midpoints=midpoints)
+        assert batched.shape == (400 - midpoints, len(FORMS))
+        for j in range(len(batched)):
+            alone = form_values(op, states[j:j + 1 + midpoints], midpoints=midpoints)
+            assert np.array_equal(alone[0], batched[j])
+        with pytest.raises(DimensionMismatch):
+            form_values(op, states[:, :-1])
 
     def test_gram_is_symmetric_positive_definite(self, op3):
         g = op3.g_mat

@@ -6,7 +6,7 @@ import pytest
 from microtherm import (RootFailure, characteristic_matrix,
                         first_order_symbol, reference_type2, reference_type3,
                         root_set_distance, solve_branches, symbol_frequencies,
-                        thread_count, to_moduli_1d)
+                        to_moduli_1d)
 
 
 def decoupled(material, **extra):
@@ -144,22 +144,6 @@ class TestBranches:
     def test_decay_rates_sign(self, moduli3):
         res = solve_branches(moduli3, np.linspace(0.5, 8.0, 8))
         assert res.decay_rates.min() >= -1e-10 * np.abs(res.omega).max()
-
-    def test_threading_does_not_change_results(self, moduli3):
-        ks = np.linspace(0.5, 8.0, 16)
-        one = solve_branches(moduli3, ks, threads=1)
-        two = solve_branches(moduli3, ks, threads=2)
-        assert np.array_equal(one.omega, two.omega)
-        assert np.array_equal(one.crossings, two.crossings)
-
-    def test_thread_count_resolution(self, monkeypatch):
-        assert thread_count(4) == 4
-        assert thread_count(0) == 1
-        monkeypatch.setenv("MICROTHERM_THREADS", "3")
-        assert thread_count() == 3
-        assert thread_count(2) == 2
-        monkeypatch.delenv("MICROTHERM_THREADS")
-        assert thread_count() == 1
 
     def test_wavenumber_grid_validation(self, moduli3):
         for bad in ([], [[1.0, 2.0]], [0.5, -1.0], [0.5, 0.0]):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from microtherm import (DimensionMismatch, Grid1D, InitialData, NonFinite,
+from microtherm import (DimensionMismatch, Grid1D, NonFinite,
                         SolveFailure, State1D, Trajectory, assemble_backward,
                         assemble_operator, energy_series, gram_norm,
                         reference_type2, reference_type3, run_forward,
@@ -21,21 +21,24 @@ def decoupled_elastic_moduli():
     return to_moduli_1d(m)
 
 
-class TestInitialData:
+class TestState1D:
     def test_round_trip_state(self):
         rng = np.random.default_rng(0)
         s = random_state(6, rng)
-        init = InitialData.from_state(s)
-        assert init.n == 6
-        assert np.array_equal(init.to_state().to_vector(), s.to_vector())
+        copy = State1D(s.u, s.v, s.tau, s.theta, s.r, s.m)
+        assert copy.n == 6
+        assert np.array_equal(State1D.from_vector(copy.to_vector()).to_vector(),
+                              s.to_vector())
 
     def test_rejects_ragged_and_nonfinite(self):
         with pytest.raises(DimensionMismatch):
-            InitialData(np.zeros(3), np.zeros(4), np.zeros(3),
-                        np.zeros(3), np.zeros(3), np.zeros(3))
+            State1D(np.zeros(3), np.zeros(4), np.zeros(3),
+                    np.zeros(3), np.zeros(3), np.zeros(3))
         with pytest.raises(NonFinite):
-            InitialData(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2),
-                        np.zeros(2), np.zeros(2), np.zeros(2))
+            State1D(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2),
+                    np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(NonFinite):
+            State1D.from_vector(np.r_[np.zeros(11), np.inf])
 
 
 class TestTrajectory:
@@ -44,7 +47,8 @@ class TestTrajectory:
         traj = run_forward(op2, init, 0.01, 20, snapshot_every=5)
         assert len(traj) == 5
         assert np.allclose(traj.times, [0.0, 0.05, 0.10, 0.15, 0.20])
-        assert traj.stacked().shape == (5, 96)
+        assert traj.states.shape == (5, 96)
+        assert np.array_equal(traj[2].to_vector(), traj.states[2])
 
     def test_zero_steps_keeps_initial_state_only(self, op2):
         traj = run_forward(op2, sine_init(op2.grid), 0.01, 0)
@@ -59,11 +63,13 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             run_forward(op2, init, 0.01, 10, scheme="euler")
         with pytest.raises(DimensionMismatch):
-            run_forward(op2, InitialData.zeros(8), 0.01, 10)
+            run_forward(op2, State1D.zeros(8), 0.01, 10)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]),
-                       snapshots=(State1D.zeros(4), State1D.zeros(4)),
+            Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 24)),
                        dt=0.01, scheme="midpoint")
+        with pytest.raises(DimensionMismatch):
+            Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((3, 24)),
+                       dt=0.1, scheme="midpoint")
 
 
 class TestMidpointStructure:
@@ -89,8 +95,8 @@ class TestMidpointStructure:
         combo = State1D.from_vector(a * s1.to_vector() + b * s2.to_vector())
         out = {}
         for tag, s in (("s1", s1), ("s2", s2), ("combo", combo)):
-            traj = run_forward(op3, InitialData.from_state(s), 0.02, 50)
-            out[tag] = traj.snapshots[-1].to_vector()
+            traj = run_forward(op3, s, 0.02, 50)
+            out[tag] = traj.states[-1]
         lhs = out["combo"]
         rhs = a * out["s1"] + b * out["s2"]
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -100,7 +106,8 @@ class TestMidpointStructure:
         # and likewise for (tau, theta) and (R, M)
         traj = run_forward(op3, sine_init(op3.grid), 0.02, 10)
         dt = traj.dt
-        for a, b in zip(traj.snapshots, traj.snapshots[1:]):
+        snaps = list(traj)
+        for a, b in zip(snaps, snaps[1:]):
             scale = max(np.abs(b.to_vector()).max(), 1.0)
             for disp, rate in (("u", "v"), ("tau", "theta"), ("r", "m")):
                 lhs = getattr(b, disp) - getattr(a, disp)
@@ -113,12 +120,12 @@ class TestMidpointStructure:
         init = sine_init(grid)
         t_final = 0.4
         dense = scipy.linalg.expm(t_final * op.a_mat.toarray())
-        expected = dense @ init.to_state().to_vector()
+        expected = dense @ init.to_vector()
 
         def endpoint_error(dt):
             n_steps = int(round(t_final / dt))
             traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
-            return np.abs(traj.snapshots[-1].to_vector() - expected).max()
+            return np.abs(traj.states[-1] - expected).max()
 
         e1, e2 = endpoint_error(4e-3), endpoint_error(2e-3)
         assert e2 < e1 < 1e-2
@@ -129,9 +136,9 @@ class TestMidpointStructure:
         op = assemble_operator(grid, decoupled_elastic_moduli())
         x = grid.nodes
         h = grid.h
-        init = InitialData(u0=np.sin(np.pi * x), v0=np.zeros(16),
-                           tau0=np.zeros(16), theta0=np.zeros(16),
-                           r0=np.zeros(16), m0=np.zeros(16))
+        init = State1D(u=np.sin(np.pi * x), v=np.zeros(16),
+                       tau=np.zeros(16), theta=np.zeros(16),
+                       r=np.zeros(16), m=np.zeros(16))
         mu = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
         omega = np.sqrt(op.moduli.m_uu / op.moduli.rho * mu)
 
@@ -139,7 +146,7 @@ class TestMidpointStructure:
             n_steps = int(round(1.0 / dt))
             traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
             expected = np.cos(omega * traj.times[-1]) * np.sin(np.pi * x)
-            return np.abs(traj.snapshots[-1].u - expected).max()
+            return np.abs(traj[-1].u - expected).max()
 
         e1, e2 = endpoint_error(2e-3), endpoint_error(1e-3)
         assert np.log2(e1 / e2) >= 1.9
@@ -148,8 +155,7 @@ class TestMidpointStructure:
         init = sine_init(op3.grid)
         mid = run_forward(op3, init, 1e-3, 500, snapshot_every=500)
         rk4 = run_forward(op3, init, 1e-3, 500, snapshot_every=500, scheme="rk4")
-        diff = np.abs(mid.snapshots[-1].to_vector()
-                      - rk4.snapshots[-1].to_vector()).max()
+        diff = np.abs(mid.states[-1] - rk4.states[-1]).max()
         assert diff <= 1e-3  # independent schemes, both at least 2nd order
 
 
@@ -175,15 +181,14 @@ class TestBandedStepper:
         eye = np.eye(6 * n)
         lhs, rhs_mat = eye - 0.5 * dt * a_dense, eye + 0.5 * dt * a_dense
         traj = run_forward(op, sine_init(grid), dt, 20)
-        for before, after in zip(traj.snapshots, traj.snapshots[1:]):
-            expected = np.linalg.solve(lhs, rhs_mat @ before.to_vector())
-            got = after.to_vector()
+        for before, got in zip(traj.states, traj.states[1:]):
+            expected = np.linalg.solve(lhs, rhs_mat @ before)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_reversed_type3_run_stops_at_first_overflow(self, op3, op3_back):
         dt = 0.01
         fwd = run_forward(op3, sine_init(op3.grid), dt, 400, snapshot_every=400)
-        turned = time_reversal(fwd.snapshots[-1]).to_vector()
+        turned = time_reversal(fwd[-1]).to_vector()
         stepper = MidpointStepper(op3_back, dt)
         kept = []
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
@@ -197,8 +202,7 @@ class TestBandedStepper:
         with np.errstate(over="ignore"):
             assert not np.isfinite(rhs @ rhs)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
-            run_forward(op3_back, InitialData.from_state(State1D.from_vector(turned)),
-                        dt, 400)
+            run_forward(op3_back, State1D.from_vector(turned), dt, 400)
 
 
 class TestSolverGuard:
@@ -238,11 +242,10 @@ class TestSolverGuard:
             MidpointStepper(op2, 0.0)
 
     def test_step_midpoint_single_step(self, op2):
-        s = sine_init(op2.grid).to_state()
+        s = sine_init(op2.grid)
         stepped = step_midpoint(op2, s, 0.01)
-        long_form = run_forward(op2, InitialData.from_state(s), 0.01, 1)
-        assert np.array_equal(stepped.to_vector(),
-                              long_form.snapshots[-1].to_vector())
+        long_form = run_forward(op2, s, 0.01, 1)
+        assert np.array_equal(stepped.to_vector(), long_form.states[-1])
 
 
 class TestTimeReversal:
@@ -256,10 +259,10 @@ class TestTimeReversal:
         init = sine_init(op2.grid)
         dt, n_steps = 0.01, 1000  # T = 10
         fwd = run_forward(op2, init, dt, n_steps, snapshot_every=n_steps)
-        turned = InitialData.from_state(time_reversal(fwd.snapshots[-1]))
+        turned = time_reversal(fwd[-1])
         bwd = run_forward(op2_back, turned, dt, n_steps, snapshot_every=n_steps)
-        recovered = time_reversal(bwd.snapshots[-1]).to_vector()
-        err = np.abs(recovered - init.to_state().to_vector()).max()
+        recovered = time_reversal(bwd[-1]).to_vector()
+        err = np.abs(recovered - init.to_vector()).max()
         assert err <= 1e-8
 
     def test_backward_energy_grows(self, op3_back):
@@ -271,5 +274,5 @@ class TestTimeReversal:
     def test_gram_norm_contraction_forward(self, op3):
         # dissipative semigroup: the G-norm never grows
         traj = run_forward(op3, sine_init(op3.grid), 0.01, 50)
-        norms = [gram_norm(op3, s) for s in traj.snapshots]
+        norms = [gram_norm(op3, s) for s in traj]
         assert (np.diff(norms) <= 1e-12 * norms[0]).all()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,41 +185,47 @@ class TestParse:
 class TestBuildInitial:
     def test_zero_preset(self):
         init = build_initial(parse_scenario(minimal()))
-        assert not init.to_state().to_vector().any()
+        assert not init.to_vector().any()
 
     def test_sine_preset_fields(self):
         s = parse_scenario(FULL)
         init = build_initial(s)
         x = s.grid.nodes
-        np.testing.assert_array_equal(init.u0, np.sin(2 * np.pi * x / 2.0))
-        np.testing.assert_array_equal(init.theta0, 0.25 * np.sin(np.pi * x / 2.0))
-        assert not init.v0.any() and not init.r0.any()
+        np.testing.assert_array_equal(init.u, np.sin(2 * np.pi * x / 2.0))
+        np.testing.assert_array_equal(init.theta, 0.25 * np.sin(np.pi * x / 2.0))
+        assert not init.v.any() and not init.r.any()
 
     def test_impulse_preset(self):
         text = minimal(**{"preset = zero": "preset = impulse\nfield = v\nnode = 3\namp = 2.5"})
         init = build_initial(parse_scenario(text))
-        assert init.v0[3] == 2.5
-        assert np.count_nonzero(init.v0) == 1
-        assert not init.u0.any()
+        assert init.v[3] == 2.5
+        assert np.count_nonzero(init.v) == 1
+        assert not init.u.any()
 
     def test_impulse_node_out_of_range(self):
         text = minimal(**{"preset = zero": "preset = impulse\nnode = 8"})
+        with pytest.raises(ParseError, match="outside"):
+            parse_scenario(text)
+        # a scenario built by hand still meets the check in build_initial
+        ok = parse_scenario(minimal(**{"preset = zero": "preset = impulse\nnode = 7"}))
+        by_hand = dataclasses.replace(
+            ok, init=dataclasses.replace(ok.init, params={"node": 8}))
         with pytest.raises(ValidationError, match="outside"):
-            build_initial(parse_scenario(text))
+            build_initial(by_hand)
 
     def test_impulse_defaults_to_center_temperature(self):
         text = minimal(**{"preset = zero": "preset = impulse"})
         init = build_initial(parse_scenario(text))
-        assert init.theta0[4] == 1.0
+        assert init.theta[4] == 1.0
 
     def test_random_preset_is_seed_deterministic(self):
         text = minimal(**{"preset = zero": "preset = random\nseed = 11"})
         a = build_initial(parse_scenario(text))
         b = build_initial(parse_scenario(text))
-        assert np.array_equal(a.to_state().to_vector(), b.to_state().to_vector())
+        assert np.array_equal(a.to_vector(), b.to_vector())
         other = minimal(**{"preset = zero": "preset = random\nseed = 12"})
         c = build_initial(parse_scenario(other))
-        assert not np.array_equal(a.to_state().to_vector(), c.to_state().to_vector())
+        assert not np.array_equal(a.to_vector(), c.to_vector())
 
     def test_random_seed_reaches_scenario(self):
         text = minimal(**{"preset = zero": "preset = random\nseed = 11"})
