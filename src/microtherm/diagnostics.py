@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .discrete1d import FORMS, DiscreteOperator, State1D, form_values
-from .errors import (DegenerateTrajectory, EigenFailure, IndefiniteForm,
-                     NonFinite, SizeLimit, SolveFailure)
+from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
+                     IndefiniteForm, NonFinite, SizeLimit, SolveFailure)
 from .evolve import Trajectory, run_forward, time_reversal
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "localization_probe",
 ]
 
-_DENSE_LIMIT = 3000       # largest 6n for dense eigensolves
+DENSE_LIMIT = 3000        # largest 6n for dense eigensolves
 _GRONWALL_FLOOR = 1e-300  # guards 0/0 in the Gronwall ratio
 
 
@@ -109,14 +109,17 @@ def dissipation_rate(op: DiscreteOperator, s: State1D) -> float:
 
 
 def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
+                             table: np.ndarray,
                              sampling: str = "midpoint") -> np.ndarray:
-    """Per-step residual of E_{k+1} - E_k + dt_snap * D.
+    """Per-step residual of E_{k+1} - E_k + dt_snap * D, given the
+    trajectory's energy_table(traj, op).
 
     sampling="midpoint" evaluates D at the averaged state
     (U_k + U_{k+1})/2, for which the midpoint scheme satisfies the
     balance exactly (residual at round-off).  sampling="trapezoid"
-    averages the endpoint rates instead; its residual carries a genuine
-    O(dt^3) term, which is what a refinement study can measure.
+    averages the endpoint rates of the table instead; its residual
+    carries a genuine O(dt^3) term, which is what a refinement study
+    can measure.
 
     Exactness of the midpoint form needs consecutive stepper states,
     i.e. a trajectory recorded with snapshot_every = 1; for coarser
@@ -125,7 +128,6 @@ def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
     """
     if sampling not in ("midpoint", "trapezoid"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    table = energy_table(traj, op)
     if sampling == "midpoint":
         rates = form_values(op, traj.states, ("dissipation_rate",), midpoints=True)[:, 0]
     else:
@@ -152,9 +154,9 @@ class SpectralReport:
 def spectral_report(op: DiscreteOperator, n_probes: int = 100,
                     seed: int = 0) -> SpectralReport:
     size = op.a_mat.shape[0]
-    if size > _DENSE_LIMIT:
+    if size > DENSE_LIMIT:
         raise SizeLimit(
-            f"dense eigensolve limited to 6n <= {_DENSE_LIMIT}, got {size}"
+            f"dense eigensolve limited to 6n <= {DENSE_LIMIT}, got {size}"
         )
     try:
         lams = np.linalg.eigvals(op.a_mat.toarray())
@@ -320,11 +322,11 @@ class LocalizationReport:
     trivial: the initial state was identically zero (E == 0 throughout,
     nothing to certify).  min_energy_ratio: min over the run of
     E(t)/E(0).  energy_positive: E(t) > 0 at every step.
-    round_trip_error: max-abs mismatch after integrating forward
-    n_steps, flipping rates, integrating the time-reversed operator
-    n_steps and flipping back; inf when the reversed run overflows or
-    its solve misses the residual guard (strong dissipation amplifies
-    round-off beyond float range).
+    round_trip_error: max-abs mismatch after flipping the rates of the
+    run's final state, integrating the time-reversed operator as many
+    steps back and flipping again; inf when the reversed run overflows
+    or its solve misses the residual guard (strong dissipation
+    amplifies round-off beyond float range).
     """
 
     trivial: bool
@@ -333,20 +335,33 @@ class LocalizationReport:
     round_trip_error: float
 
 
-def localization_probe(op_fwd: DiscreteOperator, op_bwd: DiscreteOperator,
-                       init: State1D, dt: float, n_steps: int) -> LocalizationReport:
-    init_vec = init.to_vector()
+def localization_probe(op_bwd: DiscreteOperator, traj: Trajectory,
+                       energies: np.ndarray) -> LocalizationReport:
+    """Probe a forward run for finite-time extinction.
+
+    traj is an every-step midpoint run (snapshot_every = 1) and energies
+    its energy at every snapshot, e.g. energy_table(traj, op)[:, 0];
+    the probe reads the energies, row 0 and the last row, and runs only
+    the time-reversed half itself.  Raises ValueError for any other
+    run, whose energies would miss steps or come from a scheme without
+    the exact energy balance.
+    """
+    if traj.scheme != "midpoint" or traj.snapshot_every != 1:
+        raise ValueError(
+            "localization needs an every-step midpoint run, got scheme = "
+            f"{traj.scheme}, snapshot_every = {traj.snapshot_every}")
+    if len(energies) != len(traj):
+        raise DimensionMismatch(
+            f"need one energy per snapshot ({len(traj)}), got {len(energies)}")
+    init_vec = traj.states[0]
     if not init_vec.any():
         return LocalizationReport(trivial=True, min_energy_ratio=float("nan"),
                                   energy_positive=False, round_trip_error=0.0)
 
-    traj = run_forward(op_fwd, init, dt, n_steps)
-    energies = energy_series(traj, op_fwd)
-    ratios = energies / energies[0]
-
+    n_steps = len(traj) - 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            back = run_forward(op_bwd, time_reversal(traj[-1]), dt, n_steps,
+            back = run_forward(op_bwd, time_reversal(traj[-1]), traj.dt, n_steps,
                                snapshot_every=max(n_steps, 1))
             recovered = time_reversal(back[-1]).to_vector()
             err = float(np.abs(recovered - init_vec).max())
@@ -356,7 +371,7 @@ def localization_probe(op_fwd: DiscreteOperator, op_bwd: DiscreteOperator,
 
     return LocalizationReport(
         trivial=False,
-        min_energy_ratio=float(ratios.min()),
+        min_energy_ratio=float((energies / energies[0]).min()),
         energy_positive=bool((energies > 0.0).all()),
         round_trip_error=round_trip,
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (backward_functionals, energy_balance_residuals,
-                          energy_table, localization_probe, spectral_report)
+                          energy_series, energy_table, localization_probe,
+                          spectral_report)
 from .discrete1d import assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
 from .errors import IndefiniteForm, NonFinite, SolveFailure
@@ -50,11 +51,15 @@ def _write_csv(path: str, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _simulate(scenario: Scenario, op, init, out_dir, certs, notes):
+def _forward_run(scenario: Scenario, op, init):
+    """The scenario's [time] run and its energy table."""
     traj = run_forward(op, init, scenario.dt, scenario.n_steps,
                        snapshot_every=scenario.snapshot_every,
                        scheme=scenario.scheme)
-    table = energy_table(traj, op)
+    return traj, energy_table(traj, op)
+
+
+def _simulate(scenario: Scenario, op, traj, table, out_dir, certs, notes):
     _write_csv(os.path.join(out_dir, "energy.csv"),
                ("t", "total", "kinetic", "thermal", "microthermal", "elastic",
                 "coupling", "tau_gradient", "r_gradient", "dissipation_rate"),
@@ -77,12 +82,11 @@ def _simulate(scenario: Scenario, op, init, out_dir, certs, notes):
     # states, so the certificate needs every step in the trajectory
     if (scenario.scheme == "midpoint" and scenario.snapshot_every == 1
             and len(traj) > 1):
-        resid = float(np.abs(energy_balance_residuals(traj, op)).max())
+        resid = float(np.abs(energy_balance_residuals(traj, op, table)).max())
         certs.append(Certificate(
             "energy balance", resid <= 1e-10 * scale,
             f"max step residual {resid:.3e}, tol {1e-10 * scale:.3e}"))
     notes.append(f"final energy = {_fmt(energies[-1])}")
-    return traj
 
 
 def _spectrum(scenario: Scenario, op, out_dir, certs, notes):
@@ -161,8 +165,17 @@ def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
         f"K = {funcs.gronwall_k:.6e}"))
 
 
-def _localization(scenario: Scenario, op, op_bwd, init, certs, notes):
-    probe = localization_probe(op, op_bwd, init, scenario.dt, scenario.n_steps)
+def _probe(scenario: Scenario, op, op_bwd, init, run):
+    """The localization probe on the shared (trajectory, energy table)
+    run, or on its own every-step midpoint run when run is None."""
+    if run is None:
+        traj = run_forward(op, init, scenario.dt, scenario.n_steps)
+        return localization_probe(op_bwd, traj, energy_series(traj, op))
+    traj, table = run
+    return localization_probe(op_bwd, traj, table[:, 0])
+
+
+def _localization(scenario: Scenario, probe, certs, notes):
     if probe.trivial:
         certs.append(Certificate(
             "no finite time extinction", True, "trivial zero state"))
@@ -207,9 +220,19 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     if "backward" in scenario.tasks or "localization" in scenario.tasks:
         op_bwd = assemble_backward(scenario.grid, moduli)
 
+    # an every-step midpoint simulate run is also the probe's forward
+    # run: the first of the two tasks makes the run and the probe, the
+    # other reuses them, and the trajectory is released after simulate
+    shared = ({"simulate", "localization"} <= set(scenario.tasks)
+              and scenario.scheme == "midpoint" and scenario.snapshot_every == 1)
+    run = probe = None
     for task in scenario.tasks:
         if task == "simulate":
-            _simulate(scenario, op, init, out_dir, certs, notes)
+            run = run or _forward_run(scenario, op, init)
+            _simulate(scenario, op, *run, out_dir, certs, notes)
+            if shared and probe is None:
+                probe = _probe(scenario, op, op_bwd, init, run)
+            run = None
         elif task == "spectrum":
             _spectrum(scenario, op, out_dir, certs, notes)
         elif task == "dispersion":
@@ -217,7 +240,11 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
         elif task == "backward":
             _backward(scenario, op_bwd, init, out_dir, certs, notes)
         elif task == "localization":
-            _localization(scenario, op, op_bwd, init, certs, notes)
+            if probe is None:
+                if shared:
+                    run = _forward_run(scenario, op, init)
+                probe = _probe(scenario, op, op_bwd, init, run)
+            _localization(scenario, probe, certs, notes)
 
     lines.extend(cert.line() for cert in certs)
     lines.extend(f"# {note}" for note in notes)

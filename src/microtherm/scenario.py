@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import DENSE_LIMIT
 from .discrete1d import FIELDS, Grid1D, State1D
 from .errors import ParseError, ValidationError
 from .material import MaterialIsotropic, reference_type2, reference_type3, validate_isotropic
@@ -28,6 +29,7 @@ _MODELS = ("type2", "type3")
 _SCHEMES = ("midpoint", "rk4")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
+_MAX_TRAJECTORY_BYTES = 2 * 2**30  # largest snapshot array a run may keep
 
 _MATERIAL_KEYS = frozenset({
     "model", "rho", "lambda_e", "mu_e", "beta", "c_cap", "alpha_m",
@@ -252,7 +254,32 @@ def parse_scenario(text: str) -> Scenario:
             f"[dispersion] needs 0 < k_min <= k_max and n_k >= 1, got "
             f"k_min = {scenario.k_min}, k_max = {scenario.k_max}, n_k = {scenario.n_k}"
         )
+    _check_sizes(scenario)
     return scenario
+
+
+def _check_sizes(scenario: Scenario):
+    """Reject a scenario whose dense spectrum or largest snapshot array
+    would exceed the size limits, before any numerics run."""
+    size = 6 * scenario.grid.n_interior
+    if "spectrum" in scenario.tasks and size > DENSE_LIMIT:
+        raise ParseError(
+            f"task spectrum needs a dense eigensolve of size 6n = {size}, "
+            f"above the limit {DENSE_LIMIT}; lower [grid] n_interior")
+    # snapshots kept per run: simulate's every snapshot_every-th step,
+    # the localization probe's every step (whether it shares simulate's
+    # run or makes its own) and every step of the backward run
+    rows = {
+        "simulate": scenario.n_steps // scenario.snapshot_every + 1,
+        "localization": scenario.n_steps + 1,
+        "backward": scenario.backward_n_steps + 1,
+    }
+    for task in scenario.tasks:
+        if rows.get(task, 0) * size * 8 > _MAX_TRAJECTORY_BYTES:
+            raise ParseError(
+                f"task {task} would keep {rows[task]} snapshots of 6n = {size} "
+                f"values, above the {_MAX_TRAJECTORY_BYTES // 2**30} GiB limit "
+                f"on a run's snapshot array")
 
 
 def _material_fields(m: MaterialIsotropic) -> dict:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from microtherm import (Grid1D, State1D, assemble_backward,
                         assemble_operator, backward_functionals,
                         characteristic_matrix, energy_balance_residuals,
-                        energy_series, first_order_symbol, fit_decay,
+                        energy_series, energy_table, first_order_symbol, fit_decay,
                         isotropic_embedding, localization_probe,
                         reference_type2, reference_type3, root_set_distance,
                         run_forward, solve_branches, spectral_report,
@@ -67,7 +67,8 @@ def test_criterion_2_dissipativity(capsys):
     constants = []
     for dt in (2e-3, 1e-3, 5e-4):
         traj = run_forward(op3, sine_init(grid), dt, int(round(1.0 / dt)))
-        resid = energy_balance_residuals(traj, op3, sampling="trapezoid")
+        resid = energy_balance_residuals(traj, op3, energy_table(traj, op3),
+                                         sampling="trapezoid")
         constants.append(float(np.abs(resid).max()) / dt ** 3)
     ratios = [constants[i + 1] / constants[i] for i in range(2)]
     balance_ok = all(0.7 <= r <= 1.5 for r in ratios)
@@ -137,9 +138,10 @@ def test_criterion_5_no_localization(capsys):
     backward_ok = bool((f.cal_e[1:] > 0.0).all()) and np.isfinite(f.gronwall_k)
 
     m2 = to_moduli_1d(reference_type2())
-    probe = localization_probe(assemble_operator(grid, m2),
-                               assemble_backward(grid, m2),
-                               sine_init(grid), 0.01, 1000)
+    op2 = assemble_operator(grid, m2)
+    fwd = run_forward(op2, sine_init(grid), 0.01, 1000)
+    probe = localization_probe(assemble_backward(grid, m2), fwd,
+                               energy_series(fwd, op2))
     round_trip_ok = probe.round_trip_error <= 1e-8
 
     ok = positive and backward_ok and round_trip_ok

@@ -189,6 +189,23 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.count("error:") == 2 and key in err
 
+    @pytest.mark.parametrize("swaps, task", [
+        ({"n_interior = 16": "n_interior = 600", "run = simulate": "run = simulate, spectrum"},
+         "spectrum"),
+        ({"n_steps = 10": "n_steps = 100000000000000000000"}, "simulate"),
+    ], ids=["spectrum-above-dense-limit", "simulate-snapshots-above-2GiB"])
+    def test_size_limits_are_checked_before_running(self, tmp_path, capsys, swaps, task):
+        text = UNSTABLE
+        for old, new in swaps.items():
+            text = text.replace(old, new)
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["check", cfg]) == 2
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and f"task {task}" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err

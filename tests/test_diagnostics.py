@@ -131,7 +131,7 @@ class TestAgainstReferenceLoops:
     @pytest.mark.parametrize("sampling", ["midpoint", "trapezoid"])
     def test_energy_balance_residuals(self, run, sampling):
         op, traj = run
-        got = energy_balance_residuals(traj, op, sampling=sampling)
+        got = energy_balance_residuals(traj, op, energy_table(traj, op), sampling=sampling)
         snaps = list(traj)
         energies = [reference_energy_terms(op, s).sum() for s in snaps]
         for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
@@ -232,7 +232,7 @@ class TestDissipationRate:
 class TestEnergyBalance:
     def test_midpoint_sampling_is_exact(self, op3):
         traj = run_forward(op3, sine_init(op3.grid), 0.01, 100)
-        resid = energy_balance_residuals(traj, op3)
+        resid = energy_balance_residuals(traj, op3, energy_table(traj, op3))
         e0 = energy_series(traj, op3)[0]
         assert np.abs(resid).max() <= 1e-13 * e0
 
@@ -242,7 +242,8 @@ class TestEnergyBalance:
         def constant(dt):
             n_steps = int(round(1.0 / dt))
             traj = run_forward(op3, init, dt, n_steps)
-            resid = energy_balance_residuals(traj, op3, sampling="trapezoid")
+            resid = energy_balance_residuals(traj, op3, energy_table(traj, op3),
+                                             sampling="trapezoid")
             return np.abs(resid).max() / dt ** 3
 
         c1, c2 = constant(2e-3), constant(1e-3)
@@ -251,7 +252,8 @@ class TestEnergyBalance:
     def test_unknown_sampling_rejected(self, op3):
         traj = run_forward(op3, sine_init(op3.grid), 0.01, 2)
         with pytest.raises(ValueError):
-            energy_balance_residuals(traj, op3, sampling="simpson")
+            energy_balance_residuals(traj, op3, energy_table(traj, op3),
+                                     sampling="simpson")
 
 
 class TestSpectralReport:
@@ -391,22 +393,41 @@ class TestBackwardFunctionals:
 
 
 class TestLocalizationProbe:
+    @staticmethod
+    def probe(op, op_bwd, init, dt, n_steps):
+        traj = run_forward(op, init, dt, n_steps)
+        return localization_probe(op_bwd, traj, energy_series(traj, op))
+
     def test_trivial_zero_data_flagged(self, op2, op2_back):
-        probe = localization_probe(op2, op2_back, State1D.zeros(16), 0.01, 10)
+        probe = self.probe(op2, op2_back, State1D.zeros(16), 0.01, 10)
         assert probe.trivial
         assert math.isnan(probe.min_energy_ratio)
         assert probe.round_trip_error == 0.0
 
     def test_type2_round_trip_certified(self, op2, op2_back):
-        probe = localization_probe(op2, op2_back, sine_init(op2.grid), 0.01, 400)
+        probe = self.probe(op2, op2_back, sine_init(op2.grid), 0.01, 400)
         assert not probe.trivial
         assert probe.energy_positive
         assert probe.min_energy_ratio == pytest.approx(1.0, abs=1e-10)
         assert probe.round_trip_error <= 1e-8
 
     def test_type3_energy_stays_positive(self, op3, op3_back):
-        probe = localization_probe(op3, op3_back, sine_init(op3.grid), 0.01, 400)
+        probe = self.probe(op3, op3_back, sine_init(op3.grid), 0.01, 400)
         assert probe.energy_positive
         assert 0.0 < probe.min_energy_ratio < 1.0
         # the reversed run amplifies beyond float range; recorded, not raised
         assert probe.round_trip_error == math.inf
+
+    @pytest.mark.parametrize("snapshot_every, scheme",
+                             [(1, "rk4"), (2, "midpoint"), (2, "rk4")])
+    def test_rejects_strided_or_non_midpoint_run(self, op2, op2_back,
+                                                 snapshot_every, scheme):
+        traj = run_forward(op2, sine_init(op2.grid), 0.01, 10,
+                           snapshot_every=snapshot_every, scheme=scheme)
+        with pytest.raises(ValueError, match="every-step midpoint"):
+            localization_probe(op2_back, traj, energy_series(traj, op2))
+
+    def test_rejects_energies_of_another_length(self, op2, op2_back):
+        traj = run_forward(op2, sine_init(op2.grid), 0.01, 10)
+        with pytest.raises(DimensionMismatch):
+            localization_probe(op2_back, traj, energy_series(traj, op2)[:-1])

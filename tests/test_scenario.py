@@ -182,6 +182,49 @@ class TestParse:
             parse_scenario(bad)
 
 
+class TestSizeLimits:
+    # n_interior = 8: one snapshot is 6n * 8 = 384 B, and 5592405
+    # snapshots are the most that fit in 2 GiB
+    FIT = 5592405
+
+    def test_spectrum_above_the_dense_limit(self):
+        ok = minimal(**{"n_interior = 8": "n_interior = 500", "run = simulate": "run = spectrum"})
+        assert parse_scenario(ok).grid.n_interior == 500
+        with pytest.raises(ParseError, match="spectrum.*3006.*3000"):
+            parse_scenario(ok.replace("n_interior = 500", "n_interior = 501"))
+        # the dense limit concerns the spectrum task only
+        assert parse_scenario(ok.replace("n_interior = 500", "n_interior = 600")
+                              .replace("run = spectrum", "run = dispersion"))
+
+    def test_simulate_counts_kept_snapshots(self):
+        ok = minimal(**{"n_steps = 10": f"n_steps = {self.FIT - 1}"})
+        assert parse_scenario(ok).n_steps == self.FIT - 1
+        with pytest.raises(ParseError, match="simulate.*5592406 snapshots"):
+            parse_scenario(minimal(**{"n_steps = 10": f"n_steps = {self.FIT}"}))
+        strided = minimal(**{"n_steps = 10": f"n_steps = {2 * (self.FIT - 1)}\n"
+                                             "snapshot_every = 2"})
+        assert parse_scenario(strided).snapshot_every == 2
+        # the localization probe keeps every step, shared or not
+        with pytest.raises(ParseError, match="localization.*11184809 snapshots"):
+            parse_scenario(strided.replace("run = simulate", "run = simulate, localization"))
+
+    def test_backward_counts_every_step(self):
+        back = minimal(**{"run = simulate": "run = backward"}) + "\n[backward]\nn_steps = {}\n"
+        assert parse_scenario(back.format(self.FIT - 1)).backward_n_steps == self.FIT - 1
+        with pytest.raises(ParseError, match="backward"):
+            parse_scenario(back.format(self.FIT))
+
+    def test_huge_step_count_is_rejected_without_allocating(self):
+        with pytest.raises(ParseError, match="GiB"):
+            parse_scenario(minimal(**{"n_steps = 10": "n_steps = 100000000000000000000"}))
+
+    def test_scaled_scenario_is_well_inside(self):
+        scaled = minimal(**{"n_interior = 8": "n_interior = 512",
+                            "n_steps = 10": "n_steps = 5000",
+                            "run = simulate": "run = simulate, localization"})
+        assert parse_scenario(scaled).n_steps == 5000
+
+
 class TestBuildInitial:
     def test_zero_preset(self):
         init = build_initial(parse_scenario(minimal()))
