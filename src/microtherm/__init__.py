@@ -26,7 +26,7 @@ from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                      IndefiniteForm, InvalidGrid, InvalidMaterial,
                      MicrothermError, NonFinite, ParseError, RootFailure,
                      SizeLimit, SolveFailure, ValidationError)
-from .evolve import Trajectory, run_forward, step_midpoint, time_reversal
+from .evolve import Trajectory, run_forward, time_reversal
 from .material import (AnisotropicTensors, MaterialIsotropic, Moduli1D,
                        ValidationReport, isotropic_embedding, reference_type2,
                        reference_type3, to_moduli_1d, validate_anisotropic,
@@ -95,7 +95,6 @@ __all__ = [
     "solve_branches",
     "spectral_report",
     "staggered_difference",
-    "step_midpoint",
     "symbol_frequencies",
     "time_reversal",
     "to_moduli_1d",

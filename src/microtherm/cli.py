@@ -1,6 +1,6 @@
 """Command line front end.
 
-    microtherm run CONFIG [--out DIR] [--seed N]
+    microtherm run CONFIG [--out DIR]
     microtherm check CONFIG
     microtherm dispersion CONFIG [--out DIR]
 
@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the scenario's tasks and certify")
     run.add_argument("config", help="scenario file (INI)")
     run.add_argument("--out", default="", help="output directory")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
 
     check = sub.add_parser("check", help="parse and validate, run nothing")
     check.add_argument("config", help="scenario file (INI)")
@@ -69,11 +67,6 @@ def main(argv=None) -> int:
 
     if args.command == "dispersion":
         scenario = dataclasses.replace(scenario, tasks=("dispersion",))
-    elif args.seed is not None:
-        if args.seed < 0:
-            print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-            return 2
-        scenario = dataclasses.replace(scenario, seed=args.seed)
 
     try:
         return run_scenario(scenario, out_dir=args.out)

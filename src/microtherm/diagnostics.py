@@ -115,7 +115,7 @@ def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
     trajectory's energy_table(traj, op).
 
     sampling="midpoint" evaluates D at the averaged state
-    (U_k + U_{k+1})/2, for which the midpoint scheme satisfies the
+    (U_k + U_{k+1})/2, for which the midpoint rule satisfies the
     balance exactly (residual at round-off).  sampling="trapezoid"
     averages the endpoint rates of the table instead; its residual
     carries a genuine O(dt^3) term, which is what a refinement study
@@ -339,17 +339,16 @@ def localization_probe(op_bwd: DiscreteOperator, traj: Trajectory,
                        energies: np.ndarray) -> LocalizationReport:
     """Probe a forward run for finite-time extinction.
 
-    traj is an every-step midpoint run (snapshot_every = 1) and energies
-    its energy at every snapshot, e.g. energy_table(traj, op)[:, 0];
-    the probe reads the energies, row 0 and the last row, and runs only
-    the time-reversed half itself.  Raises ValueError for any other
-    run, whose energies would miss steps or come from a scheme without
-    the exact energy balance.
+    traj is an every-step run (snapshot_every = 1) and energies its
+    energy at every snapshot, e.g. energy_table(traj, op)[:, 0]; the
+    probe reads the energies, row 0 and the last row, and runs only the
+    time-reversed half itself.  Raises ValueError for a strided run,
+    whose energies would miss steps.
     """
-    if traj.scheme != "midpoint" or traj.snapshot_every != 1:
+    if traj.snapshot_every != 1:
         raise ValueError(
-            "localization needs an every-step midpoint run, got scheme = "
-            f"{traj.scheme}, snapshot_every = {traj.snapshot_every}")
+            "localization needs an every-step run, got snapshot_every = "
+            f"{traj.snapshot_every}")
     if len(energies) != len(traj):
         raise DimensionMismatch(
             f"need one energy per snapshot ({len(traj)}), got {len(energies)}")

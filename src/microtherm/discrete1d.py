@@ -74,8 +74,8 @@ class Grid1D:
     def __post_init__(self):
         if not isinstance(self.n_interior, (int, np.integer)) or self.n_interior < 2:
             raise InvalidGrid(f"n_interior must be an integer >= 2, got {self.n_interior!r}")
-        if not self.length > 0:
-            raise InvalidGrid(f"length must be positive, got {self.length!r}")
+        if not 0 < self.length < np.inf:
+            raise InvalidGrid(f"length must be positive and finite, got {self.length!r}")
         object.__setattr__(self, "n_interior", int(self.n_interior))
         object.__setattr__(self, "length", float(self.length))
 

@@ -16,10 +16,7 @@ d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
 on the rates with a LAPACK band LU factored once per run.  Every step
 checks the residual of the full system; a step that misses it raises
 SolveFailure, and a step whose norms overflow raises NonFinite, so no
-midpoint run returns a non-finite snapshot.  A classical
-four-stage explicit scheme ("rk4") is available as a cross-check
-integrator; it conserves nothing exactly and is never used by the
-certificates.
+run returns a non-finite snapshot.
 
 The time-reversed problem is integrated forward in its own time
 variable with its own operator (assemble_backward), not by negating dt.
@@ -38,7 +35,6 @@ from .errors import DimensionMismatch, NonFinite, SolveFailure
 __all__ = [
     "Trajectory",
     "MidpointStepper",
-    "step_midpoint",
     "run_forward",
     "time_reversal",
 ]
@@ -54,13 +50,12 @@ class Trajectory:
     states[j] is the stacked field-major state (u, v, tau, theta, r, m)
     at times[j] = j * snapshot_every * dt, one (n_snapshots, 6n) array;
     states[0] is the initial state and traj[j] the State1D of row j.
-    dt is the integration step, scheme the integrator tag.
+    dt is the integration step.
     """
 
     times: np.ndarray
     states: np.ndarray
     dt: float
-    scheme: str
     snapshot_every: int = 1
 
     def __post_init__(self):
@@ -194,10 +189,6 @@ class MidpointStepper:
             x, a_x = self._advance(x, a_x)
             yield x
 
-    def step(self, s: State1D) -> State1D:
-        return State1D.from_vector(
-            _field_major(next(self.states(_node_major(s.to_vector())))))
-
 
 def _node_major(vec: np.ndarray) -> np.ndarray:
     """Field-major stacking (all of u, then all of v, ...) to node-major."""
@@ -235,27 +226,9 @@ def _band(row, col, vals, kl, ku, size):
     return ab
 
 
-def step_midpoint(op: DiscreteOperator, s: State1D, dt: float) -> State1D:
-    """One implicit midpoint step.  Factors the system each call; use
-    run_forward (or MidpointStepper directly) for long runs."""
-    return MidpointStepper(op, dt).step(s)
-
-
-def _rk4_states(a_mat, vec, dt):
-    """The successive classical four-stage steps from vec, without end."""
-    while True:
-        k1 = a_mat @ vec
-        k2 = a_mat @ (vec + 0.5 * dt * k1)
-        k3 = a_mat @ (vec + 0.5 * dt * k2)
-        k4 = a_mat @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield vec
-
-
 def run_forward(op: DiscreteOperator, init: State1D, dt: float,
-                n_steps: int, snapshot_every: int = 1,
-                scheme: str = "midpoint") -> Trajectory:
-    """Integrate n_steps steps from init, keeping every
+                n_steps: int, snapshot_every: int = 1) -> Trajectory:
+    """Integrate n_steps midpoint steps from init, keeping every
     snapshot_every-th state (plus the initial one).
 
     Deterministic: identical inputs give bitwise-identical snapshots.
@@ -272,27 +245,20 @@ def run_forward(op: DiscreteOperator, init: State1D, dt: float,
         raise ValueError(
             f"n_steps = {n_steps} is not a multiple of snapshot_every = {snapshot_every}"
         )
-    if scheme not in ("midpoint", "rk4"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     vec = init.to_vector()
     kept = np.empty((n_steps // snapshot_every + 1, vec.size))
     kept[0] = vec
     if n_steps:
-        if scheme == "midpoint":
-            # looked up as a module global at each call, so that
-            # bench/tracing.py can time the factorization by rebinding it
-            states = MidpointStepper(op, dt).states(_node_major(vec))
-            unpack = _field_major
-        else:
-            states = _rk4_states(op.a_mat, vec, dt)
-            unpack = np.asarray
+        # looked up as a module global at each call, so that
+        # bench/tracing.py can time the factorization by rebinding it
+        states = MidpointStepper(op, dt).states(_node_major(vec))
         for k, state in zip(range(1, n_steps + 1), states):
             if k % snapshot_every == 0:
-                kept[k // snapshot_every] = unpack(state)
+                kept[k // snapshot_every] = _field_major(state)
     times = np.arange(len(kept)) * (snapshot_every * dt)
     return Trajectory(times=times, states=kept, dt=float(dt),
-                      scheme=scheme, snapshot_every=int(snapshot_every))
+                      snapshot_every=int(snapshot_every))
 
 
 def time_reversal(s: State1D) -> State1D:

@@ -54,8 +54,7 @@ def _write_csv(path: str, header, rows):
 def _forward_run(scenario: Scenario, op, init):
     """The scenario's [time] run and its energy table."""
     traj = run_forward(op, init, scenario.dt, scenario.n_steps,
-                       snapshot_every=scenario.snapshot_every,
-                       scheme=scenario.scheme)
+                       snapshot_every=scenario.snapshot_every)
     return traj, energy_table(traj, op)
 
 
@@ -80,8 +79,7 @@ def _simulate(scenario: Scenario, op, traj, table, out_dir, certs, notes):
             f"max |E - E0| = {drift:.3e}, tol {1e-10 * scale:.3e}"))
     # the per-step balance is exact only between consecutive stepper
     # states, so the certificate needs every step in the trajectory
-    if (scenario.scheme == "midpoint" and scenario.snapshot_every == 1
-            and len(traj) > 1):
+    if scenario.snapshot_every == 1 and len(traj) > 1:
         resid = float(np.abs(energy_balance_residuals(traj, op, table)).max())
         certs.append(Certificate(
             "energy balance", resid <= 1e-10 * scale,
@@ -203,7 +201,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
         f"# grid n_interior = {scenario.grid.n_interior}, "
         f"length = {_fmt(scenario.grid.length)}",
         f"# dt = {_fmt(scenario.dt)}, n_steps = {scenario.n_steps}, "
-        f"scheme = {scenario.scheme}",
+        "scheme = midpoint",
         f"# seed = {scenario.seed}",
     ]
     if not scenario.tasks:
@@ -224,7 +222,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     # run: the first of the two tasks makes the run and the probe, the
     # other reuses them, and the trajectory is released after simulate
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
-              and scenario.scheme == "midpoint" and scenario.snapshot_every == 1)
+              and scenario.snapshot_every == 1)
     run = probe = None
     for task in scenario.tasks:
         if task == "simulate":

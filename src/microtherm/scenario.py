@@ -26,7 +26,6 @@ from .material import MaterialIsotropic, reference_type2, reference_type3, valid
 __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 
 _MODELS = ("type2", "type3")
-_SCHEMES = ("midpoint", "rk4")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
 _MAX_TRAJECTORY_BYTES = 2 * 2**30  # largest snapshot array a run may keep
@@ -37,7 +36,7 @@ _MATERIAL_KEYS = frozenset({
     "eta1", "eta2", "eta3", "rho1", "rho2", "rho3",
 })
 _GRID_KEYS = frozenset({"n_interior", "length"})
-_TIME_KEYS = frozenset({"dt", "n_steps", "snapshot_every", "scheme"})
+_TIME_KEYS = frozenset({"dt", "n_steps", "snapshot_every"})
 _INIT_KEYS = frozenset(
     {"preset", "seed", "amp", "field", "node"}
     | {f"{name}_mode" for name in FIELDS}
@@ -77,7 +76,6 @@ class Scenario:
     dt: float
     n_steps: int
     snapshot_every: int
-    scheme: str
     init: InitSpec
     tasks: tuple
     seed: int = 0
@@ -93,11 +91,14 @@ class Scenario:
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(
             f"[{section}] {key}: could not parse {raw!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:
@@ -167,15 +168,12 @@ def parse_scenario(text: str) -> Scenario:
     )
 
     time_raw = parsed["time"]
-    scheme = time_raw.get("scheme", "midpoint").strip()
-    if scheme not in _SCHEMES:
-        raise ParseError(f"[time] scheme must be one of {_SCHEMES}, got {scheme!r}")
     dt = _as_float("time", "dt", _require(parsed, "time", "dt"))
     n_steps = _as_int("time", "n_steps", _require(parsed, "time", "n_steps"))
     snapshot_every = _as_int("time", "snapshot_every",
                              time_raw.get("snapshot_every", "1"))
-    if not 0 < dt < math.inf:
-        raise ParseError(f"[time] dt must be positive and finite, got {dt}")
+    if dt <= 0:
+        raise ParseError(f"[time] dt must be positive, got {dt}")
     if n_steps < 0 or snapshot_every < 1 or n_steps % snapshot_every:
         raise ParseError(
             f"[time] n_steps = {n_steps} must be a nonnegative multiple of "
@@ -225,7 +223,6 @@ def parse_scenario(text: str) -> Scenario:
         dt=dt,
         n_steps=n_steps,
         snapshot_every=snapshot_every,
-        scheme=scheme,
         init=init,
         tasks=tasks,
         seed=seed,
@@ -238,17 +235,15 @@ def parse_scenario(text: str) -> Scenario:
         lam=_as_float("backward", "lam", back.get("lam", "2.0")),
         out_dir=out.get("directory", ""),
     )
-    if not 0 < scenario.backward_dt < math.inf:
-        raise ParseError(
-            f"[backward] dt must be positive and finite, got {scenario.backward_dt}")
+    if scenario.backward_dt <= 0:
+        raise ParseError(f"[backward] dt must be positive, got {scenario.backward_dt}")
     if scenario.backward_n_steps < 0:
         raise ParseError(
             f"[backward] n_steps must be >= 0, got {scenario.backward_n_steps}")
     if not 0 < scenario.eps < 1:
         raise ParseError(f"[backward] eps must be in (0, 1), got {scenario.eps}")
-    if not 0 < scenario.lam < math.inf:
-        raise ParseError(
-            f"[backward] lam must be positive and finite, got {scenario.lam}")
+    if scenario.lam <= 0:
+        raise ParseError(f"[backward] lam must be positive, got {scenario.lam}")
     if scenario.n_k < 1 or not 0 < scenario.k_min <= scenario.k_max:
         raise ParseError(
             f"[dispersion] needs 0 < k_min <= k_max and n_k >= 1, got "

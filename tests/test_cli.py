@@ -9,7 +9,7 @@ CONFIG_DIR = pathlib.Path(microtherm.__file__).parent / "configs"
 TYPE3 = str(CONFIG_DIR / "reference_type3.cfg")
 TYPE2 = str(CONFIG_DIR / "reference_type2.cfg")
 
-UNSTABLE = """\
+SMALL_TYPE3 = """\
 [material]
 model = type3
 
@@ -19,7 +19,6 @@ n_interior = 16
 [time]
 dt = 0.2
 n_steps = 10
-scheme = rk4
 
 [init]
 preset = sine
@@ -51,9 +50,13 @@ theta_mode = 2
 run = simulate, localization
 """
 
-# id -> (text to replace in UNSTABLE, replacement, key named in the error)
+# id -> (text to replace in SMALL_TYPE3, replacement, key named in the error)
 INVALID = {
     "time-dt-nan": ("dt = 0.2", "dt = nan", "dt"),
+    "time-scheme-unknown": ("dt = 0.2", "dt = 0.2\nscheme = midpoint", "scheme"),
+    "grid-length-inf": ("n_interior = 16", "n_interior = 16\nlength = inf", "length"),
+    "init-u_amp-nan": ("u_amp = 1.0", "u_amp = nan", "u_amp"),
+    "dispersion-k_max-inf": ("[tasks]", "[dispersion]\nk_max = inf\n\n[tasks]", "k_max"),
     "backward-dt-negative": ("[tasks]", "[backward]\ndt = -1\n\n[tasks]", "dt"),
     "backward-eps-above-1": ("[tasks]", "[backward]\neps = 1.5\n\n[tasks]", "eps"),
     "backward-n_steps-negative": ("[tasks]", "[backward]\nn_steps = -3\n\n[tasks]",
@@ -104,33 +107,21 @@ class TestRun:
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_failing_certificate_gives_exit_1(self, tmp_path):
-        cfg = write(tmp_path, UNSTABLE)
-        out = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out)]) == 1
-        report = (out / "report.txt").read_text()
-        assert "dissipativity: FAIL" in report
-        assert "overall: FAIL" in report
-
     def test_no_tasks_is_exit_0(self, tmp_path, capsys):
-        cfg = write(tmp_path, UNSTABLE.replace("run = simulate", "run ="))
+        cfg = write(tmp_path, SMALL_TYPE3.replace("run = simulate", "run ="))
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 0
         assert "no tasks" in capsys.readouterr().out
         assert "no tasks" in (out / "report.txt").read_text()
 
-    def test_seed_override_lands_in_report(self, tmp_path):
+    def test_seed_option_is_gone(self, tmp_path, capsys):
+        # [init] seed is the one seed; the command line cannot relabel it
         out = tmp_path / "out"
-        assert main(["run", TYPE2, "--out", str(out), "--seed", "7"]) == 0
-        assert "# seed = 7" in (out / "report.txt").read_text()
-
-    def test_negative_seed_override_is_rejected_before_running(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["run", TYPE2, "--out", str(out), "--seed", "-4"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", TYPE2, "--out", str(out), "--seed", "7"])
+        assert exc.value.code == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--seed" in err
-        assert len(err.splitlines()) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_reversed_run_that_trips_the_solve_guard_is_recorded(self, tmp_path):
         # the time-reversed type3 run misses the residual guard long
@@ -156,6 +147,7 @@ class TestRun:
         report = (out / "report.txt").read_text()
         assert "backward positivity: FAIL (midpoint step left the float range" in report
         assert "gronwall bound" not in report
+        assert "overall: FAIL" in report
         assert not (out / "backward.csv").exists()
 
 
@@ -173,7 +165,7 @@ class TestCheck:
         assert "error:" in capsys.readouterr().err
 
     def test_validation_error_mentions_cause(self, tmp_path, capsys):
-        cfg = write(tmp_path, UNSTABLE.replace(
+        cfg = write(tmp_path, SMALL_TYPE3.replace(
             "model = type3", "model = type2\nh_cond = 0.5"))
         assert main(["check", cfg]) == 2
         assert "type II requires H=0" in capsys.readouterr().err
@@ -181,7 +173,7 @@ class TestCheck:
     @pytest.mark.parametrize("old, new, key", INVALID.values(), ids=INVALID)
     def test_out_of_range_values_are_rejected_before_running(
             self, tmp_path, capsys, old, new, key):
-        cfg = write(tmp_path, UNSTABLE.replace(old, new))
+        cfg = write(tmp_path, SMALL_TYPE3.replace(old, new))
         out = tmp_path / "out"
         assert main(["check", cfg]) == 2
         assert main(["run", cfg, "--out", str(out)]) == 2
@@ -195,7 +187,7 @@ class TestCheck:
         ({"n_steps = 10": "n_steps = 100000000000000000000"}, "simulate"),
     ], ids=["spectrum-above-dense-limit", "simulate-snapshots-above-2GiB"])
     def test_size_limits_are_checked_before_running(self, tmp_path, capsys, swaps, task):
-        text = UNSTABLE
+        text = SMALL_TYPE3
         for old, new in swaps.items():
             text = text.replace(old, new)
         cfg = write(tmp_path, text)

@@ -25,6 +25,7 @@ class TestGridAndState:
     @pytest.mark.parametrize("kwargs", [
         {"n_interior": 1}, {"n_interior": 0}, {"n_interior": -3},
         {"n_interior": 8, "length": 0.0}, {"n_interior": 8, "length": -1.0},
+        {"n_interior": 8, "length": float("inf")},
     ])
     def test_bad_grid_rejected(self, kwargs):
         with pytest.raises(InvalidGrid):

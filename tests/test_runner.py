@@ -20,7 +20,6 @@ n_interior = 16
 dt = 0.002
 n_steps = 200
 snapshot_every = {every}
-scheme = {scheme}
 
 [init]
 preset = sine
@@ -35,14 +34,13 @@ run = {tasks}
 LOCALIZATION_LINES = ("no finite time extinction", "round trip", "# round trip error")
 
 
-def scenario(tasks, model="type3", scheme="midpoint", every=1):
-    return parse_scenario(SCENARIO.format(model=model, scheme=scheme,
-                                          every=every, tasks=tasks))
+def scenario(tasks, model="type3", every=1):
+    return parse_scenario(SCENARIO.format(model=model, every=every, tasks=tasks))
 
 
 @pytest.fixture
 def runs(monkeypatch):
-    """(scheme, snapshot_every) of every run made by the runner itself
+    """snapshot_every of every run made by the runner itself
     and by the localization probe (its time-reversed run)."""
     made = {"runner": [], "probe": []}
 
@@ -53,7 +51,7 @@ def runs(monkeypatch):
         def run_forward(*args, **kwargs):
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
-            made[key].append((call.arguments["scheme"], call.arguments["snapshot_every"]))
+            made[key].append(call.arguments["snapshot_every"])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, "run_forward", run_forward)
@@ -72,22 +70,19 @@ def localization_lines(out_dir):
                                    "simulate, spectrum, localization"])
 def test_every_step_midpoint_run_is_shared(tmp_path, runs, tasks):
     assert runner.run_scenario(scenario(tasks), str(tmp_path)) == 0
-    assert runs["runner"] == [("midpoint", 1)]
+    assert runs["runner"] == [1]
     assert len(runs["probe"]) == 1
 
 
-@pytest.mark.parametrize("scheme, every", [("rk4", 1), ("midpoint", 2), ("rk4", 2)])
-def test_probe_makes_its_own_run_when_simulate_cannot_share(tmp_path, runs,
-                                                            scheme, every):
-    runner.run_scenario(scenario("simulate, localization", scheme=scheme, every=every),
-                        str(tmp_path))
-    assert runs["runner"] == [(scheme, every), ("midpoint", 1)]
+def test_probe_makes_its_own_run_when_simulate_cannot_share(tmp_path, runs):
+    runner.run_scenario(scenario("simulate, localization", every=2), str(tmp_path))
+    assert runs["runner"] == [2, 1]
     assert len(runs["probe"]) == 1
 
 
 def test_probe_alone_makes_its_own_run(tmp_path, runs):
     runner.run_scenario(scenario("localization"), str(tmp_path))
-    assert runs["runner"] == [("midpoint", 1)]
+    assert runs["runner"] == [1]
 
 
 @pytest.mark.parametrize("model", ["type2", "type3"])
@@ -96,7 +91,6 @@ def test_localization_lines_do_not_depend_on_sharing(tmp_path, model):
         "alone": scenario("localization", model),
         "after": scenario("simulate, localization", model),
         "before": scenario("localization, simulate", model),
-        "rk4": scenario("simulate, localization", model, scheme="rk4"),
         "strided": scenario("simulate, localization", model, every=2),
     }
     lines = {}

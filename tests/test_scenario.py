@@ -19,7 +19,6 @@ length = 2.0
 dt = 0.005
 n_steps = 40
 snapshot_every = 4
-scheme = midpoint
 
 [init]
 preset = sine
@@ -78,7 +77,6 @@ class TestParse:
         assert s.material.beta == 0.8
         assert (s.grid.n_interior, s.grid.length) == (24, 2.0)
         assert (s.dt, s.n_steps, s.snapshot_every) == (0.005, 40, 4)
-        assert s.scheme == "midpoint"
         assert s.init.preset == "sine"
         assert s.init.params == {"u_amp": 1.0, "u_mode": 2, "theta_amp": 0.25}
         assert s.tasks == ("simulate", "spectrum")
@@ -89,7 +87,6 @@ class TestParse:
 
     def test_defaults(self):
         s = parse_scenario(minimal())
-        assert s.scheme == "midpoint"
         assert s.snapshot_every == 1
         assert s.seed == 0
         assert (s.k_min, s.k_max, s.n_k) == (0.5, 8.0, 16)
@@ -128,7 +125,7 @@ class TestParse:
 
     def test_missing_required_keys(self):
         with pytest.raises(ParseError, match="missing key 'dt'"):
-            parse_scenario(minimal(**{"dt = 0.01": "scheme = midpoint"}))
+            parse_scenario(minimal(**{"dt = 0.01": "snapshot_every = 1"}))
         with pytest.raises(ParseError, match="n_interior"):
             parse_scenario(minimal(**{"n_interior = 8": "length = 1.0"}))
 
@@ -155,13 +152,27 @@ class TestParse:
         with pytest.raises(ValidationError, match="rho"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("beta = 0.8", "beta = nan", "beta"),
+        ("length = 2.0", "length = inf", "length"),
+        ("dt = 0.005", "dt = -inf", "dt"),
+        ("u_amp = 1.0", "u_amp = nan", "u_amp"),
+        ("k_max = 5.0", "k_max = inf", "k_max"),
+        ("lam = 3.0", "lam = -inf", "lam"),
+    ], ids=["material", "grid", "time", "init", "dispersion", "backward"])
+    def test_non_finite_numbers_rejected(self, old, new, key):
+        assert old in FULL
+        with pytest.raises(ParseError, match=rf"{key}: .* is not a finite number"):
+            parse_scenario(FULL.replace(old, new))
+
     def test_time_validation(self):
         with pytest.raises(ParseError, match="dt must be positive"):
             parse_scenario(minimal(**{"dt = 0.01": "dt = -0.01"}))
         with pytest.raises(ParseError, match="multiple"):
             parse_scenario(minimal(**{"n_steps = 10": "n_steps = 10\nsnapshot_every = 3"}))
-        with pytest.raises(ParseError, match="scheme"):
-            parse_scenario(minimal(**{"dt = 0.01": "dt = 0.01\nscheme = euler"}))
+        # the implicit midpoint rule is the only integrator, not a choice
+        with pytest.raises(ParseError, match=r"unknown key 'scheme' in \[time\]"):
+            parse_scenario(minimal(**{"dt = 0.01": "dt = 0.01\nscheme = midpoint"}))
 
     def test_preset_and_task_validation(self):
         with pytest.raises(ParseError, match="preset"):
