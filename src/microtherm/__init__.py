@@ -10,14 +10,11 @@ dispersion, and a scenario-driven command line.
 
 from .diagnostics import (BackwardFunctionals, DecayFit, EnergyBreakdown,
                           LocalizationReport, SpectralReport,
-                          backward_functionals, backward_identity_residual,
-                          dissipation_rate, energy, energy_balance_residuals,
+                          backward_functionals, energy, energy_balance_residuals,
                           energy_series, energy_table, fit_decay,
                           localization_probe, spectral_report)
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
-                         assemble_backward, assemble_operator,
-                         first_difference, gram_norm, second_difference,
-                         staggered_difference)
+                         assemble_backward, assemble_operator)
 from .dispersion import (CharacteristicMatrix, DispersionResult,
                          characteristic_matrix, first_order_symbol,
                          root_set_distance, solve_branches,
@@ -71,18 +68,14 @@ __all__ = [
     "assemble_backward",
     "assemble_operator",
     "backward_functionals",
-    "backward_identity_residual",
     "build_initial",
     "characteristic_matrix",
-    "dissipation_rate",
     "energy",
     "energy_balance_residuals",
     "energy_series",
     "energy_table",
-    "first_difference",
     "first_order_symbol",
     "fit_decay",
-    "gram_norm",
     "isotropic_embedding",
     "localization_probe",
     "parse_scenario",
@@ -91,10 +84,8 @@ __all__ = [
     "root_set_distance",
     "run_forward",
     "run_scenario",
-    "second_difference",
     "solve_branches",
     "spectral_report",
-    "staggered_difference",
     "symbol_frequencies",
     "time_reversal",
     "to_moduli_1d",

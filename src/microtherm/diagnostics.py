@@ -3,12 +3,13 @@ time-reversed functionals and the non-extinction probe.
 
 Every energy-type quantity is one of the operator's quadratic forms
 (discrete1d.form_tables), evaluated along a whole trajectory at once by
-discrete1d.form_values.  The same tables define the Gram matrix, so the
-structural identities hold at round-off level rather than
-discretization level:
+discrete1d.form_values.  The same tables define the Gram matrix G and
+the dissipation matrix Q (discrete1d.form_matrix), so the structural
+identities hold at round-off level rather than discretization level:
 
 * energy().total is exactly half the squared Gram norm;
-* dissipation_rate equals -U^T G A U (the generator's quadratic form);
+* sym(G A) = -Q, so the dissipation_rate form equals -U^T G A U
+  (dissipativity_residual measures the matrix identity);
 * along midpoint trajectories E_{k+1} - E_k = -dt * D(midpoint state)
   exactly.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .discrete1d import FORMS, DiscreteOperator, State1D, form_values
+from .discrete1d import FORMS, DiscreteOperator, State1D, form_matrix, form_values
 from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                      IndefiniteForm, NonFinite, SizeLimit, SolveFailure)
 from .evolve import Trajectory, run_forward, time_reversal
@@ -32,12 +33,11 @@ __all__ = [
     "energy",
     "energy_table",
     "energy_series",
-    "dissipation_rate",
     "energy_balance_residuals",
+    "dissipativity_residual",
     "spectral_report",
     "fit_decay",
     "backward_functionals",
-    "backward_identity_residual",
     "localization_probe",
 ]
 
@@ -97,17 +97,6 @@ def energy_series(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
     return energy_table(traj, op)[:, 0]
 
 
-def dissipation_rate(op: DiscreteOperator, s: State1D) -> float:
-    """Gradient-rate quadrature h*(h_cond |theta'|^2 + m_rr_rate |M'|^2),
-    signed by the operator's time orientation.
-
-    Equals -U^T G A U for the operator's own a_mat; hence >= 0 for
-    forward operators and <= 0 (energy production) for time-reversed
-    ones.  Identically zero for conservative moduli.
-    """
-    return energy(op, s).dissipation_rate
-
-
 def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
                              table: np.ndarray,
                              sampling: str = "midpoint") -> np.ndarray:
@@ -135,24 +124,30 @@ def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
     return np.diff(table[:, 0]) + traj.snapshot_every * traj.dt * rates
 
 
+def dissipativity_residual(op: DiscreteOperator) -> float:
+    """Relative residual max|sym(G A) + Q| / max|G A| of the discrete
+    dissipativity identity, Q the matrix of the dissipation_rate form.
+
+    The identity says dE/dt = U^T G A U = -D(U) for every state U, the
+    step that makes the generator dissipative once Q is positive
+    semidefinite.  It is checked on the sparse matrices themselves, so
+    it needs no probe states and no dense matrix at any grid size.
+    """
+    g_a = (op.g_mat @ op.a_mat).tocsr()
+    resid = 0.5 * (g_a + g_a.T) + form_matrix(op, "dissipation_rate")
+    return float(abs(resid).max() / abs(g_a).max())
+
+
 @dataclass(frozen=True)
 class SpectralReport:
-    """Dense spectrum of a_mat plus a dissipativity probe.
-
-    eigenvalues are sorted by (real, imag); spectral_abscissa is the
-    largest real part; dissipativity_margin is the largest Rayleigh
-    quotient Re(U* G A U)/(U* G U) over the random probes and the
-    eigenvectors.  An eigenvector's quotient is its eigenvalue's real
-    part, so margin >= abscissa by construction.
-    """
+    """Dense spectrum of a_mat: eigenvalues sorted by (real, imag) and
+    the spectral abscissa, their largest real part."""
 
     eigenvalues: np.ndarray
     spectral_abscissa: float
-    dissipativity_margin: float
 
 
-def spectral_report(op: DiscreteOperator, n_probes: int = 100,
-                    seed: int = 0) -> SpectralReport:
+def spectral_report(op: DiscreteOperator) -> SpectralReport:
     size = op.a_mat.shape[0]
     if size > DENSE_LIMIT:
         raise SizeLimit(
@@ -162,26 +157,9 @@ def spectral_report(op: DiscreteOperator, n_probes: int = 100,
         lams = np.linalg.eigvals(op.a_mat.toarray())
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"dense eigensolve failed: {exc}") from exc
-
-    g_a = (op.g_mat @ op.a_mat).tocsr()
-
-    def rayleigh(cols):
-        num = np.einsum("ij,ij->j", cols.conj(), g_a @ cols).real
-        den = np.einsum("ij,ij->j", cols.conj(), op.g_mat @ cols).real
-        return num / den
-
-    rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((size, max(int(n_probes), 1)))
-    # eigenvector quotients equal the eigenvalue real parts exactly, so
-    # feed those in directly instead of re-evaluating them in floats
-    margin = max(float(rayleigh(probes).max()), float(lams.real.max()))
-
     order = np.lexsort((lams.imag, lams.real))
-    return SpectralReport(
-        eigenvalues=lams[order],
-        spectral_abscissa=float(lams.real.max()),
-        dissipativity_margin=margin,
-    )
+    return SpectralReport(eigenvalues=lams[order],
+                          spectral_abscissa=float(lams.real.max()))
 
 
 @dataclass(frozen=True)
@@ -299,20 +277,6 @@ def backward_functionals(traj: Trajectory, op: DiscreteOperator,
     return BackwardFunctionals(times=traj.times, e1=e1, e2=e2, e3=e3,
                                cal_e=cal_e, gronwall_k=gronwall_k,
                                eps=float(eps), lam=float(lam))
-
-
-def backward_identity_residual(op: DiscreteOperator, s: State1D) -> float:
-    """Residual of the stiffness/rate exchange identity
-
-        (m_uu |u'|^2 + c_cap theta^2 + alpha_m M^2)
-      - (rho v^2 + k_cond |tau'|^2 + m_rr |R'|^2)
-
-    integrated over the domain.  Exactly zero on the null state; along
-    nonzero time-reversed runs it is recorded as a measurement.
-    """
-    b = energy(op, s)
-    return (2.0 * (b.elastic + b.thermal + b.microthermal)
-            - 2.0 * (b.kinetic + b.tau_gradient + b.r_gradient))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,14 @@ discrete setting (up to round-off):
   blocks of G.
 
 Every energy-type quantity is a quadratic form given by a coefficient
-table over field pairs and three stencils (form_tables): the Gram matrix
-G is assembled from the seven energy-term tables, U^T G U =
+table T over field pairs and three stencils S_k (form_tables), and its
+matrix is F = sum_k kron(T[k], S_k) (form_matrix).  The Gram matrix G
+is the matrix of twice the energy, U^T G U =
 sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 +
-2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2) is twice the energy, and
-form_values evaluates any of the forms along a whole trajectory.
+2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2), and the two structural
+choices above make sym(G A) = -Q exactly, Q the matrix of the
+dissipation_rate form.  form_values evaluates any of the forms along a
+whole trajectory.
 """
 
 from dataclasses import dataclass
@@ -44,14 +47,10 @@ __all__ = [
     "Grid1D",
     "State1D",
     "DiscreteOperator",
-    "second_difference",
-    "first_difference",
-    "staggered_difference",
     "assemble_operator",
     "assemble_backward",
     "form_tables",
     "form_values",
-    "gram_norm",
 ]
 
 FIELDS = ("u", "v", "tau", "theta", "r", "m")
@@ -166,51 +165,6 @@ class DiscreteOperator(NamedTuple):
         return self.grid.n_interior
 
 
-def _as_field(f, h):
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError(f"need a 1-D vector of length >= 2, got shape {f.shape}")
-    if not h > 0:
-        raise ValueError(f"spacing must be positive, got {h}")
-    return f
-
-
-def second_difference(f, h):
-    """3-point Laplacian (f_{j-1} - 2 f_j + f_{j+1}) / h^2, zero ghosts."""
-    f = _as_field(f, h)
-    out = -2.0 * f
-    out[:-1] += f[1:]
-    out[1:] += f[:-1]
-    return out / (h * h)
-
-
-def first_difference(f, h):
-    """Centered gradient (f_{j+1} - f_{j-1}) / (2h), zero ghosts.
-
-    Exactly antisymmetric under the plain dot product:
-    <D f, g> + <f, D g> = 0 for any equal-length f, g.
-    """
-    f = _as_field(f, h)
-    out = np.zeros_like(f)
-    out[:-1] += f[1:]
-    out[1:] -= f[:-1]
-    return out / (2.0 * h)
-
-
-def staggered_difference(f, h):
-    """Forward differences (f_{i+1} - f_i)/h over all n+1 intervals.
-
-    Includes the two boundary cells with zero ghost values; this is the
-    gradient sampling used by the energy quadrature.
-    """
-    f = _as_field(f, h)
-    out = np.empty(f.size + 1)
-    out[0] = f[0] / h
-    out[1:-1] = np.diff(f) / h
-    out[-1] = -f[-1] / h
-    return out
-
-
 def _check_moduli(m: Moduli1D):
     det = m.m_uu * m.m_rr - m.m_ur * m.m_ur
     bad = (
@@ -264,18 +218,26 @@ def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
     ], format="csr")
 
     forms = form_tables(m, time_sign)
-    # the mass, staggered stiffness and centered gradient stencils of
-    # form_tables; f @ stiff @ f = h * sum_i (staggered_difference f)_i^2
-    stencils = (h * eye, (-h) * lap, h * grad)
-    total = 2.0 * forms[FORMS.index("total")]
-
-    def block(a, b):
-        terms = [c * stencil for c, stencil in zip(total[:, a, b], stencils) if c]
-        return sum(terms[1:], terms[0]) if terms else None
-
-    g_mat = sp.bmat([[block(a, b) for b in range(6)] for a in range(6)], format="csr")
+    g_mat = _kron_form(2.0 * forms[FORMS.index("total")], (eye, lap, grad), h)
     return DiscreteOperator(a_mat=a_mat, g_mat=g_mat, forms=forms, moduli=m,
                             grid=grid, time_sign=int(time_sign))
+
+
+def _kron_form(table: np.ndarray, difference, h: float) -> sp.csr_matrix:
+    """sum_k kron(table[k], S_k) for the stencils S_k of form_tables,
+    given (identity, Laplacian, centered gradient) on the n nodes."""
+    eye, lap, grad = difference
+    stencils = (h * eye, (-h) * lap, h * grad)
+    return sum(sp.kron(t, s, format="csr") for t, s in zip(table, stencils))
+
+
+def form_matrix(op: DiscreteOperator, name: str) -> sp.csr_matrix:
+    """The 6n x 6n matrix F of form name: U^T F U is the form's value at
+    the stacked state U, and F = sum_k kron(T[k], S_k) over the
+    coefficient table T and stencils S_k of form_tables."""
+    n, h = op.n, op.grid.h
+    difference = (sp.identity(n, format="csr"), *_difference_matrices(n, h))
+    return _kron_form(op.forms[FORMS.index(name)], difference, h)
 
 
 def form_tables(m: Moduli1D, time_sign: int) -> np.ndarray:
@@ -383,15 +345,3 @@ def assemble_backward(g: Grid1D, m: Moduli1D) -> DiscreteOperator:
     the signs of v, theta, M.
     """
     return _assemble(g, m, -1)
-
-
-def gram_norm(op: DiscreteOperator, s: State1D) -> float:
-    """Energy norm sqrt(U^T G U) = sqrt(2 * energy)."""
-    if s.n != op.grid.n_interior:
-        raise DimensionMismatch(
-            f"state has {s.n} nodes, operator grid has {op.grid.n_interior}"
-        )
-    vec = s.to_vector()
-    val = float(vec @ (op.g_mat @ vec))
-    # clamp tiny negative round-off on near-zero states
-    return float(np.sqrt(max(val, 0.0)))

@@ -74,17 +74,27 @@ class CharacteristicMatrix:
         return total
 
     def roots(self) -> np.ndarray:
-        """Six frequencies, sorted by (real, imag); residual-guarded."""
-        coeffs = self.det_coefficients()
+        """Six frequencies, sorted by (real, imag); residual-guarded.
+
+        Raises RootFailure when the determinant coefficients or a root's
+        residual leave the float range (a wavenumber too large for the
+        polynomial route) or a root misses the residual guard.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = self.det_coefficients()
+        if not np.isfinite(coeffs).all():
+            raise RootFailure(
+                f"determinant coefficients leave the float range at k = {self.k}")
         scale = np.abs(coeffs).max()
         roots = np.roots(coeffs[::-1] / scale)
         # certify every root against the full polynomial, weighting by
         # coefficient magnitudes so the guard is scale-free
         mags = np.abs(coeffs)
         for w in roots:
-            value = abs(np.polyval(coeffs[::-1], w))
-            bound = float(np.polyval(mags[::-1], abs(w)))
-            if value > _RESIDUAL_TOL * bound:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = abs(np.polyval(coeffs[::-1], w))
+                bound = float(np.polyval(mags[::-1], abs(w)))
+            if not value <= _RESIDUAL_TOL * bound < np.inf:
                 raise RootFailure(
                     f"root residual {value:.3e} exceeds {_RESIDUAL_TOL:.0e} "
                     f"* {bound:.3e} at k = {self.k}"

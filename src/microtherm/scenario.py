@@ -28,7 +28,7 @@ __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 _MODELS = ("type2", "type3")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
-_MAX_TRAJECTORY_BYTES = 2 * 2**30  # largest snapshot array a run may keep
+_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot or frequency array a run may keep
 
 _MATERIAL_KEYS = frozenset({
     "model", "rho", "lambda_e", "mu_e", "beta", "c_cap", "alpha_m",
@@ -78,7 +78,6 @@ class Scenario:
     snapshot_every: int
     init: InitSpec
     tasks: tuple
-    seed: int = 0
     k_min: float = 0.5
     k_max: float = 8.0
     n_k: int = 16
@@ -205,7 +204,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(
             f"[init] node = {node} outside the grid nodes 0..{grid.n_interior - 1}")
     init = InitSpec(preset=preset, params=params)
-    seed = int(params.get("seed", 0))
 
     run_raw = parsed["tasks"].get("run", "")
     tasks = tuple(t for t in run_raw.replace(",", " ").split() if t)
@@ -225,7 +223,6 @@ def parse_scenario(text: str) -> Scenario:
         snapshot_every=snapshot_every,
         init=init,
         tasks=tasks,
-        seed=seed,
         k_min=_as_float("dispersion", "k_min", disp.get("k_min", "0.5")),
         k_max=_as_float("dispersion", "k_max", disp.get("k_max", "8.0")),
         n_k=_as_int("dispersion", "n_k", disp.get("n_k", "16")),
@@ -254,8 +251,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _check_sizes(scenario: Scenario):
-    """Reject a scenario whose dense spectrum or largest snapshot array
-    would exceed the size limits, before any numerics run."""
+    """Reject a scenario whose dense spectrum, largest snapshot array or
+    dispersion frequency array would exceed the size limits, before any
+    numerics run."""
     size = 6 * scenario.grid.n_interior
     if "spectrum" in scenario.tasks and size > DENSE_LIMIT:
         raise ParseError(
@@ -270,11 +268,18 @@ def _check_sizes(scenario: Scenario):
         "backward": scenario.backward_n_steps + 1,
     }
     for task in scenario.tasks:
-        if rows.get(task, 0) * size * 8 > _MAX_TRAJECTORY_BYTES:
+        if rows.get(task, 0) * size * 8 > _MAX_ARRAY_BYTES:
             raise ParseError(
                 f"task {task} would keep {rows[task]} snapshots of 6n = {size} "
-                f"values, above the {_MAX_TRAJECTORY_BYTES // 2**30} GiB limit "
+                f"values, above the {_MAX_ARRAY_BYTES // 2**30} GiB limit "
                 f"on a run's snapshot array")
+    # six complex frequencies per wavenumber; checked whatever the task
+    # list, since the dispersion command runs the [dispersion] section
+    if scenario.n_k * 6 * 16 > _MAX_ARRAY_BYTES:
+        raise ParseError(
+            f"[dispersion] n_k = {scenario.n_k} would keep {6 * scenario.n_k} "
+            f"complex frequencies, above the {_MAX_ARRAY_BYTES // 2**30} GiB "
+            f"limit on a run's array")
 
 
 def _material_fields(m: MaterialIsotropic) -> dict:

@@ -1,6 +1,7 @@
-"""Shared fixtures: reference operators, random-state helpers, and the
-validation case registry (one passing and one failing fixture per
-inequality and per symmetry relation)."""
+"""Shared fixtures: reference operators, random-state helpers, the
+per-field difference formulas the assembled matrices are checked
+against, and the validation case registry (one passing and one failing
+fixture per inequality and per symmetry relation)."""
 
 import dataclasses
 
@@ -49,6 +50,55 @@ def op3_back(grid16, moduli3):
 @pytest.fixture(scope="session")
 def op2_back(grid16, moduli2):
     return assemble_backward(grid16, moduli2)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: the stencils written out per field, zero ghosts
+
+
+def _as_field(f, h):
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or f.size < 2:
+        raise ValueError(f"need a 1-D vector of length >= 2, got shape {f.shape}")
+    if not h > 0:
+        raise ValueError(f"spacing must be positive, got {h}")
+    return f
+
+
+def second_difference(f, h):
+    """3-point Laplacian (f_{j-1} - 2 f_j + f_{j+1}) / h^2, zero ghosts."""
+    f = _as_field(f, h)
+    out = -2.0 * f
+    out[:-1] += f[1:]
+    out[1:] += f[:-1]
+    return out / (h * h)
+
+
+def first_difference(f, h):
+    """Centered gradient (f_{j+1} - f_{j-1}) / (2h), zero ghosts."""
+    f = _as_field(f, h)
+    out = np.zeros_like(f)
+    out[:-1] += f[1:]
+    out[1:] -= f[:-1]
+    return out / (2.0 * h)
+
+
+def staggered_difference(f, h):
+    """Forward differences (f_{i+1} - f_i)/h over all n+1 intervals,
+    the two boundary cells included: the gradient sampling of the
+    energy quadrature."""
+    f = _as_field(f, h)
+    out = np.empty(f.size + 1)
+    out[0] = f[0] / h
+    out[1:-1] = np.diff(f) / h
+    out[-1] = -f[-1] / h
+    return out
+
+
+def gram_norm(op, s: State1D) -> float:
+    """Energy norm sqrt(U^T G U) = sqrt(2 * energy)."""
+    vec = s.to_vector()
+    return float(np.sqrt(max(float(vec @ (op.g_mat @ vec)), 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ single pass/fail line (visible even under output capture).
 
 Claims, at desk scale: conservative-model energy conservation,
 dissipativity of the generator with an exact-to-third-order energy
-balance, spectral decay matching the simulated decay time, bounded
+balance, a negative spectral abscissa with energy decay honouring the
+decay time a pilot run's fitted rate gives, bounded
 wave speeds with closed-form decoupled limits, absence of finite-time
 extinction, second-order convergence in space and time, and full
 pass/fail coverage of the material admissibility conditions.

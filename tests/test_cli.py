@@ -65,6 +65,8 @@ INVALID = {
     "init-seed-negative": ("u_amp = 1.0", "u_amp = 1.0\nseed = -4", "seed"),
     "init-impulse-node-outside-grid": ("preset = sine", "preset = impulse\nnode = 16",
                                        "node"),
+    "dispersion-n_k-above-2GiB": ("[tasks]", "[dispersion]\nn_k = 1000000000000\n\n[tasks]",
+                                  "n_k"),
 }
 
 
@@ -204,6 +206,14 @@ class TestCheck:
 
 
 class TestDispersionCommand:
+    def test_overflowing_wavenumber_is_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, SMALL_TYPE3.replace(
+            "[tasks]", "[dispersion]\nk_min = 1e60\nk_max = 1e60\nn_k = 1\n\n[tasks]"))
+        out = tmp_path / "out"
+        assert main(["dispersion", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "float range" in err
+
     def test_writes_only_dispersion_output(self, tmp_path):
         out = tmp_path / "out"
         assert main(["dispersion", TYPE2, "--out", str(out)]) == 0

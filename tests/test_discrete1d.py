@@ -4,12 +4,14 @@ import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, InvalidGrid,
                         InvalidMaterial, State1D, assemble_backward,
-                        assemble_operator, first_difference, gram_norm,
-                        reference_type2, reference_type3, second_difference,
-                        staggered_difference, to_moduli_1d)
-from microtherm.discrete1d import FORMS, form_tables, form_values
+                        assemble_operator, reference_type2, reference_type3,
+                        to_moduli_1d)
+from microtherm.discrete1d import (FIELDS, FORMS, _difference_matrices,
+                                   form_matrix, form_tables, form_values)
 
-from conftest import random_state, random_valid_material
+from conftest import (first_difference, gram_norm, random_state,
+                      random_valid_material, second_difference,
+                      staggered_difference)
 
 
 def discrete_laplacian_eigenvalue(k: int, h: float) -> float:
@@ -48,9 +50,13 @@ class TestGridAndState:
 
 
 class TestStencils:
+    """The difference matrices and the stiffness stencil the operator
+    and its forms are assembled from."""
+
     def test_second_difference_hand_values(self):
         h = 0.5
-        out = second_difference(np.array([1.0, 2.0]), h)
+        lap, _ = _difference_matrices(2, h)
+        out = lap @ np.array([1.0, 2.0])
         # ghost zeros: (0 - 2*1 + 2, 1 - 2*2 + 0) / h^2
         assert np.allclose(out * h ** 2, [0.0, -3.0], atol=0, rtol=0)
 
@@ -60,40 +66,50 @@ class TestStencils:
         h = 1.0 / (n + 1)
         x = np.arange(1, n + 1) * h
         f = np.sin(np.pi * x)
-        got = second_difference(f, h)
+        got = _difference_matrices(n, h)[0] @ f
         rel = np.abs(got + np.pi ** 2 * f).max() / np.pi ** 2
         assert rel <= (np.pi * h) ** 2 / 12 * 2
 
     def test_sine_is_exact_discrete_eigenvector(self):
         n, h = 16, 1.0 / 17
+        lap, _ = _difference_matrices(n, h)
         x = np.arange(1, n + 1) * h
         for k in (1, 2, 5):
             f = np.sin(k * np.pi * x)
             mu = discrete_laplacian_eigenvalue(k, h)
-            assert np.abs(second_difference(f, h) + mu * f).max() <= 1e-11 * mu
+            assert np.abs(lap @ f + mu * f).max() <= 1e-11 * mu
 
     def test_first_difference_is_exactly_antisymmetric(self):
         rng = np.random.default_rng(3)
         h = 1.0 / 17
+        _, grad = _difference_matrices(16, h)
+        assert (grad + grad.T).nnz == 0
         for _ in range(10):
             f, g = rng.standard_normal(16), rng.standard_normal(16)
-            skew = f @ first_difference(g, h) + g @ first_difference(f, h)
+            skew = f @ (grad @ g) + g @ (grad @ f)
             scale = np.abs(f).max() * np.abs(g).max() / h
             assert abs(skew) <= 1e-14 * scale
 
-    def test_staggered_summation_by_parts(self):
+    def test_staggered_summation_by_parts(self, moduli3):
+        # the stiffness stencil S_1, read off the u-u block of the
+        # elastic form's matrix (m_uu/2 S_1)
+        op = assemble_operator(Grid1D(n_interior=16), moduli3)
+        h = op.grid.h
+        stiff = (2.0 / moduli3.m_uu) * form_matrix(op, "elastic")[:16, :16]
+        lap, _ = _difference_matrices(16, h)
         rng = np.random.default_rng(4)
-        h = 1.0 / 17
         for _ in range(10):
             f, g = rng.standard_normal(16), rng.standard_normal(16)
             lhs = h * staggered_difference(f, h) @ staggered_difference(g, h)
-            rhs = -h * f @ second_difference(g, h)
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+            for rhs in (f @ (stiff @ g), -h * f @ (lap @ g)):
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-    def test_staggered_difference_length_and_values(self):
-        h = 0.25
-        out = staggered_difference(np.array([2.0, 3.0, -1.0]), h)
-        assert np.allclose(out * h, [2.0, 1.0, -4.0, 1.0], atol=0, rtol=0)
+    def test_stiffness_stencil_hand_values(self, moduli3):
+        # h = 1/4: the four staggered jumps of (2, 3, -1) are 2, 1, -4, 1
+        op = assemble_operator(Grid1D(n_interior=3), moduli3)
+        u = np.array([2.0, 3.0, -1.0])
+        value = u @ (form_matrix(op, "elastic")[:3, :3] @ u)
+        assert value == pytest.approx(0.5 * moduli3.m_uu * 22.0 / 0.25, rel=1e-15)
 
 
 class TestOperatorAssembly:
@@ -160,6 +176,31 @@ class TestOperatorAssembly:
             assert np.array_equal(getattr(g, attr), getattr(explicit, attr)), attr
         assert g.data.tobytes() == explicit.data.tobytes()
 
+    def test_form_matrices_agree_with_form_values(self, op3, op3_back):
+        rng = np.random.default_rng(14)
+        states = rng.standard_normal((5, 6 * 16))
+        for op in (op3, op3_back):
+            values = form_values(op, states)
+            for name, column in zip(FORMS, values.T):
+                quad = np.einsum("sj,sj->s", states, (form_matrix(op, name) @ states.T).T)
+                assert np.abs(quad - column).max() <= 1e-13 * values[:, 0].min(), name
+
+    @pytest.mark.parametrize("model", ["op3", "op3_back", "op2"])
+    def test_dissipation_matrix_has_only_the_rate_diagonal_blocks(self, model, request):
+        op = request.getfixturevalue(model)
+        n, h = op.n, op.grid.h
+        q = form_matrix(op, "dissipation_rate").toarray()
+        stiff = -h * _difference_matrices(n, h)[0].toarray()
+        m = op.moduli
+        for a in range(6):
+            for b in range(6):
+                block = q[a * n:(a + 1) * n, b * n:(b + 1) * n]
+                rate = {(3, 3): m.h_cond, (5, 5): m.m_rr_rate}.get((a, b), 0.0)
+                if rate:
+                    assert np.allclose(block, op.time_sign * rate * stiff, rtol=1e-15, atol=0)
+                else:
+                    assert not block.any(), (FIELDS[a], FIELDS[b])
+
     def test_gram_is_twice_the_energy_tables(self, moduli3):
         tables = form_tables(moduli3, -1)
         terms = tables[FORMS.index("kinetic"):FORMS.index("r_gradient") + 1]
@@ -203,10 +244,6 @@ class TestOperatorAssembly:
         assert gram_norm(op3, s) ** 2 == pytest.approx(moduli3.m_uu * mu / 2, rel=1e-13)
         assert gram_norm(op3, s) ** 2 == pytest.approx(
             moduli3.m_uu * np.pi ** 2 / 2, rel=(np.pi * h) ** 2 / 12 * 2)
-
-    def test_gram_norm_dimension_mismatch(self, op3):
-        with pytest.raises(DimensionMismatch):
-            gram_norm(op3, State1D.zeros(8))
 
     def test_dissipativity_random_materials_and_states(self):
         grid = Grid1D(n_interior=16)

@@ -44,6 +44,16 @@ class TestCharacteristicMatrix:
         with pytest.raises(RootFailure):
             characteristic_matrix(moduli3, 1.0).roots()
 
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_overflowing_coefficients_are_a_root_failure(self, moduli, request):
+        # k^6 leaves the float range: no root is certified, and no
+        # overflow warning escapes
+        m = request.getfixturevalue(moduli)
+        with pytest.raises(RootFailure, match="float range"):
+            characteristic_matrix(m, 1e60).roots()
+        with pytest.raises(RootFailure):
+            solve_branches(m, [1.0, 1e60])
+
 
 class TestTwoRoutes:
     @pytest.mark.parametrize("which", ["type2", "type3"])

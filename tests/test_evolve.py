@@ -5,12 +5,12 @@ import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, NonFinite,
                         SolveFailure, State1D, Trajectory, assemble_backward,
-                        assemble_operator, energy_series, gram_norm,
-                        reference_type2, reference_type3, run_forward,
-                        time_reversal, to_moduli_1d)
+                        assemble_operator, energy_series, reference_type2,
+                        reference_type3, run_forward, time_reversal,
+                        to_moduli_1d)
 from microtherm.evolve import MidpointStepper, _field_major, _node_major
 
-from conftest import random_state, sine_init
+from conftest import gram_norm, random_state, sine_init
 
 
 def decoupled_elastic_moduli():

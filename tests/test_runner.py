@@ -2,6 +2,7 @@
 simulate and localization share it when simulate keeps every midpoint
 step, and the localization probe makes its own run otherwise."""
 
+import dataclasses
 import inspect
 import weakref
 
@@ -130,3 +131,21 @@ def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
     tasks = "simulate, spectrum, localization"
     assert runner.run_scenario(scenario(tasks), str(tmp_path)) == 0
     assert len(refs) == 1
+
+
+def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
+    # a generator that damps theta at half the h_cond of the energy's
+    # dissipation form: its spectrum stays left of the axis, and only the
+    # identity sym(G A) = -Q shows the mismatch
+    assemble = runner.assemble_operator
+
+    def halved_conduction(grid, moduli):
+        op = assemble(grid, moduli)
+        halved = dataclasses.replace(moduli, h_cond=0.5 * moduli.h_cond)
+        return op._replace(a_mat=assemble(grid, halved).a_mat)
+
+    monkeypatch.setattr(runner, "assemble_operator", halved_conduction)
+    assert runner.run_scenario(scenario("spectrum"), str(tmp_path)) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert "spectral_abscissa < 0: PASS" in report
+    assert "dissipativity margin: FAIL (identity residual 1.667e-01" in report

@@ -88,7 +88,7 @@ class TestParse:
     def test_defaults(self):
         s = parse_scenario(minimal())
         assert s.snapshot_every == 1
-        assert s.seed == 0
+        assert "seed" not in s.init.params
         assert (s.k_min, s.k_max, s.n_k) == (0.5, 8.0, 16)
         assert (s.backward_dt, s.backward_n_steps) == (5e-5, 200)
         assert (s.eps, s.lam) == (0.5, 2.0)
@@ -225,6 +225,15 @@ class TestSizeLimits:
         with pytest.raises(ParseError, match="backward"):
             parse_scenario(back.format(self.FIT))
 
+    def test_dispersion_counts_complex_frequencies(self):
+        # six complex values of 16 B per wavenumber: 22369621 fit in 2 GiB
+        fit = 22369621
+        disp = minimal() + "\n[dispersion]\nn_k = {}\n"
+        assert parse_scenario(disp.format(fit)).n_k == fit
+        # the dispersion command runs this section whatever the task list
+        with pytest.raises(ParseError, match="n_k = 22369622.*GiB"):
+            parse_scenario(disp.format(fit + 1))
+
     def test_huge_step_count_is_rejected_without_allocating(self):
         with pytest.raises(ParseError, match="GiB"):
             parse_scenario(minimal(**{"n_steps = 10": "n_steps = 100000000000000000000"}))
@@ -283,4 +292,4 @@ class TestBuildInitial:
 
     def test_random_seed_reaches_scenario(self):
         text = minimal(**{"preset = zero": "preset = random\nseed = 11"})
-        assert parse_scenario(text).seed == 11
+        assert parse_scenario(text).init.params["seed"] == 11
