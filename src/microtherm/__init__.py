@@ -15,10 +15,9 @@ from .diagnostics import (BackwardFunctionals, DecayFit, EnergyBreakdown,
                           localization_probe, spectral_report)
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
                          assemble_backward, assemble_operator)
-from .dispersion import (CharacteristicMatrix, DispersionResult,
-                         characteristic_matrix, first_order_symbol,
-                         root_set_distance, solve_branches,
-                         symbol_frequencies)
+from .dispersion import (DispersionResult, characteristic_matrix,
+                         first_order_symbol, root_set_distance,
+                         solve_branches, symbol_frequencies)
 from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                      IndefiniteForm, InvalidGrid, InvalidMaterial,
                      MicrothermError, NonFinite, ParseError, RootFailure,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnisotropicTensors",
     "BackwardFunctionals",
-    "CharacteristicMatrix",
     "DecayFit",
     "DegenerateTrajectory",
     "DimensionMismatch",

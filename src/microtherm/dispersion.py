@@ -3,13 +3,15 @@ system on the whole line.
 
 Ansatz exp(i(k x - omega t)) with k > 0 real; temporal decay therefore
 means Im(omega) < 0.  For each k the admissible frequencies are the six
-roots of det(M(omega; k)) = 0 where M is quadratic in omega.  Two
-independent routes to those roots are kept side by side:
+roots of det(M(omega; k)) = 0 where M is quadratic in omega.  Every
+function takes a grid of n_k wavenumbers at once and returns (n_k, ...)
+arrays; frequencies come as (n_k, 6), rows sorted by (real, imag).  Two
+independent routes, each one stacked eigensolve, are kept side by side:
 
-* a degree-6 polynomial assembled by permutation expansion of the
-  determinant, solved with the companion-matrix root finder;
-* the eigenvalues s of the 6x6 first-order symbol (d/dx -> ik), mapped
-  through omega = i s.
+* the (n_k, 6, 6) companion matrices of the degree-6 polynomial
+  assembled by permutation expansion of the determinant;
+* the (n_k, 6, 6) first-order symbols (d/dx -> ik), whose eigenvalues
+  s map through omega = i s.
 
 Agreement of the two root sets is a correctness certificate, so neither
 route is ever expressed in terms of the other.  Conservative moduli
@@ -26,7 +28,6 @@ from .errors import RootFailure
 from .material import Moduli1D
 
 __all__ = [
-    "CharacteristicMatrix",
     "DispersionResult",
     "characteristic_matrix",
     "first_order_symbol",
@@ -45,120 +46,143 @@ _PERMS = (
 )
 
 
-@dataclass(frozen=True)
-class CharacteristicMatrix:
-    """M(omega) = m0 + omega m1 + omega^2 m2 for one wavenumber."""
+def _wavenumbers(k_values) -> np.ndarray:
+    ks = np.asarray(k_values, dtype=float)
+    if ks.ndim != 1 or len(ks) == 0:
+        raise ValueError("k_values must be a nonempty 1-d array")
+    if not (ks > 0).all():
+        raise ValueError("all wavenumbers must be positive")
+    return ks
 
-    k: float
-    m0: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
 
-    def __call__(self, omega: complex) -> np.ndarray:
-        return self.m0 + omega * self.m1 + omega * omega * self.m2
+def characteristic_matrix(m: Moduli1D, k_values) -> np.ndarray:
+    """M(omega) = m0 + omega m1 + omega^2 m2 per wavenumber, stacked as
+    (n_k, 3, 3, 3): (wavenumber, power of omega, row, col)."""
+    ks = _wavenumbers(k_values)
+    k2 = ks * ks
+    p = m.varpi_plus_hbar
+    c = np.zeros((len(ks), 3, 3, 3), dtype=complex)
+    c[:, 0, 0, 0] = -m.m_uu * k2
+    c[:, 0, 0, 2] = -m.m_ur * k2
+    c[:, 0, 1, 1] = m.k_cond * k2
+    c[:, 0, 2, 0] = m.m_ur * k2
+    c[:, 0, 2, 2] = m.m_rr * k2
+    c[:, 1, 0, 1] = -m.beta * ks
+    c[:, 1, 1, 0] = m.beta * ks
+    c[:, 1, 1, 1] = -1j * m.h_cond * k2
+    c[:, 1, 1, 2] = c[:, 1, 2, 1] = p * ks
+    c[:, 1, 2, 2] = -1j * m.m_rr_rate * k2
+    c[:, 2] = np.diag([m.rho, -m.c_cap, -m.alpha_m])
+    return c
 
-    def det_coefficients(self) -> np.ndarray:
-        """Ascending coefficients of det(M(omega)), degree 6.
 
-        Permutation expansion with per-entry quadratics multiplied as
-        polynomials; no intermediate matrix inversions, so the result
-        is exact up to round-off in the coefficient arithmetic.
-        """
-        entry = np.stack((self.m0, self.m1, self.m2))  # (coeff, row, col)
-        total = np.zeros(7, dtype=complex)
-        for perm, sign in _PERMS:
-            prod = np.ones(1, dtype=complex)
-            for row, col in enumerate(perm):
-                prod = np.convolve(prod, entry[:, row, col])
-            total[: len(prod)] += sign * prod
-        return total
+def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise np.convolve(a[i], v[i]), bit for bit: each coefficient is
+    np.convolve's complex BLAS dot (longer operand first), as one stacked
+    matmul on contiguous operands; strided ones would leave BLAS."""
+    if v.shape[1] > a.shape[1]:
+        a, v = v, a
+    n1, n2 = a.shape[1], v.shape[1]
+    rev = v[:, ::-1]
+    out = np.empty((len(a), n1 + n2 - 1), dtype=complex)
+    for t in range(n1 + n2 - 1):
+        lo, hi = max(0, t - n2 + 1), min(t, n1 - 1) + 1
+        x = np.ascontiguousarray(a[:, lo:hi])[:, None, :]
+        y = np.ascontiguousarray(rev[:, n2 - 1 - t + lo:n2 - 1 - t + hi])[:, :, None]
+        out[:, t] = (x @ y)[:, 0, 0]
+    return out
 
-    def roots(self) -> np.ndarray:
-        """Six frequencies, sorted by (real, imag); residual-guarded.
 
-        Raises RootFailure when the determinant coefficients or a root's
-        residual leave the float range (a wavenumber too large for the
-        polynomial route) or a root misses the residual guard.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = self.det_coefficients()
-        if not np.isfinite(coeffs).all():
+def det_coefficients(m: Moduli1D, k_values) -> np.ndarray:
+    """Ascending coefficients of det(M(omega)), degree 6, as (n_k, 7):
+    permutation expansion with per-entry quadratics multiplied as
+    polynomials, no matrix inversions, so exact up to round-off."""
+    entry = characteristic_matrix(m, k_values)
+    total = np.zeros((len(entry), 7), dtype=complex)
+    for perm, sign in _PERMS:
+        prod = np.ones((len(entry), 1), dtype=complex)
+        for row, col in enumerate(perm):
+            prod = _convolve_rows(prod, entry[:, :, row, col])
+        total[:, : prod.shape[1]] += sign * prod
+    return total
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's ascending polynomial at that row's points, by Horner."""
+    y = np.zeros_like(x)
+    for c in coeffs[:, ::-1].T:
+        y = y * x + c[:, None]
+    return y
+
+
+def _sorted(freqs: np.ndarray) -> np.ndarray:
+    order = np.lexsort((freqs.imag, freqs.real), axis=-1)
+    return np.take_along_axis(freqs, order, axis=-1)
+
+
+def polynomial_frequencies(m: Moduli1D, k_values) -> np.ndarray:
+    """The determinant polynomial's roots, (n_k, 6), rows sorted by
+    (real, imag).  Raises RootFailure at the first wavenumber whose
+    coefficients, companion or residuals leave the float range (too
+    large for this route) or whose root misses the residual guard."""
+    ks = _wavenumbers(k_values)
+    # companions as the one-polynomial root finder builds them, of the
+    # max-scaled coefficients; a row out of float range gets a stand-in
+    with np.errstate(all="ignore"):
+        coeffs = det_coefficients(m, ks)
+        p = coeffs[:, ::-1] / np.abs(coeffs).max(axis=1, keepdims=True)
+        top = -p[:, 1:] / p[:, :1]
+    finite = np.isfinite(top).all(axis=1)
+    companion = np.zeros((len(ks), 6, 6), dtype=complex)
+    companion[:, 0, :] = np.where(finite[:, None], top, 0.0)
+    companion[:, range(1, 6), range(5)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    # certify every root against the full polynomial, weighting by
+    # coefficient magnitudes so the guard is scale-free
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.abs(_horner(coeffs, roots))
+        bound = _horner(np.abs(coeffs), np.abs(roots))
+    bad = ~((value <= _RESIDUAL_TOL * bound) & (_RESIDUAL_TOL * bound < np.inf))
+    failed = ~finite | bad.any(axis=1)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not finite[i]:
             raise RootFailure(
-                f"determinant coefficients leave the float range at k = {self.k}")
-        scale = np.abs(coeffs).max()
-        roots = np.roots(coeffs[::-1] / scale)
-        # certify every root against the full polynomial, weighting by
-        # coefficient magnitudes so the guard is scale-free
-        mags = np.abs(coeffs)
-        for w in roots:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = abs(np.polyval(coeffs[::-1], w))
-                bound = float(np.polyval(mags[::-1], abs(w)))
-            if not value <= _RESIDUAL_TOL * bound < np.inf:
-                raise RootFailure(
-                    f"root residual {value:.3e} exceeds {_RESIDUAL_TOL:.0e} "
-                    f"* {bound:.3e} at k = {self.k}"
-                )
-        order = np.lexsort((roots.imag, roots.real))
-        return roots[order]
+                f"determinant coefficients leave the float range at k = {float(ks[i])}")
+        j = int(np.argmax(bad[i]))
+        raise RootFailure(
+            f"root residual {value[i, j]:.3e} exceeds {_RESIDUAL_TOL:.0e} "
+            f"* {bound[i, j]:.3e} at k = {float(ks[i])}")
+    return _sorted(roots)
 
 
-def characteristic_matrix(m: Moduli1D, k: float) -> CharacteristicMatrix:
-    k = float(k)
-    if not k > 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    k2 = k * k
+def first_order_symbol(m: Moduli1D, k_values) -> np.ndarray:
+    """6x6 generators of the Fourier modes (d/dx -> ik) in the order
+    (u, v, tau, theta, R, M), stacked as (n_k, 6, 6).  The ik entries are
+    i times a real quotient: numpy's complex division rounds otherwise."""
+    ks = _wavenumbers(k_values)
+    k2 = ks * ks
     p = m.varpi_plus_hbar
-    m0 = np.array([
-        [-m.m_uu * k2, 0.0, -m.m_ur * k2],
-        [0.0, m.k_cond * k2, 0.0],
-        [m.m_ur * k2, 0.0, m.m_rr * k2],
-    ], dtype=complex)
-    m1 = np.array([
-        [0.0, -m.beta * k, 0.0],
-        [m.beta * k, -1j * m.h_cond * k2, p * k],
-        [0.0, p * k, -1j * m.m_rr_rate * k2],
-    ], dtype=complex)
-    m2 = np.array([
-        [m.rho, 0.0, 0.0],
-        [0.0, -m.c_cap, 0.0],
-        [0.0, 0.0, -m.alpha_m],
-    ], dtype=complex)
-    return CharacteristicMatrix(k=k, m0=m0, m1=m1, m2=m2)
-
-
-def first_order_symbol(m: Moduli1D, k: float) -> np.ndarray:
-    """6x6 generator of the Fourier mode (d/dx -> ik) in the order
-    (u, v, tau, theta, R, M)."""
-    k = float(k)
-    if not k > 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    ik = 1j * k
-    k2 = k * k
-    p = m.varpi_plus_hbar
-    a = np.zeros((6, 6), dtype=complex)
-    a[0, 1] = 1.0
-    a[2, 3] = 1.0
-    a[4, 5] = 1.0
-    a[1, 0] = -m.m_uu * k2 / m.rho
-    a[1, 3] = -m.beta * ik / m.rho
-    a[1, 4] = -m.m_ur * k2 / m.rho
-    a[3, 1] = -m.beta * ik / m.c_cap
-    a[3, 2] = -m.k_cond * k2 / m.c_cap
-    a[3, 3] = -m.h_cond * k2 / m.c_cap
-    a[3, 5] = -p * ik / m.c_cap
-    a[5, 0] = -m.m_ur * k2 / m.alpha_m
-    a[5, 3] = -p * ik / m.alpha_m
-    a[5, 4] = -m.m_rr * k2 / m.alpha_m
-    a[5, 5] = -m.m_rr_rate * k2 / m.alpha_m
+    a = np.zeros((len(ks), 6, 6), dtype=complex)
+    a[:, [0, 2, 4], [1, 3, 5]] = 1.0
+    a[:, 1, 0] = -m.m_uu * k2 / m.rho
+    a[:, 1, 3] = 1j * (-m.beta * ks / m.rho)
+    a[:, 1, 4] = -m.m_ur * k2 / m.rho
+    a[:, 3, 1] = 1j * (-m.beta * ks / m.c_cap)
+    a[:, 3, 2] = -m.k_cond * k2 / m.c_cap
+    a[:, 3, 3] = -m.h_cond * k2 / m.c_cap
+    a[:, 3, 5] = 1j * (-p * ks / m.c_cap)
+    a[:, 5, 0] = -m.m_ur * k2 / m.alpha_m
+    a[:, 5, 3] = 1j * (-p * ks / m.alpha_m)
+    a[:, 5, 4] = -m.m_rr * k2 / m.alpha_m
+    a[:, 5, 5] = -m.m_rr_rate * k2 / m.alpha_m
     return a
 
 
-def symbol_frequencies(m: Moduli1D, k: float) -> np.ndarray:
-    """Frequencies via the first-order symbol: omega = i * eig(A(k))."""
-    freqs = 1j * np.linalg.eigvals(first_order_symbol(m, k))
-    order = np.lexsort((freqs.imag, freqs.real))
-    return freqs[order]
+def symbol_frequencies(m: Moduli1D, k_values) -> np.ndarray:
+    """Frequencies via the first-order symbols, omega = i * eig(A(k)),
+    as (n_k, 6), each row sorted by (real, imag)."""
+    return _sorted(1j * np.linalg.eigvals(first_order_symbol(m, k_values)))
 
 
 def root_set_distance(a, b) -> float:
@@ -208,19 +232,14 @@ class DispersionResult:
 
 
 def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
-    ks = np.asarray(k_values, dtype=float)
-    if ks.ndim != 1 or len(ks) == 0:
-        raise ValueError("k_values must be a nonempty 1-d array")
-    if not (ks > 0).all():
-        raise ValueError("all wavenumbers must be positive")
+    ks = _wavenumbers(k_values)
+    roots = polynomial_frequencies(m, ks)
 
-    per_k = [characteristic_matrix(m, k).roots() for k in ks]
-
-    omega = np.empty((len(ks), 6), dtype=complex)
+    omega = np.empty_like(roots)
     crossings = np.zeros(len(ks), dtype=bool)
-    omega[0] = per_k[0]
+    omega[0] = roots[0]
     for i in range(1, len(ks)):
-        cur = per_k[i]
+        cur = roots[i]
         if i == 1:
             predicted = omega[0]
         else:

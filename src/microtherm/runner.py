@@ -3,7 +3,9 @@
 Outputs land in one directory: energy.csv, spectrum.csv,
 dispersion.csv, backward.csv as requested by the task list, plus
 report.txt with one PASS/FAIL line per certificate.  The exit code is
-0 exactly when no certificate failed.  All floating-point output uses
+0 exactly when no certificate failed; a task that raises a
+MicrothermError ends report.txt with "aborted: <task>: <error>" in place
+of a verdict, and the error propagates.  All floating-point output uses
 17 significant digits so repeated runs are byte-identical.
 """
 
@@ -18,7 +20,7 @@ from .diagnostics import (backward_functionals, dissipativity_residual,
                           localization_probe, spectral_report)
 from .discrete1d import FIELDS, FORMS, assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
-from .errors import IndefiniteForm, NonFinite, SolveFailure
+from .errors import IndefiniteForm, MicrothermError, NonFinite, SolveFailure
 from .evolve import run_forward
 from .material import to_moduli_1d
 from .scenario import Scenario, build_initial
@@ -116,20 +118,18 @@ def _spectrum(scenario: Scenario, op, out_dir, certs, notes):
 def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes):
     ks = np.linspace(scenario.k_min, scenario.k_max, scenario.n_k)
     result = solve_branches(moduli, ks)
-    rows = []
-    for i, k in enumerate(result.k_values):
-        for j in range(6):
-            w = result.omega[i, j]
-            rows.append((k, j, w.real, w.imag, w.real / k))
+    k_col = np.repeat(result.k_values, 6)
+    omega = result.omega.ravel()
+    table = np.column_stack([k_col, np.tile(np.arange(6), len(ks)), omega.real,
+                             omega.imag, omega.real / k_col])
     _write_csv(os.path.join(out_dir, "dispersion.csv"),
                ("k", "branch_index", "re_omega", "im_omega", "phase_speed"),
-               rows)
+               (row.tolist() for row in table))
 
     worst = 0.0
-    for i, k in enumerate(result.k_values):
-        other = symbol_frequencies(moduli, k)
+    for own, other in zip(result.omega, symbol_frequencies(moduli, result.k_values)):
         scale = max(1.0, float(np.abs(other).max()))
-        worst = max(worst, root_set_distance(result.omega[i], other) / scale)
+        worst = max(worst, root_set_distance(own, other) / scale)
     certs.append(Certificate(
         "dispersion routes agree", worst <= 1e-10,
         f"max matched root distance {worst:.3e} (relative)"))
@@ -230,29 +230,37 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     # other reuses them, and the trajectory is released after simulate
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
               and scenario.snapshot_every == 1)
-    run = probe = None
+    run = probe = aborted = None
     for task in scenario.tasks:
-        if task == "simulate":
-            run = run or _forward_run(scenario, op, init)
-            _simulate(scenario, op, *run, out_dir, certs, notes)
-            if shared and probe is None:
-                probe = _probe(scenario, op, op_bwd, init, run)
-            run = None
-        elif task == "spectrum":
-            _spectrum(scenario, op, out_dir, certs, notes)
-        elif task == "dispersion":
-            _dispersion(scenario, moduli, out_dir, certs, notes)
-        elif task == "backward":
-            _backward(scenario, op_bwd, init, out_dir, certs, notes)
-        elif task == "localization":
-            if probe is None:
-                if shared:
-                    run = _forward_run(scenario, op, init)
-                probe = _probe(scenario, op, op_bwd, init, run)
-            _localization(scenario, probe, certs, notes)
+        try:
+            if task == "simulate":
+                run = run or _forward_run(scenario, op, init)
+                _simulate(scenario, op, *run, out_dir, certs, notes)
+                if shared and probe is None:
+                    probe = _probe(scenario, op, op_bwd, init, run)
+                run = None
+            elif task == "spectrum":
+                _spectrum(scenario, op, out_dir, certs, notes)
+            elif task == "dispersion":
+                _dispersion(scenario, moduli, out_dir, certs, notes)
+            elif task == "backward":
+                _backward(scenario, op_bwd, init, out_dir, certs, notes)
+            elif task == "localization":
+                if probe is None:
+                    if shared:
+                        run = _forward_run(scenario, op, init)
+                    probe = _probe(scenario, op, op_bwd, init, run)
+                _localization(scenario, probe, certs, notes)
+        except MicrothermError as exc:
+            aborted = exc
+            break
 
     lines.extend(cert.line() for cert in certs)
     lines.extend(f"# {note}" for note in notes)
+    if aborted is not None:  # no verdict; the caller reports the error
+        lines.append(f"aborted: {task}: {aborted}")
+        _emit(out_dir, lines)
+        raise aborted
     ok = all(cert.passed for cert in certs)
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     _emit(out_dir, lines)

@@ -28,7 +28,7 @@ __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 _MODELS = ("type2", "type3")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
-_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot or frequency array a run may keep
+_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot or dispersion array a run may keep
 
 _MATERIAL_KEYS = frozenset({
     "model", "rho", "lambda_e", "mu_e", "beta", "c_cap", "alpha_m",
@@ -252,7 +252,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def _check_sizes(scenario: Scenario):
     """Reject a scenario whose dense spectrum, largest snapshot array or
-    dispersion frequency array would exceed the size limits, before any
+    widest dispersion array would exceed the size limits, before any
     numerics run."""
     size = 6 * scenario.grid.n_interior
     if "spectrum" in scenario.tasks and size > DENSE_LIMIT:
@@ -273,12 +273,12 @@ def _check_sizes(scenario: Scenario):
                 f"task {task} would keep {rows[task]} snapshots of 6n = {size} "
                 f"values, above the {_MAX_ARRAY_BYTES // 2**30} GiB limit "
                 f"on a run's snapshot array")
-    # six complex frequencies per wavenumber; checked whatever the task
-    # list, since the dispersion command runs the [dispersion] section
-    if scenario.n_k * 6 * 16 > _MAX_ARRAY_BYTES:
+    # one complex 6x6 matrix per wavenumber in the widest dispersion
+    # stack; checked whatever the task list, as the dispersion command runs
+    if scenario.n_k * 36 * 16 > _MAX_ARRAY_BYTES:
         raise ParseError(
-            f"[dispersion] n_k = {scenario.n_k} would keep {6 * scenario.n_k} "
-            f"complex frequencies, above the {_MAX_ARRAY_BYTES // 2**30} GiB "
+            f"[dispersion] n_k = {scenario.n_k} would stack {scenario.n_k} "
+            f"complex 6x6 matrices, above the {_MAX_ARRAY_BYTES // 2**30} GiB "
             f"limit on a run's array")
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures: reference operators, random-state helpers, the
 per-field difference formulas the assembled matrices are checked
-against, and the validation case registry (one passing and one failing
-fixture per inequality and per symmetry relation)."""
+against, the one-wavenumber determinant expansion and root finder the
+batched dispersion routes are checked against, and the validation case
+registry (one passing and one failing fixture per inequality and per
+symmetry relation)."""
 
 import dataclasses
 
@@ -99,6 +101,36 @@ def gram_norm(op, s: State1D) -> float:
     """Energy norm sqrt(U^T G U) = sqrt(2 * energy)."""
     vec = s.to_vector()
     return float(np.sqrt(max(float(vec @ (op.g_mat @ vec)), 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: the dispersion polynomial one wavenumber at a time
+
+# the six permutations of {0,1,2} with their signs
+_PERMS = (
+    ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+    ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0),
+)
+
+
+def convolve_det_coefficients(entry):
+    """Ascending coefficients of det(M(omega)) for one wavenumber's
+    (power of omega, row, col) coefficients, expanded over permutations
+    with np.convolve."""
+    total = np.zeros(7, dtype=complex)
+    for perm, sign in _PERMS:
+        prod = np.ones(1, dtype=complex)
+        for row, col in enumerate(perm):
+            prod = np.convolve(prod, entry[:, row, col])
+        total[: len(prod)] += sign * prod
+    return total
+
+
+def sorted_roots(coeffs):
+    """np.roots of ascending coefficients scaled by their largest
+    magnitude, sorted by (real, imag)."""
+    roots = np.roots(coeffs[::-1] / np.abs(coeffs).max())
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,30 @@ class TestRun:
         assert "overall: FAIL" in report
         assert not (out / "backward.csv").exists()
 
+    def test_aborted_task_still_writes_a_report(self, tmp_path, capsys):
+        # the polynomial route's residual guard rejects k = 1e15 after
+        # simulate and spectrum have certified; the report keeps their
+        # lines and ends in the abort, with no overall verdict
+        text = pathlib.Path(TYPE3).read_text().replace("k_max = 8.0", "k_max = 1e15")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["check", cfg]) == 0
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "root residual" in captured.err
+        report = (out / "report.txt").read_text()
+        assert report.startswith("# model = type3\n")
+        assert "dissipativity: PASS" in report
+        assert "spectral_abscissa < 0: PASS" in report
+        assert "# final energy = " in report
+        assert report.splitlines()[-1].startswith(
+            "aborted: dispersion: root residual 1.281e+80 exceeds 1e-08 * 1.049e+84 "
+            "at k = 66666666666667.13")
+        assert "overall" not in report and "backward" not in report
+        assert report in captured.out
+        assert (out / "energy.csv").exists() and (out / "spectrum.csv").exists()
+        assert not (out / "dispersion.csv").exists()
+
 
 class TestCheck:
     def test_valid_config(self, capsys):
@@ -213,6 +237,10 @@ class TestDispersionCommand:
         assert main(["dispersion", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "float range" in err
+        report = (out / "report.txt").read_text().splitlines()
+        assert all(line.startswith("# ") for line in report[:-1])
+        assert report[-1] == ("aborted: dispersion: determinant coefficients "
+                              "leave the float range at k = 1e+60")
 
     def test_writes_only_dispersion_output(self, tmp_path):
         out = tmp_path / "out"

@@ -225,13 +225,14 @@ class TestSizeLimits:
         with pytest.raises(ParseError, match="backward"):
             parse_scenario(back.format(self.FIT))
 
-    def test_dispersion_counts_complex_frequencies(self):
-        # six complex values of 16 B per wavenumber: 22369621 fit in 2 GiB
-        fit = 22369621
+    def test_dispersion_counts_stacked_matrices(self):
+        # one complex 6x6 matrix of 576 B per wavenumber: 3728270 fit in
+        # 2 GiB
+        fit = 3728270
         disp = minimal() + "\n[dispersion]\nn_k = {}\n"
         assert parse_scenario(disp.format(fit)).n_k == fit
         # the dispersion command runs this section whatever the task list
-        with pytest.raises(ParseError, match="n_k = 22369622.*GiB"):
+        with pytest.raises(ParseError, match="n_k = 3728271 would stack.*6x6.*GiB"):
             parse_scenario(disp.format(fit + 1))
 
     def test_huge_step_count_is_rejected_without_allocating(self):
