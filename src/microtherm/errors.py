@@ -35,7 +35,8 @@ class SizeLimit(MicrothermError, ValueError):
 
 
 class EigenFailure(MicrothermError, RuntimeError):
-    """Dense eigenvalue computation did not converge."""
+    """Dense eigenvalue computation did not converge, or the generator
+    lacks the mirror symmetry its split into two solves relies on."""
 
 
 class DegenerateTrajectory(MicrothermError, ValueError):

@@ -28,7 +28,11 @@ __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 _MODELS = ("type2", "type3")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
-_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot or dispersion array a run may keep
+_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot array or dispersion peak of a run
+# peak bytes the dispersion task allocates per wavenumber: tracemalloc
+# around runner._dispersion reads about 1300 B (both references, n_k =
+# 1000 to 80000), rounded up
+_DISPERSION_BYTES_PER_K = 1536
 
 _MATERIAL_KEYS = frozenset({
     "model", "rho", "lambda_e", "mu_e", "beta", "c_cap", "alpha_m",
@@ -252,13 +256,15 @@ def parse_scenario(text: str) -> Scenario:
 
 def _check_sizes(scenario: Scenario):
     """Reject a scenario whose dense spectrum, largest snapshot array or
-    widest dispersion array would exceed the size limits, before any
-    numerics run."""
-    size = 6 * scenario.grid.n_interior
+    dispersion peak would exceed the size limits, before any numerics
+    run."""
+    n = scenario.grid.n_interior
+    size = 6 * n
     if "spectrum" in scenario.tasks and size > DENSE_LIMIT:
         raise ParseError(
-            f"task spectrum needs a dense eigensolve of size 6n = {size}, "
-            f"above the limit {DENSE_LIMIT}; lower [grid] n_interior")
+            f"task spectrum needs two dense eigensolves of about 3n = {3 * n} "
+            f"each, and 6n = {size} is above the limit {DENSE_LIMIT}; "
+            f"lower [grid] n_interior")
     # snapshots kept per run: simulate's every snapshot_every-th step,
     # the localization probe's every step (whether it shares simulate's
     # run or makes its own) and every step of the backward run
@@ -273,13 +279,13 @@ def _check_sizes(scenario: Scenario):
                 f"task {task} would keep {rows[task]} snapshots of 6n = {size} "
                 f"values, above the {_MAX_ARRAY_BYTES // 2**30} GiB limit "
                 f"on a run's snapshot array")
-    # one complex 6x6 matrix per wavenumber in the widest dispersion
-    # stack; checked whatever the task list, as the dispersion command runs
-    if scenario.n_k * 36 * 16 > _MAX_ARRAY_BYTES:
+    # the dispersion task's peak allocation; checked whatever the task
+    # list, as the dispersion command runs this section
+    if scenario.n_k * _DISPERSION_BYTES_PER_K > _MAX_ARRAY_BYTES:
         raise ParseError(
-            f"[dispersion] n_k = {scenario.n_k} would stack {scenario.n_k} "
-            f"complex 6x6 matrices, above the {_MAX_ARRAY_BYTES // 2**30} GiB "
-            f"limit on a run's array")
+            f"[dispersion] n_k = {scenario.n_k} would need "
+            f"{_DISPERSION_BYTES_PER_K} B per wavenumber, above the "
+            f"{_MAX_ARRAY_BYTES // 2**30} GiB limit on a run's arrays")
 
 
 def _material_fields(m: MaterialIsotropic) -> dict:

@@ -100,10 +100,11 @@ class TestRun:
         assert "round trip: PASS" in report
         assert not (out / "backward.csv").exists()
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("cfg", [TYPE2, TYPE3], ids=["type2", "type3"])
+    def test_reruns_are_byte_identical(self, cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", TYPE3, "--out", str(a)]) == 0
-        assert main(["run", TYPE3, "--out", str(b)]) == 0
+        assert main(["run", cfg, "--out", str(a)]) == 0
+        assert main(["run", cfg, "--out", str(b)]) == 0
         files = sorted(p.name for p in a.iterdir())
         assert files == sorted(p.name for p in b.iterdir())
         for name in files:

@@ -13,7 +13,8 @@ from microtherm import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                         energy_series, energy_table, fit_decay,
                         localization_probe, reference_type2, reference_type3,
                         run_forward, spectral_report, to_moduli_1d)
-from microtherm.diagnostics import dissipativity_residual
+from microtherm.diagnostics import dissipativity_residual, mirror_blocks
+from microtherm.dispersion import root_set_distance
 
 from conftest import gram_norm, random_state, sine_init, staggered_difference
 
@@ -302,6 +303,30 @@ class TestSpectralReport:
         op = assemble_operator(Grid1D(n_interior=501), moduli3)
         with pytest.raises(SizeLimit):
             spectral_report(op)
+
+    @pytest.mark.parametrize("n, sizes", [(2, (6, 6)), (3, (10, 8)), (16, (48, 48)),
+                                          (17, (52, 50))])
+    def test_mirror_sector_sizes(self, n, sizes, moduli3):
+        op = assemble_operator(Grid1D(n_interior=n), moduli3)
+        assert tuple(b.shape for b in mirror_blocks(op.a_mat, n)) == tuple(
+            (k, k) for k in sizes)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_split_matches_the_full_eigensolve(self, n, reference, assemble):
+        op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
+        full = np.linalg.eigvals(op.a_mat.toarray())
+        split = spectral_report(op).eigenvalues
+        assert root_set_distance(split, full) <= 1e-12 * np.abs(full).max()
+
+    def test_mirror_asymmetric_generator_is_refused(self, op3):
+        # the u Laplacian of the v row changed at node 0 but not at its
+        # mirror node n - 1
+        a = op3.a_mat.tolil()
+        a[op3.n, 0] *= 1.5
+        with pytest.raises(EigenFailure, match="node reversal"):
+            spectral_report(op3._replace(a_mat=a.tocsr()))
 
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):
         def boom(_):

@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from microtherm import (ParseError, ValidationError, build_initial,
-                        parse_scenario)
+                        parse_scenario, to_moduli_1d)
+from microtherm.runner import _dispersion
+from microtherm.scenario import _DISPERSION_BYTES_PER_K
 
 FULL = """\
 [material]
@@ -226,14 +229,27 @@ class TestSizeLimits:
             parse_scenario(back.format(self.FIT))
 
     def test_dispersion_counts_stacked_matrices(self):
-        # one complex 6x6 matrix of 576 B per wavenumber: 3728270 fit in
-        # 2 GiB
-        fit = 3728270
+        # the measured peak of about 1.3 KiB per wavenumber, counted as
+        # 1536 B: 1398101 wavenumbers fit in 2 GiB
+        fit = 1398101
         disp = minimal() + "\n[dispersion]\nn_k = {}\n"
         assert parse_scenario(disp.format(fit)).n_k == fit
         # the dispersion command runs this section whatever the task list
-        with pytest.raises(ParseError, match="n_k = 3728271 would stack.*6x6.*GiB"):
+        with pytest.raises(ParseError, match="n_k = 1398102 would need 1536 B.*2 GiB"):
             parse_scenario(disp.format(fit + 1))
+
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    def test_dispersion_peak_is_within_the_counted_bytes(self, model, tmp_path):
+        n_k = 2000
+        scenario = parse_scenario(minimal(model) + f"\n[dispersion]\nn_k = {n_k}\n")
+        moduli = to_moduli_1d(scenario.material)
+        tracemalloc.start()
+        try:
+            _dispersion(scenario, moduli, str(tmp_path), [], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_k * _DISPERSION_BYTES_PER_K
 
     def test_huge_step_count_is_rejected_without_allocating(self):
         with pytest.raises(ParseError, match="GiB"):
