@@ -13,8 +13,10 @@ with dissipation the per-step balance
 holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 eliminates the three position fields, whose rows are the identities
 d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
-on the rates with a LAPACK band LU factored once per run.  Every step
-checks the residual of the full system; a step that misses it raises
+on the rates with a LAPACK band LU factored once per run: two triangular
+band solves when the LU made no row interchange, dgbtrs otherwise.  A
+is applied as one CSR matrix in node-major order.  Every step checks
+the residual of the full system; a step that misses it raises
 SolveFailure, and a step whose norms overflow raises NonFinite, so no
 run returns a non-finite snapshot.
 
@@ -89,10 +91,14 @@ class MidpointStepper:
 
     on the 3n rate unknowns W+.  In node-major order (the six fields of
     node 0, then those of node 1, ...) the reduced matrix is banded
-    with kl = ku = 5: LAPACK dgbtrf factors it once, and each step
-    solves with dgbtrs.  Inside a run the state stays node-major, so
-    positions and rates are the even and odd entries of one array, and
-    the products with A and K are BLAS dgbmv calls on band storage.
+    with kl = ku = 5: LAPACK dgbtrf factors it once.  When it made no
+    row interchange, each step solves with two BLAS dtbsv calls, the
+    unit lower and the upper band factor, bitwise what dgbtrs computes
+    at a fraction of its per-column calls; otherwise it solves with
+    dgbtrs.  Inside a run the state stays node-major, so positions and
+    rates are the even and odd entries of one array; A x is one CSR
+    product, and dt/2 K R_pos one BLAS dgbmv on band storage fused with
+    the sum.
 
     Each step checks the residual of the full 6n system against 1e-12
     relative, applying one pass of iterative refinement before raising
@@ -112,9 +118,7 @@ class MidpointStepper:
         self.dt = float(dt)
         self._half = 0.5 * self.dt
         row, col, vals = _node_major_triplets(op)
-        self._a_kl = int(max(0, (row - col).max()))
-        self._a_ku = int(max(0, (col - row).max()))
-        self._a_band = _band(row, col, vals, self._a_kl, self._a_ku, 6 * op.n)
+        self._a = sp.csr_matrix((vals, (row, col)), shape=(6 * op.n, 6 * op.n))
 
         # reduced rate system: node-major index // 2, K on the even
         # (position) columns, C on the odd (rate) columns
@@ -127,6 +131,9 @@ class MidpointStepper:
                 f"kl = ku = {_BAND} of the reduced system")
         size = 3 * op.n
         self._k_band = _band(i[~on_rate], j[~on_rate], vals[~on_rate], _BAND, _BAND, size)
+        # scipy's dgbmv asks for at least kl + ku + 1 rows; the rows past
+        # size meet only zero band entries, and _solve drops them
+        self._k_rows = max(size, 2 * _BAND + 1)
         c_band = _band(i[on_rate], j[on_rate], vals[on_rate], _BAND, _BAND, size)
         # dgbtrf keeps its row interchanges in _BAND extra top rows
         lhs = np.zeros((3 * _BAND + 1, size), order="F")
@@ -136,18 +143,32 @@ class MidpointStepper:
         if info != 0:
             raise SolveFailure(
                 f"midpoint matrix could not be factored: dgbtrf info = {info}")
+        # without a row interchange U keeps the band ku = _BAND, so two
+        # triangular band solves do exactly what dgbtrs does: the unit L
+        # with its multipliers in the _BAND rows under U's diagonal row
+        # (which a unit solve never reads), then U
+        self._triangular = None
+        if np.array_equal(self._piv, np.arange(size)):
+            self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]),
+                                np.asfortranarray(self._lu[_BAND:2 * _BAND + 1]))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a node-major state x."""
-        return blas.dgbmv(x.size, x.size, self._a_kl, self._a_ku, 1.0,
-                          self._a_band, x)
+        return self._a @ x
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         """Node-major solution of (I - dt/2 A) out = r by the reduced system."""
         size = r.size // 2
-        b = blas.dgbmv(size, size, _BAND, _BAND, self._half, self._k_band, r,
-                       incx=2, beta=1.0, y=r[1::2].copy(), overwrite_y=1)
-        rate = lapack.dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
+        b = np.zeros(self._k_rows)
+        b[:size] = r[1::2]
+        b = blas.dgbmv(self._k_rows, size, _BAND, _BAND, self._half, self._k_band, r,
+                       incx=2, beta=1.0, y=b, overwrite_y=1)[:size]
+        if self._triangular is None:
+            rate = lapack.dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
+        else:
+            lower, upper = self._triangular
+            rate = blas.dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
+            rate = blas.dtbsv(_BAND, upper, rate, overwrite_x=1)
         out = np.empty_like(r)
         out[1::2] = rate
         out[0::2] = r[0::2] + self._half * rate
@@ -193,11 +214,6 @@ class MidpointStepper:
 def _node_major(vec: np.ndarray) -> np.ndarray:
     """Field-major stacking (all of u, then all of v, ...) to node-major."""
     return vec.reshape(6, -1).T.ravel()
-
-
-def _field_major(x: np.ndarray) -> np.ndarray:
-    """Node-major stacking back to field-major."""
-    return x.reshape(-1, 6).T.ravel()
 
 
 def _node_major_triplets(op: DiscreteOperator):
@@ -255,7 +271,7 @@ def run_forward(op: DiscreteOperator, init: State1D, dt: float,
         states = MidpointStepper(op, dt).states(_node_major(vec))
         for k, state in zip(range(1, n_steps + 1), states):
             if k % snapshot_every == 0:
-                kept[k // snapshot_every] = _field_major(state)
+                kept[k // snapshot_every].reshape(6, -1).T[...] = state.reshape(-1, 6)
     times = np.arange(len(kept)) * (snapshot_every * dt)
     return Trajectory(times=times, states=kept, dt=float(dt),
                       snapshot_every=int(snapshot_every))

@@ -141,6 +141,12 @@ def random_state(n: int, rng) -> State1D:
     return State1D.from_vector(rng.standard_normal(6 * n))
 
 
+def field_major(x: np.ndarray) -> np.ndarray:
+    """The stepper's node-major stacking (the six fields of node 0, then
+    those of node 1, ...) back to field-major."""
+    return x.reshape(-1, 6).T.ravel()
+
+
 def sine_init(grid: Grid1D, u_amp=1.0, theta_amp=0.5, theta_mode=2) -> State1D:
     x = grid.nodes
     n = grid.n_interior

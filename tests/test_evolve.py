@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,9 +10,10 @@ from microtherm import (DimensionMismatch, Grid1D, NonFinite,
                         assemble_operator, energy_series, reference_type2,
                         reference_type3, run_forward, time_reversal,
                         to_moduli_1d)
-from microtherm.evolve import MidpointStepper, _field_major, _node_major
+from microtherm import evolve
+from microtherm.evolve import MidpointStepper, _node_major
 
-from conftest import gram_norm, random_state, sine_init
+from conftest import field_major, gram_norm, random_state, sine_init
 
 
 def decoupled_elastic_moduli():
@@ -172,7 +175,7 @@ def with_entry(op, row, col, value):
 
 
 class TestBandedStepper:
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_each_step_matches_dense_solve(self, n, model, direction):
@@ -203,11 +206,67 @@ class TestBandedStepper:
         assert kept and all(np.isfinite(x).all() for x in kept)
         # the next right-hand side is where the run leaves float range
         rhs = (sp.identity(6 * op3.n) + 0.5 * dt * op3_back.a_mat) \
-            @ _field_major(kept[-1])
+            @ field_major(kept[-1])
         with np.errstate(over="ignore"):
             assert not np.isfinite(rhs @ rhs)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
             run_forward(op3_back, State1D.from_vector(turned), dt, 400)
+
+
+class TestStepperKernels:
+    """The CSR product and the two triangular band solves reproduce the
+    node-major band kernels they replace."""
+
+    @staticmethod
+    def stepper(model, n, dt, assemble=assemble_operator):
+        moduli = to_moduli_1d(reference_type2() if model == "type2"
+                              else reference_type3())
+        return MidpointStepper(assemble(Grid1D(n_interior=n), moduli), dt)
+
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("dt", [1e-3, 5e-5])
+    def test_forward_solve_is_dgbtrs_bitwise(self, n, model, dt):
+        stepper = self.stepper(model, n, dt)
+        size = 3 * n
+        assert np.array_equal(stepper._piv, np.arange(size))
+        assert stepper._triangular is not None
+        # the same stepper made to take the dgbtrs path
+        pivoting = copy.copy(stepper)
+        pivoting._triangular = None
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            r = rng.standard_normal(2 * size)
+            assert np.array_equal(stepper._solve(r), pivoting._solve(r))
+
+    def test_reversed_type3_interchanges_rows_and_keeps_dgbtrs(self, monkeypatch):
+        n, dt = 16, 0.01
+        stepper = self.stepper("type3", n, dt, assemble_backward)
+        assert np.any(stepper._piv != np.arange(3 * n))
+        assert stepper._triangular is None
+        calls = []
+        dgbtrs = evolve.lapack.dgbtrs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dgbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(evolve.lapack, "dgbtrs", counting)
+        rhs = np.random.default_rng(5).standard_normal(6 * n)
+        got = field_major(stepper._solve(_node_major(rhs)))
+        assert calls == [1]
+        lhs = np.eye(6 * n) - 0.5 * dt * stepper.op.a_mat.toarray()
+        expected = np.linalg.solve(lhs, rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 16, 512])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    def test_csr_product_is_the_generator(self, n, model):
+        stepper = self.stepper(model, n, 1e-3)
+        x = np.random.default_rng(n + 1).standard_normal(6 * n)
+        expected = _node_major(stepper.op.a_mat @ x)
+        got = stepper._apply(_node_major(x))
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 class TestSolverGuard:

@@ -1,11 +1,14 @@
 """run_scenario makes each scenario's forward midpoint run at most once:
 simulate and localization share it when simulate keeps every midpoint
-step, and the localization probe makes its own run otherwise."""
+step, and the localization probe makes its own run otherwise.  The CSV
+writer's bytes are those of the csv module."""
 
+import csv
 import dataclasses
 import inspect
 import weakref
 
+import numpy as np
 import pytest
 
 from microtherm import diagnostics, parse_scenario, runner
@@ -149,3 +152,21 @@ def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
     report = (tmp_path / "report.txt").read_text()
     assert "spectral_abscissa < 0: PASS" in report
     assert "dissipativity margin: FAIL (identity residual 1.667e-01" in report
+
+
+def test_csv_writer_bytes_match_csv_module(tmp_path):
+    # the writer formats whole chunks of rows with one %; its bytes must
+    # be those of csv.writer on format(x, ".17g") row by row
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -12.0, 1e16, 0.1]
+    rows = 2 * runner._CSV_CHUNK + 7
+    table = np.random.default_rng(3).standard_normal((rows, 5))
+    table.ravel()[:len(specials)] = specials
+    table[-1] = specials[-5:]
+    header = ("t", "E1", "E2", "E3", "calE")
+    runner._write_csv(str(tmp_path / "new.csv"), header, table)
+    with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in table:
+            writer.writerow([format(float(x), ".17g") for x in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
