@@ -46,6 +46,8 @@ __all__ = [
     "energy_table",
     "energy_series",
     "energy_balance_residuals",
+    "balance_residuals",
+    "reduce_blocks",
     "dissipativity_residual",
     "spectral_report",
     "fit_decay",
@@ -132,10 +134,49 @@ def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
     if sampling not in ("midpoint", "trapezoid"):
         raise ValueError(f"unknown sampling {sampling!r}")
     if sampling == "midpoint":
-        rates = form_values(op, traj.states, ("dissipation_rate",), midpoints=True)[:, 0]
+        rates = _midpoint_rates(op, traj.states)
     else:
         rates = 0.5 * (table[:-1, -1] + table[1:, -1])
-    return np.diff(table[:, 0]) + traj.snapshot_every * traj.dt * rates
+    return balance_residuals(table, rates, traj.snapshot_every * traj.dt)
+
+
+def balance_residuals(table: np.ndarray, rates: np.ndarray, dt_snap: float) -> np.ndarray:
+    """E_{k+1} - E_k + dt_snap * rates[k] for the energies table[:, 0]
+    of an energy table, rates[k] the dissipation rate over step k."""
+    return np.diff(table[:, 0]) + dt_snap * rates
+
+
+def _midpoint_rates(op: DiscreteOperator, states: np.ndarray) -> np.ndarray:
+    """D((U_k + U_{k+1}) / 2) for each two consecutive rows of states."""
+    return form_values(op, states, ("dissipation_rate",), midpoints=True)[:, 0]
+
+
+def reduce_blocks(blocks, op: DiscreteOperator, forms=_BREAKDOWN,
+                  midpoints: bool = False):
+    """Reduce a run streamed as blocks of kept states
+    (evolve.snapshot_blocks) while each block is at hand.
+
+    Returns (table, rates, first, last): the named forms of every kept
+    state (form_values; by default the energy_table columns), with
+    midpoints=True the dissipation rates at the averages of consecutive
+    states as energy_balance_residuals takes them (else None), and the
+    first and last state.  Only one row is kept across each block
+    boundary, for the midpoint that straddles it.  A state's values do
+    not depend on the block it came in, so a trajectory's states given
+    as one block, [traj.states], reduce to the same numbers.
+    """
+    tables, rates = [], []
+    first = last = None
+    for block in blocks:
+        tables.append(form_values(op, block, forms))
+        if midpoints:
+            pairs = block if last is None else np.concatenate([last[None], block])
+            rates.append(_midpoint_rates(op, pairs))
+        if first is None:
+            first = block[0].copy()
+        last = block[-1].copy()
+    return (np.concatenate(tables), np.concatenate(rates) if midpoints else None,
+            first, last)
 
 
 def dissipativity_residual(op: DiscreteOperator) -> float:
@@ -282,9 +323,14 @@ class BackwardFunctionals:
     lam: float
 
 
-def backward_functionals(traj: Trajectory, op: DiscreteOperator,
+def backward_functionals(times: np.ndarray, forms: np.ndarray, op: DiscreteOperator,
                          eps: float = 0.5, lam: float = 2.0) -> BackwardFunctionals:
     """Evaluate the time-reversed uniqueness functionals along a run.
+
+    times are the run's kept times and forms its form_values table, one
+    row of the FORMS columns per kept state: for a Trajectory traj,
+    form_values(op, traj.states); for a streamed run, the table of
+    reduce_blocks(blocks, op, FORMS).
 
     Requires (eps, lam) to make the gradient form
 
@@ -307,28 +353,33 @@ def backward_functionals(traj: Trajectory, op: DiscreteOperator,
             f"lam*h_cond + (eps-2)*k_cond = {coeff_tau}, "
             f"lam*m_rr_rate + (eps-2)*m_rr = {coeff_r}"
         )
+    times = np.asarray(times, dtype=float)
+    if forms.shape != (times.size, len(FORMS)):
+        raise DimensionMismatch(
+            f"need one row of the {len(FORMS)} forms per time ({times.size}), "
+            f"got a table of shape {forms.shape}")
 
-    values = dict(zip(FORMS, form_values(op, traj.states).T))
+    values = dict(zip(FORMS, forms.T))
     e1 = values["total"]
     e2 = (values["kinetic"] - values["thermal"] - values["microthermal"]
           + values["elastic"] - values["tau_gradient"] - values["r_gradient"])
     e3 = values["e3"]
-    n_snap = len(traj)
+    n_snap = times.size
 
     integrand = eps * e1 + e2 + lam * e3
     cal_e = np.zeros(n_snap)
     if n_snap > 1:
-        steps = np.diff(traj.times)
+        steps = np.diff(times)
         cal_e[1:] = np.cumsum(0.5 * steps * (integrand[1:] + integrand[:-1]))
 
     gronwall_k = 0.0
     if n_snap > 1:
-        rate = np.gradient(cal_e, traj.times)
+        rate = np.gradient(cal_e, times)
         mask = cal_e > _GRONWALL_FLOOR
         if mask.any():
             gronwall_k = float(np.max(rate[mask] / (4.0 * cal_e[mask])))
 
-    return BackwardFunctionals(times=traj.times, e1=e1, e2=e2, e3=e3,
+    return BackwardFunctionals(times=times, e1=e1, e2=e2, e3=e3,
                                cal_e=cal_e, gronwall_k=gronwall_k,
                                eps=float(eps), lam=float(lam))
 
@@ -357,25 +408,24 @@ def localization_probe(op_bwd: DiscreteOperator, traj: Trajectory,
                        energies: np.ndarray) -> LocalizationReport:
     """Probe a forward run for finite-time extinction.
 
-    traj is an every-step run (snapshot_every = 1) and energies its
-    energy at every snapshot, e.g. energy_table(traj, op)[:, 0]; the
-    probe reads the energies, row 0 and the last row, and runs only the
-    time-reversed half itself.  Raises ValueError for a strided run,
-    whose energies would miss steps.
+    traj is the forward run, or any Trajectory that keeps its first and
+    last state, such as its end states alone (snapshot_every = n_steps);
+    energies is its energy at every step, n_steps + 1 values, e.g.
+    energy_table(traj, op)[:, 0] of an every-step run.  The probe reads
+    the energies, the first and the last state, and runs only the
+    time-reversed half itself.  Raises DimensionMismatch when the
+    energies are not one per step, as for a strided run's table.
     """
-    if traj.snapshot_every != 1:
-        raise ValueError(
-            "localization needs an every-step run, got snapshot_every = "
-            f"{traj.snapshot_every}")
-    if len(energies) != len(traj):
+    n_steps = (len(traj) - 1) * traj.snapshot_every
+    if len(energies) != n_steps + 1:
         raise DimensionMismatch(
-            f"need one energy per snapshot ({len(traj)}), got {len(energies)}")
+            f"localization needs the energies of an every-step run: "
+            f"{n_steps + 1} for {n_steps} steps, got {len(energies)}")
     init_vec = traj.states[0]
     if not init_vec.any():
         return LocalizationReport(trivial=True, min_energy_ratio=float("nan"),
                                   energy_positive=False, round_trip_error=0.0)
 
-    n_steps = len(traj) - 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             back = run_forward(op_bwd, time_reversal(traj[-1]), traj.dt, n_steps,

@@ -60,7 +60,7 @@ FIELDS = ("u", "v", "tau", "theta", "r", "m")
 FORMS = ("total", "kinetic", "thermal", "microthermal", "elastic", "coupling",
          "tau_gradient", "r_gradient", "dissipation_rate", "e3")
 
-_BLOCK_ENTRIES = 1 << 15  # state entries per block of form_values: 256 KiB
+_BLOCK_ENTRIES = 1 << 15  # state entries per block (block_rows): 256 KiB
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def form_values(op: DiscreteOperator, states, forms=FORMS,
     used = tables.any(axis=(0, 2, 3))
     rows = max(len(states) - midpoints, 0)
     out = np.empty((rows, len(forms)))
-    block = max(_BLOCK_ENTRIES // (6 * n), 1)
+    block = block_rows(n)
     for start in range(0, rows, block):
         x = states[start:start + block + midpoints]
         if midpoints:
@@ -305,6 +305,13 @@ def form_values(op: DiscreteOperator, states, forms=FORMS,
         grams = _field_grams(x.reshape(len(x), 6, n), op.grid.h, used)
         out[start:start + block] = np.einsum("skab,fkab->sf", grams, tables)
     return out
+
+
+def block_rows(n: int) -> int:
+    """Rows of 6n-entry states per block, so that a block holds about
+    _BLOCK_ENTRIES entries: the block of form_values and of a streamed
+    run (evolve.snapshot_blocks)."""
+    return max(_BLOCK_ENTRIES // (6 * n), 1)
 
 
 def _field_grams(x: np.ndarray, h: float, used) -> np.ndarray:

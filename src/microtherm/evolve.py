@@ -20,10 +20,15 @@ the residual of the full system; a step that misses it raises
 SolveFailure, and a step whose norms overflow raises NonFinite, so no
 run returns a non-finite snapshot.
 
+A run is one stream: snapshot_blocks steps as its blocks of kept states
+are drawn, so a caller that reduces each block never holds the whole
+run, and run_forward collects the same blocks into a Trajectory.
+
 The time-reversed problem is integrated forward in its own time
 variable with its own operator (assemble_backward), not by negating dt.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,13 +36,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discrete1d import DiscreteOperator, State1D
+from .discrete1d import DiscreteOperator, State1D, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
     "Trajectory",
     "MidpointStepper",
     "run_forward",
+    "snapshot_blocks",
+    "snapshot_times",
     "time_reversal",
 ]
 
@@ -242,12 +249,17 @@ def _band(row, col, vals, kl, ku, size):
     return ab
 
 
-def run_forward(op: DiscreteOperator, init: State1D, dt: float,
-                n_steps: int, snapshot_every: int = 1) -> Trajectory:
-    """Integrate n_steps midpoint steps from init, keeping every
-    snapshot_every-th state (plus the initial one).
+def snapshot_blocks(op: DiscreteOperator, init: State1D, dt: float,
+                    n_steps: int, snapshot_every: int = 1):
+    """The kept states of n_steps midpoint steps from init, streamed:
+    every snapshot_every-th state, starting with init itself, in order,
+    as fresh field-major (rows, 6n) arrays of discrete1d.block_rows(n)
+    rows each (the last block may be shorter).
 
-    Deterministic: identical inputs give bitwise-identical snapshots.
+    The arguments are checked here, before any step; the steps are
+    taken as the blocks are drawn, so a consumer that reduces each block
+    and drops it never holds the whole run.  NonFinite and SolveFailure
+    rise from the draw of the block whose step fails.
     """
     if init.n != op.grid.n_interior:
         raise DimensionMismatch(
@@ -261,18 +273,49 @@ def run_forward(op: DiscreteOperator, init: State1D, dt: float,
         raise ValueError(
             f"n_steps = {n_steps} is not a multiple of snapshot_every = {snapshot_every}"
         )
+    return _blocks(op, init.to_vector(), dt, n_steps, snapshot_every)
 
-    vec = init.to_vector()
-    kept = np.empty((n_steps // snapshot_every + 1, vec.size))
-    kept[0] = vec
+
+def _blocks(op, vec, dt, n_steps, snapshot_every):
+    kept = n_steps // snapshot_every + 1
+    rows = block_rows(op.n)
     if n_steps:
         # looked up as a module global at each call, so that
         # bench/tracing.py can time the factorization by rebinding it
         states = MidpointStepper(op, dt).states(_node_major(vec))
-        for k, state in zip(range(1, n_steps + 1), states):
-            if k % snapshot_every == 0:
-                kept[k // snapshot_every].reshape(6, -1).T[...] = state.reshape(-1, 6)
-    times = np.arange(len(kept)) * (snapshot_every * dt)
+        # the states of steps snapshot_every, 2 snapshot_every, ...;
+        # islice takes no step past the one it returns
+        states = itertools.islice(states, snapshot_every - 1, None, snapshot_every)
+    for start in range(0, kept, rows):
+        block = np.empty((min(rows, kept - start), vec.size))
+        for j, row in enumerate(block, start):
+            if j == 0:
+                row[...] = vec
+            else:
+                row.reshape(6, -1).T[...] = next(states).reshape(-1, 6)
+        yield block
+
+
+def snapshot_times(dt: float, n_steps: int, snapshot_every: int = 1) -> np.ndarray:
+    """The times j * snapshot_every * dt of the kept states of a run."""
+    return np.arange(n_steps // snapshot_every + 1) * (snapshot_every * dt)
+
+
+def run_forward(op: DiscreteOperator, init: State1D, dt: float,
+                n_steps: int, snapshot_every: int = 1) -> Trajectory:
+    """Integrate n_steps midpoint steps from init, keeping every
+    snapshot_every-th state (plus the initial one): the blocks of
+    snapshot_blocks, collected into one array.
+
+    Deterministic: identical inputs give bitwise-identical snapshots.
+    """
+    blocks = snapshot_blocks(op, init, dt, n_steps, snapshot_every)
+    times = snapshot_times(dt, n_steps, snapshot_every)
+    kept = np.empty((len(times), 6 * init.n))
+    start = 0
+    for block in blocks:
+        kept[start:start + len(block)] = block
+        start += len(block)
     return Trajectory(times=times, states=kept, dt=float(dt),
                       snapshot_every=int(snapshot_every))
 

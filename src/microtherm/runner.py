@@ -7,6 +7,14 @@ report.txt with one PASS/FAIL line per certificate.  The exit code is
 MicrothermError ends report.txt with "aborted: <task>: <error>" in place
 of a verdict, and the error propagates.  All floating-point output uses
 17 significant digits so repeated runs are byte-identical.
+
+Each forward or backward run is streamed (evolve.snapshot_blocks) and
+reduced block by block (diagnostics.reduce_blocks) to the tables its
+tasks read: the energy table and the midpoint dissipation rates for
+simulate, the energies and the end states for the localization probe,
+the form table for backward.  No task holds a whole run, only the
+block it reduces and the next one while it is stepped, and the outputs
+are those of the stored trajectory.
 """
 
 import os
@@ -14,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (backward_functionals, dissipativity_residual,
-                          energy_balance_residuals, energy_series, energy_table,
-                          localization_probe, spectral_report)
+from .diagnostics import (backward_functionals, balance_residuals,
+                          dissipativity_residual, localization_probe,
+                          reduce_blocks, spectral_report)
 from .discrete1d import FIELDS, FORMS, assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
 from .errors import IndefiniteForm, MicrothermError, NonFinite, SolveFailure
-from .evolve import run_forward
+from .evolve import Trajectory, snapshot_blocks, snapshot_times
 from .material import to_moduli_1d
 from .scenario import Scenario, build_initial
 
@@ -57,18 +65,22 @@ def _write_csv(path: str, header, table: np.ndarray):
             handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _forward_run(scenario: Scenario, op, init):
-    """The scenario's [time] run and its energy table."""
-    traj = run_forward(op, init, scenario.dt, scenario.n_steps,
-                       snapshot_every=scenario.snapshot_every)
-    return traj, energy_table(traj, op)
+def _forward_run(scenario: Scenario, op, init, every: int, midpoints: bool):
+    """The scenario's [time] run kept every `every` steps, streamed and
+    reduced (reduce_blocks): its energy table, with midpoints the
+    dissipation rates of the energy balance, and its first and last
+    state."""
+    blocks = snapshot_blocks(op, init, scenario.dt, scenario.n_steps, every)
+    return reduce_blocks(blocks, op, midpoints=midpoints)
 
 
-def _simulate(scenario: Scenario, op, traj, table, out_dir, certs, notes):
+def _simulate(scenario: Scenario, run, out_dir, certs, notes):
+    table, rates, _, _ = run
+    times = snapshot_times(scenario.dt, scenario.n_steps, scenario.snapshot_every)
     _write_csv(os.path.join(out_dir, "energy.csv"),
                ("t", "total", "kinetic", "thermal", "microthermal", "elastic",
                 "coupling", "tau_gradient", "r_gradient", "dissipation_rate"),
-               np.column_stack([traj.times, table]))
+               np.column_stack([times, table]))
     energies = table[:, 0]
 
     e0 = energies[0]
@@ -84,9 +96,10 @@ def _simulate(scenario: Scenario, op, traj, table, out_dir, certs, notes):
             "energy conservation", drift <= 1e-10 * scale,
             f"max |E - E0| = {drift:.3e}, tol {1e-10 * scale:.3e}"))
     # the per-step balance is exact only between consecutive stepper
-    # states, so the certificate needs every step in the trajectory
-    if scenario.snapshot_every == 1 and len(traj) > 1:
-        resid = float(np.abs(energy_balance_residuals(traj, op, table)).max())
+    # states, so the certificate needs an every-step run, whose midpoint
+    # rates the run carries
+    if rates is not None and len(energies) > 1:
+        resid = float(np.abs(balance_residuals(table, rates, scenario.dt)).max())
         certs.append(Certificate(
             "energy balance", resid <= 1e-10 * scale,
             f"max step residual {resid:.3e}, tol {1e-10 * scale:.3e}"))
@@ -148,13 +161,15 @@ def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes):
 
 
 def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
+    times = snapshot_times(scenario.backward_dt, scenario.backward_n_steps)
     try:
         # an overflowing run stops with NonFinite; its last step's
         # overflow is reported by that error, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = run_forward(op_bwd, init, scenario.backward_dt,
-                               scenario.backward_n_steps)
-        funcs = backward_functionals(traj, op_bwd, eps=scenario.eps,
+            blocks = snapshot_blocks(op_bwd, init, scenario.backward_dt,
+                                     scenario.backward_n_steps)
+            forms = reduce_blocks(blocks, op_bwd, FORMS)[0]
+        funcs = backward_functionals(times, forms, op_bwd, eps=scenario.eps,
                                      lam=scenario.lam)
     except (IndefiniteForm, NonFinite, SolveFailure) as exc:
         # an indefinite form, or a reversed run that overflows or misses
@@ -174,14 +189,17 @@ def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
         f"K = {funcs.gronwall_k:.6e}"))
 
 
-def _probe(scenario: Scenario, op, op_bwd, init, run):
-    """The localization probe on the shared (trajectory, energy table)
-    run, or on its own every-step midpoint run when run is None."""
-    if run is None:
-        traj = run_forward(op, init, scenario.dt, scenario.n_steps)
-        return localization_probe(op_bwd, traj, energy_series(traj, op))
-    traj, table = run
-    return localization_probe(op_bwd, traj, table[:, 0])
+def _probe(scenario: Scenario, op_bwd, run):
+    """The localization probe on an every-step forward run, given as
+    the (energy table, rates, first, last) of _forward_run: the probe
+    reads the energies and the end states, kept every n_steps steps."""
+    table, _, first, last = run
+    n_steps = scenario.n_steps
+    every = max(n_steps, 1)
+    ends = Trajectory(times=snapshot_times(scenario.dt, n_steps, every),
+                      states=np.stack([first, last]) if n_steps else first[None],
+                      dt=scenario.dt, snapshot_every=every)
+    return localization_probe(op_bwd, ends, table[:, 0])
 
 
 def _localization(scenario: Scenario, probe, certs, notes):
@@ -231,17 +249,18 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
 
     # an every-step midpoint simulate run is also the probe's forward
     # run: the first of the two tasks makes the run and the probe, the
-    # other reuses them, and the trajectory is released after simulate
+    # other reuses them, and the run's tables are released after simulate
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
               and scenario.snapshot_every == 1)
     run = probe = aborted = None
     for task in scenario.tasks:
         try:
             if task == "simulate":
-                run = run or _forward_run(scenario, op, init)
-                _simulate(scenario, op, *run, out_dir, certs, notes)
+                every = scenario.snapshot_every
+                run = run or _forward_run(scenario, op, init, every, every == 1)
+                _simulate(scenario, run, out_dir, certs, notes)
                 if shared and probe is None:
-                    probe = _probe(scenario, op, op_bwd, init, run)
+                    probe = _probe(scenario, op_bwd, run)
                 run = None
             elif task == "spectrum":
                 _spectrum(scenario, op, out_dir, certs, notes)
@@ -251,9 +270,11 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
                 _backward(scenario, op_bwd, init, out_dir, certs, notes)
             elif task == "localization":
                 if probe is None:
-                    if shared:
-                        run = _forward_run(scenario, op, init)
-                    probe = _probe(scenario, op, op_bwd, init, run)
+                    # simulate, still to come, reuses a shared run
+                    run = _forward_run(scenario, op, init, 1, shared)
+                    probe = _probe(scenario, op_bwd, run)
+                    if not shared:
+                        run = None
                 _localization(scenario, probe, certs, notes)
         except MicrothermError as exc:
             aborted = exc

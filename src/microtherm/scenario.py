@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DENSE_LIMIT
-from .discrete1d import FIELDS, Grid1D, State1D
+from .discrete1d import FIELDS, Grid1D, State1D, block_rows
 from .errors import ParseError, ValidationError
 from .material import MaterialIsotropic, reference_type2, reference_type3, validate_isotropic
 
@@ -28,7 +28,12 @@ __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 _MODELS = ("type2", "type3")
 _PRESETS = ("zero", "sine", "impulse", "random")
 _TASKS = ("simulate", "spectrum", "dispersion", "backward", "localization")
-_MAX_ARRAY_BYTES = 2 * 2**30  # largest snapshot array or dispersion peak of a run
+_MAX_ARRAY_BYTES = 2 * 2**30  # largest peak of a run's arrays
+# peak bytes a simulate, localization or backward task allocates per
+# kept state, the runs being streamed in blocks: tracemalloc around
+# run_scenario reads 142 to 175 B (type3, n_interior = 8 and 64, 2e4
+# to 1.2e5 kept states, the slope between the two), rounded up
+_BYTES_PER_KEPT_STATE = 192
 # peak bytes the dispersion task allocates per wavenumber: tracemalloc
 # around runner._dispersion reads about 1300 B (both references, n_k =
 # 1000 to 80000), rounded up
@@ -255,7 +260,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _check_sizes(scenario: Scenario):
-    """Reject a scenario whose dense spectrum, largest snapshot array or
+    """Reject a scenario whose dense spectrum, kept states or
     dispersion peak would exceed the size limits, before any numerics
     run."""
     n = scenario.grid.n_interior
@@ -265,20 +270,22 @@ def _check_sizes(scenario: Scenario):
             f"task spectrum needs two dense eigensolves of about 3n = {3 * n} "
             f"each, and 6n = {size} is above the limit {DENSE_LIMIT}; "
             f"lower [grid] n_interior")
-    # snapshots kept per run: simulate's every snapshot_every-th step,
-    # the localization probe's every step (whether it shares simulate's
-    # run or makes its own) and every step of the backward run
+    # states kept per run: simulate's every snapshot_every-th step, the
+    # localization probe's every step (whether it shares simulate's run
+    # or makes its own) and every step of the backward run; each is
+    # reduced as its block comes, so whole states count once per block
     rows = {
         "simulate": scenario.n_steps // scenario.snapshot_every + 1,
         "localization": scenario.n_steps + 1,
         "backward": scenario.backward_n_steps + 1,
     }
+    block = block_rows(n) * size * 8
     for task in scenario.tasks:
-        if rows.get(task, 0) * size * 8 > _MAX_ARRAY_BYTES:
+        if task in rows and rows[task] * _BYTES_PER_KEPT_STATE + block > _MAX_ARRAY_BYTES:
             raise ParseError(
-                f"task {task} would keep {rows[task]} snapshots of 6n = {size} "
-                f"values, above the {_MAX_ARRAY_BYTES // 2**30} GiB limit "
-                f"on a run's snapshot array")
+                f"task {task} would keep {rows[task]} states at "
+                f"{_BYTES_PER_KEPT_STATE} B each, plus a block of {block} B, "
+                f"above the {_MAX_ARRAY_BYTES // 2**30} GiB limit on a run's arrays")
     # the dispersion task's peak allocation; checked whatever the task
     # list, as the dispersion command runs this section
     if scenario.n_k * _DISPERSION_BYTES_PER_K > _MAX_ARRAY_BYTES:

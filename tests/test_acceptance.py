@@ -26,6 +26,7 @@ from microtherm import (Grid1D, State1D, assemble_backward,
                         run_forward, solve_branches, spectral_report,
                         symbol_frequencies, to_moduli_1d, validate_anisotropic,
                         validate_isotropic)
+from microtherm.discrete1d import form_values
 from microtherm.dispersion import polynomial_frequencies
 
 from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, random_state,
@@ -136,7 +137,7 @@ def test_criterion_5_no_localization(capsys):
 
     op3b = assemble_backward(grid, m3)
     back = run_forward(op3b, sine_init(grid), 5e-5, 200)
-    f = backward_functionals(back, op3b)
+    f = backward_functionals(back.times, form_values(op3b, back.states), op3b)
     backward_ok = bool((f.cal_e[1:] > 0.0).all()) and np.isfinite(f.gronwall_k)
 
     m2 = to_moduli_1d(reference_type2())

@@ -14,9 +14,15 @@ from microtherm import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
                         localization_probe, reference_type2, reference_type3,
                         run_forward, spectral_report, to_moduli_1d)
 from microtherm.diagnostics import dissipativity_residual, mirror_blocks
+from microtherm.discrete1d import form_values
 from microtherm.dispersion import root_set_distance
 
 from conftest import gram_norm, random_state, sine_init, staggered_difference
+
+
+def functionals(traj: Trajectory, op, **kwargs):
+    """backward_functionals of a stored trajectory."""
+    return backward_functionals(traj.times, form_values(op, traj.states), op, **kwargs)
 
 
 def single_state_trajectory(s: State1D) -> Trajectory:
@@ -108,7 +114,7 @@ class TestAgainstReferenceLoops:
 
     def test_backward_functionals(self, run):
         op, traj = run
-        f = backward_functionals(traj, op)
+        f = functionals(traj, op)
         for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, traj):
             ref2, ref3 = reference_e2_e3(op, s)
             assert abs(e2 - ref2) <= 1e-13 * e1
@@ -370,14 +376,14 @@ class TestFitDecay:
 class TestBackwardFunctionals:
     def test_zero_trajectory_all_vanish(self, op3_back):
         traj = run_forward(op3_back, State1D.zeros(16), 5e-5, 20)
-        f = backward_functionals(traj, op3_back)
+        f = functionals(traj, op3_back)
         assert not f.e1.any() and not f.e2.any() and not f.e3.any()
         assert not f.cal_e.any()
         assert f.gronwall_k == 0.0
 
     def test_e1_is_bitwise_energy(self, op3_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 50)
-        f = backward_functionals(traj, op3_back)
+        f = functionals(traj, op3_back)
         for val, snap in zip(f.e1, traj):
             assert val == energy(op3_back, snap).total
 
@@ -387,7 +393,7 @@ class TestBackwardFunctionals:
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = random_state(16, rng)
-            f = backward_functionals(single_state_trajectory(s), op3_back)
+            f = functionals(single_state_trajectory(s), op3_back)
             b = energy(op3_back, s)
             recombined = f.e2[0] + 2.0 * (b.thermal + b.microthermal
                                           + b.tau_gradient + b.r_gradient) + b.coupling
@@ -395,7 +401,7 @@ class TestBackwardFunctionals:
 
     def test_positivity_and_gronwall_envelope(self, op3_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 200)
-        f = backward_functionals(traj, op3_back)
+        f = functionals(traj, op3_back)
         assert (f.cal_e[1:] > 0.0).all()
         assert math.isfinite(f.gronwall_k)
         t0, c0 = f.times[1], f.cal_e[1]
@@ -405,18 +411,18 @@ class TestBackwardFunctionals:
     def test_indefinite_pairs_rejected(self, op3_back, op2_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
         with pytest.raises(IndefiniteForm):
-            backward_functionals(traj, op3_back, eps=0.5, lam=0.1)
+            functionals(traj, op3_back, eps=0.5, lam=0.1)
         traj2 = run_forward(op2_back, sine_init(op2_back.grid), 0.01, 10)
         # conservative moduli admit no valid pair: rate coefficients vanish
         with pytest.raises(IndefiniteForm):
-            backward_functionals(traj2, op2_back)
+            functionals(traj2, op2_back)
 
     def test_parameter_domains(self, op3_back):
         traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
         with pytest.raises(ValueError):
-            backward_functionals(traj, op3_back, eps=1.5)
+            functionals(traj, op3_back, eps=1.5)
         with pytest.raises(ValueError):
-            backward_functionals(traj, op3_back, lam=-1.0)
+            functionals(traj, op3_back, lam=-1.0)
 
 
 class TestLocalizationProbe:

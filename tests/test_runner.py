@@ -1,7 +1,8 @@
 """run_scenario makes each scenario's forward midpoint run at most once:
 simulate and localization share it when simulate keeps every midpoint
-step, and the localization probe makes its own run otherwise.  The CSV
-writer's bytes are those of the csv module."""
+step, and the localization probe makes its own run otherwise.  Each run
+is streamed in blocks and never held whole.  The CSV writer's bytes are
+those of the csv module."""
 
 import csv
 import dataclasses
@@ -44,24 +45,25 @@ def scenario(tasks, model="type3", every=1):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """snapshot_every of every run made by the runner itself
-    and by the localization probe (its time-reversed run)."""
+    """snapshot_every of every run made by the runner itself (each a
+    stream of snapshot blocks) and by the localization probe (its
+    time-reversed run_forward)."""
     made = {"runner": [], "probe": []}
 
-    def counting(module, key):
-        original = module.run_forward
+    def counting(module, name, key):
+        original = getattr(module, name)
         signature = inspect.signature(original)
 
-        def run_forward(*args, **kwargs):
+        def counted(*args, **kwargs):
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
             made[key].append(call.arguments["snapshot_every"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "run_forward", run_forward)
+        monkeypatch.setattr(module, name, counted)
 
-    counting(runner, "runner")
-    counting(diagnostics, "probe")
+    counting(runner, "snapshot_blocks", "runner")
+    counting(diagnostics, "run_forward", "probe")
     return made
 
 
@@ -117,23 +119,28 @@ def test_simulate_output_does_not_depend_on_sharing(tmp_path, model):
 
 
 def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
+    # the run is never held whole: when a block is drawn, at most the one
+    # before it is alive, and none is once simulate and the probe are done
     refs = []
-    run_forward, spectral_report = runner.run_forward, runner.spectral_report
+    snapshot_blocks, spectral_report = runner.snapshot_blocks, runner.spectral_report
 
     def recording(*args, **kwargs):
-        traj = run_forward(*args, **kwargs)
-        refs.append(weakref.ref(traj))
-        return traj
+        for block in snapshot_blocks(*args, **kwargs):
+            assert sum(ref() is not None for ref in refs) <= 1
+            refs.append(weakref.ref(block))
+            yield block
 
     def checking(*args, **kwargs):
         assert refs and all(ref() is None for ref in refs)
         return spectral_report(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "run_forward", recording)
+    monkeypatch.setattr(runner, "snapshot_blocks", recording)
     monkeypatch.setattr(runner, "spectral_report", checking)
-    tasks = "simulate, spectrum, localization"
-    assert runner.run_scenario(scenario(tasks), str(tmp_path)) == 0
-    assert len(refs) == 1
+    text = SCENARIO.format(model="type3", every=1, tasks="simulate, spectrum, localization")
+    # three blocks of n = 16 states
+    long_run = parse_scenario(text.replace("n_steps = 200", "n_steps = 1000"))
+    assert runner.run_scenario(long_run, str(tmp_path)) == 0
+    assert len(refs) == 3
 
 
 def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from microtherm import (ParseError, ValidationError, build_initial,
-                        parse_scenario, to_moduli_1d)
+                        parse_scenario, run_scenario, to_moduli_1d)
+from microtherm.discrete1d import block_rows
 from microtherm.runner import _dispersion
-from microtherm.scenario import _DISPERSION_BYTES_PER_K
+from microtherm.scenario import _BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K
 
 FULL = """\
 [material]
@@ -197,9 +198,10 @@ class TestParse:
 
 
 class TestSizeLimits:
-    # n_interior = 8: one snapshot is 6n * 8 = 384 B, and 5592405
-    # snapshots are the most that fit in 2 GiB
-    FIT = 5592405
+    # n_interior = 8: a task counts 192 B per kept state plus one block
+    # of 682 states of 6n * 8 = 384 B, and 11183446 kept states are the
+    # most that fit in 2 GiB
+    FIT = 11183446
 
     def test_spectrum_above_the_dense_limit(self):
         ok = minimal(**{"n_interior = 8": "n_interior = 500", "run = simulate": "run = spectrum"})
@@ -213,13 +215,13 @@ class TestSizeLimits:
     def test_simulate_counts_kept_snapshots(self):
         ok = minimal(**{"n_steps = 10": f"n_steps = {self.FIT - 1}"})
         assert parse_scenario(ok).n_steps == self.FIT - 1
-        with pytest.raises(ParseError, match="simulate.*5592406 snapshots"):
+        with pytest.raises(ParseError, match="simulate.*11183447 states at 192 B"):
             parse_scenario(minimal(**{"n_steps = 10": f"n_steps = {self.FIT}"}))
         strided = minimal(**{"n_steps = 10": f"n_steps = {2 * (self.FIT - 1)}\n"
                                              "snapshot_every = 2"})
         assert parse_scenario(strided).snapshot_every == 2
         # the localization probe keeps every step, shared or not
-        with pytest.raises(ParseError, match="localization.*11184809 snapshots"):
+        with pytest.raises(ParseError, match="localization.*22366891 states"):
             parse_scenario(strided.replace("run = simulate", "run = simulate, localization"))
 
     def test_backward_counts_every_step(self):
@@ -250,6 +252,22 @@ class TestSizeLimits:
         finally:
             tracemalloc.stop()
         assert peak <= n_k * _DISPERSION_BYTES_PER_K
+
+    @pytest.mark.parametrize("tasks", ["simulate, localization", "backward"])
+    def test_kept_state_peak_is_within_the_counted_bytes(self, tasks, tmp_path):
+        kept = 40000
+        text = minimal(**{"n_steps = 10": f"n_steps = {kept}",
+                          "preset = zero": "preset = sine\nu_amp = 1.0",
+                          "run = simulate": f"run = {tasks}"})
+        scenario = parse_scenario(text + f"\n[backward]\ndt = 1e-7\nn_steps = {kept}\n")
+        tracemalloc.start()
+        try:
+            run_scenario(scenario, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = block_rows(8) * 48 * 8
+        assert peak <= (kept + 1) * _BYTES_PER_KEPT_STATE + block
 
     def test_huge_step_count_is_rejected_without_allocating(self):
         with pytest.raises(ParseError, match="GiB"):
