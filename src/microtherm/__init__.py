@@ -8,21 +8,20 @@ discretization, time stepping, verification diagnostics, plane-wave
 dispersion, and a scenario-driven command line.
 """
 
-from .diagnostics import (BackwardFunctionals, DecayFit, EnergyBreakdown,
+from .diagnostics import (BackwardFunctionals, EnergyBreakdown,
                           LocalizationReport, SpectralReport,
-                          backward_functionals, energy, energy_balance_residuals,
-                          energy_series, energy_table, fit_decay,
+                          backward_functionals, energy, energy_table,
                           localization_probe, spectral_report)
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
                          assemble_backward, assemble_operator)
 from .dispersion import (DispersionResult, characteristic_matrix,
                          first_order_symbol, root_set_distance,
                          solve_branches, symbol_frequencies)
-from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                     IndefiniteForm, InvalidGrid, InvalidMaterial,
-                     MicrothermError, NonFinite, ParseError, RootFailure,
-                     SizeLimit, SolveFailure, ValidationError)
-from .evolve import Trajectory, run_forward, time_reversal
+from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm,
+                     InvalidGrid, InvalidMaterial, MicrothermError, NonFinite,
+                     ParseError, RootFailure, SizeLimit, SolveFailure,
+                     ValidationError)
+from .evolve import snapshot_blocks, snapshot_times, time_reversal
 from .material import (AnisotropicTensors, MaterialIsotropic, Moduli1D,
                        ValidationReport, isotropic_embedding, reference_type2,
                        reference_type3, to_moduli_1d, validate_anisotropic,
@@ -35,8 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnisotropicTensors",
     "BackwardFunctionals",
-    "DecayFit",
-    "DegenerateTrajectory",
     "DimensionMismatch",
     "DiscreteOperator",
     "DispersionResult",
@@ -60,7 +57,6 @@ __all__ = [
     "SolveFailure",
     "SpectralReport",
     "State1D",
-    "Trajectory",
     "ValidationError",
     "ValidationReport",
     "assemble_backward",
@@ -69,19 +65,17 @@ __all__ = [
     "build_initial",
     "characteristic_matrix",
     "energy",
-    "energy_balance_residuals",
-    "energy_series",
     "energy_table",
     "first_order_symbol",
-    "fit_decay",
     "isotropic_embedding",
     "localization_probe",
     "parse_scenario",
     "reference_type2",
     "reference_type3",
     "root_set_distance",
-    "run_forward",
     "run_scenario",
+    "snapshot_blocks",
+    "snapshot_times",
     "solve_branches",
     "spectral_report",
     "symbol_frequencies",

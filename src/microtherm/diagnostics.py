@@ -1,9 +1,10 @@
-"""Verification quantities: energies, dissipation, spectra, decay fits,
+"""Verification quantities: energies, dissipation, spectra,
 time-reversed functionals and the non-extinction probe.
 
 Every energy-type quantity is one of the operator's quadratic forms
-(discrete1d.form_tables), evaluated along a whole trajectory at once by
-discrete1d.form_values.  The same tables define the Gram matrix G and
+(discrete1d.form_tables), evaluated on an array of states at once by
+discrete1d.form_values, or block by block along a streamed run by
+reduce_blocks.  The same tables define the Gram matrix G and
 the dissipation matrix Q (discrete1d.form_matrix), so the structural
 identities hold at round-off level rather than discretization level:
 
@@ -31,26 +32,23 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .discrete1d import FORMS, DiscreteOperator, State1D, form_matrix, form_values
-from .errors import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                     IndefiniteForm, NonFinite, SizeLimit, SolveFailure)
-from .evolve import Trajectory, run_forward, time_reversal
+from .discrete1d import (FORMS, DiscreteOperator, State1D, _form_kernel, form_matrix,
+                         form_values)
+from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm, NonFinite,
+                     SizeLimit, SolveFailure)
+from .evolve import snapshot_blocks, time_reversal
 
 __all__ = [
     "EnergyBreakdown",
     "SpectralReport",
-    "DecayFit",
     "BackwardFunctionals",
     "LocalizationReport",
     "energy",
     "energy_table",
-    "energy_series",
-    "energy_balance_residuals",
     "balance_residuals",
     "reduce_blocks",
     "dissipativity_residual",
     "spectral_report",
-    "fit_decay",
     "backward_functionals",
     "localization_probe",
 ]
@@ -101,54 +99,21 @@ def energy(op: DiscreteOperator, s: State1D) -> EnergyBreakdown:
     return EnergyBreakdown(*map(float, row))
 
 
-def energy_table(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
-    """The EnergyBreakdown of every snapshot, one field per column:
-    (n_snapshots, 9), total first and dissipation_rate last."""
-    return form_values(op, traj.states, _BREAKDOWN)
-
-
-def energy_series(traj: Trajectory, op: DiscreteOperator) -> np.ndarray:
-    """E(t_j) = 1/2 U_j^T G U_j for every snapshot; equal bit for bit
-    to energy().total of each snapshot."""
-    return energy_table(traj, op)[:, 0]
-
-
-def energy_balance_residuals(traj: Trajectory, op: DiscreteOperator,
-                             table: np.ndarray,
-                             sampling: str = "midpoint") -> np.ndarray:
-    """Per-step residual of E_{k+1} - E_k + dt_snap * D, given the
-    trajectory's energy_table(traj, op).
-
-    sampling="midpoint" evaluates D at the averaged state
-    (U_k + U_{k+1})/2, for which the midpoint rule satisfies the
-    balance exactly (residual at round-off).  sampling="trapezoid"
-    averages the endpoint rates of the table instead; its residual
-    carries a genuine O(dt^3) term, which is what a refinement study
-    can measure.
-
-    Exactness of the midpoint form needs consecutive stepper states,
-    i.e. a trajectory recorded with snapshot_every = 1; for coarser
-    sampling the residual measures the quadrature error over each
-    recording interval instead.
-    """
-    if sampling not in ("midpoint", "trapezoid"):
-        raise ValueError(f"unknown sampling {sampling!r}")
-    if sampling == "midpoint":
-        rates = _midpoint_rates(op, traj.states)
-    else:
-        rates = 0.5 * (table[:-1, -1] + table[1:, -1])
-    return balance_residuals(table, rates, traj.snapshot_every * traj.dt)
+def energy_table(op: DiscreteOperator, states) -> np.ndarray:
+    """The EnergyBreakdown of every row of states, (n_rows, 6n), one
+    field per column: (n_rows, 9), total first and dissipation_rate
+    last."""
+    return form_values(op, states, _BREAKDOWN)
 
 
 def balance_residuals(table: np.ndarray, rates: np.ndarray, dt_snap: float) -> np.ndarray:
     """E_{k+1} - E_k + dt_snap * rates[k] for the energies table[:, 0]
-    of an energy table, rates[k] the dissipation rate over step k."""
+    of an energy table, rates[k] the dissipation rate over step k.
+
+    With the rates D((U_k + U_{k+1}) / 2) of consecutive midpoint
+    states (reduce_blocks with midpoints=True) the balance holds
+    exactly, at round-off."""
     return np.diff(table[:, 0]) + dt_snap * rates
-
-
-def _midpoint_rates(op: DiscreteOperator, states: np.ndarray) -> np.ndarray:
-    """D((U_k + U_{k+1}) / 2) for each two consecutive rows of states."""
-    return form_values(op, states, ("dissipation_rate",), midpoints=True)[:, 0]
 
 
 def reduce_blocks(blocks, op: DiscreteOperator, forms=_BREAKDOWN,
@@ -158,20 +123,22 @@ def reduce_blocks(blocks, op: DiscreteOperator, forms=_BREAKDOWN,
 
     Returns (table, rates, first, last): the named forms of every kept
     state (form_values; by default the energy_table columns), with
-    midpoints=True the dissipation rates at the averages of consecutive
-    states as energy_balance_residuals takes them (else None), and the
-    first and last state.  Only one row is kept across each block
-    boundary, for the midpoint that straddles it.  A state's values do
-    not depend on the block it came in, so a trajectory's states given
-    as one block, [traj.states], reduce to the same numbers.
+    midpoints=True the dissipation rates D((U_k + U_{k+1}) / 2) at the
+    averages of consecutive states (else None), and the first and last
+    state.  Only one row is kept across each block boundary, for the
+    midpoint that straddles it.  A state's values do not depend on the
+    block it came in, so a run's states given as one block reduce to the
+    same numbers.
     """
+    values = _form_kernel(op, forms)
+    rate_values = _form_kernel(op, ("dissipation_rate",)) if midpoints else None
     tables, rates = [], []
     first = last = None
     for block in blocks:
-        tables.append(form_values(op, block, forms))
+        tables.append(values(block))
         if midpoints:
             pairs = block if last is None else np.concatenate([last[None], block])
-            rates.append(_midpoint_rates(op, pairs))
+            rates.append(rate_values(pairs, midpoints=True)[:, 0])
         if first is None:
             first = block[0].copy()
         last = block[-1].copy()
@@ -258,49 +225,6 @@ def mirror_blocks(a_mat, n: int) -> list:
 
 
 @dataclass(frozen=True)
-class DecayFit:
-    """Least-squares slope of log E(t) over the tail half of a run.
-
-    window is rate +/- two standard errors of the slope; a measurement,
-    never compared against a theoretical target.
-    """
-
-    rate: float
-    window: tuple
-    n_points: int
-
-    def time_to_fraction(self, fraction: float) -> float:
-        """Time for E to reach the given fraction of E(0) at this rate."""
-        if not 0 < fraction < 1:
-            raise ValueError("fraction must be in (0, 1)")
-        if self.rate >= 0:
-            raise ValueError("decay time undefined for non-negative rate")
-        return math.log(fraction) / self.rate
-
-
-def fit_decay(traj: Trajectory, op: DiscreteOperator) -> DecayFit:
-    if len(traj) < 10:
-        raise ValueError(f"need at least 10 snapshots, got {len(traj)}")
-    energies = energy_series(traj, op)
-    if energies[0] <= 0.0:
-        raise DegenerateTrajectory("initial energy is zero")
-    tail = slice(len(traj) // 2, None)
-    ts, es = traj.times[tail], energies[tail]
-    good = es > 0.0
-    if good.sum() < 2:
-        raise DegenerateTrajectory("energy vanished over the fit window")
-    ts, es = ts[good], np.log(es[good])
-    slope, intercept = np.polyfit(ts, es, 1)
-    resid = es - (slope * ts + intercept)
-    dof = max(len(ts) - 2, 1)
-    denom = float(((ts - ts.mean()) ** 2).sum())
-    stderr = math.sqrt(float(resid @ resid) / dof / denom) if denom > 0 else 0.0
-    return DecayFit(rate=float(slope),
-                    window=(float(slope - 2 * stderr), float(slope + 2 * stderr)),
-                    n_points=len(ts))
-
-
-@dataclass(frozen=True)
 class BackwardFunctionals:
     """The three time-reversed functionals, their running integral and
     the measured Gronwall constant.
@@ -327,10 +251,9 @@ def backward_functionals(times: np.ndarray, forms: np.ndarray, op: DiscreteOpera
                          eps: float = 0.5, lam: float = 2.0) -> BackwardFunctionals:
     """Evaluate the time-reversed uniqueness functionals along a run.
 
-    times are the run's kept times and forms its form_values table, one
-    row of the FORMS columns per kept state: for a Trajectory traj,
-    form_values(op, traj.states); for a streamed run, the table of
-    reduce_blocks(blocks, op, FORMS).
+    times are the run's kept times (evolve.snapshot_times) and forms its
+    form_values table, one row of the FORMS columns per kept state: for
+    a streamed run, the table of reduce_blocks(blocks, op, FORMS).
 
     Requires (eps, lam) to make the gradient form
 
@@ -404,34 +327,28 @@ class LocalizationReport:
     round_trip_error: float
 
 
-def localization_probe(op_bwd: DiscreteOperator, traj: Trajectory,
-                       energies: np.ndarray) -> LocalizationReport:
-    """Probe a forward run for finite-time extinction.
+def localization_probe(op_bwd: DiscreteOperator, first: np.ndarray, last: np.ndarray,
+                       dt: float, energies: np.ndarray) -> LocalizationReport:
+    """Probe a forward run of len(energies) - 1 midpoint steps of dt for
+    finite-time extinction.
 
-    traj is the forward run, or any Trajectory that keeps its first and
-    last state, such as its end states alone (snapshot_every = n_steps);
-    energies is its energy at every step, n_steps + 1 values, e.g.
-    energy_table(traj, op)[:, 0] of an every-step run.  The probe reads
-    the energies, the first and the last state, and runs only the
-    time-reversed half itself.  Raises DimensionMismatch when the
-    energies are not one per step, as for a strided run's table.
+    first and last are the run's first and last state (6n vectors) and
+    energies its energy at every step, such as the table[:, 0], first
+    and last that reduce_blocks returns for an every-step run.  The probe
+    reads them and runs only the time-reversed half itself.
     """
-    n_steps = (len(traj) - 1) * traj.snapshot_every
-    if len(energies) != n_steps + 1:
-        raise DimensionMismatch(
-            f"localization needs the energies of an every-step run: "
-            f"{n_steps + 1} for {n_steps} steps, got {len(energies)}")
-    init_vec = traj.states[0]
-    if not init_vec.any():
+    n_steps = len(energies) - 1
+    if not first.any():
         return LocalizationReport(trivial=True, min_energy_ratio=float("nan"),
                                   energy_positive=False, round_trip_error=0.0)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            back = run_forward(op_bwd, time_reversal(traj[-1]), traj.dt, n_steps,
-                               snapshot_every=max(n_steps, 1))
-            recovered = time_reversal(back[-1]).to_vector()
-            err = float(np.abs(recovered - init_vec).max())
+            turned = time_reversal(State1D.from_vector(last))
+            *_, back = snapshot_blocks(op_bwd, turned, dt, n_steps,
+                                       snapshot_every=max(n_steps, 1))
+            recovered = time_reversal(State1D.from_vector(back[-1])).to_vector()
+            err = float(np.abs(recovered - first).max())
     except (NonFinite, SolveFailure):
         err = float("inf")
     round_trip = err if math.isfinite(err) else float("inf")

@@ -293,18 +293,31 @@ def form_values(op: DiscreteOperator, states, forms=FORMS,
     if states.ndim != 2 or states.shape[1] != 6 * n:
         raise DimensionMismatch(
             f"states of shape {states.shape} do not match the operator's 6n = {6 * n}")
+    return _form_kernel(op, forms)(states, midpoints)
+
+
+def _form_kernel(op: DiscreteOperator, forms):
+    """The kernel of form_values for fixed forms: a function of
+    (states, midpoints) that checks nothing, with the forms' tables and
+    the stencils they use selected once, for a caller that evaluates
+    many blocks of states (diagnostics.reduce_blocks)."""
+    n, h = op.n, op.grid.h
     tables = op.forms[[FORMS.index(name) for name in forms]]
     used = tables.any(axis=(0, 2, 3))
-    rows = max(len(states) - midpoints, 0)
-    out = np.empty((rows, len(forms)))
     block = block_rows(n)
-    for start in range(0, rows, block):
-        x = states[start:start + block + midpoints]
-        if midpoints:
-            x = 0.5 * (x[:-1] + x[1:])
-        grams = _field_grams(x.reshape(len(x), 6, n), op.grid.h, used)
-        out[start:start + block] = np.einsum("skab,fkab->sf", grams, tables)
-    return out
+
+    def values(states, midpoints=False):
+        rows = max(len(states) - midpoints, 0)
+        out = np.empty((rows, len(forms)))
+        for start in range(0, rows, block):
+            x = states[start:start + block + midpoints]
+            if midpoints:
+                x = 0.5 * (x[:-1] + x[1:])
+            grams = _field_grams(x.reshape(len(x), 6, n), h, used)
+            out[start:start + block] = np.einsum("skab,fkab->sf", grams, tables)
+        return out
+
+    return values
 
 
 def block_rows(n: int) -> int:

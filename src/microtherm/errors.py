@@ -39,10 +39,6 @@ class EigenFailure(MicrothermError, RuntimeError):
     lacks the mirror symmetry its split into two solves relies on."""
 
 
-class DegenerateTrajectory(MicrothermError, ValueError):
-    """Trajectory carries no usable signal (e.g. zero initial energy)."""
-
-
 class IndefiniteForm(MicrothermError, ValueError):
     """The (eps, lam) combination fails the positive-definiteness check."""
 

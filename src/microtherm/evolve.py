@@ -20,9 +20,11 @@ the residual of the full system; a step that misses it raises
 SolveFailure, and a step whose norms overflow raises NonFinite, so no
 run returns a non-finite snapshot.
 
-A run is one stream: snapshot_blocks steps as its blocks of kept states
-are drawn, so a caller that reduces each block never holds the whole
-run, and run_forward collects the same blocks into a Trajectory.
+A run is one stream, and the only way to make one: snapshot_blocks
+steps as its blocks of kept states are drawn, so a caller that reduces
+each block never holds the whole run, and one that wants every kept
+state concatenates the blocks.  Identical inputs give bitwise-identical
+states.
 
 The time-reversed problem is integrated forward in its own time
 variable with its own operator (assemble_backward), not by negating dt.
@@ -30,7 +32,6 @@ variable with its own operator (assemble_backward), not by negating dt.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,9 +41,7 @@ from .discrete1d import DiscreteOperator, State1D, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
-    "Trajectory",
     "MidpointStepper",
-    "run_forward",
     "snapshot_blocks",
     "snapshot_times",
     "time_reversal",
@@ -50,40 +49,6 @@ __all__ = [
 
 _SOLVE_TOL = 1e-12
 _BAND = 5  # kl = ku of the node-major reduced rate system
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """The kept states of one run.
-
-    states[j] is the stacked field-major state (u, v, tau, theta, r, m)
-    at times[j] = j * snapshot_every * dt, one (n_snapshots, 6n) array;
-    states[0] is the initial state and traj[j] the State1D of row j.
-    dt is the integration step.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    dt: float
-    snapshot_every: int = 1
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        if (times.ndim != 1 or states.ndim != 2 or len(states) != times.size
-                or states.shape[1] % 6):
-            raise DimensionMismatch(
-                f"need times (n,) and states (n, 6m), got {times.shape} and {states.shape}")
-        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing and start at 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-
-    def __len__(self):
-        return len(self.times)
-
-    def __getitem__(self, j) -> State1D:
-        return State1D.from_vector(self.states[j])
 
 
 class MidpointStepper:
@@ -299,25 +264,6 @@ def _blocks(op, vec, dt, n_steps, snapshot_every):
 def snapshot_times(dt: float, n_steps: int, snapshot_every: int = 1) -> np.ndarray:
     """The times j * snapshot_every * dt of the kept states of a run."""
     return np.arange(n_steps // snapshot_every + 1) * (snapshot_every * dt)
-
-
-def run_forward(op: DiscreteOperator, init: State1D, dt: float,
-                n_steps: int, snapshot_every: int = 1) -> Trajectory:
-    """Integrate n_steps midpoint steps from init, keeping every
-    snapshot_every-th state (plus the initial one): the blocks of
-    snapshot_blocks, collected into one array.
-
-    Deterministic: identical inputs give bitwise-identical snapshots.
-    """
-    blocks = snapshot_blocks(op, init, dt, n_steps, snapshot_every)
-    times = snapshot_times(dt, n_steps, snapshot_every)
-    kept = np.empty((len(times), 6 * init.n))
-    start = 0
-    for block in blocks:
-        kept[start:start + len(block)] = block
-        start += len(block)
-    return Trajectory(times=times, states=kept, dt=float(dt),
-                      snapshot_every=int(snapshot_every))
 
 
 def time_reversal(s: State1D) -> State1D:

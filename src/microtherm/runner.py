@@ -14,7 +14,7 @@ tasks read: the energy table and the midpoint dissipation rates for
 simulate, the energies and the end states for the localization probe,
 the form table for backward.  No task holds a whole run, only the
 block it reduces and the next one while it is stepped, and the outputs
-are those of the stored trajectory.
+are those of the run's states reduced as one array.
 """
 
 import os
@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (backward_functionals, balance_residuals,
+from .diagnostics import (_BREAKDOWN, backward_functionals, balance_residuals,
                           dissipativity_residual, localization_probe,
                           reduce_blocks, spectral_report)
 from .discrete1d import FIELDS, FORMS, assemble_backward, assemble_operator
 from .dispersion import root_set_distance, solve_branches, symbol_frequencies
 from .errors import IndefiniteForm, MicrothermError, NonFinite, SolveFailure
-from .evolve import Trajectory, snapshot_blocks, snapshot_times
+from .evolve import snapshot_blocks, snapshot_times
 from .material import to_moduli_1d
 from .scenario import Scenario, build_initial
 
@@ -77,9 +77,7 @@ def _forward_run(scenario: Scenario, op, init, every: int, midpoints: bool):
 def _simulate(scenario: Scenario, run, out_dir, certs, notes):
     table, rates, _, _ = run
     times = snapshot_times(scenario.dt, scenario.n_steps, scenario.snapshot_every)
-    _write_csv(os.path.join(out_dir, "energy.csv"),
-               ("t", "total", "kinetic", "thermal", "microthermal", "elastic",
-                "coupling", "tau_gradient", "r_gradient", "dissipation_rate"),
+    _write_csv(os.path.join(out_dir, "energy.csv"), ("t", *_BREAKDOWN),
                np.column_stack([times, table]))
     energies = table[:, 0]
 
@@ -191,15 +189,9 @@ def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
 
 def _probe(scenario: Scenario, op_bwd, run):
     """The localization probe on an every-step forward run, given as
-    the (energy table, rates, first, last) of _forward_run: the probe
-    reads the energies and the end states, kept every n_steps steps."""
+    the (energy table, rates, first, last) of _forward_run."""
     table, _, first, last = run
-    n_steps = scenario.n_steps
-    every = max(n_steps, 1)
-    ends = Trajectory(times=snapshot_times(scenario.dt, n_steps, every),
-                      states=np.stack([first, last]) if n_steps else first[None],
-                      dt=scenario.dt, snapshot_every=every)
-    return localization_probe(op_bwd, ends, table[:, 0])
+    return localization_probe(op_bwd, first, last, scenario.dt, table[:, 0])
 
 
 def _localization(scenario: Scenario, probe, certs, notes):

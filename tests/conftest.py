@@ -1,11 +1,13 @@
 """Shared fixtures: reference operators, random-state helpers, the
 per-field difference formulas the assembled matrices are checked
 against, the one-wavenumber determinant expansion and root finder the
-batched dispersion routes are checked against, and the validation case
-registry (one passing and one failing fixture per inequality and per
-symmetry relation)."""
+batched dispersion routes are checked against, the run oracles (a whole
+run as one array, the trapezoid energy balance and the decay fit), and
+the validation case registry (one passing and one failing fixture per
+inequality and per symmetry relation)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ import pytest
 from microtherm import (Grid1D, MaterialIsotropic, State1D,
                         assemble_backward, assemble_operator,
                         isotropic_embedding, reference_type2, reference_type3,
-                        to_moduli_1d, validate_isotropic)
+                        snapshot_blocks, to_moduli_1d, validate_isotropic)
+from microtherm.diagnostics import balance_residuals
 
 # ---------------------------------------------------------------------------
 # operators
@@ -131,6 +134,70 @@ def sorted_roots(coeffs):
     magnitude, sorted by (real, imag)."""
     roots = np.roots(coeffs[::-1] / np.abs(coeffs).max())
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+# ---------------------------------------------------------------------------
+# run oracles
+
+
+def collect(op, init: State1D, dt, n_steps, every=1) -> np.ndarray:
+    """Every kept state of a run, (n_steps // every + 1, 6n): the blocks
+    of snapshot_blocks concatenated.  Row j is the state at time
+    j * every * dt."""
+    return np.concatenate(list(snapshot_blocks(op, init, dt, n_steps, every)))
+
+
+def trapezoid_balance(table: np.ndarray, dt_snap) -> np.ndarray:
+    """E_{k+1} - E_k + dt_snap * (D_k + D_{k+1}) / 2 for an energy table
+    (energy_table): the endpoint rates averaged, so the residual carries
+    a genuine O(dt^3) term that a refinement study can measure, where
+    the midpoint rates of reduce_blocks balance to round-off."""
+    return balance_residuals(table, 0.5 * (table[:-1, -1] + table[1:, -1]), dt_snap)
+
+
+@dataclasses.dataclass(frozen=True)
+class DecayFit:
+    """Least-squares slope of log E(t) over the tail half of a run.
+
+    window is rate +/- two standard errors of the slope; a measurement,
+    never compared against a theoretical target.
+    """
+
+    rate: float
+    window: tuple
+    n_points: int
+
+    def time_to_fraction(self, fraction: float) -> float:
+        """Time for E to reach the given fraction of E(0) at this rate."""
+        if not 0 < fraction < 1:
+            raise ValueError("fraction must be in (0, 1)")
+        if self.rate >= 0:
+            raise ValueError("decay time undefined for non-negative rate")
+        return math.log(fraction) / self.rate
+
+
+def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
+    """DecayFit of the energies at the given times; raises ValueError
+    for fewer than 10 points, zero initial energy or an energy that
+    vanished over the fit window."""
+    if len(energies) < 10:
+        raise ValueError(f"need at least 10 snapshots, got {len(energies)}")
+    if energies[0] <= 0.0:
+        raise ValueError("initial energy is zero")
+    tail = slice(len(energies) // 2, None)
+    ts, es = times[tail], energies[tail]
+    good = es > 0.0
+    if good.sum() < 2:
+        raise ValueError("energy vanished over the fit window")
+    ts, es = ts[good], np.log(es[good])
+    slope, intercept = np.polyfit(ts, es, 1)
+    resid = es - (slope * ts + intercept)
+    dof = max(len(ts) - 2, 1)
+    denom = float(((ts - ts.mean()) ** 2).sum())
+    stderr = math.sqrt(float(resid @ resid) / dof / denom) if denom > 0 else 0.0
+    return DecayFit(rate=float(slope),
+                    window=(float(slope - 2 * stderr), float(slope + 2 * stderr)),
+                    n_points=len(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,23 @@ from scipy.linalg import expm
 
 from microtherm import (Grid1D, State1D, assemble_backward,
                         assemble_operator, backward_functionals,
-                        energy_balance_residuals, energy_series,
-                        energy_table, first_order_symbol, fit_decay,
+                        energy_table, first_order_symbol,
                         isotropic_embedding, localization_probe,
                         reference_type2, reference_type3, root_set_distance,
-                        run_forward, solve_branches, spectral_report,
+                        snapshot_times, solve_branches, spectral_report,
                         symbol_frequencies, to_moduli_1d, validate_anisotropic,
                         validate_isotropic)
 from microtherm.discrete1d import form_values
 from microtherm.dispersion import polynomial_frequencies
 
-from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, random_state,
-                      random_valid_material, sine_init)
+from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, fit_decay,
+                      random_state, random_valid_material, sine_init,
+                      trapezoid_balance)
+
+
+def energies(op, init, dt, n_steps, every=1):
+    """The energy of every kept state of a run."""
+    return energy_table(op, collect(op, init, dt, n_steps, every))[:, 0]
 
 
 def report(capsys, num: int, ok: bool, detail: str):
@@ -44,8 +49,7 @@ def test_criterion_1_energy_conservation(capsys):
     start = time.monotonic()
     grid = Grid1D(n_interior=32)
     op = assemble_operator(grid, to_moduli_1d(reference_type2()))
-    traj = run_forward(op, sine_init(grid), 1e-3, 10_000)
-    es = energy_series(traj, op)
+    es = energies(op, sine_init(grid), 1e-3, 10_000)
     drift = float(np.abs(es - es[0]).max() / es[0])
     elapsed = time.monotonic() - start
     ok = drift <= 1e-10 and elapsed <= 10.0
@@ -69,9 +73,8 @@ def test_criterion_2_dissipativity(capsys):
     op3 = assemble_operator(grid, to_moduli_1d(reference_type3()))
     constants = []
     for dt in (2e-3, 1e-3, 5e-4):
-        traj = run_forward(op3, sine_init(grid), dt, int(round(1.0 / dt)))
-        resid = energy_balance_residuals(traj, op3, energy_table(traj, op3),
-                                         sampling="trapezoid")
+        states = collect(op3, sine_init(grid), dt, int(round(1.0 / dt)))
+        resid = trapezoid_balance(energy_table(op3, states), dt)
         constants.append(float(np.abs(resid).max()) / dt ** 3)
     ratios = [constants[i + 1] / constants[i] for i in range(2)]
     balance_ok = all(0.7 <= r <= 1.5 for r in ratios)
@@ -87,13 +90,11 @@ def test_criterion_3_asymptotic_decay(capsys):
     op = assemble_operator(grid, to_moduli_1d(reference_type3()))
     rep = spectral_report(op)
 
-    pilot = run_forward(op, sine_init(grid), 0.01, 1000, snapshot_every=10)
-    t_pred = fit_decay(pilot, op).time_to_fraction(0.01)
+    pilot = energies(op, sine_init(grid), 0.01, 1000, every=10)
+    t_pred = fit_decay(snapshot_times(0.01, 1000, 10), pilot).time_to_fraction(0.01)
     t_test = 2.0 * t_pred  # prediction honored within a factor of two
     n_steps = int(np.ceil(t_test / 0.01))
-    full = run_forward(op, sine_init(grid), 0.01, n_steps,
-                       snapshot_every=n_steps)
-    es = energy_series(full, op)
+    es = energies(op, sine_init(grid), 0.01, n_steps, every=n_steps)
     ratio = float(es[-1] / es[0])
     elapsed = time.monotonic() - start
     ok = rep.spectral_abscissa < 0.0 and ratio < 0.01 and elapsed <= 30.0
@@ -131,20 +132,19 @@ def test_criterion_5_no_localization(capsys):
     grid = Grid1D(n_interior=16)
     m3 = to_moduli_1d(reference_type3())
     op3 = assemble_operator(grid, m3)
-    traj = run_forward(op3, sine_init(grid), 0.01, 5000)  # T = 50
-    es = energy_series(traj, op3)
+    es = energies(op3, sine_init(grid), 0.01, 5000)  # T = 50
     positive = bool((es > 0.0).all())
 
     op3b = assemble_backward(grid, m3)
-    back = run_forward(op3b, sine_init(grid), 5e-5, 200)
-    f = backward_functionals(back.times, form_values(op3b, back.states), op3b)
+    back = collect(op3b, sine_init(grid), 5e-5, 200)
+    f = backward_functionals(snapshot_times(5e-5, 200), form_values(op3b, back), op3b)
     backward_ok = bool((f.cal_e[1:] > 0.0).all()) and np.isfinite(f.gronwall_k)
 
     m2 = to_moduli_1d(reference_type2())
     op2 = assemble_operator(grid, m2)
-    fwd = run_forward(op2, sine_init(grid), 0.01, 1000)
-    probe = localization_probe(assemble_backward(grid, m2), fwd,
-                               energy_series(fwd, op2))
+    fwd = collect(op2, sine_init(grid), 0.01, 1000)
+    probe = localization_probe(assemble_backward(grid, m2), fwd[0], fwd[-1], 0.01,
+                               energy_table(op2, fwd)[:, 0])
     round_trip_ok = probe.round_trip_error <= 1e-8
 
     ok = positive and backward_ok and round_trip_ok
@@ -173,9 +173,9 @@ def test_criterion_6_discretization_orders(capsys):
                        r=0.3 * s, m=zero)
         op = assemble_operator(grid, m)
         n_steps = int(round(horizon / dt_fine))
-        traj = run_forward(op, init, dt_fine, n_steps, snapshot_every=n_steps)
+        end = collect(op, init, dt_fine, n_steps, every=n_steps)[-1]
         exact = np.concatenate([c * s for c in coeff_t])
-        errs.append(float(np.abs(traj.states[-1] - exact).max()))
+        errs.append(float(np.abs(end - exact).max()))
     space_orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
 
     # time: fixed grid, dense matrix exponential as the reference
@@ -186,8 +186,8 @@ def test_criterion_6_discretization_orders(capsys):
     terrs = []
     for dt in (4e-3, 2e-3, 1e-3):
         n_steps = int(round(horizon / dt))
-        traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
-        terrs.append(float(np.abs(traj.states[-1] - u_ref).max()))
+        end = collect(op, init, dt, n_steps, every=n_steps)[-1]
+        terrs.append(float(np.abs(end - u_ref).max()))
     time_orders = [float(np.log2(terrs[i] / terrs[i + 1])) for i in range(2)]
 
     agree = 0.0

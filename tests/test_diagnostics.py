@@ -5,28 +5,31 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from microtherm import (DegenerateTrajectory, DimensionMismatch, EigenFailure,
-                        Grid1D, IndefiniteForm, SizeLimit,
-                        State1D, Trajectory, assemble_backward,
-                        assemble_operator, backward_functionals,
-                        energy, energy_balance_residuals,
-                        energy_series, energy_table, fit_decay,
-                        localization_probe, reference_type2, reference_type3,
-                        run_forward, spectral_report, to_moduli_1d)
-from microtherm.diagnostics import dissipativity_residual, mirror_blocks
+from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
+                        SizeLimit, SolveFailure, State1D, assemble_backward,
+                        assemble_operator, backward_functionals, energy,
+                        energy_table, localization_probe, reference_type2,
+                        reference_type3, snapshot_blocks, snapshot_times,
+                        spectral_report, to_moduli_1d)
+from microtherm import diagnostics
+from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
+                                    mirror_blocks, reduce_blocks)
 from microtherm.discrete1d import form_values
 from microtherm.dispersion import root_set_distance
 
-from conftest import gram_norm, random_state, sine_init, staggered_difference
+from conftest import (collect, fit_decay, gram_norm, random_state, sine_init,
+                      staggered_difference, trapezoid_balance)
 
 
-def functionals(traj: Trajectory, op, **kwargs):
-    """backward_functionals of a stored trajectory."""
-    return backward_functionals(traj.times, form_values(op, traj.states), op, **kwargs)
+def functionals(states: np.ndarray, dt, op, **kwargs):
+    """backward_functionals of a run's every-step states, one per row."""
+    times = snapshot_times(dt, len(states) - 1)
+    return backward_functionals(times, form_values(op, states), op, **kwargs)
 
 
-def single_state_trajectory(s: State1D) -> Trajectory:
-    return Trajectory(times=np.array([0.0]), states=s.to_vector()[None], dt=1.0)
+def as_states(states: np.ndarray):
+    """The State1D of each row."""
+    return [State1D.from_vector(row) for row in states]
 
 
 def reference_energy_terms(op, s):
@@ -96,12 +99,12 @@ class TestAgainstReferenceLoops:
         op = assemble(Grid1D(n_interior=n), moduli3)
         dt = 0.01 if direction == "forward" else 5e-5
         init = random_state(n, np.random.default_rng(n))
-        return op, run_forward(op, init, dt, 30)
+        return op, collect(op, init, dt, 30), dt
 
     def test_energy_terms_and_dissipation(self, run):
-        op, traj = run
-        table = energy_table(traj, op)
-        for row, s in zip(table, traj):
+        op, states, _ = run
+        table = energy_table(op, states)
+        for row, s in zip(table, as_states(states)):
             terms = reference_energy_terms(op, s)
             total = terms.sum()
             assert abs(row[0] - total) <= 1e-13 * total
@@ -113,18 +116,22 @@ class TestAgainstReferenceLoops:
             assert abs(row[8] - d) <= 1e-13 * abs(d)
 
     def test_backward_functionals(self, run):
-        op, traj = run
-        f = functionals(traj, op)
-        for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, traj):
+        op, states, dt = run
+        f = functionals(states, dt, op)
+        for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, as_states(states)):
             ref2, ref3 = reference_e2_e3(op, s)
             assert abs(e2 - ref2) <= 1e-13 * e1
             assert abs(e3 - ref3) <= 1e-13 * e1
 
     @pytest.mark.parametrize("sampling", ["midpoint", "trapezoid"])
     def test_energy_balance_residuals(self, run, sampling):
-        op, traj = run
-        got = energy_balance_residuals(traj, op, energy_table(traj, op), sampling=sampling)
-        snaps = list(traj)
+        op, states, dt = run
+        if sampling == "midpoint":
+            table, rates, _, _ = reduce_blocks([states], op, midpoints=True)
+            got = balance_residuals(table, rates, dt)
+        else:
+            got = trapezoid_balance(energy_table(op, states), dt)
+        snaps = as_states(states)
         energies = [reference_energy_terms(op, s).sum() for s in snaps]
         for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
             if sampling == "midpoint":
@@ -132,7 +139,7 @@ class TestAgainstReferenceLoops:
                 d = reference_dissipation(op, mid)
             else:
                 d = 0.5 * (reference_dissipation(op, a) + reference_dissipation(op, b))
-            expected = energies[k + 1] - energies[k] + traj.dt * d
+            expected = energies[k + 1] - energies[k] + dt * d
             assert abs(got[k] - expected) <= 1e-13 * energies[k]
 
 
@@ -179,9 +186,9 @@ class TestEnergyBreakdown:
             energy(op3, State1D.zeros(4))
 
     def test_series_matches_pointwise_energy(self, op3):
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 20)
-        series = energy_series(traj, op3)
-        for val, snap in zip(series, traj):
+        states = collect(op3, sine_init(op3.grid), 0.01, 20)
+        series = energy_table(op3, states)[:, 0]
+        for val, snap in zip(series, as_states(states)):
             assert val == energy(op3, snap).total
 
 
@@ -216,36 +223,28 @@ class TestDissipationRate:
                                   rel=(np.pi * h) ** 2 / 12 * 2)
 
     def test_series_sign_follows_orientation(self, op3_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
-        series = energy_table(traj, op3_back)[:, -1]
+        states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 10)
+        series = energy_table(op3_back, states)[:, -1]
         assert (series[1:] < 0.0).all()  # time-reversed: production
 
 
 class TestEnergyBalance:
     def test_midpoint_sampling_is_exact(self, op3):
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 100)
-        resid = energy_balance_residuals(traj, op3, energy_table(traj, op3))
-        e0 = energy_series(traj, op3)[0]
-        assert np.abs(resid).max() <= 1e-13 * e0
+        blocks = snapshot_blocks(op3, sine_init(op3.grid), 0.01, 100)
+        table, rates, _, _ = reduce_blocks(blocks, op3, midpoints=True)
+        resid = balance_residuals(table, rates, 0.01)
+        assert np.abs(resid).max() <= 1e-13 * table[0, 0]
 
     def test_trapezoid_sampling_is_third_order(self, op3):
         init = sine_init(op3.grid)
 
         def constant(dt):
             n_steps = int(round(1.0 / dt))
-            traj = run_forward(op3, init, dt, n_steps)
-            resid = energy_balance_residuals(traj, op3, energy_table(traj, op3),
-                                             sampling="trapezoid")
+            resid = trapezoid_balance(energy_table(op3, collect(op3, init, dt, n_steps)), dt)
             return np.abs(resid).max() / dt ** 3
 
         c1, c2 = constant(2e-3), constant(1e-3)
         assert 0.5 <= c2 / c1 <= 2.0
-
-    def test_unknown_sampling_rejected(self, op3):
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 2)
-        with pytest.raises(ValueError):
-            energy_balance_residuals(traj, op3, energy_table(traj, op3),
-                                     sampling="simpson")
 
 
 class TestDissipativityIdentity:
@@ -342,49 +341,49 @@ class TestSpectralReport:
             spectral_report(op3)
 
 
+def decay_fit(op, init, dt, n_steps, every):
+    """fit_decay of the energies of a strided run."""
+    energies = energy_table(op, collect(op, init, dt, n_steps, every))[:, 0]
+    return fit_decay(snapshot_times(dt, n_steps, every), energies)
+
+
 class TestFitDecay:
     def test_type3_rate_negative_with_window(self, op3):
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 1000, snapshot_every=10)
-        fit = fit_decay(traj, op3)
+        fit = decay_fit(op3, sine_init(op3.grid), 0.01, 1000, 10)
         assert fit.rate < 0.0
         assert fit.window[0] <= fit.rate <= fit.window[1]
         assert fit.n_points >= 10
         assert fit.time_to_fraction(0.01) > 0.0
 
     def test_type2_rate_vanishes(self, op2):
-        traj = run_forward(op2, sine_init(op2.grid), 0.01, 1000, snapshot_every=10)
-        fit = fit_decay(traj, op2)
+        fit = decay_fit(op2, sine_init(op2.grid), 0.01, 1000, 10)
         assert abs(fit.rate) <= 1e-8
         with pytest.raises(ValueError):
             fit.time_to_fraction(0.01)
 
     def test_degenerate_and_short_trajectories(self, op3):
-        zero = run_forward(op3, State1D.zeros(16), 0.01, 20)
-        with pytest.raises(DegenerateTrajectory):
-            fit_decay(zero, op3)
-        short = run_forward(op3, sine_init(op3.grid), 0.01, 5)
-        with pytest.raises(ValueError):
-            fit_decay(short, op3)
+        with pytest.raises(ValueError, match="initial energy is zero"):
+            decay_fit(op3, State1D.zeros(16), 0.01, 20, 1)
+        with pytest.raises(ValueError, match="at least 10"):
+            decay_fit(op3, sine_init(op3.grid), 0.01, 5, 1)
 
     def test_fraction_domain(self, op3):
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 200, snapshot_every=10)
-        fit = fit_decay(traj, op3)
+        fit = decay_fit(op3, sine_init(op3.grid), 0.01, 200, 10)
         with pytest.raises(ValueError):
             fit.time_to_fraction(1.5)
 
 
 class TestBackwardFunctionals:
     def test_zero_trajectory_all_vanish(self, op3_back):
-        traj = run_forward(op3_back, State1D.zeros(16), 5e-5, 20)
-        f = functionals(traj, op3_back)
+        f = functionals(collect(op3_back, State1D.zeros(16), 5e-5, 20), 5e-5, op3_back)
         assert not f.e1.any() and not f.e2.any() and not f.e3.any()
         assert not f.cal_e.any()
         assert f.gronwall_k == 0.0
 
     def test_e1_is_bitwise_energy(self, op3_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 50)
-        f = functionals(traj, op3_back)
-        for val, snap in zip(f.e1, traj):
+        states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 50)
+        f = functionals(states, 5e-5, op3_back)
+        for val, snap in zip(f.e1, as_states(states)):
             assert val == energy(op3_back, snap).total
 
     def test_e1_e2_recombination(self, op3_back):
@@ -393,15 +392,15 @@ class TestBackwardFunctionals:
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = random_state(16, rng)
-            f = functionals(single_state_trajectory(s), op3_back)
+            f = functionals(s.to_vector()[None], 1.0, op3_back)
             b = energy(op3_back, s)
             recombined = f.e2[0] + 2.0 * (b.thermal + b.microthermal
                                           + b.tau_gradient + b.r_gradient) + b.coupling
             assert abs(f.e1[0] - recombined) <= 1e-14 * abs(f.e1[0])
 
     def test_positivity_and_gronwall_envelope(self, op3_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 200)
-        f = functionals(traj, op3_back)
+        f = functionals(collect(op3_back, sine_init(op3_back.grid), 5e-5, 200), 5e-5,
+                        op3_back)
         assert (f.cal_e[1:] > 0.0).all()
         assert math.isfinite(f.gronwall_k)
         t0, c0 = f.times[1], f.cal_e[1]
@@ -409,27 +408,27 @@ class TestBackwardFunctionals:
         assert (f.cal_e[1:] <= bound * (1 + 1e-9)).all()
 
     def test_indefinite_pairs_rejected(self, op3_back, op2_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
+        states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 10)
         with pytest.raises(IndefiniteForm):
-            functionals(traj, op3_back, eps=0.5, lam=0.1)
-        traj2 = run_forward(op2_back, sine_init(op2_back.grid), 0.01, 10)
+            functionals(states, 5e-5, op3_back, eps=0.5, lam=0.1)
+        states2 = collect(op2_back, sine_init(op2_back.grid), 0.01, 10)
         # conservative moduli admit no valid pair: rate coefficients vanish
         with pytest.raises(IndefiniteForm):
-            functionals(traj2, op2_back)
+            functionals(states2, 0.01, op2_back)
 
     def test_parameter_domains(self, op3_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 10)
+        states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 10)
         with pytest.raises(ValueError):
-            functionals(traj, op3_back, eps=1.5)
+            functionals(states, 5e-5, op3_back, eps=1.5)
         with pytest.raises(ValueError):
-            functionals(traj, op3_back, lam=-1.0)
+            functionals(states, 5e-5, op3_back, lam=-1.0)
 
 
 class TestLocalizationProbe:
     @staticmethod
     def probe(op, op_bwd, init, dt, n_steps):
-        traj = run_forward(op, init, dt, n_steps)
-        return localization_probe(op_bwd, traj, energy_series(traj, op))
+        table, _, first, last = reduce_blocks(snapshot_blocks(op, init, dt, n_steps), op)
+        return localization_probe(op_bwd, first, last, dt, table[:, 0])
 
     def test_trivial_zero_data_flagged(self, op2, op2_back):
         probe = self.probe(op2, op2_back, State1D.zeros(16), 0.01, 10)
@@ -451,12 +450,19 @@ class TestLocalizationProbe:
         # the reversed run amplifies beyond float range; recorded, not raised
         assert probe.round_trip_error == math.inf
 
-    def test_rejects_strided_run(self, op2, op2_back):
-        traj = run_forward(op2, sine_init(op2.grid), 0.01, 10, snapshot_every=2)
-        with pytest.raises(ValueError, match="every-step run"):
-            localization_probe(op2_back, traj, energy_series(traj, op2))
+    def test_zero_steps_round_trip_is_exact(self, op3, op3_back):
+        # one energy, no step: the reversed run is the flipped state alone
+        probe = self.probe(op3, op3_back, sine_init(op3.grid), 0.01, 0)
+        assert not probe.trivial and probe.energy_positive
+        assert probe.min_energy_ratio == 1.0
+        assert probe.round_trip_error == 0.0
 
-    def test_rejects_energies_of_another_length(self, op2, op2_back):
-        traj = run_forward(op2, sine_init(op2.grid), 0.01, 10)
-        with pytest.raises(DimensionMismatch):
-            localization_probe(op2_back, traj, energy_series(traj, op2)[:-1])
+    def test_failed_reversed_run_records_inf(self, op2, op2_back, monkeypatch):
+        # the reversed run is drawn inside the probe's guard
+        def failing(*args, **kwargs):
+            raise SolveFailure("reversed step missed the guard")
+            yield
+
+        monkeypatch.setattr(diagnostics, "snapshot_blocks", failing)
+        probe = self.probe(op2, op2_back, sine_init(op2.grid), 0.01, 10)
+        assert probe.energy_positive and probe.round_trip_error == math.inf

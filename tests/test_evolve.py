@@ -6,14 +6,19 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, NonFinite,
-                        SolveFailure, State1D, Trajectory, assemble_backward,
-                        assemble_operator, energy_series, reference_type2,
-                        reference_type3, run_forward, time_reversal,
-                        to_moduli_1d)
+                        SolveFailure, State1D, assemble_backward,
+                        assemble_operator, energy_table, reference_type2,
+                        reference_type3, snapshot_blocks, snapshot_times,
+                        time_reversal, to_moduli_1d)
 from microtherm import evolve
 from microtherm.evolve import MidpointStepper, _node_major
 
-from conftest import field_major, gram_norm, random_state, sine_init
+from conftest import collect, field_major, gram_norm, random_state, sine_init
+
+
+def end_state(op, init, dt, n_steps) -> State1D:
+    """The state after n_steps midpoint steps from init."""
+    return State1D.from_vector(collect(op, init, dt, n_steps, max(n_steps, 1))[-1])
 
 
 def decoupled_elastic_moduli():
@@ -47,46 +52,39 @@ class TestState1D:
 class TestTrajectory:
     def test_times_and_snapshot_spacing(self, op2):
         init = sine_init(op2.grid)
-        traj = run_forward(op2, init, 0.01, 20, snapshot_every=5)
-        assert len(traj) == 5
-        assert np.allclose(traj.times, [0.0, 0.05, 0.10, 0.15, 0.20])
-        assert traj.states.shape == (5, 96)
-        assert np.array_equal(traj[2].to_vector(), traj.states[2])
+        states = collect(op2, init, 0.01, 20, every=5)
+        assert states.shape == (5, 96)
+        assert np.allclose(snapshot_times(0.01, 20, 5), [0.0, 0.05, 0.10, 0.15, 0.20])
+        assert np.array_equal(states[0], init.to_vector())
 
     def test_zero_steps_keeps_initial_state_only(self, op2):
-        traj = run_forward(op2, sine_init(op2.grid), 0.01, 0)
-        assert len(traj) == 1 and traj.times[0] == 0.0
+        assert len(collect(op2, sine_init(op2.grid), 0.01, 0)) == 1
+        assert np.array_equal(snapshot_times(0.01, 0), [0.0])
 
     def test_validation_errors(self, op2):
         init = sine_init(op2.grid)
         with pytest.raises(ValueError):
-            run_forward(op2, init, 0.01, -1)
+            snapshot_blocks(op2, init, 0.01, -1)
         with pytest.raises(ValueError):
-            run_forward(op2, init, 0.01, 10, snapshot_every=3)
-        with pytest.raises(DimensionMismatch):
-            run_forward(op2, State1D.zeros(8), 0.01, 10)
+            snapshot_blocks(op2, init, 0.01, 10, snapshot_every=3)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 24)),
-                       dt=0.01)
+            snapshot_blocks(op2, init, 0.01, 10, snapshot_every=0)
         with pytest.raises(DimensionMismatch):
-            Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((3, 24)),
-                       dt=0.1)
+            snapshot_blocks(op2, State1D.zeros(8), 0.01, 10)
 
 
 class TestMidpointStructure:
     def test_type2_conservation_long_run(self):
         grid = Grid1D(n_interior=32)
         op = assemble_operator(grid, to_moduli_1d(reference_type2()))
-        traj = run_forward(op, sine_init(grid), 1e-3, 1000, snapshot_every=10)
-        energies = energy_series(traj, op)
+        energies = energy_table(op, collect(op, sine_init(grid), 1e-3, 1000, 10))[:, 0]
         drift = np.abs(energies - energies[0]).max() / energies[0]
         assert drift <= 1e-10
 
     def test_type3_monotone_decay(self):
         grid = Grid1D(n_interior=32)
         op = assemble_operator(grid, to_moduli_1d(reference_type3()))
-        traj = run_forward(op, sine_init(grid), 1e-3, 1000, snapshot_every=10)
-        energies = energy_series(traj, op)
+        energies = energy_table(op, collect(op, sine_init(grid), 1e-3, 1000, 10))[:, 0]
         assert (np.diff(energies) <= 1e-12 * energies[0]).all()
 
     def test_linearity(self, op3):
@@ -96,8 +94,7 @@ class TestMidpointStructure:
         combo = State1D.from_vector(a * s1.to_vector() + b * s2.to_vector())
         out = {}
         for tag, s in (("s1", s1), ("s2", s2), ("combo", combo)):
-            traj = run_forward(op3, s, 0.02, 50)
-            out[tag] = traj.states[-1]
+            out[tag] = end_state(op3, s, 0.02, 50).to_vector()
         lhs = out["combo"]
         rhs = a * out["s1"] + b * out["s2"]
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -105,9 +102,8 @@ class TestMidpointStructure:
     def test_kinematic_consistency(self, op3):
         # the midpoint update gives u+ - u = dt/2 (v + v+) identically,
         # and likewise for (tau, theta) and (R, M)
-        traj = run_forward(op3, sine_init(op3.grid), 0.02, 10)
-        dt = traj.dt
-        snaps = list(traj)
+        dt = 0.02
+        snaps = [State1D.from_vector(row) for row in collect(op3, sine_init(op3.grid), dt, 10)]
         for a, b in zip(snaps, snaps[1:]):
             scale = max(np.abs(b.to_vector()).max(), 1.0)
             for disp, rate in (("u", "v"), ("tau", "theta"), ("r", "m")):
@@ -125,8 +121,7 @@ class TestMidpointStructure:
 
         def endpoint_error(dt):
             n_steps = int(round(t_final / dt))
-            traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
-            return np.abs(traj.states[-1] - expected).max()
+            return np.abs(end_state(op, init, dt, n_steps).to_vector() - expected).max()
 
         e1, e2 = endpoint_error(4e-3), endpoint_error(2e-3)
         assert e2 < e1 < 1e-2
@@ -145,16 +140,15 @@ class TestMidpointStructure:
 
         def endpoint_error(dt):
             n_steps = int(round(1.0 / dt))
-            traj = run_forward(op, init, dt, n_steps, snapshot_every=n_steps)
-            expected = np.cos(omega * traj.times[-1]) * np.sin(np.pi * x)
-            return np.abs(traj[-1].u - expected).max()
+            expected = np.cos(omega * n_steps * dt) * np.sin(np.pi * x)
+            return np.abs(end_state(op, init, dt, n_steps).u - expected).max()
 
         e1, e2 = endpoint_error(2e-3), endpoint_error(1e-3)
         assert np.log2(e1 / e2) >= 1.9
 
     def test_rk4_cross_check(self, op3):
         init = sine_init(op3.grid)
-        mid = run_forward(op3, init, 1e-3, 500, snapshot_every=500)
+        mid = end_state(op3, init, 1e-3, 500).to_vector()
         # classical four-stage reference on the same generator
         a_mat, dt, vec = op3.a_mat, 1e-3, init.to_vector()
         for _ in range(500):
@@ -163,7 +157,7 @@ class TestMidpointStructure:
             k3 = a_mat @ (vec + 0.5 * dt * k2)
             k4 = a_mat @ (vec + dt * k3)
             vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        diff = np.abs(mid.states[-1] - vec).max()
+        diff = np.abs(mid - vec).max()
         assert diff <= 1e-3  # independent schemes, both at least 2nd order
 
 
@@ -188,15 +182,14 @@ class TestBandedStepper:
         a_dense = op.a_mat.toarray()
         eye = np.eye(6 * n)
         lhs, rhs_mat = eye - 0.5 * dt * a_dense, eye + 0.5 * dt * a_dense
-        traj = run_forward(op, sine_init(grid), dt, 20)
-        for before, got in zip(traj.states, traj.states[1:]):
+        states = collect(op, sine_init(grid), dt, 20)
+        for before, got in zip(states, states[1:]):
             expected = np.linalg.solve(lhs, rhs_mat @ before)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_reversed_type3_run_stops_at_first_overflow(self, op3, op3_back):
         dt = 0.01
-        fwd = run_forward(op3, sine_init(op3.grid), dt, 400, snapshot_every=400)
-        turned = time_reversal(fwd[-1]).to_vector()
+        turned = time_reversal(end_state(op3, sine_init(op3.grid), dt, 400)).to_vector()
         stepper = MidpointStepper(op3_back, dt)
         kept = []
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +203,7 @@ class TestBandedStepper:
         with np.errstate(over="ignore"):
             assert not np.isfinite(rhs @ rhs)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
-            run_forward(op3_back, State1D.from_vector(turned), dt, 400)
+            collect(op3_back, State1D.from_vector(turned), dt, 400)
 
 
 class TestStepperKernels:
@@ -306,12 +299,12 @@ class TestSolverGuard:
             MidpointStepper(op2, 0.0)
 
     def test_single_step_runs_chain_to_a_long_run(self, op2):
-        # run_forward(op, s, dt, 1) is the one-step entry point
+        # a one-step run is the one-step entry point
         s = sine_init(op2.grid)
-        long_form = run_forward(op2, s, 0.01, 3)
+        long_form = collect(op2, s, 0.01, 3)
         for k in range(1, 4):
-            s = State1D.from_vector(run_forward(op2, s, 0.01, 1).states[-1])
-            assert np.array_equal(s.to_vector(), long_form.states[k])
+            s = end_state(op2, s, 0.01, 1)
+            assert np.array_equal(s.to_vector(), long_form[k])
 
 
 class TestTimeReversal:
@@ -324,21 +317,19 @@ class TestTimeReversal:
     def test_round_trip_type2(self, op2, op2_back):
         init = sine_init(op2.grid)
         dt, n_steps = 0.01, 1000  # T = 10
-        fwd = run_forward(op2, init, dt, n_steps, snapshot_every=n_steps)
-        turned = time_reversal(fwd[-1])
-        bwd = run_forward(op2_back, turned, dt, n_steps, snapshot_every=n_steps)
-        recovered = time_reversal(bwd[-1]).to_vector()
+        turned = time_reversal(end_state(op2, init, dt, n_steps))
+        recovered = time_reversal(end_state(op2_back, turned, dt, n_steps)).to_vector()
         err = np.abs(recovered - init.to_vector()).max()
         assert err <= 1e-8
 
     def test_backward_energy_grows(self, op3_back):
-        traj = run_forward(op3_back, sine_init(op3_back.grid), 5e-5, 100)
-        energies = energy_series(traj, op3_back)
+        states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 100)
+        energies = energy_table(op3_back, states)[:, 0]
         assert (np.diff(energies) >= -1e-12 * energies[0]).all()
         assert energies[-1] > energies[0]
 
     def test_gram_norm_contraction_forward(self, op3):
         # dissipative semigroup: the G-norm never grows
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, 50)
-        norms = [gram_norm(op3, s) for s in traj]
+        states = collect(op3, sine_init(op3.grid), 0.01, 50)
+        norms = [gram_norm(op3, State1D.from_vector(row)) for row in states]
         assert (np.diff(norms) <= 1e-12 * norms[0]).all()

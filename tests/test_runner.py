@@ -45,9 +45,9 @@ def scenario(tasks, model="type3", every=1):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """snapshot_every of every run made by the runner itself (each a
-    stream of snapshot blocks) and by the localization probe (its
-    time-reversed run_forward)."""
+    """snapshot_every of every run made by the runner itself and by the
+    localization probe (its time-reversed run), each a stream of
+    snapshot blocks."""
     made = {"runner": [], "probe": []}
 
     def counting(module, name, key):
@@ -63,7 +63,7 @@ def runs(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(runner, "snapshot_blocks", "runner")
-    counting(diagnostics, "run_forward", "probe")
+    counting(diagnostics, "snapshot_blocks", "probe")
     return made
 
 
@@ -106,6 +106,45 @@ def test_localization_lines_do_not_depend_on_sharing(tmp_path, model):
     assert lines["alone"] and lines["alone"][0].startswith("no finite time extinction")
     for name in variants:
         assert lines[name] == lines["alone"], name
+
+
+ZERO_STEP_HEADER = """\
+# model = type3
+# grid n_interior = 16, length = 1
+# dt = 0.002, n_steps = 0, scheme = midpoint
+# seed = 0
+"""
+ZERO_STEP_LINES = {
+    # amplitude: (dissipativity, extinction, notes of localization, final energy)
+    "1.0": ("dissipativity: PASS (max energy increase 0.000e+00, tol 7.631e-12)",
+            "no finite time extinction: PASS (min E/E0 = 1.000000e+00)",
+            ["# round trip error = 0.0 (recorded, not asserted)"],
+            "# final energy = 7.6311612870285792"),
+    "0.0": ("dissipativity: PASS (max energy increase 0.000e+00, tol 1.000e-42)",
+            "no finite time extinction: PASS (trivial zero state)",
+            [],
+            "# final energy = 0"),
+}
+
+
+@pytest.mark.parametrize("amp", ["1.0", "0.0"])
+@pytest.mark.parametrize("first", ["simulate", "localization"])
+def test_zero_step_report(tmp_path, amp, first):
+    # no step: one energy per run, and a reversed run of the flipped
+    # final state alone, or no run at all for zero data
+    tasks = "simulate, localization" if first == "simulate" else "localization, simulate"
+    text = (SCENARIO.format(model="type3", every=1, tasks=tasks)
+            .replace("n_steps = 200", "n_steps = 0")
+            .replace("u_amp = 1.0", f"u_amp = {amp}")
+            .replace("theta_amp = 0.5", f"theta_amp = {amp}"))
+    assert runner.run_scenario(parse_scenario(text), str(tmp_path)) == 0
+    dissipativity, extinction, probe_notes, final = ZERO_STEP_LINES[amp]
+    if first == "simulate":
+        lines = [dissipativity, extinction, final, *probe_notes]
+    else:
+        lines = [extinction, dissipativity, *probe_notes, final]
+    expected = ZERO_STEP_HEADER + "\n".join(lines) + "\noverall: PASS\n"
+    assert (tmp_path / "report.txt").read_text() == expected
 
 
 @pytest.mark.parametrize("model", ["type2", "type3"])

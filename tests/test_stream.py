@@ -1,11 +1,10 @@
 """Forward runs streamed in blocks of kept states.
 
-evolve.snapshot_blocks yields a run's kept states block by block, and
-run_forward collects the same blocks into a Trajectory.  The runner
-reduces each block as it comes (diagnostics.reduce_blocks), so its
-outputs must be byte-identical to those of the stored-trajectory
-diagnostics at every block boundary, and its peak memory must stay far
-below the trajectory it no longer holds."""
+evolve.snapshot_blocks yields a run's kept states block by block.  The
+runner reduces each block as it comes (diagnostics.reduce_blocks), so
+its outputs must be byte-identical to those of the diagnostics of the
+whole run as one array at every block boundary, and its peak memory
+must stay far below the run it never holds."""
 
 import contextlib
 import io
@@ -15,14 +14,12 @@ import numpy as np
 import pytest
 
 from microtherm import (assemble_backward, assemble_operator, build_initial,
-                        energy_balance_residuals, energy_series, energy_table,
-                        localization_probe, parse_scenario, run_forward, runner,
-                        to_moduli_1d)
+                        energy_table, localization_probe, parse_scenario, runner,
+                        snapshot_blocks, snapshot_times, to_moduli_1d)
 from microtherm.diagnostics import backward_functionals, balance_residuals, reduce_blocks
 from microtherm.discrete1d import FORMS, block_rows, form_values
-from microtherm.evolve import snapshot_blocks
 
-from conftest import sine_init
+from conftest import collect, sine_init
 
 N = 128
 BLOCK = block_rows(N)  # 42 states of 6n = 768 values
@@ -67,8 +64,8 @@ def quiet_run(scen, out_dir):
 
 
 def whole_run(*args, **kwargs):
-    """The run of snapshot_blocks as a single block: the stored trajectory."""
-    yield run_forward(*args, **kwargs).states
+    """The run of snapshot_blocks as a single block: every kept state."""
+    yield collect(*args, **kwargs)
 
 
 def read_csv(path):
@@ -80,10 +77,12 @@ class TestSnapshotBlocks:
     def test_blocks_are_the_trajectory_rows(self, op3, every):
         n_steps = every * (2 * block_rows(op3.n) + 5)
         blocks = list(snapshot_blocks(op3, sine_init(op3.grid), 0.01, n_steps, every))
-        traj = run_forward(op3, sine_init(op3.grid), 0.01, n_steps, every)
         assert [len(b) for b in blocks] == [block_rows(op3.n)] * 2 + [6]
-        assert np.array_equal(np.concatenate(blocks), traj.states)
         assert np.array_equal(blocks[0][0], sine_init(op3.grid).to_vector())
+        # the kept states are every every-th state of the every-step run
+        every_step = np.concatenate(list(snapshot_blocks(op3, sine_init(op3.grid), 0.01,
+                                                         n_steps)))
+        assert np.array_equal(np.concatenate(blocks), every_step[::every])
 
     def test_arguments_are_checked_before_the_first_draw(self, op3):
         init = sine_init(op3.grid)
@@ -119,32 +118,36 @@ def test_streamed_outputs_match_the_stored_trajectory(tmp_path, monkeypatch, tas
         if stored.exists():
             assert streamed.read_bytes() == stored.read_bytes(), name
 
-    # both runs' outputs are those of the trajectory diagnostics
+    # both runs' outputs are those of the diagnostics of the whole run
     moduli = to_moduli_1d(scen.material)
     op, op_bwd = assemble_operator(scen.grid, moduli), assemble_backward(scen.grid, moduli)
     init = build_initial(scen)
     if "simulate" in tasks:
-        traj = run_forward(op, init, scen.dt, scen.n_steps, scen.snapshot_every)
-        table = energy_table(traj, op)
+        states = collect(op, init, scen.dt, scen.n_steps, scen.snapshot_every)
+        table = energy_table(op, states)
+        times = snapshot_times(scen.dt, scen.n_steps, scen.snapshot_every)
         assert np.array_equal(read_csv(tmp_path / "streamed" / "energy.csv"),
-                              np.column_stack([traj.times, table]))
+                              np.column_stack([times, table]))
         if every == 1 and kept:
             blocks = snapshot_blocks(op, init, scen.dt, scen.n_steps)
             streamed_table, rates, _, _ = reduce_blocks(blocks, op, midpoints=True)
             assert np.array_equal(streamed_table, table)
+            whole_rates = form_values(op, states, ("dissipation_rate",), midpoints=True)
             assert np.array_equal(balance_residuals(table, rates, scen.dt),
-                                  energy_balance_residuals(traj, op, table))
+                                  balance_residuals(table, whole_rates[:, 0], scen.dt))
     if "localization" in tasks:
-        every_step = run_forward(op, init, scen.dt, scen.n_steps)
-        probe = localization_probe(op_bwd, every_step, energy_series(every_step, op))
+        every_step = collect(op, init, scen.dt, scen.n_steps)
+        probe = localization_probe(op_bwd, every_step[0], every_step[-1], scen.dt,
+                                   energy_table(op, every_step)[:, 0])
         report = (tmp_path / "streamed" / "report.txt").read_text()
         assert f"min E/E0 = {probe.min_energy_ratio:.6e}" in report
         round_trip = (f"max error {probe.round_trip_error:.3e}" if model == "type2"
                       else f"round trip error = {probe.round_trip_error}")
         assert round_trip in report
     if "backward" in tasks and model == "type3":
-        back = run_forward(op_bwd, init, scen.backward_dt, scen.backward_n_steps)
-        funcs = backward_functionals(back.times, form_values(op_bwd, back.states), op_bwd,
+        back = collect(op_bwd, init, scen.backward_dt, scen.backward_n_steps)
+        times = snapshot_times(scen.backward_dt, scen.backward_n_steps)
+        funcs = backward_functionals(times, form_values(op_bwd, back), op_bwd,
                                      eps=scen.eps, lam=scen.lam)
         assert np.array_equal(read_csv(tmp_path / "streamed" / "backward.csv"),
                               np.column_stack([funcs.times, funcs.e1, funcs.e2,
@@ -152,11 +155,11 @@ def test_streamed_outputs_match_the_stored_trajectory(tmp_path, monkeypatch, tas
 
 
 def test_one_block_reduces_like_the_trajectory(op3):
-    traj = run_forward(op3, sine_init(op3.grid), 0.01, 30)
-    table, rates, first, last = reduce_blocks([traj.states], op3, FORMS)
-    assert np.array_equal(table, form_values(op3, traj.states))
+    states = collect(op3, sine_init(op3.grid), 0.01, 30)
+    table, rates, first, last = reduce_blocks([states], op3, FORMS)
+    assert np.array_equal(table, form_values(op3, states))
     assert rates is None
-    assert np.array_equal(first, traj.states[0]) and np.array_equal(last, traj.states[-1])
+    assert np.array_equal(first, states[0]) and np.array_equal(last, states[-1])
 
 
 def traced_peak(scen, out_dir):
