@@ -23,13 +23,17 @@ discrete setting (up to round-off):
 
 Every energy-type quantity is a quadratic form given by a coefficient
 table T over field pairs and three stencils S_k (form_tables), and its
-matrix is F = sum_k kron(T[k], S_k) (form_matrix).  The Gram matrix G
-is the matrix of twice the energy, U^T G U =
+matrix is F = sum_k kron(T[k], S_k) (form_matrix).  The generator A
+has a table of its own in the same layout (generator_table), over the
+unscaled identity, Laplacian and gradient, so A, G and every form
+matrix are built from their tables by one triplet builder.  The Gram
+matrix G is the matrix of twice the energy, U^T G U =
 sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 +
 2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2), and the two structural
 choices above make sym(G A) = -Q exactly, Q the matrix of the
-dissipation_rate form.  form_values evaluates any of the forms along a
-whole trajectory.
+dissipation_rate form.  form_values evaluates any of the forms at
+every row of a block of states, and diagnostics.reduce_blocks reduces
+a streamed run block by block through the same kernel.
 """
 
 from dataclasses import dataclass
@@ -77,6 +81,8 @@ class Grid1D:
             raise InvalidGrid(f"length must be positive and finite, got {self.length!r}")
         object.__setattr__(self, "n_interior", int(self.n_interior))
         object.__setattr__(self, "length", float(self.length))
+        if not (self.h * self.h > 0 and 0 < 1 / (self.h * self.h) < np.inf):
+            raise InvalidGrid(f"length = {self.length!r} makes 1/h^2 not a finite positive float")
 
     @property
     def h(self) -> float:
@@ -181,11 +187,33 @@ def _check_moduli(m: Moduli1D):
         )
 
 
-def _difference_matrices(n, h):
+def _stencils(n: int, h: float, scales=(1.0, 1.0, 1.0)):
+    """(rows, cols, values) triplets of the identity, the Laplacian and
+    the centered gradient on n nodes with zero ghosts, their values
+    times scales; (h, -h, h) gives the stencils of form_tables."""
+    j, i = np.arange(n), np.arange(n - 1)
     off = np.ones(n - 1)
-    lap = sp.diags([off, np.full(n, -2.0), off], (-1, 0, 1), format="csr") / (h * h)
-    grad = sp.diags([-off, off], (-1, 1), format="csr") / (2.0 * h)
-    return lap, grad
+    stencils = ((j, j, np.ones(n)),
+                (np.concatenate([i + 1, j, i]), np.concatenate([i, j, i + 1]),
+                 np.concatenate([off, np.full(n, -2.0), off]) * (1 / (h * h))),
+                (np.concatenate([i + 1, i]), np.concatenate([i, i + 1]),
+                 np.concatenate([-off, off]) * (1 / (2.0 * h))))
+    return [(r, c, v * s) for (r, c, v), s in zip(stencils, scales)]
+
+
+def _table_matrix(table: np.ndarray, stencils, n: int) -> sp.csr_matrix:
+    """sum_k kron(table[k], S_k) for stencils S_k given as triplets:
+    block (a, b) holds S_k scaled by table[k, a, b], and a zero
+    coefficient adds no block.  No two blocks of the module's tables
+    overlap, so each entry is one product."""
+    rows, cols, data = [], [], []
+    for t, (r, c, v) in zip(table, stencils):
+        a, b = np.nonzero(t)
+        rows.append(np.add.outer(a * n, r).ravel())
+        cols.append(np.add.outer(b * n, c).ravel())
+        data.append(np.multiply.outer(t[a, b], v).ravel())
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(6 * n, 6 * n))
 
 
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
@@ -193,42 +221,11 @@ def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
         raise InvalidGrid(f"expected Grid1D, got {type(grid).__name__}")
     _check_moduli(m)
     n, h = grid.n_interior, grid.h
-    lap, grad = _difference_matrices(n, h)
-    eye = sp.identity(n, format="csr")
-
-    s = float(time_sign)
-    # the time reversal negates exactly the rate couplings:
-    # beta, varpi+hbar, h_cond, m_rr_rate
-    b = s * m.beta
-    p = s * m.varpi_plus_hbar
-    hc = s * m.h_cond
-    q = s * m.m_rr_rate
-
-    # rows: du/dt = v, dtau/dt = theta, dr/dt = m, plus the three
-    # accelerations divided by their inertias
-    a_mat = sp.bmat([
-        [None, eye, None, None, None, None],
-        [m.m_uu / m.rho * lap, None, None, -b / m.rho * grad, m.m_ur / m.rho * lap, None],
-        [None, None, None, eye, None, None],
-        [None, -b / m.c_cap * grad, m.k_cond / m.c_cap * lap, hc / m.c_cap * lap, None,
-         -p / m.c_cap * grad],
-        [None, None, None, None, None, eye],
-        [m.m_ur / m.alpha_m * lap, None, None, -p / m.alpha_m * grad,
-         m.m_rr / m.alpha_m * lap, q / m.alpha_m * lap],
-    ], format="csr")
-
+    a_mat = _table_matrix(generator_table(m, time_sign), _stencils(n, h), n)
     forms = form_tables(m, time_sign)
-    g_mat = _kron_form(2.0 * forms[FORMS.index("total")], (eye, lap, grad), h)
+    g_mat = _table_matrix(2.0 * forms[FORMS.index("total")], _stencils(n, h, (h, -h, h)), n)
     return DiscreteOperator(a_mat=a_mat, g_mat=g_mat, forms=forms, moduli=m,
                             grid=grid, time_sign=int(time_sign))
-
-
-def _kron_form(table: np.ndarray, difference, h: float) -> sp.csr_matrix:
-    """sum_k kron(table[k], S_k) for the stencils S_k of form_tables,
-    given (identity, Laplacian, centered gradient) on the n nodes."""
-    eye, lap, grad = difference
-    stencils = (h * eye, (-h) * lap, h * grad)
-    return sum(sp.kron(t, s, format="csr") for t, s in zip(table, stencils))
 
 
 def form_matrix(op: DiscreteOperator, name: str) -> sp.csr_matrix:
@@ -236,8 +233,27 @@ def form_matrix(op: DiscreteOperator, name: str) -> sp.csr_matrix:
     the stacked state U, and F = sum_k kron(T[k], S_k) over the
     coefficient table T and stencils S_k of form_tables."""
     n, h = op.n, op.grid.h
-    difference = (sp.identity(n, format="csr"), *_difference_matrices(n, h))
-    return _kron_form(op.forms[FORMS.index(name)], difference, h)
+    return _table_matrix(op.forms[FORMS.index(name)], _stencils(n, h, (h, -h, h)), n)
+
+
+def generator_table(m: Moduli1D, time_sign: int) -> np.ndarray:
+    """Coefficient table T[k, a, b] of the generator in form_tables'
+    layout over the unscaled I, Lap and D, A = sum_k kron(T[k], S_k):
+    rows du/dt = v, dtau/dt = theta, dr/dt = m and the accelerations over
+    their inertias; time_sign = -1 negates exactly the rate couplings
+    beta, varpi+hbar, h_cond and m_rr_rate."""
+    u, v, tau, theta, r, mm = range(6)
+    eye, lap, grad = range(3)
+    s = float(time_sign)
+    b, p = s * m.beta, s * m.varpi_plus_hbar
+    t = np.zeros((3, 6, 6))
+    t[eye, [u, tau, r], [v, theta, mm]] = 1.0
+    t[lap, v, [u, r]] = m.m_uu / m.rho, m.m_ur / m.rho
+    t[lap, theta, [tau, theta]] = m.k_cond / m.c_cap, s * m.h_cond / m.c_cap
+    t[lap, mm, [u, r, mm]] = m.m_ur / m.alpha_m, m.m_rr / m.alpha_m, s * m.m_rr_rate / m.alpha_m
+    t[grad, [v, theta, theta, mm], [theta, v, mm, theta]] = (
+        -b / m.rho, -b / m.c_cap, -p / m.c_cap, -p / m.alpha_m)
+    return t
 
 
 def form_tables(m: Moduli1D, time_sign: int) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Shared fixtures: reference operators, random-state helpers, the
 per-field difference formulas the assembled matrices are checked
-against, the one-wavenumber determinant expansion and root finder the
-batched dispersion routes are checked against, the run oracles (a whole
-run as one array, the trapezoid energy balance and the decay fit), and
-the validation case registry (one passing and one failing fixture per
-inequality and per symmetry relation)."""
+against, the block-wise scipy assembly of the generator and the form
+matrices (the oracle of the table builder), the one-wavenumber
+determinant expansion and root finder the batched dispersion routes are
+checked against, the run oracles (a whole run as one array, the
+trapezoid energy balance and the decay fit), and the validation case
+registry (one passing and one failing fixture per inequality and per
+symmetry relation)."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from microtherm import (Grid1D, MaterialIsotropic, State1D,
                         assemble_backward, assemble_operator,
@@ -104,6 +107,52 @@ def gram_norm(op, s: State1D) -> float:
     """Energy norm sqrt(U^T G U) = sqrt(2 * energy)."""
     vec = s.to_vector()
     return float(np.sqrt(max(float(vec @ (op.g_mat @ vec)), 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# assembly oracles: the generator and the form matrices built block by
+# block with scipy's constructors, which the table builder of discrete1d
+# must reproduce byte for byte
+
+
+def difference_matrices(n, h):
+    """The Laplacian and the centered gradient on n nodes, zero ghosts,
+    as sparse matrices."""
+    off = np.ones(n - 1)
+    lap = sp.diags([off, np.full(n, -2.0), off], (-1, 0, 1), format="csr") / (h * h)
+    grad = sp.diags([-off, off], (-1, 1), format="csr") / (2.0 * h)
+    return lap, grad
+
+
+def bmat_generator(grid: Grid1D, m, time_sign: int) -> sp.csr_matrix:
+    """The generator A of the (time_sign-oriented) system as one sp.bmat
+    of 36 blocks; zero coefficients keep their blocks as stored zeros."""
+    n, h = grid.n_interior, grid.h
+    lap, grad = difference_matrices(n, h)
+    eye = sp.identity(n, format="csr")
+    s = float(time_sign)
+    b = s * m.beta
+    p = s * m.varpi_plus_hbar
+    hc = s * m.h_cond
+    q = s * m.m_rr_rate
+    return sp.bmat([
+        [None, eye, None, None, None, None],
+        [m.m_uu / m.rho * lap, None, None, -b / m.rho * grad, m.m_ur / m.rho * lap, None],
+        [None, None, None, eye, None, None],
+        [None, -b / m.c_cap * grad, m.k_cond / m.c_cap * lap, hc / m.c_cap * lap, None,
+         -p / m.c_cap * grad],
+        [None, None, None, None, None, eye],
+        [m.m_ur / m.alpha_m * lap, None, None, -p / m.alpha_m * grad,
+         m.m_rr / m.alpha_m * lap, q / m.alpha_m * lap],
+    ], format="csr")
+
+
+def kron_form(table: np.ndarray, n: int, h: float) -> sp.csr_matrix:
+    """sum_k kron(table[k], S_k) over the stencils h I, -h Lap and h D of
+    discrete1d.form_tables."""
+    lap, grad = difference_matrices(n, h)
+    stencils = (h * sp.identity(n, format="csr"), (-h) * lap, h * grad)
+    return sum(sp.kron(t, s, format="csr") for t, s in zip(table, stencils))
 
 
 # ---------------------------------------------------------------------------

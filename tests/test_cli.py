@@ -55,6 +55,12 @@ INVALID = {
     "time-dt-nan": ("dt = 0.2", "dt = nan", "dt"),
     "time-scheme-unknown": ("dt = 0.2", "dt = 0.2\nscheme = midpoint", "scheme"),
     "grid-length-inf": ("n_interior = 16", "n_interior = 16\nlength = inf", "length"),
+    # 1/h^2 not a finite positive float: h*h underflows to zero, to a
+    # subnormal whose inverse overflows, or overflows itself
+    "grid-length-h2-zero": ("n_interior = 16", "n_interior = 16\nlength = 1e-200", "length"),
+    "grid-length-h2-subnormal": ("n_interior = 16", "n_interior = 16\nlength = 1e-160",
+                                 "length"),
+    "grid-length-h2-inf": ("n_interior = 16", "n_interior = 16\nlength = 1e200", "length"),
     "init-u_amp-nan": ("u_amp = 1.0", "u_amp = nan", "u_amp"),
     "dispersion-k_max-inf": ("[tasks]", "[dispersion]\nk_max = inf\n\n[tasks]", "k_max"),
     "backward-dt-negative": ("[tasks]", "[backward]\ndt = -1\n\n[tasks]", "dt"),

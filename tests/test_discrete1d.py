@@ -6,12 +6,19 @@ from microtherm import (DimensionMismatch, Grid1D, InvalidGrid,
                         InvalidMaterial, State1D, assemble_backward,
                         assemble_operator, reference_type2, reference_type3,
                         to_moduli_1d)
-from microtherm.discrete1d import (FIELDS, FORMS, _difference_matrices,
-                                   form_matrix, form_tables, form_values)
+from microtherm.discrete1d import (FIELDS, FORMS, _stencils, form_matrix,
+                                   form_tables, form_values)
 
-from conftest import (first_difference, gram_norm, random_state,
-                      random_valid_material, second_difference,
-                      staggered_difference)
+from conftest import (bmat_generator, difference_matrices, first_difference,
+                      gram_norm, kron_form, random_state, random_valid_material,
+                      second_difference, staggered_difference)
+
+
+def stencil_matrices(n, h):
+    """The Laplacian and the centered gradient of the assembly's
+    (rows, cols, values) triplets, as sparse n x n matrices."""
+    _, lap, grad = (sp.csr_matrix((v, (r, c)), shape=(n, n)) for r, c, v in _stencils(n, h))
+    return lap, grad
 
 
 def discrete_laplacian_eigenvalue(k: int, h: float) -> float:
@@ -28,6 +35,11 @@ class TestGridAndState:
         {"n_interior": 1}, {"n_interior": 0}, {"n_interior": -3},
         {"n_interior": 8, "length": 0.0}, {"n_interior": 8, "length": -1.0},
         {"n_interior": 8, "length": float("inf")},
+        # 1/h^2 must be a finite positive float: h*h underflows to zero
+        # (1e-200), to a subnormal whose inverse overflows (1e-160), or
+        # overflows itself (1e200)
+        {"n_interior": 16, "length": 1e-200}, {"n_interior": 16, "length": 1e-160},
+        {"n_interior": 16, "length": 1e200},
     ])
     def test_bad_grid_rejected(self, kwargs):
         with pytest.raises(InvalidGrid):
@@ -50,12 +62,12 @@ class TestGridAndState:
 
 
 class TestStencils:
-    """The difference matrices and the stiffness stencil the operator
+    """The difference stencils and the stiffness stencil the operator
     and its forms are assembled from."""
 
     def test_second_difference_hand_values(self):
         h = 0.5
-        lap, _ = _difference_matrices(2, h)
+        lap, _ = stencil_matrices(2, h)
         out = lap @ np.array([1.0, 2.0])
         # ghost zeros: (0 - 2*1 + 2, 1 - 2*2 + 0) / h^2
         assert np.allclose(out * h ** 2, [0.0, -3.0], atol=0, rtol=0)
@@ -66,13 +78,13 @@ class TestStencils:
         h = 1.0 / (n + 1)
         x = np.arange(1, n + 1) * h
         f = np.sin(np.pi * x)
-        got = _difference_matrices(n, h)[0] @ f
+        got = stencil_matrices(n, h)[0] @ f
         rel = np.abs(got + np.pi ** 2 * f).max() / np.pi ** 2
         assert rel <= (np.pi * h) ** 2 / 12 * 2
 
     def test_sine_is_exact_discrete_eigenvector(self):
         n, h = 16, 1.0 / 17
-        lap, _ = _difference_matrices(n, h)
+        lap, _ = stencil_matrices(n, h)
         x = np.arange(1, n + 1) * h
         for k in (1, 2, 5):
             f = np.sin(k * np.pi * x)
@@ -82,7 +94,7 @@ class TestStencils:
     def test_first_difference_is_exactly_antisymmetric(self):
         rng = np.random.default_rng(3)
         h = 1.0 / 17
-        _, grad = _difference_matrices(16, h)
+        _, grad = stencil_matrices(16, h)
         assert (grad + grad.T).nnz == 0
         for _ in range(10):
             f, g = rng.standard_normal(16), rng.standard_normal(16)
@@ -96,7 +108,7 @@ class TestStencils:
         op = assemble_operator(Grid1D(n_interior=16), moduli3)
         h = op.grid.h
         stiff = (2.0 / moduli3.m_uu) * form_matrix(op, "elastic")[:16, :16]
-        lap, _ = _difference_matrices(16, h)
+        lap, _ = stencil_matrices(16, h)
         rng = np.random.default_rng(4)
         for _ in range(10):
             f, g = rng.standard_normal(16), rng.standard_normal(16)
@@ -152,18 +164,19 @@ class TestOperatorAssembly:
         quad = float(s.to_vector() @ (op3.g_mat @ s.to_vector()))
         assert quad == pytest.approx(by_hand, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
     @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_gram_equals_explicit_block_assembly_bit_for_bit(self, n, reference, assemble):
+        # A, G and every form matrix against scipy's block constructors;
+        # the builder drops the blocks of zero coefficients, which the
+        # oracle keeps as stored zeros
         grid = Grid1D(n_interior=n)
         m = to_moduli_1d(reference())
         h = grid.h
-        off = np.ones(n - 1)
-        lap = sp.diags([off, np.full(n, -2.0), off], (-1, 0, 1), format="csr") / (h * h)
+        stiff = (-h) * difference_matrices(n, h)[0]
         eye = sp.identity(n, format="csr")
-        stiff = (-h) * lap
-        explicit = sp.bmat([
+        explicit_g = sp.bmat([
             [m.m_uu * stiff, None, None, None, m.m_ur * stiff, None],
             [None, m.rho * h * eye, None, None, None, None],
             [None, None, m.k_cond * stiff, None, None, None],
@@ -171,10 +184,16 @@ class TestOperatorAssembly:
             [m.m_ur * stiff, None, None, None, m.m_rr * stiff, None],
             [None, None, None, None, None, m.alpha_m * h * eye],
         ], format="csr")
-        g = assemble(grid, m).g_mat
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(g, attr), getattr(explicit, attr)), attr
-        assert g.data.tobytes() == explicit.data.tobytes()
+        op = assemble(grid, m)
+        explicit_a = bmat_generator(grid, m, op.time_sign)
+        explicit_a.eliminate_zeros()
+        pairs = [("a_mat", op.a_mat, explicit_a), ("g_mat", op.g_mat, explicit_g)]
+        pairs += [(name, form_matrix(op, name), kron_form(op.forms[FORMS.index(name)], n, h))
+                  for name in FORMS]
+        for name, got, want in pairs:
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype, (name, attr)
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
 
     def test_form_matrices_agree_with_form_values(self, op3, op3_back):
         rng = np.random.default_rng(14)
@@ -190,7 +209,7 @@ class TestOperatorAssembly:
         op = request.getfixturevalue(model)
         n, h = op.n, op.grid.h
         q = form_matrix(op, "dissipation_rate").toarray()
-        stiff = -h * _difference_matrices(n, h)[0].toarray()
+        stiff = -h * stencil_matrices(n, h)[0].toarray()
         m = op.moduli
         for a in range(6):
             for b in range(6):
