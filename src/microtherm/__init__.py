@@ -8,12 +8,11 @@ discretization, time stepping, verification diagnostics, plane-wave
 dispersion, and a scenario-driven command line.
 """
 
-from .diagnostics import (BackwardFunctionals, EnergyBreakdown,
-                          LocalizationReport, SpectralReport,
-                          backward_functionals, energy, energy_table,
+from .diagnostics import (BackwardFunctionals, LocalizationReport,
+                          SpectralReport, backward_functionals, energy_table,
                           localization_probe, spectral_report)
-from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, State1D,
-                         assemble_backward, assemble_operator)
+from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, assemble_backward,
+                         assemble_operator)
 from .dispersion import (DispersionResult, characteristic_matrix,
                          first_order_symbol, root_set_distance,
                          solve_branches, symbol_frequencies)
@@ -38,7 +37,6 @@ __all__ = [
     "DiscreteOperator",
     "DispersionResult",
     "EigenFailure",
-    "EnergyBreakdown",
     "FIELDS",
     "Grid1D",
     "IndefiniteForm",
@@ -56,7 +54,6 @@ __all__ = [
     "SizeLimit",
     "SolveFailure",
     "SpectralReport",
-    "State1D",
     "ValidationError",
     "ValidationReport",
     "assemble_backward",
@@ -64,7 +61,6 @@ __all__ = [
     "backward_functionals",
     "build_initial",
     "characteristic_matrix",
-    "energy",
     "energy_table",
     "first_order_symbol",
     "isotropic_embedding",

@@ -2,13 +2,15 @@
 time-reversed functionals and the non-extinction probe.
 
 Every energy-type quantity is one of the operator's quadratic forms
-(discrete1d.form_tables), evaluated on an array of states at once by
-discrete1d.form_values, or block by block along a streamed run by
+(discrete1d.form_tables), evaluated on an array of stacked states at
+once by discrete1d.form_values (energy_table: the energy, its terms
+and the dissipation rate), or block by block along a streamed run by
 reduce_blocks.  The same tables define the Gram matrix G and
 the dissipation matrix Q (discrete1d.form_matrix), so the structural
 identities hold at round-off level rather than discretization level:
 
-* energy().total is exactly half the squared Gram norm;
+* the total column of energy_table is exactly half the squared Gram
+  norm;
 * sym(G A) = -Q, so the dissipation_rate form equals -U^T G A U
   (dissipativity_residual measures the matrix identity);
 * along midpoint trajectories E_{k+1} - E_k = -dt * D(midpoint state)
@@ -27,23 +29,20 @@ it splits.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .discrete1d import (FORMS, DiscreteOperator, State1D, _form_kernel, form_matrix,
-                         form_values)
+from .discrete1d import FORMS, DiscreteOperator, _form_kernel, form_matrix, form_values
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm, NonFinite,
                      SizeLimit, SolveFailure)
 from .evolve import snapshot_blocks, time_reversal
 
 __all__ = [
-    "EnergyBreakdown",
     "SpectralReport",
     "BackwardFunctionals",
     "LocalizationReport",
-    "energy",
     "energy_table",
     "balance_residuals",
     "reduce_blocks",
@@ -57,52 +56,15 @@ DENSE_LIMIT = 3000        # largest 6n for the dense spectrum
 # sign of each field, in FIELDS order, under the node reversal of R
 _FIELD_PARITY = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _GRONWALL_FLOOR = 1e-300  # guards 0/0 in the Gronwall ratio
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Total energy and its seven quadratic contributions.
-
-    kinetic:      1/2 h sum rho v^2
-    thermal:      1/2 h sum c_cap theta^2
-    microthermal: 1/2 h sum alpha_m M^2
-    elastic:      1/2 h sum m_uu (u')^2      (staggered gradients)
-    coupling:         h sum m_ur u' R'
-    tau_gradient: 1/2 h sum k_cond (tau')^2
-    r_gradient:   1/2 h sum m_rr (R')^2
-    dissipation_rate: instantaneous -dE/dt estimate at this state
-    """
-
-    total: float
-    kinetic: float
-    thermal: float
-    microthermal: float
-    elastic: float
-    coupling: float
-    tau_gradient: float
-    r_gradient: float
-    dissipation_rate: float
-
-    @property
-    def terms(self):
-        return (self.kinetic, self.thermal, self.microthermal, self.elastic,
-                self.coupling, self.tau_gradient, self.r_gradient)
-
-
-# the forms named by the EnergyBreakdown fields, in field order
-_BREAKDOWN = tuple(f.name for f in fields(EnergyBreakdown))
-
-
-def energy(op: DiscreteOperator, s: State1D) -> EnergyBreakdown:
-    """Per-term energy of one state: a one-snapshot energy_table row."""
-    row = form_values(op, s.to_vector()[None], _BREAKDOWN)[0]
-    return EnergyBreakdown(*map(float, row))
+# the energy_table columns: the energy, its seven terms and the rate
+# quadrature
+_BREAKDOWN = FORMS[:9]
 
 
 def energy_table(op: DiscreteOperator, states) -> np.ndarray:
-    """The EnergyBreakdown of every row of states, (n_rows, 6n), one
-    field per column: (n_rows, 9), total first and dissipation_rate
-    last."""
+    """The energy, its seven terms and the dissipation rate of every
+    row of states, (n_rows, 6n): an (n_rows, 9) array whose columns are
+    the first nine FORMS, total first and dissipation_rate last."""
     return form_values(op, states, _BREAKDOWN)
 
 
@@ -344,10 +306,9 @@ def localization_probe(op_bwd: DiscreteOperator, first: np.ndarray, last: np.nda
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            turned = time_reversal(State1D.from_vector(last))
-            *_, back = snapshot_blocks(op_bwd, turned, dt, n_steps,
+            *_, back = snapshot_blocks(op_bwd, time_reversal(last), dt, n_steps,
                                        snapshot_every=max(n_steps, 1))
-            recovered = time_reversal(State1D.from_vector(back[-1])).to_vector()
+            recovered = time_reversal(back[-1])
             err = float(np.abs(recovered - first).max())
     except (NonFinite, SolveFailure):
         err = float("inf")

@@ -2,9 +2,11 @@
 
 Layout: n_interior nodes x_j = j*h, j = 1..n, h = L/(n+1); the fields
 u, tau, R satisfy homogeneous Dirichlet conditions, realized as zero
-ghost values at x_0 and x_{n+1}.  The stacked state orders the six
-fields as (u, v, tau, theta, R, M) where v, theta, M are the time
-rates.
+ghost values at x_0 and x_{n+1}.  A state is one float vector of
+length 6n that stacks the six fields in FIELDS order,
+(u, v, tau, theta, R, M), each field's n values contiguous; v, theta,
+M are the time rates.  A run or a table of states is a (rows, 6n)
+array of such vectors.
 
 Two structural choices make the energy identities exact in the
 discrete setting (up to round-off):
@@ -42,14 +44,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidGrid, InvalidMaterial, NonFinite
+from .errors import DimensionMismatch, InvalidGrid, InvalidMaterial
 from .material import Moduli1D
 
 __all__ = [
     "FIELDS",
     "FORMS",
     "Grid1D",
-    "State1D",
     "DiscreteOperator",
     "assemble_operator",
     "assemble_backward",
@@ -59,8 +60,8 @@ __all__ = [
 
 FIELDS = ("u", "v", "tau", "theta", "r", "m")
 # the quadratic forms of form_tables: the energy, its seven terms and
-# the rate quadrature, which name the fields of diagnostics.EnergyBreakdown,
-# and the third backward functional e3
+# the rate quadrature, the columns of diagnostics.energy_table, and the
+# third backward functional e3
 FORMS = ("total", "kinetic", "thermal", "microthermal", "elastic", "coupling",
          "tau_gradient", "r_gradient", "dissipation_rate", "e3")
 
@@ -92,61 +93,6 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         """Interior node coordinates x_j = j*h."""
         return np.arange(1, self.n_interior + 1) * self.h
-
-
-@dataclass(frozen=True)
-class State1D:
-    """The six grid fields at one time instant; all finite, equal lengths.
-
-    u: displacement, v: velocity, tau: thermal displacement,
-    theta: temperature, r: microtemperature displacement,
-    m: microtemperature.  Along any computed trajectory v, theta, m
-    are the time rates of u, tau, r.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    tau: np.ndarray
-    theta: np.ndarray
-    r: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        n = None
-        for name in FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DimensionMismatch(f"field {name} must be a 1-D vector")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise DimensionMismatch(
-                    f"field {name} has length {arr.size}, expected {n}"
-                )
-            if not np.isfinite(arr).all():
-                raise NonFinite(f"field {name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.u.size
-
-    @classmethod
-    def zeros(cls, n: int) -> "State1D":
-        return cls(*(np.zeros(n) for _ in FIELDS))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "State1D":
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or vec.size % 6:
-            raise DimensionMismatch(
-                f"stacked state must have length 6n, got shape {vec.shape}"
-            )
-        n = vec.size // 6
-        return cls(*(vec[k * n:(k + 1) * n] for k in range(6)))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name) for name in FIELDS])
 
 
 class DiscreteOperator(NamedTuple):

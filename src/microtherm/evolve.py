@@ -21,9 +21,10 @@ SolveFailure, and a step whose norms overflow raises NonFinite, so no
 run returns a non-finite snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
-steps as its blocks of kept states are drawn, so a caller that reduces
-each block never holds the whole run, and one that wants every kept
-state concatenates the blocks.  Identical inputs give bitwise-identical
+takes the initial state as a stacked 6n vector (discrete1d) and steps
+as its blocks of kept states are drawn, so a caller that reduces each
+block never holds the whole run, and one that wants every kept state
+concatenates the blocks.  Identical inputs give bitwise-identical
 states.
 
 The time-reversed problem is integrated forward in its own time
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discrete1d import DiscreteOperator, State1D, block_rows
+from .discrete1d import DiscreteOperator, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
@@ -214,22 +215,27 @@ def _band(row, col, vals, kl, ku, size):
     return ab
 
 
-def snapshot_blocks(op: DiscreteOperator, init: State1D, dt: float,
+def snapshot_blocks(op: DiscreteOperator, init: np.ndarray, dt: float,
                     n_steps: int, snapshot_every: int = 1):
-    """The kept states of n_steps midpoint steps from init, streamed:
-    every snapshot_every-th state, starting with init itself, in order,
-    as fresh field-major (rows, 6n) arrays of discrete1d.block_rows(n)
-    rows each (the last block may be shorter).
+    """The kept states of n_steps midpoint steps from the stacked state
+    init, streamed: every snapshot_every-th state, starting with init
+    itself, in order, as fresh field-major (rows, 6n) arrays of
+    discrete1d.block_rows(n) rows each (the last block may be shorter).
 
-    The arguments are checked here, before any step; the steps are
-    taken as the blocks are drawn, so a consumer that reduces each block
-    and drops it never holds the whole run.  NonFinite and SolveFailure
-    rise from the draw of the block whose step fails.
+    The arguments are checked here, before any step: init must be a
+    finite vector of shape (6n,) (DimensionMismatch, NonFinite), and it
+    is copied, so the run does not see later changes to it.  The steps
+    are taken as the blocks are drawn, so a consumer that reduces each
+    block and drops it never holds the whole run.  NonFinite and
+    SolveFailure rise from the draw of the block whose step fails.
     """
-    if init.n != op.grid.n_interior:
+    init = np.array(init, dtype=float)
+    if init.shape != (6 * op.n,):
         raise DimensionMismatch(
-            f"initial data has {init.n} nodes, operator grid has {op.grid.n_interior}"
-        )
+            f"initial state of shape {init.shape} does not match the "
+            f"operator's 6n = {6 * op.n}")
+    if not np.isfinite(init).all():
+        raise NonFinite("initial state contains non-finite entries")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_every < 1:
@@ -238,7 +244,7 @@ def snapshot_blocks(op: DiscreteOperator, init: State1D, dt: float,
         raise ValueError(
             f"n_steps = {n_steps} is not a multiple of snapshot_every = {snapshot_every}"
         )
-    return _blocks(op, init.to_vector(), dt, n_steps, snapshot_every)
+    return _blocks(op, init, dt, n_steps, snapshot_every)
 
 
 def _blocks(op, vec, dt, n_steps, snapshot_every):
@@ -266,7 +272,10 @@ def snapshot_times(dt: float, n_steps: int, snapshot_every: int = 1) -> np.ndarr
     return np.arange(n_steps // snapshot_every + 1) * (snapshot_every * dt)
 
 
-def time_reversal(s: State1D) -> State1D:
-    """Flip the rate fields (v, theta, m); the map S with
-    A_bwd = -S A_fwd S."""
-    return State1D(s.u, -s.v, s.tau, -s.theta, s.r, -s.m)
+def time_reversal(x: np.ndarray) -> np.ndarray:
+    """A new stacked state: x with the rate fields v, theta and m
+    negated, the map S with A_bwd = -S A_fwd S."""
+    out = np.array(x, dtype=float)
+    rates = out.reshape(6, -1)[1::2]
+    np.negative(rates, out=rates)
+    return out

@@ -89,11 +89,6 @@ class MaterialIsotropic:
         for f in dc_fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
-    @property
-    def is_type2(self) -> bool:
-        """True when every rate coefficient vanishes (conservative model)."""
-        return self.h_cond == 0.0 and self.rho1 == 0.0 and self.rho2 == 0.0 and self.rho3 == 0.0
-
 
 @dataclass(frozen=True)
 class Moduli1D:
@@ -128,11 +123,6 @@ class Moduli1D:
     k_cond: float
     h_cond: float
     varpi_plus_hbar: float
-    hbar_c: float
-
-    @property
-    def is_type2(self) -> bool:
-        return self.h_cond == 0.0 and self.m_rr_rate == 0.0
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,6 @@ def to_moduli_1d(m: MaterialIsotropic) -> Moduli1D:
         k_cond=m.k_cond,
         h_cond=m.h_cond,
         varpi_plus_hbar=m.varpi + m.hbar_c,
-        hbar_c=m.hbar_c,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DENSE_LIMIT
-from .discrete1d import FIELDS, Grid1D, State1D, block_rows
+from .discrete1d import FIELDS, Grid1D, block_rows
 from .errors import ParseError, ValidationError
 from .material import MaterialIsotropic, reference_type2, reference_type3, validate_isotropic
 
@@ -256,6 +256,14 @@ def parse_scenario(text: str) -> Scenario:
             f"k_min = {scenario.k_min}, k_max = {scenario.k_max}, n_k = {scenario.n_k}"
         )
     _check_sizes(scenario)
+    # the random preset's draws times a huge amp can overflow, whatever
+    # the tasks: realize the state once here rather than fail in a run
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(build_initial(scenario)).all()
+    if not finite:
+        raise ParseError(
+            f"[init] amp = {params.get('amp', 1.0)!r} makes the initial state "
+            "overflow the float range")
     return scenario
 
 
@@ -299,31 +307,29 @@ def _material_fields(m: MaterialIsotropic) -> dict:
     return {name: getattr(m, name) for name in _MATERIAL_KEYS if name != "model"}
 
 
-def build_initial(scenario: Scenario) -> State1D:
-    """Realize the [init] recipe on the scenario grid."""
+def build_initial(scenario: Scenario) -> np.ndarray:
+    """Realize the [init] recipe on the scenario grid as a stacked 6n
+    state (discrete1d), the fields in FIELDS order."""
     grid, spec = scenario.grid, scenario.init
     n = grid.n_interior
-    arrays = {name: np.zeros(n) for name in FIELDS}
+    fields = np.zeros((len(FIELDS), n))
     params = spec.params
     if spec.preset == "sine":
         x = grid.nodes
-        for name in FIELDS:
+        for row, name in zip(fields, FIELDS):
             amp = params.get(f"{name}_amp", 0.0)
             if amp:
                 mode = params.get(f"{name}_mode", 1)
-                arrays[name] = amp * np.sin(mode * np.pi * x / grid.length)
+                row[:] = amp * np.sin(mode * np.pi * x / grid.length)
     elif spec.preset == "impulse":
         name = params.get("field", "theta")
         node = params.get("node", n // 2)
         if not 0 <= node < n:
             raise ValidationError(f"impulse node {node} outside 0..{n - 1}")
-        arrays[name] = np.zeros(n)
-        arrays[name][node] = params.get("amp", 1.0)
+        fields[FIELDS.index(name), node] = params.get("amp", 1.0)
     elif spec.preset == "random":
         rng = np.random.default_rng(params.get("seed", 0))
-        amp = params.get("amp", 1.0)
-        for name in FIELDS:
-            arrays[name] = amp * rng.standard_normal(n)
+        fields = params.get("amp", 1.0) * rng.standard_normal((len(FIELDS), n))
     elif spec.preset != "zero":
         raise ValidationError(f"unknown preset {spec.preset!r}")
-    return State1D(**arrays)
+    return fields.ravel()

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from microtherm import (Grid1D, MaterialIsotropic, State1D,
-                        assemble_backward, assemble_operator,
-                        isotropic_embedding, reference_type2, reference_type3,
-                        snapshot_blocks, to_moduli_1d, validate_isotropic)
+from microtherm import (FIELDS, Grid1D, MaterialIsotropic, assemble_backward,
+                        assemble_operator, isotropic_embedding, reference_type2,
+                        reference_type3, snapshot_blocks, to_moduli_1d,
+                        validate_isotropic)
 from microtherm.diagnostics import balance_residuals
 
 # ---------------------------------------------------------------------------
@@ -103,10 +103,9 @@ def staggered_difference(f, h):
     return out
 
 
-def gram_norm(op, s: State1D) -> float:
-    """Energy norm sqrt(U^T G U) = sqrt(2 * energy)."""
-    vec = s.to_vector()
-    return float(np.sqrt(max(float(vec @ (op.g_mat @ vec)), 0.0)))
+def gram_norm(op, x: np.ndarray) -> float:
+    """Energy norm sqrt(U^T G U) = sqrt(2 * energy) of a stacked state."""
+    return float(np.sqrt(max(float(x @ (op.g_mat @ x)), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def sorted_roots(coeffs):
 # run oracles
 
 
-def collect(op, init: State1D, dt, n_steps, every=1) -> np.ndarray:
+def collect(op, init: np.ndarray, dt, n_steps, every=1) -> np.ndarray:
     """Every kept state of a run, (n_steps // every + 1, 6n): the blocks
     of snapshot_blocks concatenated.  Row j is the state at time
     j * every * dt."""
@@ -253,8 +252,14 @@ def fit_decay(times: np.ndarray, energies: np.ndarray) -> DecayFit:
 # state helpers
 
 
-def random_state(n: int, rng) -> State1D:
-    return State1D.from_vector(rng.standard_normal(6 * n))
+def random_state(n: int, rng) -> np.ndarray:
+    """A stacked 6n state of standard normal entries."""
+    return rng.standard_normal(6 * n)
+
+
+def fields(x: np.ndarray) -> dict:
+    """The six fields of a stacked state x by name: views of x."""
+    return dict(zip(FIELDS, x.reshape(6, -1)))
 
 
 def field_major(x: np.ndarray) -> np.ndarray:
@@ -263,17 +268,14 @@ def field_major(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 6).T.ravel()
 
 
-def sine_init(grid: Grid1D, u_amp=1.0, theta_amp=0.5, theta_mode=2) -> State1D:
+def sine_init(grid: Grid1D, u_amp=1.0, theta_amp=0.5, theta_mode=2) -> np.ndarray:
+    """The stacked state with a sine u of mode 1 and a sine theta, the
+    other fields zero."""
     x = grid.nodes
-    n = grid.n_interior
-    return State1D(
-        u=u_amp * np.sin(np.pi * x / grid.length),
-        v=np.zeros(n),
-        tau=np.zeros(n),
-        theta=theta_amp * np.sin(theta_mode * np.pi * x / grid.length),
-        r=np.zeros(n),
-        m=np.zeros(n),
-    )
+    init = np.zeros((6, grid.n_interior))
+    init[FIELDS.index("u")] = u_amp * np.sin(np.pi * x / grid.length)
+    init[FIELDS.index("theta")] = theta_amp * np.sin(theta_mode * np.pi * x / grid.length)
+    return init.ravel()
 
 
 def random_valid_material(rng, type3: bool = True) -> MaterialIsotropic:

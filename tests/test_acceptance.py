@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from microtherm import (Grid1D, State1D, assemble_backward,
+from microtherm import (Grid1D, assemble_backward,
                         assemble_operator, backward_functionals,
                         energy_table, first_order_symbol,
                         isotropic_embedding, localization_probe,
@@ -64,7 +64,7 @@ def test_criterion_2_dissipativity(capsys):
     for _ in range(10):
         op = assemble_operator(grid, to_moduli_1d(random_valid_material(rng)))
         for _ in range(100):
-            u = random_state(16, rng).to_vector()
+            u = random_state(16, rng)
             quad = float(u @ (op.g_mat @ (op.a_mat @ u)))
             norm2 = float(u @ (op.g_mat @ u))
             worst = max(worst, quad / norm2)
@@ -169,8 +169,7 @@ def test_criterion_6_discretization_orders(capsys):
         grid = Grid1D(n_interior=n)
         s = np.sin(np.pi * grid.nodes)
         zero = np.zeros(n)
-        init = State1D(u=1.0 * s, v=zero, tau=zero, theta=zero,
-                       r=0.3 * s, m=zero)
+        init = np.concatenate([1.0 * s, zero, zero, zero, 0.3 * s, zero])
         op = assemble_operator(grid, m)
         n_steps = int(round(horizon / dt_fine))
         end = collect(op, init, dt_fine, n_steps, every=n_steps)[-1]
@@ -182,7 +181,7 @@ def test_criterion_6_discretization_orders(capsys):
     grid = Grid1D(n_interior=16)
     op = assemble_operator(grid, to_moduli_1d(reference_type3()))
     init = sine_init(grid)
-    u_ref = expm(horizon * op.a_mat.toarray()) @ init.to_vector()
+    u_ref = expm(horizon * op.a_mat.toarray()) @ init
     terrs = []
     for dt in (4e-3, 2e-3, 1e-3):
         n_steps = int(round(horizon / dt))

@@ -73,6 +73,12 @@ INVALID = {
                                        "node"),
     "dispersion-n_k-above-2GiB": ("[tasks]", "[dispersion]\nn_k = 1000000000000\n\n[tasks]",
                                   "n_k"),
+    # the random draws times amp overflow, whether or not a task steps
+    "init-random-amp-overflow": ("preset = sine", "preset = random\nseed = 3\namp = 1e308",
+                                 "[init] amp"),
+    "init-random-amp-overflow-dispersion-only": (
+        "preset = sine\nu_amp = 1.0\n\n[tasks]\nrun = simulate",
+        "preset = random\nseed = 3\namp = 1e308\n\n[tasks]\nrun = dispersion", "[init] amp"),
 }
 
 

@@ -6,15 +6,15 @@ import pytest
 import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
-                        SizeLimit, SolveFailure, State1D, assemble_backward,
-                        assemble_operator, backward_functionals, energy,
-                        energy_table, localization_probe, reference_type2,
-                        reference_type3, snapshot_blocks, snapshot_times,
-                        spectral_report, to_moduli_1d)
+                        SizeLimit, SolveFailure, assemble_backward,
+                        assemble_operator, backward_functionals, energy_table,
+                        localization_probe, reference_type2, reference_type3,
+                        snapshot_blocks, snapshot_times, spectral_report,
+                        to_moduli_1d)
 from microtherm import diagnostics
 from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
                                     mirror_blocks, reduce_blocks)
-from microtherm.discrete1d import form_values
+from microtherm.discrete1d import FIELDS, FORMS, form_values
 from microtherm.dispersion import root_set_distance
 
 from conftest import (collect, fit_decay, gram_norm, random_state, sine_init,
@@ -27,21 +27,18 @@ def functionals(states: np.ndarray, dt, op, **kwargs):
     return backward_functionals(times, form_values(op, states), op, **kwargs)
 
 
-def as_states(states: np.ndarray):
-    """The State1D of each row."""
-    return [State1D.from_vector(row) for row in states]
-
-
-def reference_energy_terms(op, s):
-    """The seven energy terms by per-state staggered differences."""
+def reference_energy_terms(op, x):
+    """The seven energy terms of a stacked state by per-state staggered
+    differences."""
     m, h = op.moduli, op.grid.h
-    du = staggered_difference(s.u, h)
-    dtau = staggered_difference(s.tau, h)
-    dr = staggered_difference(s.r, h)
+    u, v, tau, theta, r, mm = x.reshape(6, -1)
+    du = staggered_difference(u, h)
+    dtau = staggered_difference(tau, h)
+    dr = staggered_difference(r, h)
     return np.array([
-        0.5 * h * m.rho * float(s.v @ s.v),
-        0.5 * h * m.c_cap * float(s.theta @ s.theta),
-        0.5 * h * m.alpha_m * float(s.m @ s.m),
+        0.5 * h * m.rho * float(v @ v),
+        0.5 * h * m.c_cap * float(theta @ theta),
+        0.5 * h * m.alpha_m * float(mm @ mm),
         0.5 * h * m.m_uu * float(du @ du),
         h * m.m_ur * float(du @ dr),
         0.5 * h * m.k_cond * float(dtau @ dtau),
@@ -49,41 +46,48 @@ def reference_energy_terms(op, s):
     ])
 
 
-def reference_dissipation(op, s):
+def reference_dissipation(op, x):
     m, h = op.moduli, op.grid.h
-    dtheta = staggered_difference(s.theta, h)
-    dm = staggered_difference(s.m, h)
+    _, _, _, theta, _, mm = x.reshape(6, -1)
+    dtheta = staggered_difference(theta, h)
+    dm = staggered_difference(mm, h)
     quad = h * (m.h_cond * float(dtheta @ dtheta) + m.m_rr_rate * float(dm @ dm))
     return op.time_sign * quad
 
 
-def reference_e2_e3(op, s):
+def reference_e2_e3(op, x):
     m, h = op.moduli, op.grid.h
-    du = staggered_difference(s.u, h)
-    dtau = staggered_difference(s.tau, h)
-    dr = staggered_difference(s.r, h)
+    u, v, tau, theta, r, mm = x.reshape(6, -1)
+    du = staggered_difference(u, h)
+    dtau = staggered_difference(tau, h)
+    dr = staggered_difference(r, h)
     e2 = 0.5 * h * (
-        m.rho * float(s.v @ s.v)
-        - m.c_cap * float(s.theta @ s.theta)
-        - m.alpha_m * float(s.m @ s.m)
+        m.rho * float(v @ v)
+        - m.c_cap * float(theta @ theta)
+        - m.alpha_m * float(mm @ mm)
         + m.m_uu * float(du @ du)
         - m.k_cond * float(dtau @ dtau)
         - m.m_rr * float(dr @ dr)
     )
     # tau sampled at interval midpoints to pair with the staggered u'
-    tau_mid = np.empty(s.n + 1)
-    tau_mid[0] = 0.5 * s.tau[0]
-    tau_mid[1:-1] = 0.5 * (s.tau[1:] + s.tau[:-1])
-    tau_mid[-1] = 0.5 * s.tau[-1]
+    tau_mid = np.empty(tau.size + 1)
+    tau_mid[0] = 0.5 * tau[0]
+    tau_mid[1:-1] = 0.5 * (tau[1:] + tau[:-1])
+    tau_mid[-1] = 0.5 * tau[-1]
     e3 = h * (
-        m.rho * float(s.u @ s.v)
-        - m.c_cap * float(s.theta @ s.tau)
-        - m.alpha_m * float(s.m @ s.r)
+        m.rho * float(u @ v)
+        - m.c_cap * float(theta @ tau)
+        - m.alpha_m * float(mm @ r)
         + 0.5 * m.h_cond * float(dtau @ dtau)
         + 0.5 * m.m_rr_rate * float(dr @ dr)
         + m.beta * float(tau_mid @ du)
     )
     return e2, e3
+
+
+def energy_row(op, x):
+    """The energy_table row of one stacked state, as a dict by column."""
+    return dict(zip(FORMS, energy_table(op, x[None])[0]))
 
 
 class TestAgainstReferenceLoops:
@@ -104,7 +108,7 @@ class TestAgainstReferenceLoops:
     def test_energy_terms_and_dissipation(self, run):
         op, states, _ = run
         table = energy_table(op, states)
-        for row, s in zip(table, as_states(states)):
+        for row, s in zip(table, states):
             terms = reference_energy_terms(op, s)
             total = terms.sum()
             assert abs(row[0] - total) <= 1e-13 * total
@@ -118,7 +122,7 @@ class TestAgainstReferenceLoops:
     def test_backward_functionals(self, run):
         op, states, dt = run
         f = functionals(states, dt, op)
-        for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, as_states(states)):
+        for e1, e2, e3, s in zip(f.e1, f.e2, f.e3, states):
             ref2, ref3 = reference_e2_e3(op, s)
             assert abs(e2 - ref2) <= 1e-13 * e1
             assert abs(e3 - ref3) <= 1e-13 * e1
@@ -131,65 +135,63 @@ class TestAgainstReferenceLoops:
             got = balance_residuals(table, rates, dt)
         else:
             got = trapezoid_balance(energy_table(op, states), dt)
-        snaps = as_states(states)
-        energies = [reference_energy_terms(op, s).sum() for s in snaps]
-        for k, (a, b) in enumerate(zip(snaps, snaps[1:])):
+        energies = [reference_energy_terms(op, s).sum() for s in states]
+        for k, (a, b) in enumerate(zip(states, states[1:])):
             if sampling == "midpoint":
-                mid = State1D.from_vector(0.5 * (a.to_vector() + b.to_vector()))
-                d = reference_dissipation(op, mid)
+                d = reference_dissipation(op, 0.5 * (a + b))
             else:
                 d = 0.5 * (reference_dissipation(op, a) + reference_dissipation(op, b))
             expected = energies[k + 1] - energies[k] + dt * d
             assert abs(got[k] - expected) <= 1e-13 * energies[k]
 
 
-class TestEnergyBreakdown:
+class TestEnergyTable:
     def test_total_is_half_squared_gram_norm(self, op3):
         rng = np.random.default_rng(0)
         for _ in range(10):
             s = random_state(16, rng)
-            b = energy(op3, s)
-            assert math.isclose(b.total, 0.5 * gram_norm(op3, s) ** 2,
+            total = energy_table(op3, s[None])[0, 0]
+            assert math.isclose(total, 0.5 * gram_norm(op3, s) ** 2,
                                 rel_tol=1e-14)
 
     def test_terms_sum_to_total(self, op3, op2):
         rng = np.random.default_rng(1)
         for op in (op3, op2):
             for _ in range(20):
-                b = energy(op, random_state(16, rng))
-                assert abs(b.total - sum(b.terms)) <= 1e-14 * abs(b.total)
-                assert b.total >= 0.0
+                row = energy_table(op, random_state(16, rng)[None])[0]
+                assert abs(row[0] - sum(row[1:8])) <= 1e-14 * abs(row[0])
+                assert row[0] >= 0.0
 
     def test_single_node_temperature_oracle(self, op3, moduli3):
         n, h = 16, op3.grid.h
-        theta = np.zeros(n)
-        theta[4] = 1.0
-        s = State1D(np.zeros(n), np.zeros(n), np.zeros(n), theta,
-                    np.zeros(n), np.zeros(n))
-        b = energy(op3, s)
-        assert b.thermal == 0.5 * moduli3.c_cap * h
-        assert b.total == pytest.approx(b.thermal, rel=1e-15)
+        s = np.zeros((6, n))
+        s[FIELDS.index("theta"), 4] = 1.0
+        b = energy_row(op3, s.ravel())
+        assert b["thermal"] == 0.5 * moduli3.c_cap * h
+        assert b["total"] == pytest.approx(b["thermal"], rel=1e-15)
 
     def test_elastic_sine_oracle(self, op3, moduli3):
         n, h = 16, op3.grid.h
         x = op3.grid.nodes
-        s = State1D(np.sin(np.pi * x), np.zeros(n), np.zeros(n), np.zeros(n),
-                    np.zeros(n), np.zeros(n))
+        s = np.zeros((6, n))
+        s[FIELDS.index("u")] = np.sin(np.pi * x)
         mu = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
-        b = energy(op3, s)
-        assert b.elastic == pytest.approx(moduli3.m_uu * mu / 4.0, rel=1e-13)
-        assert b.elastic == pytest.approx(moduli3.m_uu * np.pi ** 2 / 4.0,
-                                          rel=(np.pi * h) ** 2 / 12 * 2)
+        b = energy_row(op3, s.ravel())
+        assert b["elastic"] == pytest.approx(moduli3.m_uu * mu / 4.0, rel=1e-13)
+        assert b["elastic"] == pytest.approx(moduli3.m_uu * np.pi ** 2 / 4.0,
+                                             rel=(np.pi * h) ** 2 / 12 * 2)
 
     def test_dimension_mismatch(self, op3):
         with pytest.raises(DimensionMismatch):
-            energy(op3, State1D.zeros(4))
+            energy_table(op3, np.zeros((1, 6 * 4)))
+        with pytest.raises(DimensionMismatch):
+            energy_table(op3, np.zeros(6 * 16))
 
     def test_series_matches_pointwise_energy(self, op3):
         states = collect(op3, sine_init(op3.grid), 0.01, 20)
         series = energy_table(op3, states)[:, 0]
-        for val, snap in zip(series, as_states(states)):
-            assert val == energy(op3, snap).total
+        for val, snap in zip(series, states):
+            assert val == energy_table(op3, snap[None])[0, 0]
 
 
 class TestDissipationRate:
@@ -197,9 +199,8 @@ class TestDissipationRate:
         rng = np.random.default_rng(2)
         for op in (op3, op3_back):
             for _ in range(20):
-                s = random_state(16, rng)
-                u = s.to_vector()
-                d = energy(op, s).dissipation_rate
+                u = random_state(16, rng)
+                d = energy_table(op, u[None])[0, -1]
                 quad = -float(u @ (op.g_mat @ (op.a_mat @ u)))
                 scale = d + float(u @ (op.g_mat @ u))
                 assert abs(d - quad) <= 1e-10 * scale
@@ -208,16 +209,16 @@ class TestDissipationRate:
         rng = np.random.default_rng(3)
         for _ in range(50):
             s = random_state(16, rng)
-            assert energy(op3, s).dissipation_rate >= 0.0
-            assert energy(op2, s).dissipation_rate == 0.0
+            assert energy_table(op3, s[None])[0, -1] >= 0.0
+            assert energy_table(op2, s[None])[0, -1] == 0.0
 
     def test_sine_temperature_oracle(self, op3, moduli3):
         n, h = 16, op3.grid.h
         x = op3.grid.nodes
-        s = State1D(np.zeros(n), np.zeros(n), np.zeros(n), np.sin(np.pi * x),
-                    np.zeros(n), np.zeros(n))
+        s = np.zeros((6, n))
+        s[FIELDS.index("theta")] = np.sin(np.pi * x)
         mu = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
-        d = energy(op3, s).dissipation_rate
+        d = energy_table(op3, s.reshape(1, -1))[0, -1]
         assert d == pytest.approx(moduli3.h_cond * mu / 2.0, rel=1e-13)
         assert d == pytest.approx(moduli3.h_cond * np.pi ** 2 / 2.0,
                                   rel=(np.pi * h) ** 2 / 12 * 2)
@@ -363,7 +364,7 @@ class TestFitDecay:
 
     def test_degenerate_and_short_trajectories(self, op3):
         with pytest.raises(ValueError, match="initial energy is zero"):
-            decay_fit(op3, State1D.zeros(16), 0.01, 20, 1)
+            decay_fit(op3, np.zeros(6 * 16), 0.01, 20, 1)
         with pytest.raises(ValueError, match="at least 10"):
             decay_fit(op3, sine_init(op3.grid), 0.01, 5, 1)
 
@@ -375,7 +376,7 @@ class TestFitDecay:
 
 class TestBackwardFunctionals:
     def test_zero_trajectory_all_vanish(self, op3_back):
-        f = functionals(collect(op3_back, State1D.zeros(16), 5e-5, 20), 5e-5, op3_back)
+        f = functionals(collect(op3_back, np.zeros(6 * 16), 5e-5, 20), 5e-5, op3_back)
         assert not f.e1.any() and not f.e2.any() and not f.e3.any()
         assert not f.cal_e.any()
         assert f.gronwall_k == 0.0
@@ -383,8 +384,8 @@ class TestBackwardFunctionals:
     def test_e1_is_bitwise_energy(self, op3_back):
         states = collect(op3_back, sine_init(op3_back.grid), 5e-5, 50)
         f = functionals(states, 5e-5, op3_back)
-        for val, snap in zip(f.e1, as_states(states)):
-            assert val == energy(op3_back, snap).total
+        for val, snap in zip(f.e1, states):
+            assert val == energy_table(op3_back, snap[None])[0, 0]
 
     def test_e1_e2_recombination(self, op3_back):
         # E1 = E2 + (c theta^2 + alpha M^2 + K tau'^2 + m_rr R'^2
@@ -392,10 +393,11 @@ class TestBackwardFunctionals:
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = random_state(16, rng)
-            f = functionals(s.to_vector()[None], 1.0, op3_back)
-            b = energy(op3_back, s)
-            recombined = f.e2[0] + 2.0 * (b.thermal + b.microthermal
-                                          + b.tau_gradient + b.r_gradient) + b.coupling
+            f = functionals(s[None], 1.0, op3_back)
+            b = energy_row(op3_back, s)
+            twice = 2.0 * (b["thermal"] + b["microthermal"]
+                           + b["tau_gradient"] + b["r_gradient"])
+            recombined = f.e2[0] + twice + b["coupling"]
             assert abs(f.e1[0] - recombined) <= 1e-14 * abs(f.e1[0])
 
     def test_positivity_and_gronwall_envelope(self, op3_back):
@@ -431,7 +433,7 @@ class TestLocalizationProbe:
         return localization_probe(op_bwd, first, last, dt, table[:, 0])
 
     def test_trivial_zero_data_flagged(self, op2, op2_back):
-        probe = self.probe(op2, op2_back, State1D.zeros(16), 0.01, 10)
+        probe = self.probe(op2, op2_back, np.zeros(6 * 16), 0.01, 10)
         assert probe.trivial
         assert math.isnan(probe.min_energy_ratio)
         assert probe.round_trip_error == 0.0

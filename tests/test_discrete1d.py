@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from microtherm import (DimensionMismatch, Grid1D, InvalidGrid,
-                        InvalidMaterial, State1D, assemble_backward,
-                        assemble_operator, reference_type2, reference_type3,
-                        to_moduli_1d)
+from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
+                        assemble_backward, assemble_operator, reference_type2,
+                        reference_type3, to_moduli_1d)
 from microtherm.discrete1d import (FIELDS, FORMS, _stencils, form_matrix,
                                    form_tables, form_values)
 
-from conftest import (bmat_generator, difference_matrices, first_difference,
+from conftest import (bmat_generator, difference_matrices, fields, first_difference,
                       gram_norm, kron_form, random_state, random_valid_material,
                       second_difference, staggered_difference)
 
@@ -45,20 +44,9 @@ class TestGridAndState:
         with pytest.raises(InvalidGrid):
             Grid1D(**kwargs)
 
-    def test_state_vector_round_trip(self):
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal(6 * 5)
-        s = State1D.from_vector(vec)
-        assert np.array_equal(s.to_vector(), vec)
-        assert s.n == 5
-        # stacking order is (u, v, tau, theta, r, m)
-        assert np.array_equal(s.u, vec[0:5])
-        assert np.array_equal(s.theta, vec[15:20])
-
-    def test_ragged_state_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            State1D(np.zeros(3), np.zeros(3), np.zeros(4),
-                    np.zeros(3), np.zeros(3), np.zeros(3))
+    def test_stacking_order(self):
+        # a state stacks n values of each field in this order
+        assert FIELDS == ("u", "v", "tau", "theta", "r", "m")
 
 
 class TestStencils:
@@ -128,40 +116,41 @@ class TestOperatorAssembly:
     def test_generator_rows_match_stencils(self, op3, moduli3):
         rng = np.random.default_rng(5)
         m, h = moduli3, op3.grid.h
-        s = random_state(16, rng)
-        out = State1D.from_vector(op3.a_mat @ s.to_vector())
+        x = random_state(16, rng)
+        s, out = fields(x), fields(op3.a_mat @ x)
         p = m.varpi_plus_hbar
-        assert np.array_equal(out.u, s.v)
-        assert np.array_equal(out.tau, s.theta)
-        assert np.array_equal(out.r, s.m)
-        v_dot = (m.m_uu * second_difference(s.u, h)
-                 - m.beta * first_difference(s.theta, h)
-                 + m.m_ur * second_difference(s.r, h)) / m.rho
-        th_dot = (-m.beta * first_difference(s.v, h)
-                  + m.k_cond * second_difference(s.tau, h)
-                  + m.h_cond * second_difference(s.theta, h)
-                  - p * first_difference(s.m, h)) / m.c_cap
-        m_dot = (m.m_ur * second_difference(s.u, h)
-                 + m.m_rr * second_difference(s.r, h)
-                 + m.m_rr_rate * second_difference(s.m, h)
-                 - p * first_difference(s.theta, h)) / m.alpha_m
-        scale = np.abs(op3.a_mat @ s.to_vector()).max()
-        assert np.abs(out.v - v_dot).max() <= 1e-13 * scale
-        assert np.abs(out.theta - th_dot).max() <= 1e-13 * scale
-        assert np.abs(out.m - m_dot).max() <= 1e-13 * scale
+        assert np.array_equal(out["u"], s["v"])
+        assert np.array_equal(out["tau"], s["theta"])
+        assert np.array_equal(out["r"], s["m"])
+        v_dot = (m.m_uu * second_difference(s["u"], h)
+                 - m.beta * first_difference(s["theta"], h)
+                 + m.m_ur * second_difference(s["r"], h)) / m.rho
+        th_dot = (-m.beta * first_difference(s["v"], h)
+                  + m.k_cond * second_difference(s["tau"], h)
+                  + m.h_cond * second_difference(s["theta"], h)
+                  - p * first_difference(s["m"], h)) / m.c_cap
+        m_dot = (m.m_ur * second_difference(s["u"], h)
+                 + m.m_rr * second_difference(s["r"], h)
+                 + m.m_rr_rate * second_difference(s["m"], h)
+                 - p * first_difference(s["theta"], h)) / m.alpha_m
+        scale = np.abs(op3.a_mat @ x).max()
+        assert np.abs(out["v"] - v_dot).max() <= 1e-13 * scale
+        assert np.abs(out["theta"] - th_dot).max() <= 1e-13 * scale
+        assert np.abs(out["m"] - m_dot).max() <= 1e-13 * scale
 
     def test_gram_realizes_twice_the_energy(self, op3, moduli3):
         rng = np.random.default_rng(6)
         m, h = moduli3, op3.grid.h
-        s = random_state(16, rng)
-        du = staggered_difference(s.u, h)
-        dtau = staggered_difference(s.tau, h)
-        dr = staggered_difference(s.r, h)
-        by_hand = h * (m.rho * s.v @ s.v + m.c_cap * s.theta @ s.theta
-                       + m.alpha_m * s.m @ s.m + m.m_uu * du @ du
+        x = random_state(16, rng)
+        u, v, tau, theta, r, mm = x.reshape(6, -1)
+        du = staggered_difference(u, h)
+        dtau = staggered_difference(tau, h)
+        dr = staggered_difference(r, h)
+        by_hand = h * (m.rho * v @ v + m.c_cap * theta @ theta
+                       + m.alpha_m * mm @ mm + m.m_uu * du @ du
                        + 2.0 * m.m_ur * du @ dr + m.k_cond * dtau @ dtau
                        + m.m_rr * dr @ dr)
-        quad = float(s.to_vector() @ (op3.g_mat @ s.to_vector()))
+        quad = float(x @ (op3.g_mat @ x))
         assert quad == pytest.approx(by_hand, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
@@ -256,8 +245,9 @@ class TestOperatorAssembly:
     def test_gram_norm_of_pure_sine_displacement(self, op3, moduli3):
         n, h = 16, op3.grid.h
         x = np.arange(1, n + 1) * h
-        s = State1D.zeros(n)
-        s = State1D(np.sin(np.pi * x), s.v, s.tau, s.theta, s.r, s.m)
+        s = np.zeros((6, n))
+        s[FIELDS.index("u")] = np.sin(np.pi * x)
+        s = s.ravel()
         mu = discrete_laplacian_eigenvalue(1, h)
         # exact discrete value, then the continuum limit m_uu*pi^2/2
         assert gram_norm(op3, s) ** 2 == pytest.approx(moduli3.m_uu * mu / 2, rel=1e-13)
@@ -270,7 +260,7 @@ class TestOperatorAssembly:
         for _ in range(5):
             op = assemble_operator(grid, to_moduli_1d(random_valid_material(rng)))
             for _ in range(50):
-                u = random_state(16, rng).to_vector()
+                u = random_state(16, rng)
                 quad = float(u @ (op.g_mat @ (op.a_mat @ u)))
                 assert quad <= 1e-12 * float(u @ (op.g_mat @ u))
 
@@ -297,7 +287,7 @@ class TestOperatorAssembly:
     def test_backward_form_produces_energy(self, op3_back):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            u = random_state(16, rng).to_vector()
+            u = random_state(16, rng)
             quad = float(u @ (op3_back.g_mat @ (op3_back.a_mat @ u)))
             assert quad >= -1e-12 * float(u @ (op3_back.g_mat @ u))
 
@@ -319,13 +309,9 @@ class TestOperatorAssembly:
             sin = np.sin
             cos = np.cos
             pi = np.pi
-            fields = {
-                "u": sin(pi * x), "v": sin(2 * pi * x), "tau": sin(3 * pi * x),
-                "theta": sin(pi * x), "r": sin(2 * pi * x), "m": sin(3 * pi * x),
-            }
-            s = State1D(**fields)
-            got = State1D.from_vector(
-                assemble_operator(Grid1D(n_interior=n), m).a_mat @ s.to_vector())
+            s = np.concatenate([sin(pi * x), sin(2 * pi * x), sin(3 * pi * x),
+                                sin(pi * x), sin(2 * pi * x), sin(3 * pi * x)])
+            got = fields(assemble_operator(Grid1D(n_interior=n), m).a_mat @ s)
             v_dot = (m.m_uu * (-pi ** 2) * sin(pi * x)
                      - m.beta * pi * cos(pi * x)
                      + m.m_ur * (-4 * pi ** 2) * sin(2 * pi * x)) / m.rho
@@ -337,9 +323,9 @@ class TestOperatorAssembly:
                      + m.m_rr * (-4 * pi ** 2) * sin(2 * pi * x)
                      + m.m_rr_rate * (-9 * pi ** 2) * sin(3 * pi * x)
                      - p * pi * cos(pi * x)) / m.alpha_m
-            return max(np.abs(got.v - v_dot).max(),
-                       np.abs(got.theta - th_dot).max(),
-                       np.abs(got.m - m_dot).max())
+            return max(np.abs(got["v"] - v_dot).max(),
+                       np.abs(got["theta"] - th_dot).max(),
+                       np.abs(got["m"] - m_dot).max())
 
         e_coarse, e_fine = error_at(31), error_at(63)
         order = np.log2(e_coarse / e_fine)

@@ -6,19 +6,19 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, NonFinite,
-                        SolveFailure, State1D, assemble_backward,
+                        SolveFailure, assemble_backward,
                         assemble_operator, energy_table, reference_type2,
                         reference_type3, snapshot_blocks, snapshot_times,
                         time_reversal, to_moduli_1d)
 from microtherm import evolve
 from microtherm.evolve import MidpointStepper, _node_major
 
-from conftest import collect, field_major, gram_norm, random_state, sine_init
+from conftest import collect, field_major, fields, gram_norm, random_state, sine_init
 
 
-def end_state(op, init, dt, n_steps) -> State1D:
+def end_state(op, init, dt, n_steps) -> np.ndarray:
     """The state after n_steps midpoint steps from init."""
-    return State1D.from_vector(collect(op, init, dt, n_steps, max(n_steps, 1))[-1])
+    return collect(op, init, dt, n_steps, max(n_steps, 1))[-1]
 
 
 def decoupled_elastic_moduli():
@@ -29,24 +29,37 @@ def decoupled_elastic_moduli():
     return to_moduli_1d(m)
 
 
-class TestState1D:
-    def test_round_trip_state(self):
-        rng = np.random.default_rng(0)
-        s = random_state(6, rng)
-        copy = State1D(s.u, s.v, s.tau, s.theta, s.r, s.m)
-        assert copy.n == 6
-        assert np.array_equal(State1D.from_vector(copy.to_vector()).to_vector(),
-                              s.to_vector())
+class TestInitialState:
+    """snapshot_blocks checks the stacked initial state at the call,
+    before any step, and copies it."""
 
-    def test_rejects_ragged_and_nonfinite(self):
-        with pytest.raises(DimensionMismatch):
-            State1D(np.zeros(3), np.zeros(4), np.zeros(3),
-                    np.zeros(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(NonFinite):
-            State1D(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2),
-                    np.zeros(2), np.zeros(2), np.zeros(2))
-        with pytest.raises(NonFinite):
-            State1D.from_vector(np.r_[np.zeros(11), np.inf])
+    @pytest.mark.parametrize("init, error", [
+        (np.zeros(6 * 16 - 1), DimensionMismatch),
+        (np.zeros(6 * 16 + 6), DimensionMismatch),
+        (np.zeros((6, 16)), DimensionMismatch),
+        (np.r_[np.nan, np.zeros(6 * 16 - 1)], NonFinite),
+        (np.r_[np.zeros(6 * 16 - 1), np.inf], NonFinite),
+        (np.r_[np.zeros(6 * 16 - 1), -np.inf], NonFinite),
+    ], ids=["short", "long", "2-d", "nan", "inf", "-inf"])
+    def test_bad_initial_state_raises_before_any_step(self, op2, monkeypatch, init, error):
+        built = []
+        monkeypatch.setattr(evolve, "MidpointStepper", lambda *args: built.append(args))
+        with pytest.raises(error):
+            snapshot_blocks(op2, init, 0.01, 10)
+        assert not built
+
+    def test_first_block_does_not_alias_the_initial_state(self, op2):
+        init = sine_init(op2.grid)
+        kept = init.copy()
+        blocks = snapshot_blocks(op2, init, 0.01, 3)
+        init[:] = 0.0  # a change after the call does not reach the run
+        first = next(blocks)
+        assert not np.shares_memory(first, init)
+        assert np.array_equal(first[0], kept)
+        first[0] = 1.0
+        assert not init.any()
+        assert np.array_equal(np.concatenate([first[1:], *blocks]),
+                              collect(op2, kept, 0.01, 3)[1:])
 
 
 class TestTrajectory:
@@ -55,7 +68,7 @@ class TestTrajectory:
         states = collect(op2, init, 0.01, 20, every=5)
         assert states.shape == (5, 96)
         assert np.allclose(snapshot_times(0.01, 20, 5), [0.0, 0.05, 0.10, 0.15, 0.20])
-        assert np.array_equal(states[0], init.to_vector())
+        assert np.array_equal(states[0], init)
 
     def test_zero_steps_keeps_initial_state_only(self, op2):
         assert len(collect(op2, sine_init(op2.grid), 0.01, 0)) == 1
@@ -70,7 +83,7 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             snapshot_blocks(op2, init, 0.01, 10, snapshot_every=0)
         with pytest.raises(DimensionMismatch):
-            snapshot_blocks(op2, State1D.zeros(8), 0.01, 10)
+            snapshot_blocks(op2, np.zeros(6 * 8), 0.01, 10)
 
 
 class TestMidpointStructure:
@@ -91,10 +104,10 @@ class TestMidpointStructure:
         rng = np.random.default_rng(11)
         s1, s2 = random_state(16, rng), random_state(16, rng)
         a, b = 0.7, -1.3
-        combo = State1D.from_vector(a * s1.to_vector() + b * s2.to_vector())
+        combo = a * s1 + b * s2
         out = {}
         for tag, s in (("s1", s1), ("s2", s2), ("combo", combo)):
-            out[tag] = end_state(op3, s, 0.02, 50).to_vector()
+            out[tag] = end_state(op3, s, 0.02, 50)
         lhs = out["combo"]
         rhs = a * out["s1"] + b * out["s2"]
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -103,12 +116,13 @@ class TestMidpointStructure:
         # the midpoint update gives u+ - u = dt/2 (v + v+) identically,
         # and likewise for (tau, theta) and (R, M)
         dt = 0.02
-        snaps = [State1D.from_vector(row) for row in collect(op3, sine_init(op3.grid), dt, 10)]
-        for a, b in zip(snaps, snaps[1:]):
-            scale = max(np.abs(b.to_vector()).max(), 1.0)
+        snaps = collect(op3, sine_init(op3.grid), dt, 10)
+        for x, y in zip(snaps, snaps[1:]):
+            scale = max(np.abs(y).max(), 1.0)
+            a, b = fields(x), fields(y)
             for disp, rate in (("u", "v"), ("tau", "theta"), ("r", "m")):
-                lhs = getattr(b, disp) - getattr(a, disp)
-                rhs = 0.5 * dt * (getattr(a, rate) + getattr(b, rate))
+                lhs = b[disp] - a[disp]
+                rhs = 0.5 * dt * (a[rate] + b[rate])
                 assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
     def test_matches_dense_matrix_exponential(self, moduli3):
@@ -117,11 +131,11 @@ class TestMidpointStructure:
         init = sine_init(grid)
         t_final = 0.4
         dense = scipy.linalg.expm(t_final * op.a_mat.toarray())
-        expected = dense @ init.to_vector()
+        expected = dense @ init
 
         def endpoint_error(dt):
             n_steps = int(round(t_final / dt))
-            return np.abs(end_state(op, init, dt, n_steps).to_vector() - expected).max()
+            return np.abs(end_state(op, init, dt, n_steps) - expected).max()
 
         e1, e2 = endpoint_error(4e-3), endpoint_error(2e-3)
         assert e2 < e1 < 1e-2
@@ -132,25 +146,25 @@ class TestMidpointStructure:
         op = assemble_operator(grid, decoupled_elastic_moduli())
         x = grid.nodes
         h = grid.h
-        init = State1D(u=np.sin(np.pi * x), v=np.zeros(16),
-                       tau=np.zeros(16), theta=np.zeros(16),
-                       r=np.zeros(16), m=np.zeros(16))
+        init = np.zeros((6, 16))
+        init[0] = np.sin(np.pi * x)
+        init = init.ravel()
         mu = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
         omega = np.sqrt(op.moduli.m_uu / op.moduli.rho * mu)
 
         def endpoint_error(dt):
             n_steps = int(round(1.0 / dt))
             expected = np.cos(omega * n_steps * dt) * np.sin(np.pi * x)
-            return np.abs(end_state(op, init, dt, n_steps).u - expected).max()
+            return np.abs(fields(end_state(op, init, dt, n_steps))["u"] - expected).max()
 
         e1, e2 = endpoint_error(2e-3), endpoint_error(1e-3)
         assert np.log2(e1 / e2) >= 1.9
 
     def test_rk4_cross_check(self, op3):
         init = sine_init(op3.grid)
-        mid = end_state(op3, init, 1e-3, 500).to_vector()
+        mid = end_state(op3, init, 1e-3, 500)
         # classical four-stage reference on the same generator
-        a_mat, dt, vec = op3.a_mat, 1e-3, init.to_vector()
+        a_mat, dt, vec = op3.a_mat, 1e-3, init
         for _ in range(500):
             k1 = a_mat @ vec
             k2 = a_mat @ (vec + 0.5 * dt * k1)
@@ -189,7 +203,7 @@ class TestBandedStepper:
 
     def test_reversed_type3_run_stops_at_first_overflow(self, op3, op3_back):
         dt = 0.01
-        turned = time_reversal(end_state(op3, sine_init(op3.grid), dt, 400)).to_vector()
+        turned = time_reversal(end_state(op3, sine_init(op3.grid), dt, 400))
         stepper = MidpointStepper(op3_back, dt)
         kept = []
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +217,7 @@ class TestBandedStepper:
         with np.errstate(over="ignore"):
             assert not np.isfinite(rhs @ rhs)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
-            collect(op3_back, State1D.from_vector(turned), dt, 400)
+            collect(op3_back, turned, dt, 400)
 
 
 class TestStepperKernels:
@@ -304,22 +318,39 @@ class TestSolverGuard:
         long_form = collect(op2, s, 0.01, 3)
         for k in range(1, 4):
             s = end_state(op2, s, 0.01, 1)
-            assert np.array_equal(s.to_vector(), long_form[k])
+            assert np.array_equal(s, long_form[k])
 
 
 class TestTimeReversal:
     def test_involution(self):
         rng = np.random.default_rng(12)
         s = random_state(5, rng)
-        back = time_reversal(time_reversal(s))
-        assert np.array_equal(back.to_vector(), s.to_vector())
+        assert np.array_equal(time_reversal(time_reversal(s)), s)
+
+    def test_negates_the_rate_fields_into_a_new_array(self):
+        s = random_state(5, np.random.default_rng(13))
+        kept = s.copy()
+        turned = time_reversal(s)
+        expected = s.reshape(6, 5).copy()
+        expected[1::2] = -expected[1::2]  # v, theta, m
+        assert turned.tobytes() == expected.ravel().tobytes()
+        assert not np.shares_memory(turned, s)
+        assert np.array_equal(s, kept)
+
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    def test_backward_generator_is_the_reversed_forward_one(self, model, grid16):
+        moduli = to_moduli_1d(reference_type2() if model == "type2" else reference_type3())
+        flip = sp.diags(time_reversal(np.ones(6 * grid16.n_interior)))
+        a_fwd = assemble_operator(grid16, moduli).a_mat
+        a_bwd = assemble_backward(grid16, moduli).a_mat
+        assert (-(flip @ a_fwd @ flip) - a_bwd).count_nonzero() == 0
 
     def test_round_trip_type2(self, op2, op2_back):
         init = sine_init(op2.grid)
         dt, n_steps = 0.01, 1000  # T = 10
         turned = time_reversal(end_state(op2, init, dt, n_steps))
-        recovered = time_reversal(end_state(op2_back, turned, dt, n_steps)).to_vector()
-        err = np.abs(recovered - init.to_vector()).max()
+        recovered = time_reversal(end_state(op2_back, turned, dt, n_steps))
+        err = np.abs(recovered - init).max()
         assert err <= 1e-8
 
     def test_backward_energy_grows(self, op3_back):
@@ -331,5 +362,5 @@ class TestTimeReversal:
     def test_gram_norm_contraction_forward(self, op3):
         # dissipative semigroup: the G-norm never grows
         states = collect(op3, sine_init(op3.grid), 0.01, 50)
-        norms = [gram_norm(op3, State1D.from_vector(row)) for row in states]
+        norms = [gram_norm(op3, row) for row in states]
         assert (np.diff(norms) <= 1e-12 * norms[0]).all()

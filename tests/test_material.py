@@ -21,12 +21,10 @@ class TestModuliReduction:
         assert m.m_rr_rate == 1.0
         assert m.varpi_plus_hbar == ref.varpi + ref.hbar_c
         assert m.k_cond == 1.0 and m.h_cond == 1.0
-        assert not m.is_type2
 
     def test_type2_reference_is_conservative(self):
         m = to_moduli_1d(reference_type2())
         assert m.h_cond == 0.0 and m.m_rr_rate == 0.0
-        assert m.is_type2
 
     def test_invalid_material_raises_with_report_text(self):
         bad = dataclasses.replace(reference_type3(), rho=-1.0, k_cond=0.0)

@@ -10,6 +10,8 @@ from microtherm.discrete1d import block_rows
 from microtherm.runner import _dispersion
 from microtherm.scenario import _BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K
 
+from conftest import fields
+
 FULL = """\
 [material]
 model = type3
@@ -283,22 +285,22 @@ class TestSizeLimits:
 class TestBuildInitial:
     def test_zero_preset(self):
         init = build_initial(parse_scenario(minimal()))
-        assert not init.to_vector().any()
+        assert init.shape == (6 * 8,) and init.dtype == float
+        assert not init.any()
 
     def test_sine_preset_fields(self):
         s = parse_scenario(FULL)
-        init = build_initial(s)
+        init = fields(build_initial(s))
         x = s.grid.nodes
-        np.testing.assert_array_equal(init.u, np.sin(2 * np.pi * x / 2.0))
-        np.testing.assert_array_equal(init.theta, 0.25 * np.sin(np.pi * x / 2.0))
-        assert not init.v.any() and not init.r.any()
+        np.testing.assert_array_equal(init["u"], np.sin(2 * np.pi * x / 2.0))
+        np.testing.assert_array_equal(init["theta"], 0.25 * np.sin(np.pi * x / 2.0))
+        assert not init["v"].any() and not init["r"].any()
 
     def test_impulse_preset(self):
         text = minimal(**{"preset = zero": "preset = impulse\nfield = v\nnode = 3\namp = 2.5"})
         init = build_initial(parse_scenario(text))
-        assert init.v[3] == 2.5
-        assert np.count_nonzero(init.v) == 1
-        assert not init.u.any()
+        assert fields(init)["v"][3] == 2.5
+        assert np.count_nonzero(init) == 1
 
     def test_impulse_node_out_of_range(self):
         text = minimal(**{"preset = zero": "preset = impulse\nnode = 8"})
@@ -314,16 +316,25 @@ class TestBuildInitial:
     def test_impulse_defaults_to_center_temperature(self):
         text = minimal(**{"preset = zero": "preset = impulse"})
         init = build_initial(parse_scenario(text))
-        assert init.theta[4] == 1.0
+        assert fields(init)["theta"][4] == 1.0
 
     def test_random_preset_is_seed_deterministic(self):
         text = minimal(**{"preset = zero": "preset = random\nseed = 11"})
         a = build_initial(parse_scenario(text))
         b = build_initial(parse_scenario(text))
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a, b)
         other = minimal(**{"preset = zero": "preset = random\nseed = 12"})
         c = build_initial(parse_scenario(other))
-        assert not np.array_equal(a.to_vector(), c.to_vector())
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("run", ["simulate", "dispersion"])
+    def test_overflowing_random_state_is_rejected_at_parse_time(self, run):
+        # amp = 1e308 times a standard normal draw above 1.8 in magnitude
+        # overflows; the check does not depend on the tasks
+        text = minimal(**{"preset = zero": "preset = random\nseed = 3\namp = 1e308",
+                          "run = simulate": f"run = {run}"})
+        with pytest.raises(ParseError, match=r"\[init\] amp"):
+            parse_scenario(text)
 
     def test_random_seed_reaches_scenario(self):
         text = minimal(**{"preset = zero": "preset = random\nseed = 11"})

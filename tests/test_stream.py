@@ -78,7 +78,7 @@ class TestSnapshotBlocks:
         n_steps = every * (2 * block_rows(op3.n) + 5)
         blocks = list(snapshot_blocks(op3, sine_init(op3.grid), 0.01, n_steps, every))
         assert [len(b) for b in blocks] == [block_rows(op3.n)] * 2 + [6]
-        assert np.array_equal(blocks[0][0], sine_init(op3.grid).to_vector())
+        assert np.array_equal(blocks[0][0], sine_init(op3.grid))
         # the kept states are every every-th state of the every-step run
         every_step = np.concatenate(list(snapshot_blocks(op3, sine_init(op3.grid), 0.01,
                                                          n_steps)))
@@ -94,7 +94,7 @@ class TestSnapshotBlocks:
     def test_zero_steps_is_the_initial_state(self, op3):
         init = sine_init(op3.grid)
         (block,) = snapshot_blocks(op3, init, 0.01, 0)
-        assert np.array_equal(block, init.to_vector()[None])
+        assert np.array_equal(block, init[None])
 
 
 KEPT = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
