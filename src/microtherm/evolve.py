@@ -2,11 +2,13 @@
 
 The integrator of record is the implicit midpoint rule
 
-    (I - dt/2 A) U_{k+1} = (I + dt/2 A) U_k
+    (I - dt/2 A) U_{k+1} = (I + dt/2 A) U_k,
 
-which is exact on the quadratic invariant of the skew part of G A: for
-conservative moduli the discrete energy is constant to round-off, and
-with dissipation the per-step balance
+taken in its one-solve form: solve (I - dt/2 A) Y_k = U_k for the
+midpoint Y_k, then step to U_{k+1} = 2 Y_k - U_k.  The rule is exact
+on the quadratic invariant of the skew part of G A: for conservative
+moduli the discrete energy is constant to round-off, and with
+dissipation the per-step balance
 
     E_{k+1} - E_k = -dt * D((U_k + U_{k+1}) / 2)
 
@@ -14,11 +16,11 @@ holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 eliminates the three position fields, whose rows are the identities
 d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
 on the rates with a LAPACK band LU factored once per run: two triangular
-band solves when the LU made no row interchange, dgbtrs otherwise.  A
-is applied as one CSR matrix in node-major order.  Every step checks
-the residual of the full system; a step that misses it raises
-SolveFailure, and a step whose norms overflow raises NonFinite, so no
-run returns a non-finite snapshot.
+band solves when the LU made no row interchange, dgbtrs otherwise.
+Every step's residual on the full system is checked, a chunk of steps
+at a time with one CSR product, before its states leave; a step that
+misses it raises SolveFailure, and one whose norms overflow raises
+NonFinite, so no run returns a non-finite snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -50,6 +52,7 @@ __all__ = [
 
 _SOLVE_TOL = 1e-12
 _BAND = 5  # kl = ku of the node-major reduced rate system
+_CHUNK = 32  # most steps whose residuals one sparse product checks
 
 
 class MidpointStepper:
@@ -57,36 +60,39 @@ class MidpointStepper:
 
     Every operator has position rows d(u, tau, R)/dt = (v, theta, M);
     the rate rows read d(v, theta, M)/dt = K (u, tau, R) + C (v, theta, M).
-    With R = (I + dt/2 A) U the midpoint right-hand side, eliminating
-    the positions, pos+ = R_pos + dt/2 W+, leaves the reduced system
+    A step from the state X solves (I - dt/2 A) Y = X for the midpoint
+    Y and moves to 2 Y - X.  Eliminating the positions,
+    Y_pos = X_pos + dt/2 W, leaves the reduced system
 
-        (I - dt/2 C - dt^2/4 K) W+ = R_rate + dt/2 K R_pos
+        (I - dt/2 C - dt^2/4 K) W = X_rate + dt/2 K X_pos
 
-    on the 3n rate unknowns W+.  In node-major order (the six fields of
+    on the 3n midpoint rates W.  In node-major order (the six fields of
     node 0, then those of node 1, ...) the reduced matrix is banded
     with kl = ku = 5: LAPACK dgbtrf factors it once.  When it made no
     row interchange, each step solves with two BLAS dtbsv calls, the
     unit lower and the upper band factor, bitwise what dgbtrs computes
     at a fraction of its per-column calls; otherwise it solves with
     dgbtrs.  Inside a run the state stays node-major, so positions and
-    rates are the even and odd entries of one array; A x is one CSR
-    product, and dt/2 K R_pos one BLAS dgbmv on band storage fused with
-    the sum.
+    rates are the even and odd entries of one array, and dt/2 K X_pos
+    is one BLAS dgbmv on band storage fused with the sum.
 
-    Each step checks the residual of the full 6n system against 1e-12
-    relative, applying one pass of iterative refinement before raising
-    SolveFailure.  When the norm of the right-hand side or of the
-    residual is not finite, the guard cannot be evaluated: the step
-    raises NonFinite, so an overflowing run stops at its first such step
-    and never yields a NaN state.
+    A step is the band solve and 2 Y - X, with no sparse product or norm.
+    Up to _CHUNK steps (and at most a block of states, block_rows) are
+    checked at once, by one CSR product over their midpoints: residual
+    (I - dt/2 A) Y - X within 1e-12 |X|, next state finite.  States are
+    yielded only from a passing chunk.  At the first failing step the
+    states before it are yielded; then NonFinite if |X|, the residual or
+    the next state is not finite, so no non-finite state leaves, else
+    one refinement pass, after which the step passes and the run goes
+    on from it, or SolveFailure.
     Construction raises SolveFailure when the position rows are not
     [0 | I], when a rate row reaches past the band, or when the reduced
     matrix is singular.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not (dt > 0 and math.isfinite((dt / 2) * (dt / 2))):
+            raise ValueError(f"dt must be positive with (dt/2)^2 finite, got {dt}")
         self.op = op
         self.dt = float(dt)
         self._half = 0.5 * self.dt
@@ -126,7 +132,7 @@ class MidpointStepper:
                                 np.asfortranarray(self._lu[_BAND:2 * _BAND + 1]))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for a node-major state x."""
+        """A x for a node-major state x, or for one in each column of x."""
         return self._a @ x
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
@@ -147,41 +153,47 @@ class MidpointStepper:
         out[0::2] = r[0::2] + self._half * rate
         return out
 
-    def _residual(self, out: np.ndarray, rhs: np.ndarray):
-        """A out, the full residual (I - dt/2 A) out - rhs, and its norm."""
-        a_out = self._apply(out)
-        res = out - self._half * a_out
-        res -= rhs
-        return a_out, res, math.sqrt(res @ res)
+    def _guard(self, xs: np.ndarray, ys: np.ndarray):
+        """Residuals s_k = (I - dt/2 A) ys[k] - xs[k], their norms, the
+        norms of the states xs (one row more than ys) and whether each
+        step passes: |s_k| <= 1e-12 |xs[k]|, |xs[k + 1]| finite."""
+        res = ys - self._half * self._apply(ys.T).T
+        res -= xs[:-1]
+        resid = np.sqrt(np.einsum("ij,ij->i", res, res))
+        norms = np.sqrt(np.einsum("ij,ij->i", xs, xs))
+        return res, resid, norms, (resid <= _SOLVE_TOL * norms[:-1]) & np.isfinite(norms[1:])
 
-    def _advance(self, x: np.ndarray, a_x: np.ndarray):
-        """One step from the node-major state x, given a_x = A x; returns
-        the new state and A applied to it, which the next step reuses."""
-        rhs = x + self._half * a_x
-        scale = math.sqrt(rhs @ rhs)
-        out = self._solve(rhs)
-        a_out, res, resid = self._residual(out, rhs)
-        if not (math.isfinite(scale) and math.isfinite(resid)):
-            raise NonFinite(
-                f"midpoint step left the float range: |rhs| = {scale:.3e}, "
-                f"residual = {resid:.3e}")
-        if resid > _SOLVE_TOL * scale:
-            out -= self._solve(res)
-            a_out, _, resid = self._residual(out, rhs)
-            if not resid <= _SOLVE_TOL * scale:
-                raise SolveFailure(
-                    f"midpoint solve residual {resid:.3e} exceeds "
-                    f"{_SOLVE_TOL:.0e} * |rhs| = {_SOLVE_TOL * scale:.3e}"
-                )
-        return out, a_out
-
-    def states(self, x: np.ndarray):
-        """The successive midpoint steps from the node-major state x, as
-        new node-major arrays, without end."""
-        a_x = self._apply(x)
-        while True:
-            x, a_x = self._advance(x, a_x)
-            yield x
+    def states(self, x: np.ndarray, n_steps: int):
+        """The n_steps midpoint steps from the node-major state x, as rows
+        of a buffer that later draws overwrite: copy a state to keep it."""
+        rows = min(_CHUNK, block_rows(self.op.n))
+        xs = np.empty((rows + 1, x.size))  # a chunk's states x_0 .. x_m
+        ys = np.empty((rows, x.size))  # and its midpoints y_0 .. y_{m-1}
+        xs[0] = x
+        x_rows = list(xs)  # views, indexed faster than xs itself
+        while n_steps:
+            m = min(rows, n_steps)
+            for k in range(m):
+                y = self._solve(x_rows[k])
+                ys[k] = y
+                np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
+            res, resid, norms, ok = self._guard(xs[:m + 1], ys[:m])
+            j = m if ok.all() else int(ok.argmin())  # the first failing step
+            yield from xs[1:j + 1]
+            if j < m:
+                if not np.isfinite([norms[j], resid[j], norms[j + 1]]).all():
+                    raise NonFinite(f"midpoint step left the float range: |x| = "
+                                    f"{norms[j]:.3e}, residual = {resid[j]:.3e}")
+                ys[j] -= self._solve(res[j])
+                np.subtract(ys[j] + ys[j], xs[j], out=xs[j + 1])
+                _, resid, norms, ok = self._guard(xs[j:j + 2], ys[j:j + 1])
+                if not ok[0]:
+                    raise SolveFailure(f"midpoint solve residual {resid[0]:.3e} exceeds "
+                                       f"{_SOLVE_TOL:.0e} * |x| = {_SOLVE_TOL * norms[0]:.3e}")
+                j += 1
+                yield xs[j]
+            xs[0] = xs[j]
+            n_steps -= j
 
 
 def _node_major(vec: np.ndarray) -> np.ndarray:
@@ -253,7 +265,7 @@ def _blocks(op, vec, dt, n_steps, snapshot_every):
     if n_steps:
         # looked up as a module global at each call, so that
         # bench/tracing.py can time the factorization by rebinding it
-        states = MidpointStepper(op, dt).states(_node_major(vec))
+        states = MidpointStepper(op, dt).states(_node_major(vec), n_steps)
         # the states of steps snapshot_every, 2 snapshot_every, ...;
         # islice takes no step past the one it returns
         states = itertools.islice(states, snapshot_every - 1, None, snapshot_every)

@@ -180,8 +180,7 @@ def parse_scenario(text: str) -> Scenario:
     n_steps = _as_int("time", "n_steps", _require(parsed, "time", "n_steps"))
     snapshot_every = _as_int("time", "snapshot_every",
                              time_raw.get("snapshot_every", "1"))
-    if dt <= 0:
-        raise ParseError(f"[time] dt must be positive, got {dt}")
+    _check_dt("time", dt)
     if n_steps < 0 or snapshot_every < 1 or n_steps % snapshot_every:
         raise ParseError(
             f"[time] n_steps = {n_steps} must be a nonnegative multiple of "
@@ -241,8 +240,7 @@ def parse_scenario(text: str) -> Scenario:
         lam=_as_float("backward", "lam", back.get("lam", "2.0")),
         out_dir=out.get("directory", ""),
     )
-    if scenario.backward_dt <= 0:
-        raise ParseError(f"[backward] dt must be positive, got {scenario.backward_dt}")
+    _check_dt("backward", scenario.backward_dt)
     if scenario.backward_n_steps < 0:
         raise ParseError(
             f"[backward] n_steps must be >= 0, got {scenario.backward_n_steps}")
@@ -265,6 +263,15 @@ def parse_scenario(text: str) -> Scenario:
             f"[init] amp = {params.get('amp', 1.0)!r} makes the initial state "
             "overflow the float range")
     return scenario
+
+
+def _check_dt(section: str, dt: float):
+    """Reject a step the midpoint matrix I - dt/2 C - (dt/2)^2 K cannot
+    be formed with: dt not positive, or (dt/2)^2 not a finite float."""
+    if dt <= 0:
+        raise ParseError(f"[{section}] dt must be positive, got {dt}")
+    if not math.isfinite((dt / 2) * (dt / 2)):
+        raise ParseError(f"[{section}] dt = {dt} is too large: (dt/2)^2 overflows")
 
 
 def _check_sizes(scenario: Scenario):

@@ -64,6 +64,10 @@ INVALID = {
     "init-u_amp-nan": ("u_amp = 1.0", "u_amp = nan", "u_amp"),
     "dispersion-k_max-inf": ("[tasks]", "[dispersion]\nk_max = inf\n\n[tasks]", "k_max"),
     "backward-dt-negative": ("[tasks]", "[backward]\ndt = -1\n\n[tasks]", "dt"),
+    # (dt/2)^2 of the midpoint matrix overflows
+    "time-dt-half-square-overflow": ("dt = 0.2", "dt = 1e160", "[time] dt"),
+    "backward-dt-half-square-overflow": ("[tasks]", "[backward]\ndt = 1e160\n\n[tasks]",
+                                         "[backward] dt"),
     "backward-eps-above-1": ("[tasks]", "[backward]\neps = 1.5\n\n[tasks]", "eps"),
     "backward-n_steps-negative": ("[tasks]", "[backward]\nn_steps = -3\n\n[tasks]",
                                   "n_steps"),

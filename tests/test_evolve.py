@@ -175,6 +175,11 @@ class TestMidpointStructure:
         assert diff <= 1e-3  # independent schemes, both at least 2nd order
 
 
+def make_stepper(model, n, dt, assemble=assemble_operator):
+    moduli = to_moduli_1d(reference_type2() if model == "type2" else reference_type3())
+    return MidpointStepper(assemble(Grid1D(n_interior=n), moduli), dt)
+
+
 def with_entry(op, row, col, value):
     """op with a_mat[row, col] set to value."""
     a_mat = op.a_mat.tolil()
@@ -207,34 +212,116 @@ class TestBandedStepper:
         stepper = MidpointStepper(op3_back, dt)
         kept = []
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
-            for x in stepper.states(_node_major(turned)):
-                kept.append(x)
-                assert len(kept) < 400
-        assert kept and all(np.isfinite(x).all() for x in kept)
-        # the next right-hand side is where the run leaves float range
-        rhs = (sp.identity(6 * op3.n) + 0.5 * dt * op3_back.a_mat) \
-            @ field_major(kept[-1])
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(rhs @ rhs)
+            for x in stepper.states(_node_major(turned), 400):
+                kept.append(x.copy())
+        assert 0 < len(kept) < 400
+        # the step from the last state yielded is where the run leaves
+        # float range: its next state has no finite norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all(np.isfinite(x @ x) for x in kept)
+            y = stepper._solve(kept[-1])
+            after = 2 * y - kept[-1]
+            assert not np.isfinite(after @ after)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
             collect(op3_back, turned, dt, 400)
+
+
+class TestChunkGuard:
+    """Each step is one band solve; the residuals of a chunk of steps
+    are checked together, and only states of a passing chunk leave."""
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_corrupted_upper_band_raises(self, n):
+        stepper = make_stepper("type3", n, 1e-3)
+        lower, upper = stepper._triangular
+        upper = upper.copy()
+        upper[-1, upper.shape[1] // 2] *= 2.0  # one diagonal entry of U
+        stepper._triangular = (lower, upper)
+        kept = []
+        with pytest.raises(SolveFailure, match="residual"):
+            for x in stepper.states(_node_major(sine_init(Grid1D(n_interior=n))), 40):
+                kept.append(x.copy())
+        assert not kept
+
+    @staticmethod
+    def perturb(stepper, calls, shift):
+        """Make stepper._solve add shift on the calls numbered in calls
+        (from 1), or on every call when calls is None."""
+        solve, count = stepper._solve, [0]
+
+        def perturbed(r):
+            count[0] += 1
+            out = solve(r)
+            return out + shift if calls is None or count[0] in calls else out
+
+        stepper._solve = perturbed
+
+    def test_one_perturbed_solve_is_refined(self):
+        n, n_steps = 16, 100
+        x0 = _node_major(sine_init(Grid1D(n_interior=n)))
+        shift = 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7]
+        clean = [x.copy() for x in make_stepper("type3", n, 1e-3).states(x0, n_steps)]
+        stepper = make_stepper("type3", n, 1e-3)
+        self.perturb(stepper, {40}, shift)  # step 39, inside the second chunk
+        kept = [x.copy() for x in stepper.states(x0, n_steps)]
+        assert len(kept) == n_steps
+        assert np.array_equal(kept[:39], clean[:39])
+        # the refined state x_40 is the clean one to round-off ...
+        assert np.linalg.norm(kept[39] - clean[39]) <= 1e-14 * np.linalg.norm(clean[39])
+        # ... and the rest of the run steps on from it
+        rest = [x.copy() for x in make_stepper("type3", n, 1e-3).states(kept[39], n_steps - 40)]
+        assert np.array_equal(kept[40:], rest)
+
+    def test_every_call_perturbed_raises(self):
+        n = 16
+        x0 = _node_major(sine_init(Grid1D(n_interior=n)))
+        stepper = make_stepper("type3", n, 1e-3)
+        self.perturb(stepper, None, 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7])
+        with pytest.raises(SolveFailure, match="residual"):
+            list(stepper.states(x0, 10))
+
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_states_do_not_depend_on_the_chunk(self, monkeypatch, model, direction):
+        grid = Grid1D(n_interior=16)
+        moduli = to_moduli_1d(reference_type2() if model == "type2" else reference_type3())
+        assemble = assemble_operator if direction == "forward" else assemble_backward
+        op = assemble(grid, moduli)
+        dt = 0.01 if direction == "forward" else 5e-5
+        runs = []
+        for chunk in (1, 7, 32):
+            monkeypatch.setattr(evolve, "_CHUNK", chunk)
+            runs.append(collect(op, sine_init(grid), dt, 100))
+        assert all(run.tobytes() == runs[0].tobytes() for run in runs[1:])
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 400])
+    @pytest.mark.parametrize("strided", [False, True], ids=["every", "last"])
+    def test_one_solve_per_step_and_none_past_the_end(self, op3, monkeypatch,
+                                                      n_steps, strided):
+        calls = {"_solve": 0, "_apply": 0}
+        for name in calls:
+            method = getattr(MidpointStepper, name)
+
+            def counted(self, r, name=name, method=method):
+                calls[name] += 1
+                return method(self, r)
+
+            monkeypatch.setattr(MidpointStepper, name, counted)
+        every = max(n_steps, 1) if strided else 1
+        collect(op3, sine_init(op3.grid), 0.01, n_steps, every)
+        # one solve per step; one sparse product per chunk of 32
+        assert calls == {"_solve": n_steps, "_apply": -(-n_steps // 32)}
 
 
 class TestStepperKernels:
     """The CSR product and the two triangular band solves reproduce the
     node-major band kernels they replace."""
 
-    @staticmethod
-    def stepper(model, n, dt, assemble=assemble_operator):
-        moduli = to_moduli_1d(reference_type2() if model == "type2"
-                              else reference_type3())
-        return MidpointStepper(assemble(Grid1D(n_interior=n), moduli), dt)
-
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("dt", [1e-3, 5e-5])
     def test_forward_solve_is_dgbtrs_bitwise(self, n, model, dt):
-        stepper = self.stepper(model, n, dt)
+        stepper = make_stepper(model, n, dt)
         size = 3 * n
         assert np.array_equal(stepper._piv, np.arange(size))
         assert stepper._triangular is not None
@@ -248,7 +335,7 @@ class TestStepperKernels:
 
     def test_reversed_type3_interchanges_rows_and_keeps_dgbtrs(self, monkeypatch):
         n, dt = 16, 0.01
-        stepper = self.stepper("type3", n, dt, assemble_backward)
+        stepper = make_stepper("type3", n, dt, assemble_backward)
         assert np.any(stepper._piv != np.arange(3 * n))
         assert stepper._triangular is None
         calls = []
@@ -269,7 +356,7 @@ class TestStepperKernels:
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     def test_csr_product_is_the_generator(self, n, model):
-        stepper = self.stepper(model, n, 1e-3)
+        stepper = make_stepper(model, n, 1e-3)
         x = np.random.default_rng(n + 1).standard_normal(6 * n)
         expected = _node_major(stepper.op.a_mat @ x)
         got = stepper._apply(_node_major(x))
@@ -309,8 +396,10 @@ class TestSolverGuard:
             MidpointStepper(with_entry(op2, 16, 3, 1.0), 0.01)
 
     def test_bad_dt_rejected(self, op2):
-        with pytest.raises(ValueError):
-            MidpointStepper(op2, 0.0)
+        # dt > 0, with (dt/2)^2 of the reduced midpoint matrix a finite float
+        for dt in (0.0, -0.01, np.nan, np.inf, 1e160, 2.7e154):
+            with pytest.raises(ValueError, match="dt"):
+                MidpointStepper(op2, dt)
 
     def test_single_step_runs_chain_to_a_long_run(self, op2):
         # a one-step run is the one-step entry point

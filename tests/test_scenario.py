@@ -174,6 +174,14 @@ class TestParse:
     def test_time_validation(self):
         with pytest.raises(ParseError, match="dt must be positive"):
             parse_scenario(minimal(**{"dt = 0.01": "dt = -0.01"}))
+        # the midpoint matrix needs (dt/2)^2 as a finite float
+        for section, old_text, new_text in (
+                ("time", "dt = 0.01", "dt = 1e160"),
+                ("time", "dt = 0.01", "dt = 2.7e154"),
+                ("backward", "[tasks]", "[backward]\ndt = 1e160\n\n[tasks]")):
+            with pytest.raises(ParseError, match=rf"\[{section}\] dt = .* too large"):
+                parse_scenario(minimal(**{old_text: new_text}))
+        assert parse_scenario(minimal(**{"dt = 0.01": "dt = 2.6e154"})).dt == 2.6e154
         with pytest.raises(ParseError, match="multiple"):
             parse_scenario(minimal(**{"n_steps = 10": "n_steps = 10\nsnapshot_every = 3"}))
         # the implicit midpoint rule is the only integrator, not a choice
