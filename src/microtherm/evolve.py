@@ -16,11 +16,13 @@ holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 eliminates the three position fields, whose rows are the identities
 d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
 on the rates with a LAPACK band LU factored once per run: two triangular
-band solves when the LU made no row interchange, dgbtrs otherwise.
-Every step's residual on the full system is checked, a chunk of steps
-at a time with one CSR product, before its states leave; a step that
-misses it raises SolveFailure, and one whose norms overflow raises
-NonFinite, so no run returns a non-finite snapshot.
+band solves when the LU made no row interchange, dgbtrs otherwise; on
+small grids (6n <= _DENSE_STEP) one product with the dense inverse of
+I - dt/2 A instead.  Every step's residual on the full system is
+checked, a chunk of steps at a time with one CSR product, before its
+states leave; a step that misses it raises SolveFailure, and one whose
+norms overflow raises NonFinite, so no run returns a non-finite
+snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -53,6 +55,9 @@ __all__ = [
 _SOLVE_TOL = 1e-12
 _BAND = 5  # kl = ku of the node-major reduced rate system
 _CHUNK = 32  # most steps whose residuals one sparse product checks
+# largest 6n whose steps apply the dense inverse: one product, with the
+# inverse's build spread over 400 steps, beats the band solve's calls
+_DENSE_STEP = 168
 
 
 class MidpointStepper:
@@ -74,9 +79,11 @@ class MidpointStepper:
     at a fraction of its per-column calls; otherwise it solves with
     dgbtrs.  Inside a run the state stays node-major, so positions and
     rates are the even and odd entries of one array, and dt/2 K X_pos
-    is one BLAS dgbmv on band storage fused with the sum.
+    is one BLAS dgbmv on band storage fused with the sum.  When
+    6n <= _DENSE_STEP the solve is instead one product with the dense
+    inverse of I - dt/2 A, made once after the band LU's checks.
 
-    A step is the band solve and 2 Y - X, with no sparse product or norm.
+    A step is the solve and 2 Y - X, with no sparse product or norm.
     Up to _CHUNK steps (and at most a block of states, block_rows) are
     checked at once, by one CSR product over their midpoints: residual
     (I - dt/2 A) Y - X within 1e-12 |X|, next state finite.  States are
@@ -130,13 +137,17 @@ class MidpointStepper:
         if np.array_equal(self._piv, np.arange(size)):
             self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]),
                                 np.asfortranarray(self._lu[_BAND:2 * _BAND + 1]))
+        self._inv = (np.linalg.inv(np.eye(6 * op.n) - self._half * self._a.toarray())
+                     if 6 * op.n <= _DENSE_STEP else None)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a node-major state x, or for one in each column of x."""
         return self._a @ x
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
-        """Node-major solution of (I - dt/2 A) out = r by the reduced system."""
+        """Node-major solution of (I - dt/2 A) out = r, dense or by the reduced system."""
+        if self._inv is not None:
+            return self._inv @ r
         size = r.size // 2
         b = np.zeros(self._k_rows)
         b[:size] = r[1::2]

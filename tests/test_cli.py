@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 import microtherm
+from microtherm import evolve
 from microtherm.cli import main
 
 CONFIG_DIR = pathlib.Path(microtherm.__file__).parent / "configs"
@@ -83,6 +84,63 @@ INVALID = {
     "init-random-amp-overflow-dispersion-only": (
         "preset = sine\nu_amp = 1.0\n\n[tasks]\nrun = simulate",
         "preset = random\nseed = 3\namp = 1e308\n\n[tasks]\nrun = dispersion", "[init] amp"),
+}
+
+
+# the largest n_interior whose steps apply the dense inverse
+DENSE_N = evolve._DENSE_STEP // 6
+
+
+def reference_text(cfg, swaps):
+    """The reference file cfg cut to 5 steps forward and backward, with
+    each old text of swaps replaced by its new text."""
+    text = (pathlib.Path(cfg).read_text().replace("n_steps = 400", "n_steps = 5")
+            .replace("n_steps = 200", "n_steps = 5"))
+    for old, new in swaps.items():
+        if old not in text:  # an AssertionError would pass as an expected xfail
+            raise KeyError(old)
+        text = text.replace(old, new)
+    return text
+
+
+# id -> (reference file, swaps): admitted inputs at the edges of what
+# check accepts; run must exit 0 or 1
+CONTRACT_EDGES = {
+    "type2-n2": (TYPE2, {"n_interior = 16": "n_interior = 2"}),
+    "type3-n2": (TYPE3, {"n_interior = 16": "n_interior = 2"}),
+    "type3-dense-limit": (TYPE3, {"n_interior = 16": f"n_interior = {DENSE_N}"}),
+    "type3-above-dense-limit": (TYPE3, {"n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
+    "type3-one-wavenumber": (TYPE3, {"k_min = 0.5\nk_max = 8.0\nn_k = 16":
+                                     "k_min = 3.0\nk_max = 3.0\nn_k = 1"}),
+    # the dense inverse solves the huge-dt step within the guard; the
+    # band solve does not (CONTRACT_BREAKS)
+    "type3-dt-1e50-dense": (TYPE3, {"dt = 0.01": "dt = 1e50"}),
+}
+
+# id -> (reference file, swaps, the CHANGES.md FOUND line that names it):
+# inputs that pass check but exit 2 in run (ROADMAP item 4)
+CONTRACT_BREAKS = {
+    "type3-n8192-dt1e-4": (
+        TYPE3, {"n_interior = 16": "n_interior = 8192", "dt = 0.01": "dt = 1e-4",
+                "run = simulate, spectrum, dispersion, backward, localization":
+                "run = simulate"},
+        "CHANGES.md FOUND on MidpointStepper._advance: the residual guard misses "
+        "at n_interior = 8192, dt = 1e-4"),
+    "type3-k_max-1e12": (
+        TYPE3, {"k_max = 8.0": "k_max = 1e12"},
+        "CHANGES.md FOUND on polynomial_frequencies: the root residual guard "
+        "rejects k above about 1e11"),
+    "type2-u_amp-1e160": (
+        TYPE2, {"u_amp = 1.0": "u_amp = 1e160"},
+        "CHANGES.md FOUND on MidpointStepper._advance: u_amp = 1e160 overflows "
+        "the step guard's squared norm"),
+    "type3-dt-1e50-band": (
+        TYPE3, {"dt = 0.01": "dt = 1e50", "n_interior = 16": f"n_interior = {DENSE_N + 1}"},
+        "CHANGES.md FOUND on scenario._check_dt: dt = 1e50 passes check and trips "
+        "the step guard"),
+    "type2-length-1e-100": (
+        TYPE2, {"length = 1.0": "length = 1e-100"},
+        "CHANGES.md FOUND on Grid1D: length = 1e-100 has a finite but huge 1/h^2"),
 }
 
 
@@ -244,6 +302,31 @@ class TestCheck:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestExitCodeContract:
+    """check exiting 0 implies run exiting 0 or 1."""
+
+    @staticmethod
+    def exit_codes(tmp_path, cfg, swaps):
+        """check's exit code on the edited reference file, and run's when
+        check exits 0 (else None)."""
+        path = write(tmp_path, reference_text(cfg, swaps))
+        checked = main(["check", path])
+        return checked, main(["run", path, "--out", str(tmp_path / "out")]) if checked == 0 else None
+
+    @pytest.mark.parametrize("cfg, swaps", CONTRACT_EDGES.values(), ids=CONTRACT_EDGES)
+    def test_admitted_edges_run_to_0_or_1(self, tmp_path, cfg, swaps):
+        checked, ran = self.exit_codes(tmp_path, cfg, swaps)
+        assert checked == 0 and ran in (0, 1)
+
+    @pytest.mark.parametrize("cfg, swaps", [
+        pytest.param(cfg, swaps, id=name,
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=found))
+        for name, (cfg, swaps, found) in CONTRACT_BREAKS.items()])
+    def test_check_0_implies_run_0_or_1(self, tmp_path, cfg, swaps):
+        checked, ran = self.exit_codes(tmp_path, cfg, swaps)
+        assert checked != 0 or ran in (0, 1)
 
 
 class TestDispersionCommand:

@@ -180,6 +180,10 @@ def make_stepper(model, n, dt, assemble=assemble_operator):
     return MidpointStepper(assemble(Grid1D(n_interior=n), moduli), dt)
 
 
+# the smallest grid above the dense-inverse limit: it takes the band solve
+N_BAND = evolve._DENSE_STEP // 6 + 1
+
+
 def with_entry(op, row, col, value):
     """op with a_mat[row, col] set to value."""
     a_mat = op.a_mat.tolil()
@@ -227,19 +231,37 @@ class TestBandedStepper:
 
 
 class TestChunkGuard:
-    """Each step is one band solve; the residuals of a chunk of steps
+    """Each step is one solve; the residuals of a chunk of steps
     are checked together, and only states of a passing chunk leave."""
 
-    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize("n", [N_BAND, 512])
     def test_corrupted_upper_band_raises(self, n):
         stepper = make_stepper("type3", n, 1e-3)
         lower, upper = stepper._triangular
         upper = upper.copy()
-        upper[-1, upper.shape[1] // 2] *= 2.0  # one diagonal entry of U
+        # one diagonal entry of U, that of v at a node where the sine
+        # data's u is nonzero (the middle one at n = 29 is theta's, which
+        # these data leave at round-off level by symmetry)
+        upper[-1, 3 * (n // 3)] *= 2.0
         stepper._triangular = (lower, upper)
         kept = []
         with pytest.raises(SolveFailure, match="residual"):
             for x in stepper.states(_node_major(sine_init(Grid1D(n_interior=n))), 40):
+                kept.append(x.copy())
+        assert not kept
+
+    def test_corrupted_dense_inverse_raises(self):
+        n = 16
+        stepper = make_stepper("type3", n, 1e-3)
+        assert stepper._inv is not None
+        x0 = _node_major(sine_init(Grid1D(n_interior=n)))
+        node = 6 * (n // 2)  # u at the middle node, where the sine data peak
+        assert x0[node] != 0.0
+        stepper._inv = stepper._inv.copy()
+        stepper._inv[node, node] *= 2.0
+        kept = []
+        with pytest.raises(SolveFailure, match="residual"):
+            for x in stepper.states(x0, 40):
                 kept.append(x.copy())
         assert not kept
 
@@ -322,6 +344,7 @@ class TestStepperKernels:
     @pytest.mark.parametrize("dt", [1e-3, 5e-5])
     def test_forward_solve_is_dgbtrs_bitwise(self, n, model, dt):
         stepper = make_stepper(model, n, dt)
+        stepper._inv = None  # the band kernels, also below the dense limit
         size = 3 * n
         assert np.array_equal(stepper._piv, np.arange(size))
         assert stepper._triangular is not None
@@ -334,8 +357,12 @@ class TestStepperKernels:
             assert np.array_equal(stepper._solve(r), pivoting._solve(r))
 
     def test_reversed_type3_interchanges_rows_and_keeps_dgbtrs(self, monkeypatch):
-        n, dt = 16, 0.01
+        # n = 29, the smallest grid on the band path, with dt = 0.01: the
+        # reversed type3 LU interchanges rows
+        n, dt = 29, 0.01
+        assert n == N_BAND
         stepper = make_stepper("type3", n, dt, assemble_backward)
+        assert stepper._inv is None
         assert np.any(stepper._piv != np.arange(3 * n))
         assert stepper._triangular is None
         calls = []
@@ -352,6 +379,44 @@ class TestStepperKernels:
         lhs = np.eye(6 * n) - 0.5 * dt * stepper.op.a_mat.toarray()
         expected = np.linalg.solve(lhs, rhs)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("dt", [1e-2, 5e-5])
+    def test_dense_solve_matches_dense_linear_solve(self, n, model, direction, dt):
+        assemble = assemble_operator if direction == "forward" else assemble_backward
+        stepper = make_stepper(model, n, dt, assemble)
+        assert stepper._inv is not None
+        lhs = np.eye(6 * n) - 0.5 * dt * stepper.op.a_mat.toarray()
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            rhs = rng.standard_normal(6 * n)
+            got = field_major(stepper._solve(_node_major(rhs)))
+            expected = np.linalg.solve(lhs, rhs)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    # not the reversed type3 run: its growing modes amplify any round-off
+    # difference (about 1e5-fold over these 400 steps); its dense steps
+    # are checked one at a time in test_each_step_matches_dense_solve
+    @pytest.mark.parametrize("model, direction", [
+        ("type2", "forward"), ("type3", "forward"), ("type2", "backward")])
+    def test_dense_and_band_runs_agree(self, model, direction):
+        n = 16
+        assemble = assemble_operator if direction == "forward" else assemble_backward
+        dt = 0.01 if direction == "forward" else 5e-5
+        x0 = _node_major(sine_init(Grid1D(n_interior=n)))
+        dense = make_stepper(model, n, dt, assemble)
+        band = make_stepper(model, n, dt, assemble)
+        band._inv = None
+        runs = [np.array([x.copy() for x in s.states(x0, 400)]) for s in (dense, band)]
+        err = np.linalg.norm(runs[0] - runs[1], axis=1) / np.linalg.norm(runs[1], axis=1)
+        assert err.max() <= 1e-11
+
+    @pytest.mark.parametrize("n, dense", [(N_BAND - 1, True), (N_BAND, False)])
+    def test_dense_inverse_exactly_up_to_the_limit(self, n, dense):
+        assert (6 * n <= evolve._DENSE_STEP) == dense
+        assert (make_stepper("type3", n, 1e-3)._inv is not None) == dense
 
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
