@@ -14,8 +14,8 @@ from .diagnostics import (BackwardFunctionals, LocalizationReport,
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, assemble_backward,
                          assemble_operator)
 from .dispersion import (DispersionResult, characteristic_matrix,
-                         first_order_symbol, root_set_distance,
-                         solve_branches, symbol_frequencies)
+                         first_order_symbol, solve_branches,
+                         symbol_frequencies)
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm,
                      InvalidGrid, InvalidMaterial, MicrothermError, NonFinite,
                      ParseError, RootFailure, SizeLimit, SolveFailure,
@@ -68,7 +68,6 @@ __all__ = [
     "parse_scenario",
     "reference_type2",
     "reference_type3",
-    "root_set_distance",
     "run_scenario",
     "snapshot_blocks",
     "snapshot_times",

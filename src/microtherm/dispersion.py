@@ -14,15 +14,18 @@ independent routes, each one stacked eigensolve, are kept side by side:
   s map through omega = i s.
 
 Agreement of the two root sets is a correctness certificate, so neither
-route is ever expressed in terms of the other.  Conservative moduli
+route is ever expressed in terms of the other.  Root sets are compared,
+and branches followed from one wavenumber to the next, through the
+least-sum pairing of six roots (least_pairing), exact over all 720
+pairings and vectorized over the grid.  Conservative moduli
 yield real frequencies (no temporal decay) with k-independent phase
 speeds; rate terms bend the roots into the lower half plane.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import RootFailure
 from .material import Moduli1D
@@ -32,7 +35,6 @@ __all__ = [
     "characteristic_matrix",
     "first_order_symbol",
     "symbol_frequencies",
-    "root_set_distance",
     "solve_branches",
 ]
 
@@ -44,6 +46,9 @@ _PERMS = (
     ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
     ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0),
 )
+# the 720 pairings of six roots, in lexicographic order
+_PAIRINGS = np.array(list(itertools.permutations(range(6))))
+_SIX = np.arange(6)
 
 
 def _wavenumbers(k_values) -> np.ndarray:
@@ -185,19 +190,30 @@ def symbol_frequencies(m: Moduli1D, k_values) -> np.ndarray:
     return _sorted(1j * np.linalg.eigvals(first_order_symbol(m, k_values)))
 
 
-def root_set_distance(a, b) -> float:
-    """Max pointwise distance between two root multisets under the
-    optimal pairing.  Sorting complex roots is not stable when real
-    parts coincide to round-off, so set equivalence is always judged
-    through an assignment, never through sorted order.
+def least_pairing(cost: np.ndarray) -> np.ndarray:
+    """For each (6, 6) cost matrix of an (n, 6, 6) stack, the columns
+    cols (n, 6) that pair row j with column cols[:, j] at the least total
+    cost, ties going to the first least-sum pairing in lexicographic
+    order.  The row-wise argmin is that pairing whenever it is a
+    permutation, the sum of the row minima bounding every pairing from
+    below; otherwise the 720 pairings are summed and the least taken.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("root sets must be 1-d and equally sized")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    cols = cost.argmin(axis=2)
+    for i, row in enumerate(cols.tolist()):
+        if len(set(row)) < 6:
+            cols[i] = _PAIRINGS[cost[i, _SIX, _PAIRINGS].sum(axis=1).argmin()]
+    return cols
+
+
+def root_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two (n_k, 6) root arrays, the largest distance between
+    paired roots under the least-sum pairing (least_pairing).  Sorting
+    complex roots is not stable when real parts coincide to round-off,
+    so set equivalence is judged through a pairing, never through sorted
+    order."""
+    cost = np.abs(a[:, :, None] - b[:, None, :])
+    cols = least_pairing(cost)
+    return np.take_along_axis(cost, cols[:, :, None], axis=2).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -205,11 +221,16 @@ class DispersionResult:
     """Matched frequency branches over a wavenumber grid.
 
     omega has shape (n_k, 6) with branch j continuous in k: each step
-    matches the new roots against a linear extrapolation of the branch
-    (bipartite assignment), so smooth advection is not mistaken for
-    relabeling.  crossings[i] is True when the best match at step i
-    still deviated from the prediction by more than a tenth of the
-    frequency scale, i.e. labels may have swapped there.
+    pairs the new roots with a linear extrapolation of the branches at
+    the least total distance (least_pairing, ties to the first pairing
+    in lexicographic order), so smooth advection is not mistaken for
+    relabeling.  Every root vanishes with k, so the first step
+    extrapolates along the secant through omega(0) = 0; a flat first
+    prediction would tie every same-sign pairing of k-independent phase
+    speeds (type2) and leave the labels to the tie rule.  crossings[i] is
+    True when the best match at step i still deviated from the
+    prediction by more than a tenth of the frequency scale, i.e. labels
+    may have swapped there.
     """
 
     k_values: np.ndarray
@@ -235,19 +256,19 @@ def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     ks = _wavenumbers(k_values)
     roots = polynomial_frequencies(m, ks)
 
-    omega = np.empty_like(roots)
-    crossings = np.zeros(len(ks), dtype=bool)
-    omega[0] = roots[0]
-    for i in range(1, len(ks)):
-        cur = roots[i]
-        if i == 1:
-            predicted = omega[0]
-        else:
-            slope = (omega[i - 1] - omega[i - 2]) / (ks[i - 1] - ks[i - 2])
-            predicted = omega[i - 1] + slope * (ks[i] - ks[i - 1])
-        cost = np.abs(predicted[:, None] - cur[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        omega[i, rows] = cur[cols]
-        scale = max(1.0, float(np.abs(cur).max()))
-        crossings[i] = bool(cost[rows, cols].max() > _JUMP_FRACTION * scale)
-    return DispersionResult(k_values=ks, omega=omega, crossings=crossings)
+    # row 0 is omega(0) = 0, the origin of the first step's secant
+    k_all = np.concatenate([[0.0], ks])
+    omega = np.zeros((len(ks) + 1, 6), dtype=complex)
+    omega[1] = roots[0]
+    jump = np.zeros(len(ks))
+    for i in range(2, len(k_all)):
+        cur = roots[i - 1]
+        slope = (omega[i - 1] - omega[i - 2]) / (k_all[i - 1] - k_all[i - 2])
+        predicted = omega[i - 1] + slope * (k_all[i] - k_all[i - 1])
+        cost = np.abs(predicted[:, None] - cur)
+        cols = least_pairing(cost[None])[0]
+        omega[i] = cur[cols]
+        jump[i - 1] = cost[_SIX, cols].max()
+    scale = np.maximum(1.0, np.abs(roots).max(axis=1))
+    return DispersionResult(k_values=ks, omega=omega[1:],
+                            crossings=jump > _JUMP_FRACTION * scale)

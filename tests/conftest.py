@@ -3,10 +3,10 @@ per-field difference formulas the assembled matrices are checked
 against, the block-wise scipy assembly of the generator and the form
 matrices (the oracle of the table builder), the one-wavenumber
 determinant expansion and root finder the batched dispersion routes are
-checked against, the run oracles (a whole run as one array, the
-trapezoid energy balance and the decay fit), and the validation case
-registry (one passing and one failing fixture per inequality and per
-symmetry relation)."""
+checked against, scipy's assignment as the oracle of the root pairing,
+the run oracles (a whole run as one array, the trapezoid energy balance
+and the decay fit), and the validation case registry (one passing and
+one failing fixture per inequality and per symmetry relation)."""
 
 import dataclasses
 import math
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 
 from microtherm import (FIELDS, Grid1D, MaterialIsotropic, assemble_backward,
                         assemble_operator, isotropic_embedding, reference_type2,
@@ -182,6 +183,20 @@ def sorted_roots(coeffs):
     magnitude, sorted by (real, imag)."""
     roots = np.roots(coeffs[::-1] / np.abs(coeffs).max())
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def root_set_distance(a, b) -> float:
+    """Max pointwise distance between two root multisets of any equal
+    size under the least-sum pairing of scipy's linear_sum_assignment:
+    the oracle of dispersion.least_pairing, and the judge of root sets
+    too large for its 720 pairings, such as a spectrum."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("root sets must be 1-d and equally sized")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from microtherm import (Grid1D, assemble_backward,
-                        assemble_operator, backward_functionals,
-                        energy_table, first_order_symbol,
+from microtherm import (Grid1D, assemble_backward, assemble_operator,
+                        backward_functionals, energy_table, first_order_symbol,
                         isotropic_embedding, localization_probe,
-                        reference_type2, reference_type3, root_set_distance,
-                        snapshot_times, solve_branches, spectral_report,
-                        symbol_frequencies, to_moduli_1d, validate_anisotropic,
-                        validate_isotropic)
+                        reference_type2, reference_type3, snapshot_times,
+                        solve_branches, spectral_report, symbol_frequencies,
+                        to_moduli_1d, validate_anisotropic, validate_isotropic)
 from microtherm.discrete1d import form_values
 from microtherm.dispersion import polynomial_frequencies
 
 from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, fit_decay,
-                      random_state, random_valid_material, sine_init,
-                      trapezoid_balance)
+                      random_state, random_valid_material, root_set_distance,
+                      sine_init, trapezoid_balance)
 
 
 def energies(op, init, dt, n_steps, every=1):

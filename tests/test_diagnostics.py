@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,12 +14,18 @@ from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
                         to_moduli_1d)
 from microtherm import diagnostics
 from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
-                                    mirror_blocks, reduce_blocks)
+                                    mirror_sectors, reduce_blocks, sector_block)
 from microtherm.discrete1d import FIELDS, FORMS, form_values
-from microtherm.dispersion import root_set_distance
 
-from conftest import (collect, fit_decay, gram_norm, random_state, sine_init,
-                      staggered_difference, trapezoid_balance)
+from conftest import (collect, fit_decay, gram_norm, random_state,
+                      root_set_distance, sine_init, staggered_difference,
+                      trapezoid_balance)
+
+
+def sector_blocks(op):
+    """The +1 and -1 mirror sector blocks of op's generator."""
+    mirror, parity = mirror_sectors(op.a_mat, op.n)
+    return [sector_block(op.a_mat, mirror, sign) for sign in (parity, -parity)]
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -314,7 +321,7 @@ class TestSpectralReport:
                                           (17, (52, 50))])
     def test_mirror_sector_sizes(self, n, sizes, moduli3):
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        assert tuple(b.shape for b in mirror_blocks(op.a_mat, n)) == tuple(
+        assert tuple(b.shape for b in sector_blocks(op)) == tuple(
             (k, k) for k in sizes)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
@@ -334,12 +341,75 @@ class TestSpectralReport:
         with pytest.raises(EigenFailure, match="node reversal"):
             spectral_report(op3._replace(a_mat=a.tocsr()))
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):
         def boom(_):
             raise np.linalg.LinAlgError("did not converge")
         monkeypatch.setattr(np.linalg, "eigvals", boom)
         with pytest.raises(EigenFailure):
             spectral_report(op3)
+
+
+# the two least grids solved on two threads, one even and one odd n
+LEAST_THREADED = math.ceil(diagnostics._THREADED_SECTORS / 6)
+THREADED_N = (LEAST_THREADED, LEAST_THREADED + 1)
+
+
+def other_threads():
+    return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+class TestThreadedSectors:
+    """From 6n = _THREADED_SECTORS up, the -1 sector is solved on one
+    worker thread; the eigenvalues are those of the sequential solves,
+    and no thread outlives the call."""
+
+    @pytest.fixture(scope="class", params=[(n, reference) for n in THREADED_N
+                                           for reference in (reference_type2, reference_type3)],
+                    ids=lambda p: f"{p[1].__name__}-n{p[0]}")
+    def big_op(self, request):
+        n, reference = request.param
+        return assemble_operator(Grid1D(n_interior=n), to_moduli_1d(reference()))
+
+    def test_eigenvalues_equal_the_sequential_solves(self, big_op):
+        lams = np.concatenate([np.linalg.eigvals(block) for block in sector_blocks(big_op)])
+        lams = lams[np.lexsort((lams.imag, lams.real))]
+        assert np.array_equal(spectral_report(big_op).eigenvalues, lams)
+        assert other_threads() == []
+
+    @pytest.mark.parametrize("n", [THREADED_N[0] - 1, *THREADED_N])
+    def test_one_worker_solves_the_minus_sector(self, n, moduli3, monkeypatch):
+        calls = []
+
+        def record(block):
+            calls.append((len(block), threading.current_thread()))
+            return np.zeros(len(block), dtype=complex)
+
+        op = assemble_operator(Grid1D(n_interior=n), moduli3)
+        monkeypatch.setattr(np.linalg, "eigvals", record)
+        spectral_report(op)
+        main, plus, minus = threading.main_thread(), 3 * n + n % 2, 3 * n - n % 2
+        if 6 * n < diagnostics._THREADED_SECTORS:
+            assert calls == [(plus, main), (minus, main)]
+        else:
+            assert len(calls) == 2
+            assert {(size, t is main) for size, t in calls} == {(plus, True), (minus, False)}
+            assert not any(t.is_alive() for _, t in calls if t is not main)
+        assert other_threads() == []
+
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_a_failing_sector_is_an_eigen_failure(self, big_op, failing, monkeypatch):
+        def flaky(block):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                raise np.linalg.LinAlgError("did not converge")
+            return np.zeros(len(block), dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        with pytest.raises(EigenFailure, match="did not converge"):
+            spectral_report(big_op)
+        assert other_threads() == []
 
 
 def decay_fit(op, init, dt, n_steps, every):

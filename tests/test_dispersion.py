@@ -1,17 +1,23 @@
 import dataclasses
+import itertools
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from microtherm import (RootFailure, characteristic_matrix,
                         first_order_symbol, reference_type2, reference_type3,
-                        root_set_distance, solve_branches, symbol_frequencies,
-                        to_moduli_1d)
+                        solve_branches, symbol_frequencies, to_moduli_1d)
 from microtherm import dispersion
-from microtherm.dispersion import det_coefficients, polynomial_frequencies
+from microtherm.dispersion import (det_coefficients, least_pairing,
+                                   polynomial_frequencies, root_distances)
 
-from conftest import convolve_det_coefficients, sorted_roots
+from conftest import convolve_det_coefficients, root_set_distance, sorted_roots
 
 # solve_branches has its own grid validation test below
 BATCHED = (characteristic_matrix, det_coefficients, polynomial_frequencies,
@@ -142,16 +148,70 @@ class TestTwoRoutes:
             scale = max(np.abs(a).max(), 1.0)
             assert root_set_distance(a, b) <= 1e-10 * scale
 
-    def test_distance_requires_matching_shapes(self):
-        with pytest.raises(ValueError):
-            root_set_distance(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            root_set_distance(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_distance_is_permutation_invariant(self):
         rng = np.random.default_rng(7)
-        a = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert root_set_distance(a, a[::-1]) == 0.0
+        a = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
+        shuffled = np.take_along_axis(a, rng.permuted(np.tile(np.arange(6), (50, 1)),
+                                                      axis=1), axis=1)
+        assert not np.array_equal(shuffled, a)
+        assert (root_distances(a, shuffled) == 0.0).all()
+
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_certificate_distance_matches_the_assignment_loop(self, moduli, request):
+        # the runner's batched distances are, bit for bit, those of one
+        # scipy assignment per wavenumber
+        m, ks = request.getfixturevalue(moduli), GRIDS["linear4000"]
+        own, other = solve_branches(m, ks).omega, symbol_frequencies(m, ks)
+        expected = np.array([root_set_distance(a, b) for a, b in zip(own, other)])
+        assert np.array_equal(root_distances(own, other), expected)
+
+
+class TestLeastPairing:
+    """least_pairing against scipy's linear_sum_assignment."""
+
+    @staticmethod
+    def assignments(costs):
+        return np.array([linear_sum_assignment(c)[1] for c in costs])
+
+    @staticmethod
+    def sums(costs, cols):
+        return np.take_along_axis(costs, cols[:, :, None], axis=2).sum(axis=(1, 2))
+
+    def test_random_costs_give_the_assignment(self):
+        rng = np.random.default_rng(11)
+        costs = rng.random((10_000, 6, 6))
+        cols = least_pairing(costs)
+        # most row-wise argmins collide, so both paths are exercised
+        minima = costs.argmin(axis=2)
+        fast = np.array([len(set(row)) == 6 for row in minima.tolist()])
+        assert 50 < fast.sum() < 9_950
+        assert np.array_equal(cols[fast], minima[fast])
+        assert np.array_equal(cols, self.assignments(costs))
+
+    def test_tied_integer_costs_give_the_least_sum(self):
+        rng = np.random.default_rng(12)
+        costs = rng.integers(0, 4, size=(2_000, 6, 6)).astype(float)
+        cols = least_pairing(costs)
+        assert (np.sort(cols, axis=1) == np.arange(6)).all()
+        assert np.array_equal(self.sums(costs, cols),
+                              self.sums(costs, self.assignments(costs)))
+
+    def test_ties_go_to_the_first_least_sum_pairing(self):
+        rng = np.random.default_rng(13)
+        pairings = np.array(list(itertools.permutations(range(6))))
+        for cost in rng.integers(0, 3, size=(200, 6, 6)).astype(float):
+            sums = cost[np.arange(6), pairings].sum(axis=1)
+            first = pairings[np.flatnonzero(sums == sums.min())[0]]
+            assert np.array_equal(least_pairing(cost[None])[0], first)
+
+    def test_importing_the_package_leaves_scipy_optimize_out(self):
+        src = pathlib.Path(dispersion.__file__).resolve().parents[1]
+        code = ("import sys, microtherm, microtherm.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRootStructure:
@@ -217,6 +277,17 @@ class TestBranches:
         expected = (0.830204584837, 0.980824368576, 2.094932911891)
         assert speeds.shape == (3,)
         np.testing.assert_allclose(speeds, expected, atol=1e-6, rtol=0)
+
+    @pytest.mark.parametrize("ks", [GRIDS["linear16"], [0.5, 1.0], GRIDS["linear4000"]],
+                             ids=["linear16", "two", "linear4000"])
+    def test_conservative_branches_keep_their_phase_speed(self, moduli2, ks):
+        # type2 frequencies are homogeneous of degree one in k, so each
+        # branch keeps one phase speed from its first wavenumber on; a
+        # flat first prediction would tie every same-sign pairing
+        res = solve_branches(moduli2, ks)
+        speed = res.phase_speed
+        assert (np.abs(speed - speed[0]) <= 1e-12 * np.abs(speed[0])).all()
+        assert not res.crossings.any()
 
     def test_speed_bounds(self, moduli2):
         # 100 samples: coarser grids overshoot the difference quotient
