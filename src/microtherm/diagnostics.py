@@ -22,11 +22,11 @@ centered gradient, and the gradient blocks of A are exactly those that
 couple (v, M) with theta, so A commutes with R = diag(J, J, -J, -J, J, J)
 entry for entry.  The +1 and -1 eigenspaces of R are then invariant
 under A, and A restricted to each is a similarity P A F with P F = I
-whose entries are sums of two entries of A (sector_block): the
+whose entries are sums of two entries of A (mirror_blocks): the
 spectrum is the union of two eigensolves of about 3n, with no change to
 the discretization.  spectral_report checks R A R == A exactly before
-it splits.  From 6n = _THREADED_SECTORS up, the two sectors are
-built and solved on two threads (numpy's eigvals releases the GIL).
+it splits.  From 6n = _THREADED_SECTORS up, the two sectors are solved
+on two threads (numpy's eigvals releases the GIL).
 """
 
 import math
@@ -55,11 +55,15 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 3000        # largest 6n for the dense spectrum
-# least 6n whose two mirror sectors are solved on two threads: below
-# sectors of about 505 rows the two numpy eigvals calls ran one after the
-# other (process CPU time equal to wall time, numpy 2.4.6 with its
-# OpenBLAS on a 2-vCPU Xeon), so a thread only adds its start; from n =
-# 176 up the pair took 0.5-0.7 of the sequential time
+# least 6n whose two mirror sectors are solved on two threads, measured
+# with one BLAS thread (numpy 2.4.6 with its OpenBLAS on a 2-vCPU Xeon,
+# OPENBLAS_NUM_THREADS=1 as the benchmark runs): below sectors of about
+# 505 rows the two eigvals calls ran one after the other (process CPU
+# time equal to wall time), so a thread only adds its start and its GIL
+# handoffs (n = 16: 1.3-1.6 -> 1.7-1.8 ms a call); from n = 176 up the
+# pair took 0.5-0.7 of the sequential time.  With OpenBLAS's own threads
+# left on, the pair is slower than one after the other (n = 256:
+# 0.63-0.68 -> 0.79-0.87 s)
 _THREADED_SECTORS = 1056
 # sign of each field, in FIELDS order, under the node reversal of R
 _FIELD_PARITY = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
@@ -141,14 +145,15 @@ class SpectralReport:
 
 def spectral_report(op: DiscreteOperator) -> SpectralReport:
     """The dense spectrum of a_mat, solved as the spectra of its two
-    mirror sectors (mirror_sectors); raises EigenFailure when a_mat
-    lacks the mirror symmetry or an eigensolve does not converge.
+    mirror sectors (mirror_blocks); raises EigenFailure when a_mat lacks
+    the mirror symmetry or an eigensolve does not converge.
 
-    From 6n = _THREADED_SECTORS up, one worker thread builds and solves
-    the -1 sector while the calling thread does the +1 sector (the
-    larger for odd n), and it is joined before this returns or raises;
-    below it, where two eigensolves were measured not to overlap, both
-    run here one after the other.  The eigenvalues are the same floats.
+    Both blocks are built on the calling thread.  From 6n =
+    _THREADED_SECTORS up, one worker thread solves the -1 sector while
+    the calling thread solves the +1 sector (the larger for odd n), and
+    it is joined before this returns or raises; below it, where two
+    eigensolves were measured not to overlap, both run here one after
+    the other.  The eigenvalues are the same floats.
     """
     size = op.a_mat.shape[0]
     if size > DENSE_LIMIT:
@@ -156,18 +161,14 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
             f"dense spectrum limited to 6n <= {DENSE_LIMIT} (two eigensolves "
             f"of about 3n each), got 6n = {size}"
         )
-    mirror, parity = mirror_sectors(op.a_mat, op.n)
-
-    def solve(sign):
-        return np.linalg.eigvals(sector_block(op.a_mat, mirror, sign))
-
+    blocks = mirror_blocks(op.a_mat, op.n)
     try:
         if size < _THREADED_SECTORS:
-            lams = [solve(parity), solve(-parity)]
+            lams = [np.linalg.eigvals(block) for block in blocks]
         else:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                minus = pool.submit(solve, -parity)
-                lams = [solve(parity), minus.result()]
+                minus = pool.submit(np.linalg.eigvals, blocks[1])
+                lams = [np.linalg.eigvals(blocks[0]), minus.result()]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"dense eigensolve failed: {exc}") from exc
     lams = np.concatenate(lams)
@@ -176,12 +177,19 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
                           spectral_abscissa=float(lams.real.max()))
 
 
-def mirror_sectors(a_mat, n: int):
-    """The mirror index of every stacked entry and the sign R gives it,
-    R = diag(J, J, -J, -J, J, J), J the reversal of the n nodes; the +1
-    sector has the signs parity and the -1 sector -parity (sector_block).
-    Raises EigenFailure unless R A R == A holds exactly, which makes both
-    sectors invariant."""
+def mirror_blocks(a_mat, n: int) -> list:
+    """The dense blocks P A F of a_mat on the +1 and -1 eigenspaces of
+    R = diag(J, J, -J, -J, J, J), J the reversal of the n nodes.
+
+    A field of sign s in a sector is even (s = +1) or odd (s = -1) in
+    its nodes and keeps its first ceil(n/2) or floor(n/2) of them, an
+    odd field being zero at the middle node of odd n.  F has the
+    columns e_i + s e_mirror(i) (e_i alone for a middle node) and P
+    picks the kept rows, so P F = I and each block entry is one float
+    sum of two entries of a_mat.  The sector sizes are 3n and 3n for
+    even n, 3n + 1 and 3n - 1 for odd n.  Raises EigenFailure unless
+    R A R == A holds exactly, which makes both sectors invariant.
+    """
     index = np.arange(6 * n)
     node = index % n
     mirror = index + (n - 1 - 2 * node)
@@ -190,31 +198,18 @@ def mirror_sectors(a_mat, n: int):
     if (r_mat @ a_mat @ r_mat - a_mat).count_nonzero():
         raise EigenFailure("generator does not commute with the node reversal, "
                            "so its spectrum does not split into mirror sectors")
-    return mirror, parity
-
-
-def sector_block(a_mat, mirror: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The dense block P A F of a_mat on the sector whose fields have the
-    signs sign (mirror_sectors).
-
-    A field of sign s is even (s = +1) or odd (s = -1) in its nodes and
-    keeps its first ceil(n/2) or floor(n/2) of them, an odd field being
-    zero at the middle node of odd n.  F has the columns e_i + s
-    e_mirror(i) (e_i alone for a middle node) and P picks the kept rows,
-    so P F = I and each block entry is one float sum of two entries of
-    a_mat.  The sector sizes are 3n and 3n for even n, 3n + 1 and 3n - 1
-    for odd n.
-    """
-    index = np.arange(mirror.size)
-    keep = np.flatnonzero((index < mirror) | ((index == mirror) & (sign > 0)))
-    cols = np.arange(keep.size)
-    paired = keep < mirror[keep]
-    pair = keep[paired]
-    fold = sp.csr_matrix(
-        (np.concatenate([np.ones(keep.size), sign[pair]]),
-         (np.concatenate([keep, mirror[pair]]), np.concatenate([cols, cols[paired]]))),
-        shape=(mirror.size, keep.size))
-    return (a_mat[keep] @ fold).toarray()
+    blocks = []
+    for sign in (parity, -parity):
+        keep = np.flatnonzero((index < mirror) | ((index == mirror) & (sign > 0)))
+        cols = np.arange(keep.size)
+        paired = keep < mirror[keep]
+        pair = keep[paired]
+        fold = sp.csr_matrix(
+            (np.concatenate([np.ones(keep.size), sign[pair]]),
+             (np.concatenate([keep, mirror[pair]]), np.concatenate([cols, cols[paired]]))),
+            shape=(6 * n, keep.size))
+        blocks.append((a_mat[keep] @ fold).toarray())
+    return blocks
 
 
 @dataclass(frozen=True)

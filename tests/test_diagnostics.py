@@ -14,18 +14,12 @@ from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
                         to_moduli_1d)
 from microtherm import diagnostics
 from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
-                                    mirror_sectors, reduce_blocks, sector_block)
+                                    mirror_blocks, reduce_blocks)
 from microtherm.discrete1d import FIELDS, FORMS, form_values
 
 from conftest import (collect, fit_decay, gram_norm, random_state,
                       root_set_distance, sine_init, staggered_difference,
                       trapezoid_balance)
-
-
-def sector_blocks(op):
-    """The +1 and -1 mirror sector blocks of op's generator."""
-    mirror, parity = mirror_sectors(op.a_mat, op.n)
-    return [sector_block(op.a_mat, mirror, sign) for sign in (parity, -parity)]
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -321,7 +315,7 @@ class TestSpectralReport:
                                           (17, (52, 50))])
     def test_mirror_sector_sizes(self, n, sizes, moduli3):
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        assert tuple(b.shape for b in sector_blocks(op)) == tuple(
+        assert tuple(b.shape for b in mirror_blocks(op.a_mat, n)) == tuple(
             (k, k) for k in sizes)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
@@ -373,7 +367,8 @@ class TestThreadedSectors:
         return assemble_operator(Grid1D(n_interior=n), to_moduli_1d(reference()))
 
     def test_eigenvalues_equal_the_sequential_solves(self, big_op):
-        lams = np.concatenate([np.linalg.eigvals(block) for block in sector_blocks(big_op)])
+        lams = np.concatenate([np.linalg.eigvals(block)
+                               for block in mirror_blocks(big_op.a_mat, big_op.n)])
         lams = lams[np.lexsort((lams.imag, lams.real))]
         assert np.array_equal(spectral_report(big_op).eigenvalues, lams)
         assert other_threads() == []

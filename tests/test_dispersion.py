@@ -148,6 +148,12 @@ class TestTwoRoutes:
             scale = max(np.abs(a).max(), 1.0)
             assert root_set_distance(a, b) <= 1e-10 * scale
 
+    def test_distance_requires_matching_shapes(self):
+        with pytest.raises(ValueError):
+            root_set_distance(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            root_set_distance(np.zeros((2, 3)), np.zeros((2, 3)))
+
     def test_distance_is_permutation_invariant(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
