@@ -14,8 +14,7 @@ from .diagnostics import (BackwardFunctionals, LocalizationReport,
 from .discrete1d import (FIELDS, DiscreteOperator, Grid1D, assemble_backward,
                          assemble_operator)
 from .dispersion import (DispersionResult, characteristic_matrix,
-                         first_order_symbol, solve_branches,
-                         symbol_frequencies)
+                         solve_branches, symbol_frequencies)
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm,
                      InvalidGrid, InvalidMaterial, MicrothermError, NonFinite,
                      ParseError, RootFailure, SizeLimit, SolveFailure,
@@ -62,7 +61,6 @@ __all__ = [
     "build_initial",
     "characteristic_matrix",
     "energy_table",
-    "first_order_symbol",
     "isotropic_embedding",
     "localization_probe",
     "parse_scenario",

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InvalidGrid, InvalidMaterial
-from .material import Moduli1D
+from .material import Moduli1D, _hypotheses
 
 __all__ = [
     "FIELDS",
@@ -117,22 +117,6 @@ class DiscreteOperator(NamedTuple):
         return self.grid.n_interior
 
 
-def _check_moduli(m: Moduli1D):
-    det = m.m_uu * m.m_rr - m.m_ur * m.m_ur
-    bad = (
-        m.rho <= 0 or m.c_cap <= 0 or m.alpha_m <= 0
-        or m.m_uu <= 0 or det <= 0 or m.k_cond <= 0
-        or m.h_cond < 0 or m.m_rr_rate < 0
-    )
-    if bad:
-        raise InvalidMaterial(
-            "moduli violate the model hypotheses: "
-            f"rho={m.rho}, c_cap={m.c_cap}, alpha_m={m.alpha_m}, "
-            f"m_uu={m.m_uu}, det={det}, k_cond={m.k_cond}, "
-            f"h_cond={m.h_cond}, m_rr_rate={m.m_rr_rate}"
-        )
-
-
 def _stencils(n: int, h: float, scales=(1.0, 1.0, 1.0)):
     """(rows, cols, values) triplets of the identity, the Laplacian and
     the centered gradient on n nodes with zero ghosts, their values
@@ -165,7 +149,9 @@ def _table_matrix(table: np.ndarray, stencils, n: int) -> sp.csr_matrix:
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
     if not isinstance(grid, Grid1D):
         raise InvalidGrid(f"expected Grid1D, got {type(grid).__name__}")
-    _check_moduli(m)
+    report = _hypotheses(m)
+    if not report.valid:
+        raise InvalidMaterial(str(report))
     n, h = grid.n_interior, grid.h
     a_mat = _table_matrix(generator_table(m, time_sign), _stencils(n, h), n)
     forms = form_tables(m, time_sign)

@@ -9,12 +9,16 @@ arrays; frequencies come as (n_k, 6), rows sorted by (real, imag).  Two
 independent routes, each one stacked eigensolve, are kept side by side:
 
 * the (n_k, 6, 6) companion matrices of the degree-6 polynomial
-  assembled by permutation expansion of the determinant;
-* the (n_k, 6, 6) first-order symbols (d/dx -> ik), whose eigenvalues
-  s map through omega = i s.
+  assembled by permutation expansion of the determinant of
+  characteristic_matrix, written by hand from the second-order
+  equations;
+* the (n_k, 6, 6) Fourier symbols (d/dx -> ik) of the generator the
+  stepper runs, read from discrete1d.generator_table, whose
+  eigenvalues s map through omega = i s.
 
 Agreement of the two root sets is a correctness certificate, so neither
-route is ever expressed in terms of the other.  Root sets are compared,
+route is ever expressed in terms of the other, and a wrong coefficient
+in the stepper's table shows as a disagreement.  Root sets are compared,
 and branches followed from one wavenumber to the next, through the
 least-sum pairing of six roots (least_pairing), exact over all 720
 pairings and vectorized over the grid.  Conservative moduli
@@ -27,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete1d import generator_table
 from .errors import RootFailure
 from .material import Moduli1D
 
 __all__ = [
     "DispersionResult",
     "characteristic_matrix",
-    "first_order_symbol",
     "symbol_frequencies",
     "solve_branches",
 ]
@@ -161,33 +165,24 @@ def polynomial_frequencies(m: Moduli1D, k_values) -> np.ndarray:
     return _sorted(roots)
 
 
-def first_order_symbol(m: Moduli1D, k_values) -> np.ndarray:
-    """6x6 generators of the Fourier modes (d/dx -> ik) in the order
-    (u, v, tau, theta, R, M), stacked as (n_k, 6, 6).  The ik entries are
-    i times a real quotient: numpy's complex division rounds otherwise."""
-    ks = _wavenumbers(k_values)
-    k2 = ks * ks
-    p = m.varpi_plus_hbar
-    a = np.zeros((len(ks), 6, 6), dtype=complex)
-    a[:, [0, 2, 4], [1, 3, 5]] = 1.0
-    a[:, 1, 0] = -m.m_uu * k2 / m.rho
-    a[:, 1, 3] = 1j * (-m.beta * ks / m.rho)
-    a[:, 1, 4] = -m.m_ur * k2 / m.rho
-    a[:, 3, 1] = 1j * (-m.beta * ks / m.c_cap)
-    a[:, 3, 2] = -m.k_cond * k2 / m.c_cap
-    a[:, 3, 3] = -m.h_cond * k2 / m.c_cap
-    a[:, 3, 5] = 1j * (-p * ks / m.c_cap)
-    a[:, 5, 0] = -m.m_ur * k2 / m.alpha_m
-    a[:, 5, 3] = 1j * (-p * ks / m.alpha_m)
-    a[:, 5, 4] = -m.m_rr * k2 / m.alpha_m
-    a[:, 5, 5] = -m.m_rr_rate * k2 / m.alpha_m
+def _symbols(m: Moduli1D, k_values) -> np.ndarray:
+    """Generators of the Fourier modes (d/dx -> ik), stacked as (n_k, 6,
+    6) in FIELDS order: the stepper's generator_table(m, +1) contracted
+    with the continuum symbols (1, -k^2, ik) of its identity, Laplacian
+    and gradient, real and imaginary parts written in place."""
+    ks = _wavenumbers(k_values)[:, None, None]
+    t = generator_table(m, +1)
+    a = np.empty((len(ks), 6, 6), dtype=complex)
+    np.multiply(ks * ks, -t[1], out=a.real)
+    np.add(a.real, t[0], out=a.real)
+    np.multiply(ks, t[2], out=a.imag)
     return a
 
 
 def symbol_frequencies(m: Moduli1D, k_values) -> np.ndarray:
-    """Frequencies via the first-order symbols, omega = i * eig(A(k)),
-    as (n_k, 6), each row sorted by (real, imag)."""
-    return _sorted(1j * np.linalg.eigvals(first_order_symbol(m, k_values)))
+    """Frequencies via the Fourier symbols, omega = i * eig(A(k)), as
+    (n_k, 6), each row sorted by (real, imag)."""
+    return _sorted(1j * np.linalg.eigvals(_symbols(m, k_values)))
 
 
 def least_pairing(cost: np.ndarray) -> np.ndarray:

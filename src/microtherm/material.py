@@ -21,8 +21,11 @@ Validation mirrors the hypotheses the structural results rest on:
 
 plus positivity of the inertial coefficients rho, c_cap, alpha_m.
 
-The 1D solver consumes the reduced moduli of ``Moduli1D``; the full
-anisotropic tensor sets are validated but never evolved.
+The 1D solver consumes the reduced moduli of ``Moduli1D``.  Conditions
+(ii) and (iii) and the inertias are checked on the reduced moduli, by
+one check that validate_isotropic, to_moduli_1d and the assembly share,
+so a reduction that overflows is rejected too.  The full anisotropic
+tensor sets are validated but never evolved.
 """
 
 from dataclasses import dataclass, fields as dc_fields
@@ -110,12 +113,14 @@ class Moduli1D:
     That pairing is what makes the energy identity below exact:
 
         dE/dt = -(h_cond * |theta'|^2 + m_rr_rate * |M'|^2)
+
+    to_moduli_1d reduces an isotropic set to these (_reduce).
     """
 
-    m_uu: float        # lambda_e + 2 mu_e
-    m_ur: float        # gamma1 + 2 gamma2
-    m_rr: float        # eta1 + eta2 + eta3
-    m_rr_rate: float   # rho1 + rho2 + rho3
+    m_uu: float
+    m_ur: float
+    m_rr: float
+    m_rr_rate: float
     rho: float
     beta: float
     c_cap: float
@@ -147,65 +152,10 @@ def _require_finite(pairs):
             raise NonFinite(f"{name} is not finite: {value!r}")
 
 
-def validate_isotropic(m: MaterialIsotropic) -> ValidationReport:
-    """Check the isotropic hypotheses; returns a report, never raises on
-    a merely unphysical material.
-
-    Raises
-    ------
-    NonFinite
-        if any coefficient is NaN or infinite.
-    """
+def _reduce(m: MaterialIsotropic) -> Moduli1D:
+    """The 1D moduli of an isotropic set; raises NonFinite naming the
+    first coefficient that is NaN or infinite."""
     _require_finite((f.name, getattr(m, f.name)) for f in dc_fields(m))
-
-    v = []
-    if not m.rho > 0:
-        v.append(f"rho > 0 violated: rho = {m.rho}")
-    if not m.c_cap > 0:
-        v.append(f"c_cap > 0 violated: c_cap = {m.c_cap}")
-    if not m.alpha_m > 0:
-        v.append(f"alpha_m > 0 violated: alpha_m = {m.alpha_m}")
-
-    # condition (ii): the rate form h_cond*(theta')^2 + sum(rho_i)*(M')^2
-    # must be non-negative
-    if not m.h_cond >= 0:
-        v.append(f"condition (ii): h_cond >= 0 violated: h_cond = {m.h_cond}")
-    rate_sum = m.rho1 + m.rho2 + m.rho3
-    if not rate_sum >= 0:
-        v.append(
-            f"condition (ii): rho1+rho2+rho3 >= 0 violated: sum = {rate_sum}"
-        )
-
-    # condition (iii): stiffness block [[m_uu, m_ur], [m_ur, m_rr]]
-    # positive definite (leading minors) and k_cond > 0
-    m_uu = m.lambda_e + 2 * m.mu_e
-    m_ur = m.gamma1 + 2 * m.gamma2
-    m_rr = m.eta1 + m.eta2 + m.eta3
-    det = m_uu * m_rr - m_ur * m_ur
-    if not m_uu > 0:
-        v.append(f"condition (iii): m_uu > 0 violated: m_uu = {m_uu}")
-    if not det > 0:
-        v.append(
-            "condition (iii): m_uu*m_rr - m_ur^2 > 0 violated: "
-            f"det = {det} (m_uu = {m_uu}, m_ur = {m_ur}, m_rr = {m_rr})"
-        )
-    if not m.k_cond > 0:
-        v.append(f"condition (iii): k_cond > 0 violated: k_cond = {m.k_cond}")
-
-    return ValidationReport(tuple(v))
-
-
-def to_moduli_1d(m: MaterialIsotropic) -> Moduli1D:
-    """Reduce a valid isotropic material to the 1D moduli.
-
-    Raises
-    ------
-    InvalidMaterial
-        if validate_isotropic reports any violation.
-    """
-    report = validate_isotropic(m)
-    if not report.valid:
-        raise InvalidMaterial(str(report))
     return Moduli1D(
         m_uu=m.lambda_e + 2 * m.mu_e,
         m_ur=m.gamma1 + 2 * m.gamma2,
@@ -219,6 +169,75 @@ def to_moduli_1d(m: MaterialIsotropic) -> Moduli1D:
         h_cond=m.h_cond,
         varpi_plus_hbar=m.varpi + m.hbar_c,
     )
+
+
+def _hypotheses(m: Moduli1D) -> ValidationReport:
+    """The model hypotheses on the reduced moduli, each inequality
+    written so that NaN violates it.
+
+    Raises
+    ------
+    NonFinite
+        if any modulus is NaN or infinite, one whose reduction overflowed
+        included.
+    """
+    _require_finite((f.name, getattr(m, f.name)) for f in dc_fields(m))
+
+    v = []
+    for name in ("rho", "c_cap", "alpha_m"):
+        if not getattr(m, name) > 0:
+            v.append(f"{name} > 0 violated: {name} = {getattr(m, name)}")
+
+    # condition (ii): the rate form h_cond*(theta')^2 + sum(rho_i)*(M')^2
+    # must be non-negative
+    if not m.h_cond >= 0:
+        v.append(f"condition (ii): h_cond >= 0 violated: h_cond = {m.h_cond}")
+    if not m.m_rr_rate >= 0:
+        v.append(
+            f"condition (ii): rho1+rho2+rho3 >= 0 violated: sum = {m.m_rr_rate}"
+        )
+
+    # condition (iii): stiffness block [[m_uu, m_ur], [m_ur, m_rr]]
+    # positive definite (leading minors) and k_cond > 0
+    det = m.m_uu * m.m_rr - m.m_ur * m.m_ur
+    if not m.m_uu > 0:
+        v.append(f"condition (iii): m_uu > 0 violated: m_uu = {m.m_uu}")
+    if not det > 0:
+        v.append(
+            "condition (iii): m_uu*m_rr - m_ur^2 > 0 violated: "
+            f"det = {det} (m_uu = {m.m_uu}, m_ur = {m.m_ur}, m_rr = {m.m_rr})"
+        )
+    if not m.k_cond > 0:
+        v.append(f"condition (iii): k_cond > 0 violated: k_cond = {m.k_cond}")
+
+    return ValidationReport(tuple(v))
+
+
+def validate_isotropic(m: MaterialIsotropic) -> ValidationReport:
+    """Check the isotropic hypotheses on the reduced moduli; returns a
+    report, never raises on a merely unphysical material.
+
+    Raises
+    ------
+    NonFinite
+        if any coefficient, or any reduced modulus, is NaN or infinite.
+    """
+    return _hypotheses(_reduce(m))
+
+
+def to_moduli_1d(m: MaterialIsotropic) -> Moduli1D:
+    """Reduce a valid isotropic material to the 1D moduli.
+
+    Raises
+    ------
+    InvalidMaterial
+        if validate_isotropic reports any violation.
+    """
+    moduli = _reduce(m)
+    report = _hypotheses(moduli)
+    if not report.valid:
+        raise InvalidMaterial(str(report))
+    return moduli
 
 
 _RANK4 = ("elasticity", "micro_coupling", "micro_stiffness", "micro_stiffness_rate")

@@ -136,7 +136,7 @@ def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes):
     k_col = np.repeat(result.k_values, 6)
     omega = result.omega.ravel()
     table = np.column_stack([k_col, np.tile(np.arange(6), len(ks)), omega.real,
-                             omega.imag, omega.real / k_col])
+                             omega.imag, result.phase_speed.ravel()])
     _write_csv(os.path.join(out_dir, "dispersion.csv"),
                ("k", "branch_index", "re_omega", "im_omega", "phase_speed"),
                table)

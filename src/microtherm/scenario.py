@@ -14,7 +14,7 @@ under model = type2 is rejected.
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -39,11 +39,7 @@ _BYTES_PER_KEPT_STATE = 192
 # 1000 to 80000), rounded up
 _DISPERSION_BYTES_PER_K = 1536
 
-_MATERIAL_KEYS = frozenset({
-    "model", "rho", "lambda_e", "mu_e", "beta", "c_cap", "alpha_m",
-    "gamma1", "gamma2", "k_cond", "h_cond", "varpi", "hbar_c",
-    "eta1", "eta2", "eta3", "rho1", "rho2", "rho3",
-})
+_MATERIAL_KEYS = frozenset({"model"} | {f.name for f in dc_fields(MaterialIsotropic)})
 _GRID_KEYS = frozenset({"n_interior", "length"})
 _TIME_KEYS = frozenset({"dt", "n_steps", "snapshot_every"})
 _INIT_KEYS = frozenset(
@@ -165,7 +161,7 @@ def parse_scenario(text: str) -> Scenario:
                     f"type II requires vanishing rate moduli, got {key} = "
                     f"{overrides[key]}"
                 )
-    material = MaterialIsotropic(**{**_material_fields(base), **overrides})
+    material = replace(base, **overrides)
     report = validate_isotropic(material)
     if not report.valid:
         raise ValidationError(str(report))
@@ -308,10 +304,6 @@ def _check_sizes(scenario: Scenario):
             f"[dispersion] n_k = {scenario.n_k} would need "
             f"{_DISPERSION_BYTES_PER_K} B per wavenumber, above the "
             f"{_MAX_ARRAY_BYTES // 2**30} GiB limit on a run's arrays")
-
-
-def _material_fields(m: MaterialIsotropic) -> dict:
-    return {name: getattr(m, name) for name in _MATERIAL_KEYS if name != "model"}
 
 
 def build_initial(scenario: Scenario) -> np.ndarray:

@@ -3,10 +3,12 @@ per-field difference formulas the assembled matrices are checked
 against, the block-wise scipy assembly of the generator and the form
 matrices (the oracle of the table builder), the one-wavenumber
 determinant expansion and root finder the batched dispersion routes are
-checked against, scipy's assignment as the oracle of the root pairing,
-the run oracles (a whole run as one array, the trapezoid energy balance
-and the decay fit), and the validation case registry (one passing and
-one failing fixture per inequality and per symmetry relation)."""
+checked against, the hand-written Fourier symbol that the symbols read
+from the generator table are checked against, scipy's assignment as
+the oracle of the root pairing, the run oracles (a whole run as one
+array, the trapezoid energy balance and the decay fit), and the
+validation case registry (one passing and one failing fixture per
+inequality and per symmetry relation)."""
 
 import dataclasses
 import math
@@ -156,7 +158,8 @@ def kron_form(table: np.ndarray, n: int, h: float) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# reference formulas: the dispersion polynomial one wavenumber at a time
+# reference formulas: the dispersion polynomial one wavenumber at a time,
+# and the Fourier symbol written by hand
 
 # the six permutations of {0,1,2} with their signs
 _PERMS = (
@@ -183,6 +186,31 @@ def sorted_roots(coeffs):
     magnitude, sorted by (real, imag)."""
     roots = np.roots(coeffs[::-1] / np.abs(coeffs).max())
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def first_order_symbol(m, k_values) -> np.ndarray:
+    """6x6 generators of the Fourier modes (d/dx -> ik) in FIELDS order,
+    stacked as (n_k, 6, 6), written out by hand from the equations of
+    Moduli1D: the oracle of the symbols that dispersion reads from
+    generator_table.  The ik entries are i times a real quotient: numpy's
+    complex division rounds otherwise."""
+    ks = np.asarray(k_values, dtype=float)
+    k2 = ks * ks
+    p = m.varpi_plus_hbar
+    a = np.zeros((len(ks), 6, 6), dtype=complex)
+    a[:, [0, 2, 4], [1, 3, 5]] = 1.0
+    a[:, 1, 0] = -m.m_uu * k2 / m.rho
+    a[:, 1, 3] = 1j * (-m.beta * ks / m.rho)
+    a[:, 1, 4] = -m.m_ur * k2 / m.rho
+    a[:, 3, 1] = 1j * (-m.beta * ks / m.c_cap)
+    a[:, 3, 2] = -m.k_cond * k2 / m.c_cap
+    a[:, 3, 3] = -m.h_cond * k2 / m.c_cap
+    a[:, 3, 5] = 1j * (-p * ks / m.c_cap)
+    a[:, 5, 0] = -m.m_ur * k2 / m.alpha_m
+    a[:, 5, 3] = 1j * (-p * ks / m.alpha_m)
+    a[:, 5, 4] = -m.m_rr * k2 / m.alpha_m
+    a[:, 5, 5] = -m.m_rr_rate * k2 / m.alpha_m
+    return a
 
 
 def root_set_distance(a, b) -> float:

@@ -18,17 +18,16 @@ import pytest
 from scipy.linalg import expm
 
 from microtherm import (Grid1D, assemble_backward, assemble_operator,
-                        backward_functionals, energy_table, first_order_symbol,
-                        isotropic_embedding, localization_probe,
+                        backward_functionals, energy_table, isotropic_embedding, localization_probe,
                         reference_type2, reference_type3, snapshot_times,
                         solve_branches, spectral_report, symbol_frequencies,
                         to_moduli_1d, validate_anisotropic, validate_isotropic)
 from microtherm.discrete1d import form_values
 from microtherm.dispersion import polynomial_frequencies
 
-from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, fit_decay,
-                      random_state, random_valid_material, root_set_distance,
-                      sine_init, trapezoid_balance)
+from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, first_order_symbol,
+                      fit_decay, random_state, random_valid_material,
+                      root_set_distance, sine_init, trapezoid_balance)
 
 
 def energies(op, init, dt, n_steps, every=1):
@@ -154,7 +153,8 @@ def test_criterion_5_no_localization(capsys):
 def test_criterion_6_discretization_orders(capsys):
     # space: single sine mode of the displacement/microtemperature block
     # (couplings that mix in the thermal pair switched off), continuum
-    # reference from the dense exponential of the mode's symbol
+    # reference from the dense exponential of the mode's hand-written
+    # symbol
     mat = dataclasses.replace(reference_type3(), beta=0.0, varpi=0.0,
                               hbar_c=0.0)
     m = to_moduli_1d(mat)

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
-                        assemble_backward, assemble_operator, reference_type2,
+                        NonFinite, assemble_backward, assemble_operator, reference_type2,
                         reference_type3, to_moduli_1d)
 from microtherm.discrete1d import (FIELDS, FORMS, _stencils, form_matrix,
                                    form_tables, form_values)
@@ -292,10 +295,16 @@ class TestOperatorAssembly:
             assert quad >= -1e-12 * float(u @ (op3_back.g_mat @ u))
 
     def test_invalid_moduli_rejected_at_assembly(self):
-        bad = to_moduli_1d(reference_type2())
-        bad = type(bad)(**{**bad.__dict__, "rho": -1.0})
-        with pytest.raises(InvalidMaterial):
-            assemble_operator(Grid1D(n_interior=8), bad)
+        # a NaN fails no comparison, so a modulus is checked finite first
+        good = to_moduli_1d(reference_type2())
+        for name, value, error in (("rho", -1.0, InvalidMaterial),
+                                   ("rho", math.nan, NonFinite),
+                                   ("h_cond", math.nan, NonFinite),
+                                   ("beta", math.nan, NonFinite),
+                                   ("m_uu", math.inf, NonFinite)):
+            bad = dataclasses.replace(good, **{name: value})
+            with pytest.raises(error, match=name):
+                assemble_operator(Grid1D(n_interior=8), bad)
 
     def test_truncation_error_is_second_order(self, moduli3):
         # smooth manufactured fields: compare A U against the continuum

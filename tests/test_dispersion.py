@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from microtherm import (RootFailure, characteristic_matrix,
-                        first_order_symbol, reference_type2, reference_type3,
-                        solve_branches, symbol_frequencies, to_moduli_1d)
+from microtherm import (RootFailure, characteristic_matrix, reference_type2,
+                        reference_type3, solve_branches, symbol_frequencies,
+                        to_moduli_1d)
 from microtherm import dispersion
-from microtherm.dispersion import (det_coefficients, least_pairing,
+from microtherm.cli import main
+from microtherm.dispersion import (_symbols, det_coefficients, least_pairing,
                                    polynomial_frequencies, root_distances)
 
-from conftest import convolve_det_coefficients, root_set_distance, sorted_roots
+from conftest import (convolve_det_coefficients, first_order_symbol,
+                      root_set_distance, sorted_roots)
 
 # solve_branches has its own grid validation test below
 BATCHED = (characteristic_matrix, det_coefficients, polynomial_frequencies,
-           first_order_symbol, symbol_frequencies)
+           _symbols, symbol_frequencies)
 GRIDS = {
     "linear4000": np.linspace(0.5, 40.0, 4000),
     "linear16": np.linspace(0.5, 8.0, 16),
@@ -49,7 +51,7 @@ class TestCharacteristicMatrix:
         assert characteristic_matrix(moduli3, ks).shape == (5, 3, 3, 3)
         assert det_coefficients(moduli3, ks).shape == (5, 7)
         assert polynomial_frequencies(moduli3, ks).shape == (5, 6)
-        assert first_order_symbol(moduli3, ks).shape == (5, 6, 6)
+        assert _symbols(moduli3, ks).shape == (5, 6, 6)
         assert symbol_frequencies(moduli3, ks).shape == (5, 6)
 
     def test_coefficients_evaluate_to_determinant(self, moduli3):
@@ -126,6 +128,8 @@ class TestBatchedBits:
         assert np.array_equal(got, expected)
 
     def test_symbol_frequencies_match_per_k_eigvals(self, moduli, grid, request):
+        # the eigenvalues of the hand-written symbol, one wavenumber at a
+        # time: bitwise at the references' unit inertias (TestDerivedSymbol)
         m, ks = request.getfixturevalue(moduli), GRIDS[grid]
         expected = []
         for a in first_order_symbol(m, ks):
@@ -137,6 +141,57 @@ class TestBatchedBits:
         m, ks = request.getfixturevalue(moduli), GRIDS[grid][:400]
         for func in (det_coefficients, polynomial_frequencies, symbol_frequencies):
             assert np.array_equal(func(m, ks[::2]), func(m, ks[::2].copy()))
+
+
+class TestDerivedSymbol:
+    """The symbols are the generator table contracted with (1, -k^2, ik),
+    checked against the hand-written symbol of conftest."""
+
+    @pytest.mark.parametrize("ks", [GRIDS["linear4000"], GRIDS["linear16"],
+                                    np.geomspace(1e-3, 1e15, 2000)],
+                             ids=["linear4000", "linear16", "geometric2000"])
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_references_give_the_hand_written_symbol_bit_for_bit(self, moduli, ks,
+                                                                 request):
+        # equal symbols make equal frequencies (TestBatchedBits checks
+        # those against the oracle's per-wavenumber eigenvalues)
+        m = request.getfixturevalue(moduli)
+        assert np.array_equal(_symbols(m, ks), first_order_symbol(m, ks))
+
+    @pytest.mark.parametrize("material", [reference_type2(), reference_type3()],
+                             ids=["type2", "type3"])
+    def test_non_unit_inertias_round_the_quotients_otherwise(self, material):
+        # T[lap] * k^2 against the oracle's (coefficient * k^2) / inertia:
+        # the same entries, each within an ulp or two
+        m = to_moduli_1d(dataclasses.replace(material, rho=1.7, c_cap=0.6, alpha_m=2.3))
+        ks = np.geomspace(1e-3, 1e15, 2000)
+        got, oracle = _symbols(m, ks), first_order_symbol(m, ks)
+        assert np.array_equal(got == 0, oracle == 0)
+        nonzero = oracle != 0
+        assert (np.abs(got - oracle)[nonzero] <= 1e-15 * np.abs(oracle)[nonzero]).all()
+        # the frequencies move by some ulps of the row's largest root
+        w = 1j * np.linalg.eigvals(oracle)
+        scale = np.maximum(1.0, np.abs(w).max(axis=1))
+        assert (root_distances(symbol_frequencies(m, ks), w) <= 1e-13 * scale).all()
+
+    def test_a_wrong_table_entry_fails_the_route_agreement(self, monkeypatch, tmp_path):
+        # the symbol route reads the stepper's table, so doubling its
+        # m_ur / alpha_m entry must fail "dispersion routes agree"
+        table = dispersion.generator_table
+
+        def doubled(m, time_sign):
+            t = table(m, time_sign)
+            t[1, 5, 0] *= 2.0  # T[lap, m, u] = m_ur / alpha_m
+            return t
+
+        monkeypatch.setattr(dispersion, "generator_table", doubled)
+        cfg = pathlib.Path(dispersion.__file__).parent / "configs" / "reference_type3.cfg"
+        out = tmp_path / "out"
+        assert main(["dispersion", str(cfg), "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        line = next(s for s in report.splitlines() if s.startswith("dispersion routes agree"))
+        assert line.startswith("dispersion routes agree: FAIL")
+        assert float(re.search(r"distance (\S+)", line).group(1)) > 1e-2
 
 
 class TestTwoRoutes:
