@@ -16,13 +16,14 @@ holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 eliminates the three position fields, whose rows are the identities
 d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
 on the rates with a LAPACK band LU factored once per run: two triangular
-band solves when the LU made no row interchange, dgbtrs otherwise; on
-small grids (6n <= _DENSE_STEP) one product with the dense inverse of
-I - dt/2 A instead.  Every step's residual on the full system is
-checked, a chunk of steps at a time with one CSR product, before its
-states leave; a step that misses it raises SolveFailure, and one whose
-norms overflow raises NonFinite, so no run returns a non-finite
-snapshot.
+band solves when the LU made no row interchange, dgbtrs otherwise.  On
+small grids (6n <= _DENSE_STEP) it builds no band LU: a step is one
+product U_{k+1} = P U_k with the step matrix P = 2 (I - dt/2 A)^-1 - I,
+whose midpoint (U_k + U_{k+1}) / 2 is read back from the states.  Every
+step's residual on the full system is checked, a chunk of steps at a
+time with one CSR product, before its states leave; a step that misses
+it raises SolveFailure, and one whose norms overflow raises NonFinite,
+so no run returns a non-finite snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -55,8 +56,8 @@ __all__ = [
 _SOLVE_TOL = 1e-12
 _BAND = 5  # kl = ku of the node-major reduced rate system
 _CHUNK = 32  # most steps whose residuals one sparse product checks
-# largest 6n whose steps apply the dense inverse: one product, with the
-# inverse's build spread over 400 steps, beats the band solve's calls
+# largest 6n whose steps apply the dense step matrix: one product, with
+# its build spread over 400 steps, beats the band solve's calls
 _DENSE_STEP = 168
 
 
@@ -80,21 +81,29 @@ class MidpointStepper:
     dgbtrs.  Inside a run the state stays node-major, so positions and
     rates are the even and odd entries of one array, and dt/2 K X_pos
     is one BLAS dgbmv on band storage fused with the sum.  When
-    6n <= _DENSE_STEP the solve is instead one product with the dense
-    inverse of I - dt/2 A, made once after the band LU's checks.
+    6n <= _DENSE_STEP no band LU is built: the node-major I - dt/2 A is
+    inverted once, a step is one product X+ = P X with the step matrix
+    P = 2 (I - dt/2 A)^-1 - I, and its midpoint (X + X+) / 2 is read
+    back from the two states.  Its residual carries the states'
+    rounding times dt/2 |A|, so on a stiff operator or at a huge dt it
+    can miss the guard where a solved midpoint passes: from the first
+    such step on, the run solves with the inverse, which is kept since
+    (P r + r) / 2 loses its small entries at large dt.
 
-    A step is the solve and 2 Y - X, with no sparse product or norm.
+    A step is the solve and 2 Y - X, or the product P X, with no sparse
+    product or norm.
     Up to _CHUNK steps (and at most a block of states, block_rows) are
     checked at once, by one CSR product over their midpoints: residual
     (I - dt/2 A) Y - X within 1e-12 |X|, next state finite.  States are
     yielded only from a passing chunk.  At the first failing step the
     states before it are yielded; then NonFinite if |X|, the residual or
     the next state is not finite, so no non-finite state leaves, else
-    one refinement pass, after which the step passes and the run goes
-    on from it, or SolveFailure.
+    the step is taken again by the solve if it was a product with P,
+    or one refinement pass follows, after which the step passes and
+    the run goes on from it, or SolveFailure.
     Construction raises SolveFailure when the position rows are not
     [0 | I], when a rate row reaches past the band, or when the reduced
-    matrix is singular.
+    matrix (band path) or I - dt/2 A (dense path) is singular.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
@@ -115,6 +124,15 @@ class MidpointStepper:
             raise SolveFailure(
                 f"rate rows of the operator are wider than the band "
                 f"kl = ku = {_BAND} of the reduced system")
+        if 6 * op.n <= _DENSE_STEP:
+            try:
+                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * self._a.toarray())
+            except np.linalg.LinAlgError as exc:
+                raise SolveFailure(
+                    f"midpoint matrix could not be factored: {exc}") from None
+            self._inv, self._p = inv, 2.0 * inv - np.eye(6 * op.n)
+            return
+        self._inv = self._p = None
         size = 3 * op.n
         self._k_band = _band(i[~on_rate], j[~on_rate], vals[~on_rate], _BAND, _BAND, size)
         # scipy's dgbmv asks for at least kl + ku + 1 rows; the rows past
@@ -137,12 +155,14 @@ class MidpointStepper:
         if np.array_equal(self._piv, np.arange(size)):
             self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]),
                                 np.asfortranarray(self._lu[_BAND:2 * _BAND + 1]))
-        self._inv = (np.linalg.inv(np.eye(6 * op.n) - self._half * self._a.toarray())
-                     if 6 * op.n <= _DENSE_STEP else None)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a node-major state x, or for one in each column of x."""
         return self._a @ x
+
+    def _step(self, x: np.ndarray, out: np.ndarray):
+        """The dense path's step: out = P x, P = 2 (I - dt/2 A)^-1 - I."""
+        np.dot(self._p, x, out=out)
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         """Node-major solution of (I - dt/2 A) out = r, dense or by the reduced system."""
@@ -182,12 +202,20 @@ class MidpointStepper:
         ys = np.empty((rows, x.size))  # and its midpoints y_0 .. y_{m-1}
         xs[0] = x
         x_rows = list(xs)  # views, indexed faster than xs itself
+        by_p = self._p is not None  # until a read-back midpoint misses the guard
         while n_steps:
             m = min(rows, n_steps)
-            for k in range(m):
-                y = self._solve(x_rows[k])
-                ys[k] = y
-                np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
+            if by_p:
+                step = self._step
+                for k in range(m):
+                    step(x_rows[k], x_rows[k + 1])
+                np.add(xs[:m], xs[1:m + 1], out=ys[:m])
+                ys[:m] *= 0.5
+            else:
+                for k in range(m):
+                    y = self._solve(x_rows[k])
+                    ys[k] = y
+                    np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
             res, resid, norms, ok = self._guard(xs[:m + 1], ys[:m])
             j = m if ok.all() else int(ok.argmin())  # the first failing step
             yield from xs[1:j + 1]
@@ -195,14 +223,17 @@ class MidpointStepper:
                 if not np.isfinite([norms[j], resid[j], norms[j + 1]]).all():
                     raise NonFinite(f"midpoint step left the float range: |x| = "
                                     f"{norms[j]:.3e}, residual = {resid[j]:.3e}")
-                ys[j] -= self._solve(res[j])
-                np.subtract(ys[j] + ys[j], xs[j], out=xs[j + 1])
-                _, resid, norms, ok = self._guard(xs[j:j + 2], ys[j:j + 1])
-                if not ok[0]:
-                    raise SolveFailure(f"midpoint solve residual {resid[0]:.3e} exceeds "
-                                       f"{_SOLVE_TOL:.0e} * |x| = {_SOLVE_TOL * norms[0]:.3e}")
-                j += 1
-                yield xs[j]
+                if by_p:
+                    by_p = False  # step j again, by the solve
+                else:
+                    ys[j] -= self._solve(res[j])
+                    np.subtract(ys[j] + ys[j], xs[j], out=xs[j + 1])
+                    _, resid, norms, ok = self._guard(xs[j:j + 2], ys[j:j + 1])
+                    if not ok[0]:
+                        raise SolveFailure(f"midpoint solve residual {resid[0]:.3e} exceeds "
+                                           f"{_SOLVE_TOL:.0e} * |x| = {_SOLVE_TOL * norms[0]:.3e}")
+                    j += 1
+                    yield xs[j]
             xs[0] = xs[j]
             n_steps -= j
 

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -170,6 +171,21 @@ class TestRun:
                      "backward.csv"):
             assert (out / name).exists()
         assert report == capsys.readouterr().out.rstrip("\n") + "\n"
+        # the balance holds to 1e-13 of the initial energy: its tol is 1e-10 of it
+        resid, tol = map(float, re.search(
+            r"energy balance: PASS \(max step residual (\S+), tol (\S+)\)", report).groups())
+        assert resid <= 1e-3 * tol
+
+    def test_huge_dt_on_the_dense_path_passes_without_warning(self, tmp_path):
+        # [time] dt = 2.6e154 at n = 16: the dense path forms no band
+        # matrix, whose dt^2/4 K overflowed with a RuntimeWarning, which
+        # pytest turns into an error
+        text = pathlib.Path(TYPE3).read_text()
+        assert text.count("dt = 0.01") == 1
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, text.replace("dt = 0.01", "dt = 2.6e154")),
+                     "--out", str(out)]) == 0
+        assert "FAIL" not in (out / "report.txt").read_text()
 
     def test_reference_type2_all_certificates_pass(self, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ def end_state(op, init, dt, n_steps) -> np.ndarray:
 
 def decoupled_elastic_moduli():
     """All couplings zero: the displacement pair evolves alone."""
-    import dataclasses
     m = dataclasses.replace(reference_type2(), beta=0.0, gamma1=0.0,
                             gamma2=0.0, varpi=0.0, hbar_c=0.0)
     return to_moduli_1d(m)
@@ -192,7 +192,7 @@ def with_entry(op, row, col, value):
 
 
 class TestBandedStepper:
-    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    @pytest.mark.parametrize("n", [2, 3, 16, N_BAND - 1, 64])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_each_step_matches_dense_solve(self, n, model, direction):
@@ -205,10 +205,17 @@ class TestBandedStepper:
         a_dense = op.a_mat.toarray()
         eye = np.eye(6 * n)
         lhs, rhs_mat = eye - 0.5 * dt * a_dense, eye + 0.5 * dt * a_dense
+        inv = np.linalg.inv(lhs) if 6 * n <= evolve._DENSE_STEP else None
         states = collect(op, sine_init(grid), dt, 20)
         for before, got in zip(states, states[1:]):
             expected = np.linalg.solve(lhs, rhs_mat @ before)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            if inv is not None:
+                # the step matrix's product is the solve-then-2y-x step
+                # 2 (I - dt/2 A)^-1 x - x
+                y = inv @ before
+                solved = 2 * y - before
+                assert np.linalg.norm(got - solved) <= 1e-13 * np.linalg.norm(solved)
 
     def test_reversed_type3_run_stops_at_first_overflow(self, op3, op3_back):
         dt = 0.01
@@ -223,16 +230,17 @@ class TestBandedStepper:
         # float range: its next state has no finite norm
         with np.errstate(over="ignore", invalid="ignore"):
             assert all(np.isfinite(x @ x) for x in kept)
-            y = stepper._solve(kept[-1])
-            after = 2 * y - kept[-1]
+            after = np.empty_like(kept[-1])
+            stepper._step(kept[-1], after)
             assert not np.isfinite(after @ after)
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
             collect(op3_back, turned, dt, 400)
 
 
 class TestChunkGuard:
-    """Each step is one solve; the residuals of a chunk of steps
-    are checked together, and only states of a passing chunk leave."""
+    """Each step is one product with the step matrix (dense path) or one
+    solve (band path); the residuals of a chunk of steps are checked
+    together, and only states of a passing chunk leave."""
 
     @pytest.mark.parametrize("n", [N_BAND, 512])
     def test_corrupted_upper_band_raises(self, n):
@@ -253,12 +261,15 @@ class TestChunkGuard:
     def test_corrupted_dense_inverse_raises(self):
         n = 16
         stepper = make_stepper("type3", n, 1e-3)
-        assert stepper._inv is not None
+        assert stepper._p is not None
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         node = 6 * (n // 2)  # u at the middle node, where the sine data peak
         assert x0[node] != 0.0
-        stepper._inv = stepper._inv.copy()
-        stepper._inv[node, node] *= 2.0
+        stepper._p = stepper._p.copy()
+        stepper._p[node, node] *= 2.0
+        # the refinement solves with the inverse the step matrix is made
+        # of, P = 2 inv - I: corrupt both alike
+        stepper._inv = (stepper._p + np.eye(6 * n)) / 2
         kept = []
         with pytest.raises(SolveFailure, match="residual"):
             for x in stepper.states(x0, 40):
@@ -266,41 +277,83 @@ class TestChunkGuard:
         assert not kept
 
     @staticmethod
-    def perturb(stepper, calls, shift):
-        """Make stepper._solve add shift on the calls numbered in calls
-        (from 1), or on every call when calls is None."""
-        solve, count = stepper._solve, [0]
+    def perturb(stepper, calls, shift, name="_step"):
+        """Make stepper._step, the dense path's product out = P x, or
+        stepper._solve add shift to its output on the calls numbered in
+        calls (from 1), or on every call when calls is None."""
+        method, count = getattr(stepper, name), [0]
 
-        def perturbed(r):
+        def hit():
             count[0] += 1
-            out = solve(r)
-            return out + shift if calls is None or count[0] in calls else out
+            return calls is None or count[0] in calls
 
-        stepper._solve = perturbed
+        def step(x, out):
+            method(x, out)
+            if hit():
+                out += shift
 
-    def test_one_perturbed_solve_is_refined(self):
+        def solve(r):
+            return method(r) + shift if hit() else method(r)
+
+        setattr(stepper, name, step if name == "_step" else solve)
+
+    def test_one_perturbed_solve_is_refined(self, monkeypatch):
         n, n_steps = 16, 100
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         shift = 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7]
-        clean = [x.copy() for x in make_stepper("type3", n, 1e-3).states(x0, n_steps)]
-        stepper = make_stepper("type3", n, 1e-3)
-        self.perturb(stepper, {40}, shift)  # step 39, inside the second chunk
-        kept = [x.copy() for x in stepper.states(x0, n_steps)]
-        assert len(kept) == n_steps
-        assert np.array_equal(kept[:39], clean[:39])
-        # the refined state x_40 is the clean one to round-off ...
-        assert np.linalg.norm(kept[39] - clean[39]) <= 1e-14 * np.linalg.norm(clean[39])
-        # ... and the rest of the run steps on from it
-        rest = [x.copy() for x in make_stepper("type3", n, 1e-3).states(kept[39], n_steps - 40)]
-        assert np.array_equal(kept[40:], rest)
+        # dense path: the perturbed product's read-back midpoint misses
+        # the guard, and the run steps again from x_39 by the solve;
+        # band path: the perturbed solve is refined
+        for limit, name in ((evolve._DENSE_STEP, "_step"), (0, "_solve")):
+            monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
+            clean = [x.copy() for x in make_stepper("type3", n, 1e-3).states(x0, n_steps)]
+            stepper = make_stepper("type3", n, 1e-3)
+            self.perturb(stepper, {40}, shift, name)  # step 39, inside the second chunk
+            kept = [x.copy() for x in stepper.states(x0, n_steps)]
+            assert len(kept) == n_steps
+            assert np.array_equal(kept[:39], clean[:39])
+            # the state x_40 is the clean one to round-off ...
+            assert np.linalg.norm(kept[39] - clean[39]) <= 1e-14 * np.linalg.norm(clean[39])
+            # ... and the rest of the run steps on from it by the solve
+            rest = make_stepper("type3", n, 1e-3)
+            rest._p = None
+            rest = [x.copy() for x in rest.states(kept[39], n_steps - 40)]
+            assert np.array_equal(kept[40:], rest)
 
     def test_every_call_perturbed_raises(self):
         n = 16
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         stepper = make_stepper("type3", n, 1e-3)
-        self.perturb(stepper, None, 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7])
+        assert stepper._p is not None
+        shift = 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7]
+        self.perturb(stepper, None, shift)
+        self.perturb(stepper, None, shift, "_solve")
         with pytest.raises(SolveFailure, match="residual"):
             list(stepper.states(x0, 10))
+
+    def test_stiff_dense_run_goes_on_by_the_solve(self, monkeypatch):
+        # lambda_e = mu_e = 1e4 puts |dt/2 A| near 1.7e5 (17 at the
+        # reference): a read-back midpoint's residual, the states'
+        # rounding times |dt/2 A|, misses the guard, and one refined from
+        # it misses it too; the run goes on solving with the dense inverse
+        grid = Grid1D(n_interior=16)
+        op = assemble_operator(grid, to_moduli_1d(dataclasses.replace(
+            reference_type3(), lambda_e=1e4, mu_e=1e4)))
+        products, step = [], MidpointStepper._step
+
+        def counted(self, x, out):
+            products.append(1)
+            step(self, x, out)
+
+        monkeypatch.setattr(MidpointStepper, "_step", counted)
+        runs = []
+        for chunk in (1, 7, 32):
+            monkeypatch.setattr(evolve, "_CHUNK", chunk)
+            runs.append(collect(op, sine_init(grid), 0.01, 400))
+        assert 0 < len(products) < 3 * 32
+        assert all(run.tobytes() == runs[0].tobytes() for run in runs[1:])
+        energies = energy_table(op, runs[0])[:, 0]
+        assert (np.diff(energies) <= 1e-12 * energies[0]).all()
 
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -320,19 +373,24 @@ class TestChunkGuard:
     @pytest.mark.parametrize("strided", [False, True], ids=["every", "last"])
     def test_one_solve_per_step_and_none_past_the_end(self, op3, monkeypatch,
                                                       n_steps, strided):
-        calls = {"_solve": 0, "_apply": 0}
+        calls = dict.fromkeys(("_step", "_solve", "_apply"), 0)
         for name in calls:
             method = getattr(MidpointStepper, name)
 
-            def counted(self, r, name=name, method=method):
+            def counted(self, *args, name=name, method=method):
                 calls[name] += 1
-                return method(self, r)
+                return method(self, *args)
 
             monkeypatch.setattr(MidpointStepper, name, counted)
         every = max(n_steps, 1) if strided else 1
-        collect(op3, sine_init(op3.grid), 0.01, n_steps, every)
-        # one solve per step; one sparse product per chunk of 32
-        assert calls == {"_solve": n_steps, "_apply": -(-n_steps // 32)}
+        chunks = -(-n_steps // 32)
+        # n = 16: one step product per step on the dense path, one solve
+        # per step on the band path; one sparse product per chunk of 32
+        for limit, per_step in ((evolve._DENSE_STEP, "_step"), (0, "_solve")):
+            monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
+            calls.update(dict.fromkeys(calls, 0))
+            collect(op3, sine_init(op3.grid), 0.01, n_steps, every)
+            assert calls == {"_step": 0, "_solve": 0, per_step: n_steps, "_apply": chunks}
 
 
 class TestStepperKernels:
@@ -342,9 +400,9 @@ class TestStepperKernels:
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("dt", [1e-3, 5e-5])
-    def test_forward_solve_is_dgbtrs_bitwise(self, n, model, dt):
+    def test_forward_solve_is_dgbtrs_bitwise(self, monkeypatch, n, model, dt):
+        monkeypatch.setattr(evolve, "_DENSE_STEP", 0)  # the band kernels at every n
         stepper = make_stepper(model, n, dt)
-        stepper._inv = None  # the band kernels, also below the dense limit
         size = 3 * n
         assert np.array_equal(stepper._piv, np.arange(size))
         assert stepper._triangular is not None
@@ -401,14 +459,15 @@ class TestStepperKernels:
     # are checked one at a time in test_each_step_matches_dense_solve
     @pytest.mark.parametrize("model, direction", [
         ("type2", "forward"), ("type3", "forward"), ("type2", "backward")])
-    def test_dense_and_band_runs_agree(self, model, direction):
+    def test_dense_and_band_runs_agree(self, monkeypatch, model, direction):
         n = 16
         assemble = assemble_operator if direction == "forward" else assemble_backward
         dt = 0.01 if direction == "forward" else 5e-5
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         dense = make_stepper(model, n, dt, assemble)
+        monkeypatch.setattr(evolve, "_DENSE_STEP", 0)
         band = make_stepper(model, n, dt, assemble)
-        band._inv = None
+        assert dense._p is not None and band._p is None
         runs = [np.array([x.copy() for x in s.states(x0, 400)]) for s in (dense, band)]
         err = np.linalg.norm(runs[0] - runs[1], axis=1) / np.linalg.norm(runs[1], axis=1)
         assert err.max() <= 1e-11
@@ -416,7 +475,10 @@ class TestStepperKernels:
     @pytest.mark.parametrize("n, dense", [(N_BAND - 1, True), (N_BAND, False)])
     def test_dense_inverse_exactly_up_to_the_limit(self, n, dense):
         assert (6 * n <= evolve._DENSE_STEP) == dense
-        assert (make_stepper("type3", n, 1e-3)._inv is not None) == dense
+        stepper = make_stepper("type3", n, 1e-3)
+        assert (stepper._p is not None) == (stepper._inv is not None) == dense
+        # the dense path builds no band LU
+        assert hasattr(stepper, "_lu") != dense
 
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
@@ -436,14 +498,17 @@ class TestSolverGuard:
         with pytest.raises(SolveFailure):
             MidpointStepper(degenerate, dt)
 
-    def test_singular_reduced_matrix_raises(self, op2):
+    def test_singular_reduced_matrix_raises(self, op2, monkeypatch):
         # position rows [0 | I], rate rows [0 | 2/dt I]: C = 2/dt I
         # makes I - dt/2 C - dt^2/4 K vanish
         dt = 0.01
         a_mat = sp.kron(sp.identity(3), [[0.0, 1.0], [0.0, 2.0 / dt]])
         a_mat = sp.kron(a_mat, sp.identity(op2.n), format="csr")
-        with pytest.raises(SolveFailure, match="factored"):
-            MidpointStepper(op2._replace(a_mat=a_mat), dt)
+        # the dense inverse at n = 16, then the band LU
+        for limit in (evolve._DENSE_STEP, 0):
+            monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
+            with pytest.raises(SolveFailure, match="factored"):
+                MidpointStepper(op2._replace(a_mat=a_mat), dt)
 
     @pytest.mark.parametrize("row, col, value", [
         (0, 16, 2.0),    # du/dt = 2 v
