@@ -15,16 +15,25 @@ simulate, the energies and the end states for the localization probe,
 the form table for backward.  No task holds a whole run, only the
 block it reduces and the next one while it is stepped, and the outputs
 are those of the run's states reduced as one array.
+
+The spectrum and the dispersion read only the operator and the moduli
+and are computed before the task loop: from 6n =
+diagnostics._THREADED_SECTORS up, spectral_report runs on a worker
+thread while this thread computes the dispersion; below it both run
+here.  Each task still writes and certifies at its turn and raises its
+error there, so an abort leaves the later tasks without output, and the
+worker is joined before run_scenario returns or raises.
 """
 
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (_BREAKDOWN, backward_functionals, balance_residuals,
-                          dissipativity_residual, localization_probe,
-                          reduce_blocks, spectral_report)
+from .diagnostics import (_BREAKDOWN, _THREADED_SECTORS, backward_functionals,
+                          balance_residuals, dissipativity_residual,
+                          localization_probe, reduce_blocks, spectral_report)
 from .discrete1d import FIELDS, FORMS, assemble_backward, assemble_operator
 from .dispersion import root_distances, solve_branches, symbol_frequencies
 from .errors import IndefiniteForm, MicrothermError, NonFinite, SolveFailure
@@ -104,8 +113,7 @@ def _simulate(scenario: Scenario, run, out_dir, certs, notes):
     notes.append(f"final energy = {_fmt(energies[-1])}")
 
 
-def _spectrum(scenario: Scenario, op, out_dir, certs, notes):
-    report = spectral_report(op)
+def _spectrum(scenario: Scenario, op, report, out_dir, certs, notes):
     _write_csv(os.path.join(out_dir, "spectrum.csv"), ("re", "im"),
                np.column_stack([report.eigenvalues.real, report.eigenvalues.imag]))
     lam_scale = max(float(np.abs(report.eigenvalues).max()), _ABS_FLOOR)
@@ -130,20 +138,27 @@ def _spectrum(scenario: Scenario, op, out_dir, certs, notes):
         f"rate coefficients {rates[0]:.6e}, {rates[1]:.6e}"))
 
 
-def _dispersion(scenario: Scenario, moduli, out_dir, certs, notes):
+def _dispersion_numbers(scenario: Scenario, moduli):
+    """The dispersion task's branches over its wavenumber grid and the
+    largest distance between them and the symbol route's roots, relative
+    to the symbol roots' scale (at least 1)."""
     ks = np.linspace(scenario.k_min, scenario.k_max, scenario.n_k)
     result = solve_branches(moduli, ks)
+    other = symbol_frequencies(moduli, result.k_values)
+    scale = np.maximum(1.0, np.abs(other).max(axis=1))
+    return result, float((root_distances(result.omega, other) / scale).max())
+
+
+def _dispersion(scenario: Scenario, numbers, out_dir, certs, notes):
+    result, worst = numbers
     k_col = np.repeat(result.k_values, 6)
     omega = result.omega.ravel()
-    table = np.column_stack([k_col, np.tile(np.arange(6), len(ks)), omega.real,
-                             omega.imag, result.phase_speed.ravel()])
+    table = np.column_stack([k_col, np.tile(np.arange(6), len(result.k_values)),
+                             omega.real, omega.imag, result.phase_speed.ravel()])
     _write_csv(os.path.join(out_dir, "dispersion.csv"),
                ("k", "branch_index", "re_omega", "im_omega", "phase_speed"),
                table)
 
-    other = symbol_frequencies(moduli, result.k_values)
-    scale = np.maximum(1.0, np.abs(other).max(axis=1))
-    worst = float((root_distances(result.omega, other) / scale).max())
     certs.append(Certificate(
         "dispersion routes agree", worst <= 1e-10,
         f"max matched root distance {worst:.3e} (relative)"))
@@ -244,32 +259,43 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
               and scenario.snapshot_every == 1)
     run = probe = aborted = None
-    for task in scenario.tasks:
-        try:
-            if task == "simulate":
-                every = scenario.snapshot_every
-                run = run or _forward_run(scenario, op, init, every, every == 1)
-                _simulate(scenario, run, out_dir, certs, notes)
-                if shared and probe is None:
-                    probe = _probe(scenario, op_bwd, run)
-                run = None
-            elif task == "spectrum":
-                _spectrum(scenario, op, out_dir, certs, notes)
-            elif task == "dispersion":
-                _dispersion(scenario, moduli, out_dir, certs, notes)
-            elif task == "backward":
-                _backward(scenario, op_bwd, init, out_dir, certs, notes)
-            elif task == "localization":
-                if probe is None:
-                    # simulate, still to come, reuses a shared run
-                    run = _forward_run(scenario, op, init, 1, shared)
-                    probe = _probe(scenario, op_bwd, run)
-                    if not shared:
-                        run = None
-                _localization(scenario, probe, certs, notes)
-        except MicrothermError as exc:
-            aborted = exc
-            break
+    # the spectrum and the dispersion before the task loop (see the
+    # module docstring); leaving the pool joins its worker.  After an
+    # abort the later tasks' results go unread, errors included, as those
+    # tasks would not have run one after the other
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if "spectrum" in scenario.tasks:
+            spectrum = (pool.submit(spectral_report, op)
+                        if op.a_mat.shape[0] >= _THREADED_SECTORS
+                        else _settled(spectral_report, op))
+        if "dispersion" in scenario.tasks:
+            dispersion = _settled(_dispersion_numbers, scenario, moduli)
+        for task in scenario.tasks:
+            try:
+                if task == "simulate":
+                    every = scenario.snapshot_every
+                    run = run or _forward_run(scenario, op, init, every, every == 1)
+                    _simulate(scenario, run, out_dir, certs, notes)
+                    if shared and probe is None:
+                        probe = _probe(scenario, op_bwd, run)
+                    run = None
+                elif task == "spectrum":
+                    _spectrum(scenario, op, spectrum.result(), out_dir, certs, notes)
+                elif task == "dispersion":
+                    _dispersion(scenario, dispersion.result(), out_dir, certs, notes)
+                elif task == "backward":
+                    _backward(scenario, op_bwd, init, out_dir, certs, notes)
+                elif task == "localization":
+                    if probe is None:
+                        # simulate, still to come, reuses a shared run
+                        run = _forward_run(scenario, op, init, 1, shared)
+                        probe = _probe(scenario, op_bwd, run)
+                        if not shared:
+                            run = None
+                    _localization(scenario, probe, certs, notes)
+            except MicrothermError as exc:
+                aborted = exc
+                break
 
     lines.extend(cert.line() for cert in certs)
     lines.extend(f"# {note}" for note in notes)
@@ -281,6 +307,17 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     _emit(out_dir, lines)
     return 0 if ok else 1
+
+
+def _settled(fn, *args) -> Future:
+    """A future settled on this thread with fn(*args): its result, or
+    the error it raised, for its task to take at its turn."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _emit(out_dir: str, lines):

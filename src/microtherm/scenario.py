@@ -35,8 +35,10 @@ _MAX_ARRAY_BYTES = 2 * 2**30  # largest peak of a run's arrays
 # to 1.2e5 kept states, the slope between the two), rounded up
 _BYTES_PER_KEPT_STATE = 192
 # peak bytes the dispersion task allocates per wavenumber: tracemalloc
-# around runner._dispersion reads about 1300 B (both references, n_k =
-# 1000 to 80000), rounded up
+# around runner._dispersion read about 1300 B (both references, n_k =
+# 1000 to 80000) with the grid evaluated whole, rounded up; evaluated in
+# blocks of dispersion._K_BLOCK wavenumbers it reads 490 B from n_k =
+# 4000 up and 770 B at n_k = 1000, so the count is kept as a margin
 _DISPERSION_BYTES_PER_K = 1536
 
 _MATERIAL_KEYS = frozenset({"model"} | {f.name for f in dc_fields(MaterialIsotropic)})

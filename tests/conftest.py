@@ -12,6 +12,7 @@ inequality and per symmetry relation)."""
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -236,6 +237,12 @@ def collect(op, init: np.ndarray, dt, n_steps, every=1) -> np.ndarray:
     of snapshot_blocks concatenated.  Row j is the state at time
     j * every * dt."""
     return np.concatenate(list(snapshot_blocks(op, init, dt, n_steps, every)))
+
+
+def other_threads():
+    """The threads alive besides the main one: none once a call that
+    starts workers has returned or raised."""
+    return [t for t in threading.enumerate() if t is not threading.main_thread()]
 
 
 def trapezoid_balance(table: np.ndarray, dt_snap) -> np.ndarray:

@@ -17,9 +17,9 @@ from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
                                     mirror_blocks, reduce_blocks)
 from microtherm.discrete1d import FIELDS, FORMS, form_values
 
-from conftest import (collect, fit_decay, gram_norm, random_state,
-                      root_set_distance, sine_init, staggered_difference,
-                      trapezoid_balance)
+from conftest import (collect, fit_decay, gram_norm, other_threads,
+                      random_state, root_set_distance, sine_init,
+                      staggered_difference, trapezoid_balance)
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -347,10 +347,6 @@ class TestSpectralReport:
 # the two least grids solved on two threads, one even and one odd n
 LEAST_THREADED = math.ceil(diagnostics._THREADED_SECTORS / 6)
 THREADED_N = (LEAST_THREADED, LEAST_THREADED + 1)
-
-
-def other_threads():
-    return [t for t in threading.enumerate() if t is not threading.main_thread()]
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")

@@ -143,6 +143,40 @@ class TestBatchedBits:
             assert np.array_equal(func(m, ks[::2]), func(m, ks[::2].copy()))
 
 
+class TestBlocks:
+    """The stacked evaluations run _K_BLOCK wavenumbers at a time: a grid
+    of three blocks, the last one partial, gives the per-wavenumber
+    results bit for bit, and a failure names the first failing
+    wavenumber whichever block it falls in."""
+
+    KS = np.linspace(0.5, 40.0, 2 * dispersion._K_BLOCK + 37)
+
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_blocks_equal_the_per_wavenumber_results(self, moduli, request):
+        m, ks = request.getfixturevalue(moduli), self.KS
+        poly, sym = polynomial_frequencies(m, ks), symbol_frequencies(m, ks)
+        assert np.array_equal(poly, np.concatenate([polynomial_frequencies(m, [k])
+                                                    for k in ks]))
+        assert np.array_equal(sym, np.concatenate([symbol_frequencies(m, [k]) for k in ks]))
+        assert np.array_equal(root_distances(poly, sym),
+                              np.concatenate([root_distances(poly[i:i + 1], sym[i:i + 1])
+                                              for i in range(len(ks))]))
+
+    @pytest.mark.parametrize("first", ["second block", "third block"])
+    def test_first_failure_in_a_later_block_is_named(self, moduli3, first):
+        # k = 1e15 misses the residual guard and k = 1e60 leaves the float
+        # range; the earlier of the two is reported
+        ks, late = self.KS.copy(), 2 * dispersion._K_BLOCK + 5
+        if first == "second block":
+            ks[dispersion._K_BLOCK + 3], ks[late] = 1e60, 1e15
+            match = "float range at k = 1e\\+60$"
+        else:
+            ks[late], ks[late + 4] = 1e15, 1e60
+            match = "root residual.*at k = 1000000000000000.0$"
+        with pytest.raises(RootFailure, match=match):
+            polynomial_frequencies(moduli3, ks)
+
+
 class TestDerivedSymbol:
     """The symbols are the generator table contracted with (1, -k^2, ik),
     checked against the hand-written symbol of conftest."""

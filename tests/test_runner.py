@@ -1,18 +1,25 @@
 """run_scenario makes each scenario's forward midpoint run at most once:
 simulate and localization share it when simulate keeps every midpoint
 step, and the localization probe makes its own run otherwise.  Each run
-is streamed in blocks and never held whole.  The CSV writer's bytes are
-those of the csv module."""
+is streamed in blocks and never held whole.  From 6n = _THREADED_SECTORS
+up the spectrum is solved on worker threads while the dispersion is
+computed, with the outputs and the abort order of the tasks one after
+the other.  The CSV writer's bytes are those of the csv module."""
 
 import csv
 import dataclasses
 import inspect
+import math
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from microtherm import diagnostics, parse_scenario, runner
+from microtherm import (EigenFailure, RootFailure, SolveFailure, diagnostics,
+                        parse_scenario, runner)
+
+from conftest import other_threads
 
 SCENARIO = """\
 [material]
@@ -159,9 +166,10 @@ def test_simulate_output_does_not_depend_on_sharing(tmp_path, model):
 
 def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
     # the run is never held whole: when a block is drawn, at most the one
-    # before it is alive, and none is once simulate and the probe are done
-    refs = []
-    snapshot_blocks, spectral_report = runner.snapshot_blocks, runner.spectral_report
+    # before it is alive, and none is once simulate and the probe are done,
+    # at the turn of the spectrum task that follows them
+    refs, turns = [], []
+    snapshot_blocks, spectrum = runner.snapshot_blocks, runner._spectrum
 
     def recording(*args, **kwargs):
         for block in snapshot_blocks(*args, **kwargs):
@@ -170,16 +178,108 @@ def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
             yield block
 
     def checking(*args, **kwargs):
+        turns.append(len(refs))
         assert refs and all(ref() is None for ref in refs)
-        return spectral_report(*args, **kwargs)
+        return spectrum(*args, **kwargs)
 
     monkeypatch.setattr(runner, "snapshot_blocks", recording)
-    monkeypatch.setattr(runner, "spectral_report", checking)
+    monkeypatch.setattr(runner, "_spectrum", checking)
     text = SCENARIO.format(model="type3", every=1, tasks="simulate, spectrum, localization")
     # three blocks of n = 16 states
     long_run = parse_scenario(text.replace("n_steps = 200", "n_steps = 1000"))
     assert runner.run_scenario(long_run, str(tmp_path)) == 0
-    assert len(refs) == 3
+    assert turns == [3] and len(refs) == 3
+
+
+# the least grid whose spectrum the runner solves on worker threads
+LEAST_THREADED = math.ceil(runner._THREADED_SECTORS / 6)
+
+
+def threaded_scenario(tasks, extra=""):
+    text = (SCENARIO.format(model="type3", every=1, tasks=tasks)
+            .replace("n_interior = 16", f"n_interior = {LEAST_THREADED}")
+            .replace("n_steps = 200", "n_steps = 20"))
+    return parse_scenario(text + extra)
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+class TestOverlappedSpectrum:
+    """The spectrum solved on worker threads and the dispersion computed
+    before the task loop keep the order of the tasks: each writes and
+    certifies at its turn, an error aborts at its task's turn, and no
+    thread outlives run_scenario."""
+
+    def test_failing_eigensolve_aborts_at_the_spectrum(self, tmp_path, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def dense_fails(a):
+            # the dispersion's stacked eigensolves go through
+            if a.ndim == 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", dense_fails)
+        with pytest.raises(EigenFailure):
+            runner.run_scenario(threaded_scenario("simulate, spectrum, dispersion"),
+                                str(tmp_path))
+        assert other_threads() == []
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[4].startswith("dissipativity: PASS")
+        assert lines[5].startswith("energy balance: PASS")
+        assert lines[6].startswith("# final energy = ")
+        assert lines[7:] == ["aborted: spectrum: dense eigensolve failed: did not converge"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.csv", "report.txt"]
+
+    def test_failing_dispersion_aborts_before_the_spectrum(self, tmp_path):
+        scenario = threaded_scenario("dispersion, spectrum", "\n[dispersion]\nk_max = 1e12\n")
+        with pytest.raises(RootFailure):
+            runner.run_scenario(scenario, str(tmp_path))
+        assert other_threads() == []
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert len(lines) == 5 and lines[4].startswith("aborted: dispersion: root residual")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_failing_simulate_joins_the_sectors(self, tmp_path, monkeypatch):
+        # simulate fails while the worker threads solve the sectors
+        solving = threading.Event()
+        eigvals = np.linalg.eigvals
+
+        def flagged(a):
+            solving.set()
+            return eigvals(a)
+
+        def failing_run(*args, **kwargs):
+            assert solving.wait(timeout=60)
+            raise SolveFailure("midpoint solve failed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", flagged)
+        monkeypatch.setattr(runner, "_forward_run", failing_run)
+        with pytest.raises(SolveFailure):
+            runner.run_scenario(threaded_scenario("simulate, spectrum"), str(tmp_path))
+        assert other_threads() == []
+        report = (tmp_path / "report.txt").read_text()
+        assert report.endswith("aborted: simulate: midpoint solve failed\n")
+
+    def test_outputs_equal_the_sequential_run(self, tmp_path, monkeypatch):
+        # as shipped the spectrum runs off the calling thread; with the
+        # threshold above 6n the tasks run one after the other
+        spectral_report, threads = runner.spectral_report, []
+
+        def recording(op):
+            threads.append(threading.current_thread())
+            return spectral_report(op)
+
+        monkeypatch.setattr(runner, "spectral_report", recording)
+        scenario = threaded_scenario("spectrum, dispersion", "\n[dispersion]\nn_k = 600\n")
+        assert runner.run_scenario(scenario, str(tmp_path / "overlapped")) == 0
+        monkeypatch.setattr(runner, "_THREADED_SECTORS", 6 * LEAST_THREADED + 1)
+        assert runner.run_scenario(scenario, str(tmp_path / "sequential")) == 0
+        main = threading.main_thread()
+        assert threads[0] is not main and threads[1] is main
+        assert other_threads() == []
+        for name in ("report.txt", "spectrum.csv", "dispersion.csv"):
+            assert ((tmp_path / "overlapped" / name).read_bytes()
+                    == (tmp_path / "sequential" / name).read_bytes()), name
 
 
 def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
