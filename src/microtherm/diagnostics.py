@@ -63,9 +63,10 @@ DENSE_LIMIT = 3000        # largest 6n for the dense spectrum
 # handoffs (n = 16: 1.3-1.6 -> 1.7-1.8 ms a call); from n = 176 up the
 # pair took 0.5-0.7 of the sequential time.  With OpenBLAS's own threads
 # left on, the pair is slower than one after the other (n = 256:
-# 0.63-0.68 -> 0.79-0.87 s).  The runner reads it too: from here up it
-# calls spectral_report on a worker thread and computes the dispersion
-# meanwhile (runner.run_scenario), below it one task after the other
+# 0.63-0.68 -> 0.79-0.87 s).  The runner reads it too: from here up,
+# when the spectrum and the dispersion are consecutive tasks, it calls
+# spectral_report on a worker thread and computes the dispersion
+# meanwhile (runner.run_scenario); otherwise one task after the other
 _THREADED_SECTORS = 1056
 # sign of each field, in FIELDS order, under the node reversal of R
 _FIELD_PARITY = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])

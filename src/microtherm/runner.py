@@ -16,13 +16,15 @@ the form table for backward.  No task holds a whole run, only the
 block it reduces and the next one while it is stepped, and the outputs
 are those of the run's states reduced as one array.
 
-The spectrum and the dispersion read only the operator and the moduli
-and are computed before the task loop: from 6n =
-diagnostics._THREADED_SECTORS up, spectral_report runs on a worker
-thread while this thread computes the dispersion; below it both run
-here.  Each task still writes and certifies at its turn and raises its
-error there, so an abort leaves the later tasks without output, and the
-worker is joined before run_scenario returns or raises.
+The spectrum and the dispersion read only the operator and the moduli.
+When the two are consecutive tasks and 6n is at least
+diagnostics._THREADED_SECTORS, both are computed at the first one's
+turn: spectral_report on a worker thread while this thread computes the
+dispersion, the worker joined before the turn goes on.  Otherwise each
+is computed at its own turn on this thread.  No other task runs while
+the worker does or while a result waits for its turn.  Each task still
+writes and certifies at its turn and raises its error there, so an
+abort leaves the later tasks without output.
 """
 
 import os
@@ -45,6 +47,8 @@ __all__ = ["Certificate", "run_scenario"]
 
 _ABS_FLOOR = 1e-30  # keeps relative tolerances meaningful near zero energy
 _CSV_CHUNK = 512  # rows per formatting call of _write_csv
+# consecutive tasks whose numbers are computed together (_overlapped)
+_OVERLAPPED = frozenset({"spectrum", "dispersion"})
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,10 @@ def _simulate(scenario: Scenario, run, out_dir, certs, notes):
     notes.append(f"final energy = {_fmt(energies[-1])}")
 
 
-def _spectrum(scenario: Scenario, op, report, out_dir, certs, notes):
+def _spectrum(scenario: Scenario, op, ahead, out_dir, certs, notes):
+    """The spectrum task; `ahead` is the future of its spectral_report
+    settled at the turn before (_overlapped), or None to solve it here."""
+    report = ahead.result() if ahead is not None else spectral_report(op)
     _write_csv(os.path.join(out_dir, "spectrum.csv"), ("re", "im"),
                np.column_stack([report.eigenvalues.real, report.eigenvalues.imag]))
     lam_scale = max(float(np.abs(report.eigenvalues).max()), _ABS_FLOOR)
@@ -149,8 +156,11 @@ def _dispersion_numbers(scenario: Scenario, moduli):
     return result, float((root_distances(result.omega, other) / scale).max())
 
 
-def _dispersion(scenario: Scenario, numbers, out_dir, certs, notes):
-    result, worst = numbers
+def _dispersion(scenario: Scenario, moduli, ahead, out_dir, certs, notes):
+    """The dispersion task; `ahead` is the future of its numbers settled
+    at the turn before (_overlapped), or None to compute them here."""
+    result, worst = (ahead.result() if ahead is not None
+                     else _dispersion_numbers(scenario, moduli))
     k_col = np.repeat(result.k_values, 6)
     omega = result.omega.ravel()
     table = np.column_stack([k_col, np.tile(np.arange(6), len(result.k_values)),
@@ -259,43 +269,38 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
               and scenario.snapshot_every == 1)
     run = probe = aborted = None
-    # the spectrum and the dispersion before the task loop (see the
-    # module docstring); leaving the pool joins its worker.  After an
-    # abort the later tasks' results go unread, errors included, as those
-    # tasks would not have run one after the other
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if "spectrum" in scenario.tasks:
-            spectrum = (pool.submit(spectral_report, op)
-                        if op.a_mat.shape[0] >= _THREADED_SECTORS
-                        else _settled(spectral_report, op))
-        if "dispersion" in scenario.tasks:
-            dispersion = _settled(_dispersion_numbers, scenario, moduli)
-        for task in scenario.tasks:
-            try:
-                if task == "simulate":
-                    every = scenario.snapshot_every
-                    run = run or _forward_run(scenario, op, init, every, every == 1)
-                    _simulate(scenario, run, out_dir, certs, notes)
-                    if shared and probe is None:
-                        probe = _probe(scenario, op_bwd, run)
-                    run = None
-                elif task == "spectrum":
-                    _spectrum(scenario, op, spectrum.result(), out_dir, certs, notes)
-                elif task == "dispersion":
-                    _dispersion(scenario, dispersion.result(), out_dir, certs, notes)
-                elif task == "backward":
-                    _backward(scenario, op_bwd, init, out_dir, certs, notes)
-                elif task == "localization":
-                    if probe is None:
-                        # simulate, still to come, reuses a shared run
-                        run = _forward_run(scenario, op, init, 1, shared)
-                        probe = _probe(scenario, op_bwd, run)
-                        if not shared:
-                            run = None
-                    _localization(scenario, probe, certs, notes)
-            except MicrothermError as exc:
-                aborted = exc
-                break
+    threaded = op.a_mat.shape[0] >= _THREADED_SECTORS
+    ahead = {}  # the overlapped results, by task, until their turn
+    for turn, task in enumerate(scenario.tasks):
+        try:
+            if (threaded and task not in ahead
+                    and set(scenario.tasks[turn:turn + 2]) == _OVERLAPPED):
+                ahead = _overlapped(scenario, op, moduli)
+            if task == "simulate":
+                every = scenario.snapshot_every
+                run = run or _forward_run(scenario, op, init, every, every == 1)
+                _simulate(scenario, run, out_dir, certs, notes)
+                if shared and probe is None:
+                    probe = _probe(scenario, op_bwd, run)
+                run = None
+            elif task == "spectrum":
+                _spectrum(scenario, op, ahead.pop(task, None), out_dir, certs, notes)
+            elif task == "dispersion":
+                _dispersion(scenario, moduli, ahead.pop(task, None), out_dir, certs,
+                            notes)
+            elif task == "backward":
+                _backward(scenario, op_bwd, init, out_dir, certs, notes)
+            elif task == "localization":
+                if probe is None:
+                    # simulate, still to come, reuses a shared run
+                    run = _forward_run(scenario, op, init, 1, shared)
+                    probe = _probe(scenario, op_bwd, run)
+                    if not shared:
+                        run = None
+                _localization(scenario, probe, certs, notes)
+        except MicrothermError as exc:
+            aborted = exc
+            break
 
     lines.extend(cert.line() for cert in certs)
     lines.extend(f"# {note}" for note in notes)
@@ -307,6 +312,18 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     _emit(out_dir, lines)
     return 0 if ok else 1
+
+
+def _overlapped(scenario: Scenario, op, moduli) -> dict:
+    """The spectrum's report and the dispersion's numbers as settled
+    futures, by task: spectral_report solved on a worker thread while
+    this thread computes the dispersion's numbers.  Each future holds its
+    result or its error, for its task to take at its turn; the worker is
+    joined before this returns."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        spectrum = pool.submit(spectral_report, op)
+        dispersion = _settled(_dispersion_numbers, scenario, moduli)
+    return {"spectrum": spectrum, "dispersion": dispersion}
 
 
 def _settled(fn, *args) -> Future:

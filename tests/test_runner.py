@@ -2,9 +2,9 @@
 simulate and localization share it when simulate keeps every midpoint
 step, and the localization probe makes its own run otherwise.  Each run
 is streamed in blocks and never held whole.  From 6n = _THREADED_SECTORS
-up the spectrum is solved on worker threads while the dispersion is
-computed, with the outputs and the abort order of the tasks one after
-the other.  The CSV writer's bytes are those of the csv module."""
+up a spectrum and a dispersion that are consecutive tasks are computed
+together, the spectrum on worker threads, with the outputs and the
+abort order of the tasks one after the other.  The CSV writer's bytes are those of the csv module."""
 
 import csv
 import dataclasses
@@ -204,10 +204,11 @@ def threaded_scenario(tasks, extra=""):
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestOverlappedSpectrum:
-    """The spectrum solved on worker threads and the dispersion computed
-    before the task loop keep the order of the tasks: each writes and
-    certifies at its turn, an error aborts at its task's turn, and no
-    thread outlives run_scenario."""
+    """The spectrum solved on worker threads while the dispersion is
+    computed, at the first of the two consecutive tasks' turns, keeps the
+    order of the tasks: each writes and certifies at its turn, an error
+    aborts at its task's turn, no other task runs beside the workers or
+    while a result waits, and no thread outlives run_scenario."""
 
     def test_failing_eigensolve_aborts_at_the_spectrum(self, tmp_path, monkeypatch):
         eigvals = np.linalg.eigvals
@@ -239,26 +240,65 @@ class TestOverlappedSpectrum:
         assert len(lines) == 5 and lines[4].startswith("aborted: dispersion: root residual")
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
-    def test_failing_simulate_joins_the_sectors(self, tmp_path, monkeypatch):
-        # simulate fails while the worker threads solve the sectors
+    def test_failing_dispersion_joins_the_sectors(self, tmp_path, monkeypatch):
+        # the dispersion fails while the worker threads solve the sectors
         solving = threading.Event()
-        eigvals = np.linalg.eigvals
+        eigvals, solve_branches = np.linalg.eigvals, runner.solve_branches
 
         def flagged(a):
-            solving.set()
+            if a.ndim == 2:
+                solving.set()
             return eigvals(a)
 
-        def failing_run(*args, **kwargs):
+        def failing(*args):
             assert solving.wait(timeout=60)
-            raise SolveFailure("midpoint solve failed")
+            return solve_branches(*args)
 
         monkeypatch.setattr(np.linalg, "eigvals", flagged)
-        monkeypatch.setattr(runner, "_forward_run", failing_run)
-        with pytest.raises(SolveFailure):
-            runner.run_scenario(threaded_scenario("simulate, spectrum"), str(tmp_path))
+        monkeypatch.setattr(runner, "solve_branches", failing)
+        scenario = threaded_scenario("spectrum, dispersion", "\n[dispersion]\nk_max = 1e12\n")
+        with pytest.raises(RootFailure):
+            runner.run_scenario(scenario, str(tmp_path))
         assert other_threads() == []
-        report = (tmp_path / "report.txt").read_text()
-        assert report.endswith("aborted: simulate: midpoint solve failed\n")
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[4].startswith("spectral_abscissa < 0: PASS")
+        assert lines[-1].startswith("aborted: dispersion: root residual")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "spectrum.csv"]
+
+    def test_only_consecutive_tasks_overlap(self, tmp_path, monkeypatch):
+        # the spectrum and the dispersion overlap only as neighbours, and
+        # the stepping tasks run with no worker alive and no spectral or
+        # dispersion result held
+        spectral_report, numbers = runner.spectral_report, runner._dispersion_numbers
+        snapshot_blocks = runner.snapshot_blocks
+        threads, results, steps = [], [], []
+
+        def recording_report(op):
+            threads.append(threading.current_thread())
+            report = spectral_report(op)
+            results.append(weakref.ref(report))
+            return report
+
+        def recording_numbers(*args):
+            result = numbers(*args)
+            results.append(weakref.ref(result[0]))
+            return result
+
+        def stepping(*args, **kwargs):
+            steps.append((other_threads(), [ref() is None for ref in results]))
+            return snapshot_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "spectral_report", recording_report)
+        monkeypatch.setattr(runner, "_dispersion_numbers", recording_numbers)
+        monkeypatch.setattr(runner, "snapshot_blocks", stepping)
+        tasks = "spectrum, simulate, dispersion, spectrum, backward"
+        scenario = threaded_scenario(tasks, "\n[backward]\ndt = 1e-7\nn_steps = 20\n")
+        assert runner.run_scenario(scenario, str(tmp_path)) == 0
+        main = threading.main_thread()
+        assert threads[0] is main and threads[1] is not main
+        # simulate after the lone spectrum, backward after the pair
+        assert steps == [([], [True]), ([], [True, True, True])]
+        assert other_threads() == []
 
     def test_outputs_equal_the_sequential_run(self, tmp_path, monkeypatch):
         # as shipped the spectrum runs off the calling thread; with the

@@ -7,7 +7,7 @@ import pytest
 from microtherm import (ParseError, ValidationError, build_initial,
                         parse_scenario, run_scenario, to_moduli_1d)
 from microtherm.discrete1d import block_rows
-from microtherm.runner import _dispersion, _dispersion_numbers
+from microtherm.runner import _dispersion
 from microtherm.scenario import _BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K
 
 from conftest import fields
@@ -257,8 +257,7 @@ class TestSizeLimits:
         moduli = to_moduli_1d(scenario.material)
         tracemalloc.start()
         try:
-            _dispersion(scenario, _dispersion_numbers(scenario, moduli), str(tmp_path),
-                        [], [])
+            _dispersion(scenario, moduli, None, str(tmp_path), [], [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
