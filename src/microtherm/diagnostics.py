@@ -22,11 +22,12 @@ centered gradient, and the gradient blocks of A are exactly those that
 couple (v, M) with theta, so A commutes with R = diag(J, J, -J, -J, J, J)
 entry for entry.  The +1 and -1 eigenspaces of R are then invariant
 under A, and A restricted to each is a similarity P A F with P F = I
-whose entries are sums of two entries of A (mirror_blocks): the
-spectrum is the union of two eigensolves of about 3n, with no change to
-the discretization.  spectral_report checks R A R == A exactly before
-it splits.  From 6n = _THREADED_SECTORS up, the two sectors are solved
-on two threads (numpy's eigvals releases the GIL).
+whose entries are sums of two entries of A, scattered from the
+triplets of A (mirror_blocks): the spectrum is the union of two
+eigensolves of about 3n, with no change to the discretization.
+spectral_report checks R A R == A exactly before it splits.  From
+6n = _THREADED_SECTORS up, the two sectors are solved on two threads
+(numpy's eigvals releases the GIL).
 """
 
 import math
@@ -34,9 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .discrete1d import FORMS, DiscreteOperator, _form_kernel, form_matrix, form_values
+from .discrete1d import (FORMS, DiscreteOperator, _form_kernel, _triplets, form_matrix,
+                         form_values)
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm, NonFinite,
                      SizeLimit, SolveFailure)
 from .evolve import snapshot_blocks, time_reversal
@@ -103,9 +104,10 @@ def reduce_blocks(blocks, op: DiscreteOperator, forms=_BREAKDOWN,
     midpoints=True the dissipation rates D((U_k + U_{k+1}) / 2) at the
     averages of consecutive states (else None), and the first and last
     state.  Only one row is kept across each block boundary, for the
-    midpoint that straddles it.  A state's values do not depend on the
-    block it came in, so a run's states given as one block reduce to the
-    same numbers.
+    midpoint that straddles it, and a midpoint averages only the fields
+    that the rate reads (theta and M; none for conservative moduli).  A
+    state's values do not depend on the block it came in, so a run's
+    states given as one block reduce to the same numbers.
     """
     values = _form_kernel(op, forms)
     rate_values = _form_kernel(op, ("dissipation_rate",)) if midpoints else None
@@ -188,30 +190,35 @@ def mirror_blocks(a_mat, n: int) -> list:
     its nodes and keeps its first ceil(n/2) or floor(n/2) of them, an
     odd field being zero at the middle node of odd n.  F has the
     columns e_i + s e_mirror(i) (e_i alone for a middle node) and P
-    picks the kept rows, so P F = I and each block entry is one float
-    sum of two entries of a_mat.  The sector sizes are 3n and 3n for
-    even n, 3n + 1 and 3n - 1 for odd n.  Raises EigenFailure unless
-    R A R == A holds exactly, which makes both sectors invariant.
+    picks the kept rows, so P F = I.  Each block is scattered from the
+    triplets of a_mat (canonical CSR): an entry of a kept row goes to
+    its kept node's column, or times s to its mirror's, an odd field's
+    middle node dropped, so each block entry is one float sum of at
+    most two entries of a_mat.  The sector sizes are 3n and 3n for even
+    n, 3n + 1 and 3n - 1 for odd n.  Raises EigenFailure unless R A R ==
+    A holds exactly (the mirrored, signed triplets, sorted again, are
+    the triplets), which makes both sectors invariant.
     """
+    row, col, vals = _triplets(a_mat)
     index = np.arange(6 * n)
-    node = index % n
-    mirror = index + (n - 1 - 2 * node)
+    mirror = index + (n - 1 - 2 * (index % n))
     parity = np.repeat(_FIELD_PARITY, n)
-    r_mat = sp.csr_matrix((parity, (index, mirror)), shape=(6 * n, 6 * n))
-    if (r_mat @ a_mat @ r_mat - a_mat).count_nonzero():
+    order = np.lexsort((mirror[col], mirror[row]))
+    if not (np.array_equal(mirror[row[order]], row) and np.array_equal(mirror[col[order]], col)
+            and np.array_equal((parity[row] * parity[col] * vals)[order], vals)):
         raise EigenFailure("generator does not commute with the node reversal, "
                            "so its spectrum does not split into mirror sectors")
     blocks = []
     for sign in (parity, -parity):
-        keep = np.flatnonzero((index < mirror) | ((index == mirror) & (sign > 0)))
-        cols = np.arange(keep.size)
-        paired = keep < mirror[keep]
-        pair = keep[paired]
-        fold = sp.csr_matrix(
-            (np.concatenate([np.ones(keep.size), sign[pair]]),
-             (np.concatenate([keep, mirror[pair]]), np.concatenate([cols, cols[paired]]))),
-            shape=(6 * n, keep.size))
-        blocks.append((a_mat[keep] @ fold).toarray())
+        keep = (index < mirror) | ((index == mirror) & (sign > 0))
+        at = np.cumsum(keep) - 1  # a kept index's place in its block
+        block = np.zeros((at[-1] + 1,) * 2)
+        direct = keep[row] & keep[col]
+        block[at[row[direct]], at[col[direct]]] = vals[direct]
+        folded = keep[row] & (index > mirror)[col]
+        kept_col = mirror[col[folded]]
+        block[at[row[folded]], at[kept_col]] += sign[kept_col] * vals[folded]
+        blocks.append(block)
     return blocks
 
 

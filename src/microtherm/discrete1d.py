@@ -146,6 +146,14 @@ def _table_matrix(table: np.ndarray, stencils, n: int) -> sp.csr_matrix:
                          shape=(6 * n, 6 * n))
 
 
+def _triplets(mat: sp.csr_matrix):
+    """The nonzero (row, col, value) triplets, in row-major order, of a
+    canonical CSR matrix such as _table_matrix builds."""
+    row = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    nonzero = mat.data != 0.0
+    return row[nonzero], mat.indices[nonzero], mat.data[nonzero]
+
+
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
     if not isinstance(grid, Grid1D):
         raise InvalidGrid(f"expected Grid1D, got {type(grid).__name__}")
@@ -231,10 +239,10 @@ def form_values(op: DiscreteOperator, states, forms=FORMS,
 
     Returns an (n_rows, len(forms)) array; with midpoints=True the forms
     are evaluated at the averages (U_k + U_{k+1})/2 of consecutive rows,
-    one row fewer.  Each row's 6x6 field Gram tensors under the three
-    stencils are contracted with the tables.  Rows are taken in blocks,
-    so no temporary grows with the trajectory, and a row's values do not
-    depend on the other rows.
+    one row fewer.  Only the (stencil, field, field) entries that the
+    tables hold are evaluated, each a row-wise dot product (_form_kernel).
+    Rows are taken in blocks, so no temporary grows with the trajectory,
+    and a row's values do not depend on the other rows.
     """
     n = op.n
     states = np.asarray(states, dtype=float)
@@ -246,23 +254,46 @@ def form_values(op: DiscreteOperator, states, forms=FORMS,
 
 def _form_kernel(op: DiscreteOperator, forms):
     """The kernel of form_values for fixed forms: a function of
-    (states, midpoints) that checks nothing, with the forms' tables and
-    the stencils they use selected once, for a caller that evaluates
-    many blocks of states (diagnostics.reduce_blocks)."""
+    (states, midpoints) that checks nothing, for a caller that evaluates
+    many blocks of states (diagnostics.reduce_blocks).  It evaluates only
+    the entries <U_a, S_k U_b> that the tables hold, a symmetric mass or
+    stiffness pair (a, b), (b, a) folded into one, each a row-wise
+    np.vecdot plus the two boundary terms, and accumulates each row's
+    entries in one fixed order, so a row's values do not depend on the
+    rows beside it.  Midpoints average only the fields the entries read."""
     n, h = op.n, op.grid.h
     tables = op.forms[[FORMS.index(name) for name in forms]]
-    used = tables.any(axis=(0, 2, 3))
+    sym = tables[:, :2]
+    tables[:, :2] = np.triu(sym + sym.transpose(0, 1, 3, 2), 1) + sym * np.eye(6)
+    k, a, b = np.nonzero(tables.any(axis=0))
+    weights = tables[:, k, a, b].T
+    pairs = list(zip(k.tolist(), a.tolist(), b.tolist()))
+    used, jumped = set(a.tolist() + b.tolist()), {c for s, i, j in pairs if s for c in (i, j)}
     block = block_rows(n)
 
     def values(states, midpoints=False):
         rows = max(len(states) - midpoints, 0)
-        out = np.empty((rows, len(forms)))
+        out = np.zeros((rows, len(forms)))
         for start in range(0, rows, block):
-            x = states[start:start + block + midpoints]
+            x = states[start:start + block + midpoints].reshape(-1, 6, n)
+            fields = {c: x[:, c] for c in used}
             if midpoints:
-                x = 0.5 * (x[:-1] + x[1:])
-            grams = _field_grams(x.reshape(len(x), 6, n), h, used)
-            out[start:start + block] = np.einsum("skab,fkab->sf", grams, tables)
+                fields = {c: 0.5 * (f[:-1] + f[1:]) for c, f in fields.items()}
+            # jumps over the n-1 inner intervals; those over the two
+            # boundary intervals are the first and last values
+            jumps = {c: fields[c][:, 1:] - fields[c][:, :-1] for c in jumped}
+            acc = out[start:start + block]
+            for (s, i, j), w in zip(pairs, weights):
+                fi, fj = fields[i], fields[j]
+                if s == 0:
+                    gram = h * np.vecdot(fi, fj)
+                elif s == 1:
+                    gram = (np.vecdot(jumps[i], jumps[j]) + fi[:, 0] * fj[:, 0]
+                            + fi[:, -1] * fj[:, -1]) / h
+                else:
+                    gram = 0.5 * (np.vecdot(fi[:, :-1] + fi[:, 1:], jumps[j])
+                                  + fi[:, 0] * fj[:, 0] - fi[:, -1] * fj[:, -1])
+                acc += gram[:, None] * w
         return out
 
     return values
@@ -273,25 +304,6 @@ def block_rows(n: int) -> int:
     _BLOCK_ENTRIES entries: the block of form_values and of a streamed
     run (evolve.snapshot_blocks)."""
     return max(_BLOCK_ENTRIES // (6 * n), 1)
-
-
-def _field_grams(x: np.ndarray, h: float, used) -> np.ndarray:
-    """<U_a, S_k U_b> for each state x[s] (six fields of n nodes) and
-    each stencil k with used[k]; zero for the others."""
-    grams = np.zeros((len(x), 3, 6, 6))
-    if used[0]:
-        grams[:, 0] = h * (x @ x.transpose(0, 2, 1))
-    if used[1] or used[2]:
-        # jumps over the n-1 inner intervals; those over the two boundary
-        # intervals are the first and last values (zero ghosts)
-        jumps_t = (x[..., 1:] - x[..., :-1]).transpose(0, 2, 1)
-        first = x[:, :, None, 0] * x[:, None, :, 0]
-        last = x[:, :, None, -1] * x[:, None, :, -1]
-    if used[1]:
-        grams[:, 1] = (jumps_t.transpose(0, 2, 1) @ jumps_t + first + last) / h
-    if used[2]:
-        grams[:, 2] = 0.5 * (x[..., :-1] @ jumps_t + x[..., 1:] @ jumps_t + first - last)
-    return grams
 
 
 def assemble_operator(g: Grid1D, m: Moduli1D) -> DiscreteOperator:

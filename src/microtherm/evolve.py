@@ -29,7 +29,9 @@ A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
 as its blocks of kept states are drawn, so a caller that reduces each
 block never holds the whole run, and one that wants every kept state
-concatenates the blocks.  Identical inputs give bitwise-identical
+concatenates the blocks.  The stepper hands over each passing chunk of
+steps as one node-major array, and the blocks are filled from the
+chunks by strided slices.  Identical inputs give bitwise-identical
 states.
 
 The time-reversed problem is integrated forward in its own time
@@ -43,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discrete1d import DiscreteOperator, block_rows
+from .discrete1d import DiscreteOperator, _triplets, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
@@ -95,12 +97,13 @@ class MidpointStepper:
     Up to _CHUNK steps (and at most a block of states, block_rows) are
     checked at once, by one CSR product over their midpoints: residual
     (I - dt/2 A) Y - X within 1e-12 |X|, next state finite.  States are
-    yielded only from a passing chunk.  At the first failing step the
-    states before it are yielded; then NonFinite if |X|, the residual or
-    the next state is not finite, so no non-finite state leaves, else
-    the step is taken again by the solve if it was a product with P,
-    or one refinement pass follows, after which the step passes and
-    the run goes on from it, or SolveFailure.
+    yielded only from a passing chunk, as one (m, 6n) view of its states.
+    At the first failing step the states before it are yielded; then
+    NonFinite if |X|, the residual or the next state is not finite, so
+    no non-finite state leaves, else the step is taken again by the
+    solve if it was a product with P, or one refinement pass follows,
+    after which the step passes and the run goes on from it, or
+    SolveFailure.
     Construction raises SolveFailure when the position rows are not
     [0 | I], when a rate row reaches past the band, or when the reduced
     matrix (band path) or I - dt/2 A (dense path) is singular.
@@ -195,8 +198,9 @@ class MidpointStepper:
         return res, resid, norms, (resid <= _SOLVE_TOL * norms[:-1]) & np.isfinite(norms[1:])
 
     def states(self, x: np.ndarray, n_steps: int):
-        """The n_steps midpoint steps from the node-major state x, as rows
-        of a buffer that later draws overwrite: copy a state to keep it."""
+        """The n_steps midpoint steps from the node-major state x, in
+        order, as chunks: (m, 6n) views of the states of m passing steps,
+        in a buffer that later draws overwrite, so copy what to keep."""
         rows = min(_CHUNK, block_rows(self.op.n))
         xs = np.empty((rows + 1, x.size))  # a chunk's states x_0 .. x_m
         ys = np.empty((rows, x.size))  # and its midpoints y_0 .. y_{m-1}
@@ -218,7 +222,8 @@ class MidpointStepper:
                     np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
             res, resid, norms, ok = self._guard(xs[:m + 1], ys[:m])
             j = m if ok.all() else int(ok.argmin())  # the first failing step
-            yield from xs[1:j + 1]
+            if j:
+                yield xs[1:j + 1]
             if j < m:
                 if not np.isfinite([norms[j], resid[j], norms[j + 1]]).all():
                     raise NonFinite(f"midpoint step left the float range: |x| = "
@@ -233,7 +238,7 @@ class MidpointStepper:
                         raise SolveFailure(f"midpoint solve residual {resid[0]:.3e} exceeds "
                                            f"{_SOLVE_TOL:.0e} * |x| = {_SOLVE_TOL * norms[0]:.3e}")
                     j += 1
-                    yield xs[j]
+                    yield xs[j:j + 1]
             xs[0] = xs[j]
             n_steps -= j
 
@@ -247,12 +252,10 @@ def _node_major_triplets(op: DiscreteOperator):
     """Nonzero (row, col, value) triplets of op.a_mat in node-major
     indices, after checking that the position rows are exactly [0 | I]."""
     n = op.n
-    a = sp.coo_matrix(op.a_mat)
-    a.sum_duplicates()
-    nonzero = a.data != 0.0
-    field_r, node_r = np.divmod(a.row[nonzero], n)
-    field_c, node_c = np.divmod(a.col[nonzero], n)
-    row, col, vals = 6 * node_r + field_r, 6 * node_c + field_c, a.data[nonzero]
+    row, col, vals = _triplets(op.a_mat)
+    field_r, node_r = np.divmod(row, n)
+    field_c, node_c = np.divmod(col, n)
+    row, col = 6 * node_r + field_r, 6 * node_c + field_c
     pos = row % 2 == 0
     ident = pos & (col == row + 1) & (vals == 1.0)
     if np.count_nonzero(pos) != 3 * n or np.count_nonzero(ident) != 3 * n:
@@ -302,23 +305,29 @@ def snapshot_blocks(op: DiscreteOperator, init: np.ndarray, dt: float,
 
 
 def _blocks(op, vec, dt, n_steps, snapshot_every):
-    kept = n_steps // snapshot_every + 1
-    rows = block_rows(op.n)
-    if n_steps:
-        # looked up as a module global at each call, so that
-        # bench/tracing.py can time the factorization by rebinding it
-        states = MidpointStepper(op, dt).states(_node_major(vec), n_steps)
-        # the states of steps snapshot_every, 2 snapshot_every, ...;
-        # islice takes no step past the one it returns
-        states = itertools.islice(states, snapshot_every - 1, None, snapshot_every)
-    for start in range(0, kept, rows):
-        block = np.empty((min(rows, kept - start), vec.size))
-        for j, row in enumerate(block, start):
-            if j == 0:
-                row[...] = vec
-            else:
-                row.reshape(6, -1).T[...] = next(states).reshape(-1, 6)
-        yield block
+    n, left = op.n, n_steps // snapshot_every + 1
+    x = _node_major(vec)
+    # the initial state is a chunk of its own; skip counts the states to
+    # pass before the next kept one, carried across the chunks.
+    # MidpointStepper is looked up as a module global at each call, so
+    # that bench/tracing.py can time the factorization by rebinding it
+    chunks = itertools.chain([x[None]], MidpointStepper(op, dt).states(x, n_steps)
+                             if n_steps else ())
+    skip, block, filled = 0, None, 0
+    for chunk in chunks:
+        kept = chunk[skip::snapshot_every]
+        skip = (skip - len(chunk)) % snapshot_every
+        while len(kept):
+            if block is None:
+                block, filled = np.empty((min(block_rows(n), left), vec.size)), 0
+            m = min(len(kept), len(block) - filled)
+            block[filled:filled + m].reshape(m, 6, n)[...] = (
+                kept[:m].reshape(m, n, 6).transpose(0, 2, 1))
+            kept, filled = kept[m:], filled + m
+            if filled == len(block):
+                yield block
+                left -= len(block)
+                block = None
 
 
 def snapshot_times(dt: float, n_steps: int, snapshot_every: int = 1) -> np.ndarray:

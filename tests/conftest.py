@@ -19,11 +19,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from microtherm import (FIELDS, Grid1D, MaterialIsotropic, assemble_backward,
+from microtherm import (FIELDS, EigenFailure, Grid1D, MaterialIsotropic, assemble_backward,
                         assemble_operator, isotropic_embedding, reference_type2,
                         reference_type3, snapshot_blocks, to_moduli_1d,
                         validate_isotropic)
 from microtherm.diagnostics import balance_residuals
+from microtherm.discrete1d import FORMS
 
 # ---------------------------------------------------------------------------
 # operators
@@ -156,6 +157,79 @@ def kron_form(table: np.ndarray, n: int, h: float) -> sp.csr_matrix:
     lap, grad = difference_matrices(n, h)
     stencils = (h * sp.identity(n, format="csr"), (-h) * lap, h * grad)
     return sum(sp.kron(t, s, format="csr") for t, s in zip(table, stencils))
+
+
+def gram_form_values(op, states, forms, midpoints=False) -> np.ndarray:
+    """The named forms at every row of states, or at the averages of
+    consecutive rows, by the full 6x6 field Gram tensors under the three
+    stencils of form_tables contracted with the tables: the oracle of
+    discrete1d's kernel, which evaluates only the entries the tables
+    hold."""
+    n, h = op.n, op.grid.h
+    x = np.asarray(states, dtype=float)
+    if midpoints:
+        x = 0.5 * (x[:-1] + x[1:])
+    grams = field_grams(x.reshape(len(x), 6, n), h)
+    return np.einsum("skab,fkab->sf", grams, op.forms[[FORMS.index(f) for f in forms]])
+
+
+def field_grams(x: np.ndarray, h: float) -> np.ndarray:
+    """<U_a, S_k U_b> for each state x[s] (six fields of n nodes) and
+    each stencil k of form_tables, (len(x), 3, 6, 6)."""
+    grams = np.empty((len(x), 3, 6, 6))
+    grams[:, 0] = h * (x @ x.transpose(0, 2, 1))
+    # jumps over the n-1 inner intervals; those over the two boundary
+    # intervals are the first and last values (zero ghosts)
+    jumps_t = (x[..., 1:] - x[..., :-1]).transpose(0, 2, 1)
+    first = x[:, :, None, 0] * x[:, None, :, 0]
+    last = x[:, :, None, -1] * x[:, None, :, -1]
+    grams[:, 1] = (jumps_t.transpose(0, 2, 1) @ jumps_t + first + last) / h
+    grams[:, 2] = 0.5 * (x[..., :-1] @ jumps_t + x[..., 1:] @ jumps_t + first - last)
+    return grams
+
+
+def form_scale(op, states, forms, midpoints=False) -> np.ndarray:
+    """A bound on the magnitude of each form's entries at each row, the
+    scale of its rounding: sum_{k,a,b} |T[f, k, a, b]| times a
+    Cauchy-Schwarz bound on |<U_a, S_k U_b>|, by the diagonals of the
+    positive semidefinite mass and stiffness Grams, and by
+    |U_a| |U_b| for the centered gradient (|h D| <= 1)."""
+    x = np.asarray(states, dtype=float)
+    if midpoints:
+        x = 0.5 * (x[:-1] + x[1:])
+    grams = field_grams(x.reshape(len(x), 6, op.n), op.grid.h)
+    diag = np.sqrt(np.maximum(np.diagonal(grams, axis1=2, axis2=3), 0.0))
+    bound = diag[:, :, :, None] * diag[:, :, None, :]
+    bound[:, 2] = bound[:, 0] / op.grid.h
+    return np.einsum("skab,fkab->sf", bound,
+                     np.abs(op.forms[[FORMS.index(f) for f in forms]]))
+
+
+def product_mirror_blocks(a_mat, n: int) -> list:
+    """The mirror-sector blocks P A F of diagnostics.mirror_blocks by
+    sparse products: R A R - A must have no nonzero entry (else
+    EigenFailure), and each block is the kept rows of A times the fold
+    F, whose columns are e_i + s e_mirror(i), or e_i alone for a kept
+    middle node.  The oracle of the blocks scattered from the triplets."""
+    index = np.arange(6 * n)
+    node = index % n
+    mirror = index + (n - 1 - 2 * node)
+    parity = np.repeat([1.0, 1.0, -1.0, -1.0, 1.0, 1.0], n)
+    r_mat = sp.csr_matrix((parity, (index, mirror)), shape=(6 * n, 6 * n))
+    if (r_mat @ a_mat @ r_mat - a_mat).count_nonzero():
+        raise EigenFailure("generator does not commute with the node reversal")
+    blocks = []
+    for sign in (parity, -parity):
+        keep = np.flatnonzero((index < mirror) | ((index == mirror) & (sign > 0)))
+        cols = np.arange(keep.size)
+        paired = keep < mirror[keep]
+        pair = keep[paired]
+        fold = sp.csr_matrix(
+            (np.concatenate([np.ones(keep.size), sign[pair]]),
+             (np.concatenate([keep, mirror[pair]]), np.concatenate([cols, cols[paired]]))),
+            shape=(6 * n, keep.size))
+        blocks.append((a_mat[keep] @ fold).toarray())
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ CONTRACT_BREAKS = {
     "type2-length-1e-100": (
         TYPE2, {"length = 1.0": "length = 1e-100"},
         "CHANGES.md FOUND on Grid1D: length = 1e-100 has a finite but huge 1/h^2"),
+    "type3-lame-1e8": (
+        TYPE3, {"model = type3": "model = type3\nlambda_e = 1e8\nmu_e = 1e8"},
+        "CHANGES.md FOUND on the MidpointStepper residual guard: a stiff material "
+        "misses it at the first simulate step"),
 }
 
 

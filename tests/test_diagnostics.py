@@ -18,8 +18,8 @@ from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
 from microtherm.discrete1d import FIELDS, FORMS, form_values
 
 from conftest import (collect, fit_decay, gram_norm, other_threads,
-                      random_state, root_set_distance, sine_init,
-                      staggered_difference, trapezoid_balance)
+                      product_mirror_blocks, random_state, root_set_distance,
+                      sine_init, staggered_difference, trapezoid_balance)
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -318,6 +318,17 @@ class TestSpectralReport:
         assert tuple(b.shape for b in mirror_blocks(op.a_mat, n)) == tuple(
             (k, k) for k in sizes)
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 29, 256])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_scattered_blocks_equal_the_sparse_products(self, n, reference, assemble):
+        op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
+        got, want = mirror_blocks(op.a_mat, n), product_mirror_blocks(op.a_mat, n)
+        assert len(got) == len(want) == 2
+        for block, oracle in zip(got, want):
+            assert block.dtype == oracle.dtype and block.shape == oracle.shape
+            assert block.tobytes() == oracle.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
     @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
@@ -334,6 +345,22 @@ class TestSpectralReport:
         a[op3.n, 0] *= 1.5
         with pytest.raises(EigenFailure, match="node reversal"):
             spectral_report(op3._replace(a_mat=a.tocsr()))
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_mirror_signs_are_checked_with_the_pattern(self, n, moduli3):
+        # the v row's centered theta gradient made symmetric: the same
+        # sparsity pattern under the mirror, but J |D| J = |D| where the
+        # odd theta needs J D J = -D
+        op = assemble_operator(Grid1D(n_interior=n), moduli3)
+        a = op.a_mat.tolil()
+        for i in range(n):
+            for j in (i - 1, i + 1):
+                if 0 <= j < n:
+                    a[n + i, 3 * n + j] = abs(a[n + i, 3 * n + j])
+        tampered = a.tocsr()
+        for blocks in (mirror_blocks, product_mirror_blocks):
+            with pytest.raises(EigenFailure, match="node reversal"):
+                blocks(tampered, n)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):

@@ -8,12 +8,14 @@ import scipy.sparse as sp
 from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
                         NonFinite, assemble_backward, assemble_operator, reference_type2,
                         reference_type3, to_moduli_1d)
-from microtherm.discrete1d import (FIELDS, FORMS, _stencils, form_matrix,
+from microtherm.diagnostics import _BREAKDOWN
+from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, _stencils, form_matrix,
                                    form_tables, form_values)
 
-from conftest import (bmat_generator, difference_matrices, fields, first_difference,
-                      gram_norm, kron_form, random_state, random_valid_material,
-                      second_difference, staggered_difference)
+from conftest import (bmat_generator, collect, difference_matrices, fields,
+                      first_difference, form_scale, gram_form_values, gram_norm,
+                      kron_form, random_state, random_valid_material, second_difference,
+                      sine_init, staggered_difference)
 
 
 def stencil_matrices(n, h):
@@ -238,6 +240,23 @@ class TestOperatorAssembly:
             assert np.array_equal(alone[0], batched[j])
         with pytest.raises(DimensionMismatch):
             form_values(op, states[:, :-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("forms", [_BREAKDOWN, ("dissipation_rate",), FORMS],
+                             ids=["breakdown", "rate", "all"])
+    @pytest.mark.parametrize("midpoints", [False, True])
+    def test_kernel_matches_the_full_gram_contraction(self, n, reference, forms, midpoints):
+        # the kernel evaluates only the entries the tables hold; the
+        # oracle contracts the full 6x6 Grams under all three stencils
+        op = assemble_operator(Grid1D(n_interior=n), to_moduli_1d(reference()))
+        rng = np.random.default_rng(n)
+        states = np.concatenate([collect(op, sine_init(op.grid), 1e-3, 19),
+                                 rng.standard_normal((20, 6 * n))])
+        got = _form_kernel(op, forms)(states, midpoints)
+        want = gram_form_values(op, states, forms, midpoints)
+        assert got.shape == want.shape == (40 - midpoints, len(forms))
+        assert (np.abs(got - want) <= 1e-14 * form_scale(op, states, forms, midpoints)).all()
 
     def test_gram_is_symmetric_positive_definite(self, op3):
         g = op3.g_mat

@@ -22,6 +22,12 @@ def end_state(op, init, dt, n_steps) -> np.ndarray:
     return collect(op, init, dt, n_steps, max(n_steps, 1))[-1]
 
 
+def drawn(chunks) -> np.ndarray:
+    """The states of a stepper's chunks (MidpointStepper.states), each
+    copied before the next draw overwrites it, as one (steps, 6n) array."""
+    return np.concatenate([chunk.copy() for chunk in chunks])
+
+
 def decoupled_elastic_moduli():
     """All couplings zero: the displacement pair evolves alone."""
     m = dataclasses.replace(reference_type2(), beta=0.0, gamma1=0.0,
@@ -221,10 +227,11 @@ class TestBandedStepper:
         dt = 0.01
         turned = time_reversal(end_state(op3, sine_init(op3.grid), dt, 400))
         stepper = MidpointStepper(op3_back, dt)
-        kept = []
+        chunks = []
         with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
-            for x in stepper.states(_node_major(turned), 400):
-                kept.append(x.copy())
+            for chunk in stepper.states(_node_major(turned), 400):
+                chunks.append(chunk.copy())
+        kept = np.concatenate(chunks)
         assert 0 < len(kept) < 400
         # the step from the last state yielded is where the run leaves
         # float range: its next state has no finite norm
@@ -306,10 +313,10 @@ class TestChunkGuard:
         # band path: the perturbed solve is refined
         for limit, name in ((evolve._DENSE_STEP, "_step"), (0, "_solve")):
             monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
-            clean = [x.copy() for x in make_stepper("type3", n, 1e-3).states(x0, n_steps)]
+            clean = drawn(make_stepper("type3", n, 1e-3).states(x0, n_steps))
             stepper = make_stepper("type3", n, 1e-3)
             self.perturb(stepper, {40}, shift, name)  # step 39, inside the second chunk
-            kept = [x.copy() for x in stepper.states(x0, n_steps)]
+            kept = drawn(stepper.states(x0, n_steps))
             assert len(kept) == n_steps
             assert np.array_equal(kept[:39], clean[:39])
             # the state x_40 is the clean one to round-off ...
@@ -317,7 +324,7 @@ class TestChunkGuard:
             # ... and the rest of the run steps on from it by the solve
             rest = make_stepper("type3", n, 1e-3)
             rest._p = None
-            rest = [x.copy() for x in rest.states(kept[39], n_steps - 40)]
+            rest = drawn(rest.states(kept[39], n_steps - 40))
             assert np.array_equal(kept[40:], rest)
 
     def test_every_call_perturbed_raises(self):
@@ -468,7 +475,7 @@ class TestStepperKernels:
         monkeypatch.setattr(evolve, "_DENSE_STEP", 0)
         band = make_stepper(model, n, dt, assemble)
         assert dense._p is not None and band._p is None
-        runs = [np.array([x.copy() for x in s.states(x0, 400)]) for s in (dense, band)]
+        runs = [drawn(s.states(x0, 400)) for s in (dense, band)]
         err = np.linalg.norm(runs[0] - runs[1], axis=1) / np.linalg.norm(runs[1], axis=1)
         assert err.max() <= 1e-11
 

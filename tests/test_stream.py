@@ -13,9 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from microtherm import (assemble_backward, assemble_operator, build_initial,
-                        energy_table, localization_probe, parse_scenario, runner,
-                        snapshot_blocks, snapshot_times, to_moduli_1d)
+from microtherm import (Grid1D, assemble_backward, assemble_operator, build_initial,
+                        energy_table, evolve, localization_probe, parse_scenario,
+                        runner, snapshot_blocks, snapshot_times, to_moduli_1d)
 from microtherm.diagnostics import backward_functionals, balance_residuals, reduce_blocks
 from microtherm.discrete1d import FORMS, block_rows, form_values
 
@@ -95,6 +95,21 @@ class TestSnapshotBlocks:
         init = sine_init(op3.grid)
         (block,) = snapshot_blocks(op3, init, 0.01, 0)
         assert np.array_equal(block, init[None])
+
+
+@pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize("every", [3, 31, 33, 64])
+def test_strided_blocks_straddle_the_stepper_chunks(op3, n, every):
+    # the stepper yields chunks of min(_CHUNK, block_rows(n)) steps, 32
+    # at n = 16 and block_rows(200) = 27 at n = 200; these strides put
+    # the kept states at every offset within a chunk
+    assert block_rows(200) < evolve._CHUNK < block_rows(16)
+    op = assemble_operator(Grid1D(n_interior=n), op3.moduli)
+    init, kept = sine_init(op.grid), block_rows(n) + 3
+    blocks = list(snapshot_blocks(op, init, 1e-3, every * kept, every))
+    assert [len(b) for b in blocks] == [block_rows(n), 4]
+    every_step = collect(op, init, 1e-3, every * kept)
+    assert np.array_equal(np.concatenate(blocks), every_step[::every])
 
 
 KEPT = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
