@@ -6,13 +6,14 @@ Every energy-type quantity is one of the operator's quadratic forms
 once by discrete1d.form_values (energy_table: the energy, its terms
 and the dissipation rate), or block by block along a streamed run by
 reduce_blocks.  The same tables define the Gram matrix G and
-the dissipation matrix Q (discrete1d.form_matrix), so the structural
+the dissipation matrix Q (discrete1d.form_blocks), so the structural
 identities hold at round-off level rather than discretization level:
 
 * the total column of energy_table is exactly half the squared Gram
   norm;
 * sym(G A) = -Q, so the dissipation_rate form equals -U^T G A U
-  (dissipativity_residual measures the matrix identity);
+  (dissipativity_residual measures the matrix identity by 6 x 6 block
+  products of the node blocks);
 * along midpoint trajectories E_{k+1} - E_k = -dt * D(midpoint state)
   exactly.
 
@@ -22,22 +23,22 @@ centered gradient, and the gradient blocks of A are exactly those that
 couple (v, M) with theta, so A commutes with R = diag(J, J, -J, -J, J, J)
 entry for entry.  The +1 and -1 eigenspaces of R are then invariant
 under A, and A restricted to each is a similarity P A F with P F = I
-whose entries are sums of two entries of A, scattered from the
-triplets of A (mirror_blocks): the spectrum is the union of two
+whose entries are sums of two entries of A, scattered from the node
+blocks of A (mirror_blocks): the spectrum is the union of two
 eigensolves of about 3n, with no change to the discretization.
 spectral_report checks R A R == A exactly before it splits.  From
 6n = _THREADED_SECTORS up, the two sectors are solved on two threads
 (numpy's eigvals releases the GIL).
 """
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete1d import (FORMS, DiscreteOperator, _form_kernel, _triplets, form_matrix,
-                         form_values)
+from .discrete1d import FORMS, DiscreteOperator, _form_kernel, form_blocks, form_values
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm, NonFinite,
                      SizeLimit, SolveFailure)
 from .evolve import snapshot_blocks, time_reversal
@@ -62,18 +63,14 @@ DENSE_LIMIT = 3000        # largest 6n for the dense spectrum
 # 505 rows the two eigvals calls ran one after the other (process CPU
 # time equal to wall time), so a thread only adds its start and its GIL
 # handoffs (n = 16: 1.3-1.6 -> 1.7-1.8 ms a call); from n = 176 up the
-# pair took 0.5-0.7 of the sequential time.  With OpenBLAS's own threads
-# left on, the pair is slower than one after the other (n = 256:
-# 0.63-0.68 -> 0.79-0.87 s).  The runner reads it too: from here up,
-# when the spectrum and the dispersion are consecutive tasks, it calls
-# spectral_report on a worker thread and computes the dispersion
-# meanwhile (runner.run_scenario); otherwise one task after the other
+# pair took 0.5-0.7 of the sequential time.  From here up the runner also
+# overlaps consecutive spectrum and dispersion tasks (runner.run_scenario;
+# the README gives the times with OpenBLAS's own threads left on)
 _THREADED_SECTORS = 1056
 # sign of each field, in FIELDS order, under the node reversal of R
 _FIELD_PARITY = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 _GRONWALL_FLOOR = 1e-300  # guards 0/0 in the Gronwall ratio
-# the energy_table columns: the energy, its seven terms and the rate
-# quadrature
+# the energy_table columns: the energy, its seven terms, the rate quadrature
 _BREAKDOWN = FORMS[:9]
 
 
@@ -131,17 +128,27 @@ def dissipativity_residual(op: DiscreteOperator) -> float:
 
     The identity says dE/dt = U^T G A U = -D(U) for every state U, the
     step that makes the generator dissipative once Q is positive
-    semidefinite.  It is checked on the sparse matrices themselves, so
-    it needs no probe states and no dense matrix at any grid size.
+    semidefinite.  It is checked on the node blocks by 6 x 6 block
+    products, so it needs no probe states and no dense matrix.
     """
-    g_a = (op.g_mat @ op.a_mat).tocsr()
-    resid = 0.5 * (g_a + g_a.T) + form_matrix(op, "dissipation_rate")
-    return float(abs(resid).max() / abs(g_a).max())
+    n, g = op.n, form_blocks(op, "total", 2.0)
+    a = np.zeros((n + 2, 3, 6, 6))  # A with a zero node padded on either side
+    a[1:-1] = op.a_blocks
+    # G A is block pentadiagonal, its block (j, t - 2) the sum of
+    # G[j, s - 1] A[j + s - 1, t - s - 1]; two zero nodes padded on either side
+    g_a = np.zeros((n + 4, 5, 6, 6))
+    for s, t in itertools.product(range(3), range(3)):
+        g_a[2:-2, s + t] += g[:, s] @ a[s:s + n, t]
+    # sym(G A) + Q is symmetric, so its blocks at offsets 0, 1, 2 hold every entry
+    resid = 0.5 * np.stack([g_a[2:-2, t] + g_a[t:t + n, 4 - t].transpose(0, 2, 1)
+                            for t in range(2, 5)], axis=1)
+    resid[:, :2] += form_blocks(op, "dissipation_rate")[:, 1:]
+    return float(np.abs(resid).max() / np.abs(g_a).max())
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Dense spectrum of a_mat: eigenvalues sorted by (real, imag) and
+    """Dense spectrum of the generator: eigenvalues sorted by (real, imag) and
     the spectral abscissa, their largest real part."""
 
     eigenvalues: np.ndarray
@@ -149,8 +156,8 @@ class SpectralReport:
 
 
 def spectral_report(op: DiscreteOperator) -> SpectralReport:
-    """The dense spectrum of a_mat, solved as the spectra of its two
-    mirror sectors (mirror_blocks); raises EigenFailure when a_mat lacks
+    """The dense spectrum of the generator, solved as the spectra of its
+    two mirror sectors (mirror_blocks); raises EigenFailure when it lacks
     the mirror symmetry or an eigensolve does not converge.
 
     Both blocks are built on the calling thread.  From 6n =
@@ -160,13 +167,13 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
     eigensolves were measured not to overlap, both run here one after
     the other.  The eigenvalues are the same floats.
     """
-    size = op.a_mat.shape[0]
+    size = 6 * op.n
     if size > DENSE_LIMIT:
         raise SizeLimit(
             f"dense spectrum limited to 6n <= {DENSE_LIMIT} (two eigensolves "
             f"of about 3n each), got 6n = {size}"
         )
-    blocks = mirror_blocks(op.a_mat, op.n)
+    blocks = mirror_blocks(op.a_blocks)
     try:
         if size < _THREADED_SECTORS:
             lams = [np.linalg.eigvals(block) for block in blocks]
@@ -182,42 +189,42 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
                           spectral_abscissa=float(lams.real.max()))
 
 
-def mirror_blocks(a_mat, n: int) -> list:
-    """The dense blocks P A F of a_mat on the +1 and -1 eigenspaces of
-    R = diag(J, J, -J, -J, J, J), J the reversal of the n nodes.
+def mirror_blocks(a_blocks: np.ndarray) -> list:
+    """The dense blocks P A F, on the +1 and -1 eigenspaces of
+    R = diag(J, J, -J, -J, J, J), J the reversal of the n nodes, of the
+    generator A with node blocks a_blocks (DiscreteOperator.a_blocks).
 
     A field of sign s in a sector is even (s = +1) or odd (s = -1) in
-    its nodes and keeps its first ceil(n/2) or floor(n/2) of them, an
-    odd field being zero at the middle node of odd n.  F has the
-    columns e_i + s e_mirror(i) (e_i alone for a middle node) and P
-    picks the kept rows, so P F = I.  Each block is scattered from the
-    triplets of a_mat (canonical CSR): an entry of a kept row goes to
-    its kept node's column, or times s to its mirror's, an odd field's
-    middle node dropped, so each block entry is one float sum of at
-    most two entries of a_mat.  The sector sizes are 3n and 3n for even
-    n, 3n + 1 and 3n - 1 for odd n.  Raises EigenFailure unless R A R ==
-    A holds exactly (the mirrored, signed triplets, sorted again, are
-    the triplets), which makes both sectors invariant.
+    its nodes and keeps its first ceil(n/2) or floor(n/2) of them (in
+    field-major order), an odd field being zero at the middle node of
+    odd n.  F has the columns e_i + s e_mirror(i) (e_i alone for a middle
+    node) and P picks the kept rows, so P F = I.  An entry of a kept row
+    goes to its kept node's column, or times s to its mirror's, so each
+    block entry is one float sum of at most two entries of A.  Raises
+    EigenFailure unless R A R == A exactly, a_blocks[j, s] ==
+    Pi a_blocks[n - 1 - j, -s] Pi with Pi the field parities.
     """
-    row, col, vals = _triplets(a_mat)
-    index = np.arange(6 * n)
-    mirror = index + (n - 1 - 2 * (index % n))
-    parity = np.repeat(_FIELD_PARITY, n)
-    order = np.lexsort((mirror[col], mirror[row]))
-    if not (np.array_equal(mirror[row[order]], row) and np.array_equal(mirror[col[order]], col)
-            and np.array_equal((parity[row] * parity[col] * vals)[order], vals)):
+    n = len(a_blocks)
+    if not np.array_equal(a_blocks[::-1, ::-1] * np.multiply.outer(_FIELD_PARITY, _FIELD_PARITY),
+                          a_blocks):
         raise EigenFailure("generator does not commute with the node reversal, "
                            "so its spectrum does not split into mirror sectors")
+    half = (n + 1) // 2  # the kept nodes of an even field, the middle one included
+    # the offsets and field pairs that A holds, at the rows of the kept nodes
+    s, a, b = np.nonzero(a_blocks[:half].any(axis=0))
+    vals, node = a_blocks[:half, s, a, b], np.arange(half)[:, None]
+    col = node + (s - 1)  # the column's node
     blocks = []
-    for sign in (parity, -parity):
-        keep = (index < mirror) | ((index == mirror) & (sign > 0))
-        at = np.cumsum(keep) - 1  # a kept index's place in its block
-        block = np.zeros((at[-1] + 1,) * 2)
-        direct = keep[row] & keep[col]
-        block[at[row[direct]], at[col[direct]]] = vals[direct]
-        folded = keep[row] & (index > mirror)[col]
-        kept_col = mirror[col[folded]]
-        block[at[row[folded]], at[kept_col]] += sign[kept_col] * vals[folded]
+    for sign in (_FIELD_PARITY, -_FIELD_PARITY):
+        kept = np.where(sign > 0, half, n // 2)  # kept nodes per field
+        at = np.cumsum(kept) - kept  # a field's first place in the block
+        block = np.zeros((kept.sum(),) * 2)
+        row, direct_col, folded_col = at[a] + node, at[b] + col, at[b] + (n - 1 - col)
+        on_row = node < kept[a]
+        direct = on_row & (col >= 0) & (col < kept[b])
+        block[row[direct], direct_col[direct]] = vals[direct]
+        folded = on_row & (2 * col > n - 1)
+        block[row[folded], folded_col[folded]] += (sign[b] * vals)[folded]
         blocks.append(block)
     return blocks
 

@@ -25,17 +25,21 @@ discrete setting (up to round-off):
 
 Every energy-type quantity is a quadratic form given by a coefficient
 table T over field pairs and three stencils S_k (form_tables), and its
-matrix is F = sum_k kron(T[k], S_k) (form_matrix).  The generator A
-has a table of its own in the same layout (generator_table), over the
-unscaled identity, Laplacian and gradient, so A, G and every form
-matrix are built from their tables by one triplet builder.  The Gram
-matrix G is the matrix of twice the energy, U^T G U =
-sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 +
-2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2), and the two structural
-choices above make sym(G A) = -Q exactly, Q the matrix of the
-dissipation_rate form.  form_values evaluates any of the forms at
-every row of a block of states, and diagnostics.reduce_blocks reduces
-a streamed run block by block through the same kernel.
+matrix is F = sum_k kron(T[k], S_k).  The generator A has a table of its
+own in the same layout (generator_table), over the unscaled identity,
+Laplacian and gradient.  A stencil couples a node only with its
+neighbours, so one builder (table_blocks) fills any such matrix as node
+blocks, 6 x 6 blocks of node j with nodes j - 1, j, j + 1.  The node
+blocks of A are the only stored form of the operator, from which the
+stepper, the mirror sectors, the dissipativity identity and, on access,
+the CSR a_mat and g_mat are derived.  The Gram matrix G is the matrix of
+twice the energy, U^T G U = sum h*(rho v^2 + c_cap theta^2 +
+alpha_m M^2) + sum_i h*(m_uu (u')^2 + 2 m_ur u'R' + k_cond (tau')^2 +
+m_rr (R')^2), and the two structural choices above make sym(G A) = -Q
+exactly, Q the matrix of the dissipation_rate form.  form_values
+evaluates any of the forms at every row of a block of states, and
+diagnostics.reduce_blocks reduces a streamed run block by block through
+the same kernel.
 """
 
 from dataclasses import dataclass
@@ -96,17 +100,17 @@ class Grid1D:
 
 
 class DiscreteOperator(NamedTuple):
-    """Sparse realization of the evolution operator and the energy Gram.
+    """The evolution operator as node blocks, and the forms' tables.
 
-    a_mat: 6n x 6n generator of dU/dt = A U; g_mat: symmetric positive
-    definite Gram with U^T G U = 2 * energy; forms: the coefficient
-    tables of form_tables, from which g_mat is assembled; time_sign: +1
-    for the forward system, -1 for the time-reversed one.  Treat as
-    read-only.
+    a_blocks: the generator A of dU/dt = A U as (n, 3, 6, 6) node blocks,
+    a_blocks[j, s + 1, a, b] = A[6j + a, 6(j + s) + b] in node-major
+    indices for s = -1, 0, +1, zero past node 0 and node n - 1; forms:
+    the tables of form_tables, U^T G U = 2 * energy; time_sign: +1
+    forward, -1 time-reversed.  a_mat and g_mat build the field-major
+    CSR of A and of G on each access.  Treat as read-only.
     """
 
-    a_mat: sp.csr_matrix
-    g_mat: sp.csr_matrix
+    a_blocks: np.ndarray
     forms: np.ndarray
     moduli: Moduli1D
     grid: Grid1D
@@ -116,42 +120,52 @@ class DiscreteOperator(NamedTuple):
     def n(self) -> int:
         return self.grid.n_interior
 
+    @property
+    def a_mat(self) -> sp.csr_matrix:
+        return block_csr(self.a_blocks)
 
-def _stencils(n: int, h: float, scales=(1.0, 1.0, 1.0)):
-    """(rows, cols, values) triplets of the identity, the Laplacian and
-    the centered gradient on n nodes with zero ghosts, their values
-    times scales; (h, -h, h) gives the stencils of form_tables."""
-    j, i = np.arange(n), np.arange(n - 1)
-    off = np.ones(n - 1)
-    stencils = ((j, j, np.ones(n)),
-                (np.concatenate([i + 1, j, i]), np.concatenate([i, j, i + 1]),
-                 np.concatenate([off, np.full(n, -2.0), off]) * (1 / (h * h))),
-                (np.concatenate([i + 1, i]), np.concatenate([i, i + 1]),
-                 np.concatenate([-off, off]) * (1 / (2.0 * h))))
-    return [(r, c, v * s) for (r, c, v), s in zip(stencils, scales)]
+    @property
+    def g_mat(self) -> sp.csr_matrix:
+        return block_csr(form_blocks(self, "total", 2.0))
 
 
-def _table_matrix(table: np.ndarray, stencils, n: int) -> sp.csr_matrix:
-    """sum_k kron(table[k], S_k) for stencils S_k given as triplets:
-    block (a, b) holds S_k scaled by table[k, a, b], and a zero
-    coefficient adds no block.  No two blocks of the module's tables
-    overlap, so each entry is one product."""
-    rows, cols, data = [], [], []
-    for t, (r, c, v) in zip(table, stencils):
+def table_blocks(table: np.ndarray, grid: Grid1D, scales=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """The node blocks (DiscreteOperator.a_blocks) of sum_k kron(table[k],
+    S_k), S_k the identity, Laplacian and centered gradient with zero
+    ghosts times scales ((h, -h, h): the stencils of form_tables).  Each
+    entry sums table[k, a, b] * (w * scale) over k, w the weight at its
+    offset: one product, as no two stencils of a module table share a pair."""
+    lap, grad = 1 / (grid.h * grid.h), 1 / (2.0 * grid.h)
+    weights = (((0, 1.0),), ((-1, lap), (0, -2.0 * lap), (1, lap)), ((-1, -grad), (1, grad)))
+    out = np.zeros((grid.n_interior, 3, 6, 6))
+    for t, scale, stencil in zip(table, scales, weights):
         a, b = np.nonzero(t)
-        rows.append(np.add.outer(a * n, r).ravel())
-        cols.append(np.add.outer(b * n, c).ravel())
-        data.append(np.multiply.outer(t[a, b], v).ravel())
-    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(6 * n, 6 * n))
+        for s, w in stencil:
+            out[:, s + 1, a, b] += t[a, b] * (w * scale)
+    out[0, 0] = out[-1, 2] = 0.0
+    return out
 
 
-def _triplets(mat: sp.csr_matrix):
-    """The nonzero (row, col, value) triplets, in row-major order, of a
-    canonical CSR matrix such as _table_matrix builds."""
-    row = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
-    nonzero = mat.data != 0.0
-    return row[nonzero], mat.indices[nonzero], mat.data[nonzero]
+def form_blocks(op: DiscreteOperator, name: str, factor: float = 1.0) -> np.ndarray:
+    """The node blocks (table_blocks) of factor times the matrix F of
+    form name: U^T F U is the form's value at the stacked state U."""
+    h = op.grid.h
+    return table_blocks(factor * op.forms[FORMS.index(name)], op.grid, (h, -h, h))
+
+
+def block_csr(blocks: np.ndarray, node_major: bool = False) -> sp.csr_matrix:
+    """The field-major or node-major CSR matrix of node blocks, only the
+    nonzero entries, columns ascending, built with no COO step."""
+    n = len(blocks)
+    # 18 entries a row in column order: axes (node, field, offset, field)
+    # node-major, (field, node, field, offset) field-major
+    ordered = np.ascontiguousarray(blocks.transpose((0, 2, 1, 3) if node_major else (2, 0, 3, 1)))
+    at = np.flatnonzero(ordered)
+    row, rest = np.divmod(at, 18)
+    col = row - row % 6 + rest - 6 if node_major else rest // 3 * n + row % n + rest % 3 - 1
+    indptr = np.zeros(6 * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=6 * n), out=indptr[1:])
+    return sp.csr_matrix((ordered.ravel()[at], col, indptr), shape=(6 * n, 6 * n))
 
 
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
@@ -160,20 +174,9 @@ def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
     report = _hypotheses(m)
     if not report.valid:
         raise InvalidMaterial(str(report))
-    n, h = grid.n_interior, grid.h
-    a_mat = _table_matrix(generator_table(m, time_sign), _stencils(n, h), n)
-    forms = form_tables(m, time_sign)
-    g_mat = _table_matrix(2.0 * forms[FORMS.index("total")], _stencils(n, h, (h, -h, h)), n)
-    return DiscreteOperator(a_mat=a_mat, g_mat=g_mat, forms=forms, moduli=m,
-                            grid=grid, time_sign=int(time_sign))
-
-
-def form_matrix(op: DiscreteOperator, name: str) -> sp.csr_matrix:
-    """The 6n x 6n matrix F of form name: U^T F U is the form's value at
-    the stacked state U, and F = sum_k kron(T[k], S_k) over the
-    coefficient table T and stencils S_k of form_tables."""
-    n, h = op.n, op.grid.h
-    return _table_matrix(op.forms[FORMS.index(name)], _stencils(n, h, (h, -h, h)), n)
+    return DiscreteOperator(a_blocks=table_blocks(generator_table(m, time_sign), grid),
+                            forms=form_tables(m, time_sign), moduli=m, grid=grid,
+                            time_sign=int(time_sign))
 
 
 def generator_table(m: Moduli1D, time_sign: int) -> np.ndarray:

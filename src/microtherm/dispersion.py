@@ -116,12 +116,14 @@ def det_coefficients(m: Moduli1D, k_values) -> np.ndarray:
     permutation expansion with per-entry quadratics multiplied as
     polynomials, no matrix inversions, so exact up to round-off."""
     entry = characteristic_matrix(m, k_values)
-    total = np.zeros((len(entry), 7), dtype=complex)
-    for perm, sign in _PERMS:
-        prod = np.ones((len(entry), 1), dtype=complex)
-        for row, col in enumerate(perm):
-            prod = _convolve_rows(prod, entry[:, :, row, col])
-        total[:, : prod.shape[1]] += sign * prod
+    n_k = len(entry)
+    # the six permutations' products stacked along rows, one factor at a time
+    prod = np.ones((6 * n_k, 1), dtype=complex)
+    for row in range(3):
+        prod = _convolve_rows(prod, np.concatenate([entry[:, :, row, p[row]] for p, _ in _PERMS]))
+    total = np.zeros((n_k, 7), dtype=complex)
+    for (_, sign), part in zip(_PERMS, prod.reshape(6, n_k, 7)):
+        total += sign * part
     return total
 
 
@@ -242,17 +244,18 @@ def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class DispersionResult:
     """Matched frequency branches over a wavenumber grid.
 
-    omega has shape (n_k, 6) with branch j continuous in k: each step
-    pairs the new roots with a linear extrapolation of the branches at
-    the least total distance (least_pairing, ties to the first pairing
-    in lexicographic order), so smooth advection is not mistaken for
+    omega has shape (n_k, 6), branch j (dispersion.csv's branch_index)
+    continuous in k only where crossings is False: each step pairs the
+    new roots with a linear extrapolation of the branches at the least
+    total distance (least_pairing, ties to the first pairing in
+    lexicographic order), so smooth advection is not mistaken for
     relabeling.  Every root vanishes with k, so the first step
     extrapolates along the secant through omega(0) = 0; a flat first
     prediction would tie every same-sign pairing of k-independent phase
     speeds (type2) and leave the labels to the tie rule.  crossings[i] is
     True when the best match at step i still deviated from the
     prediction by more than a tenth of the frequency scale, i.e. labels
-    may have swapped there.
+    may have swapped there (5 of the type3 reference's 16 wavenumbers).
     """
 
     k_values: np.ndarray

@@ -15,15 +15,17 @@ dissipation the per-step balance
 holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 eliminates the three position fields, whose rows are the identities
 d(u, tau, R)/dt = (v, theta, M), and solves the remaining banded system
-on the rates with a LAPACK band LU factored once per run: two triangular
-band solves when the LU made no row interchange, dgbtrs otherwise.  On
-small grids (6n <= _DENSE_STEP) it builds no band LU: a step is one
-product U_{k+1} = P U_k with the step matrix P = 2 (I - dt/2 A)^-1 - I,
-whose midpoint (U_k + U_{k+1}) / 2 is read back from the states.  Every
-step's residual on the full system is checked, a chunk of steps at a
-time with one CSR product, before its states leave; a step that misses
-it raises SolveFailure, and one whose norms overflow raises NonFinite,
-so no run returns a non-finite snapshot.
+on the rates with a LAPACK band LU factored once per run: two
+triangular band solves when the LU made no row interchange, dgbtrs
+otherwise.  On small grids (6n <= _DENSE_STEP) it builds no band LU: a
+step is one product U_{k+1} = P U_k with the step matrix
+P = 2 (I - dt/2 A)^-1 - I, whose midpoint (U_k + U_{k+1}) / 2 is read
+back from the states.  Every step's residual on the full system is
+checked, a chunk of steps at a time with one CSR product, before its
+states leave; a step that misses it raises SolveFailure, and one whose
+norms overflow raises NonFinite, so no run returns a non-finite
+snapshot.  The band arrays, the inverse and the CSR matrix are all
+derived from the operator's node blocks.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -42,10 +44,9 @@ import itertools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .discrete1d import DiscreteOperator, _triplets, block_rows
+from .discrete1d import DiscreteOperator, block_csr, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
@@ -76,17 +77,18 @@ class MidpointStepper:
 
     on the 3n midpoint rates W.  In node-major order (the six fields of
     node 0, then those of node 1, ...) the reduced matrix is banded
-    with kl = ku = 5: LAPACK dgbtrf factors it once.  When it made no
-    row interchange, each step solves with two BLAS dtbsv calls, the
-    unit lower and the upper band factor, bitwise what dgbtrs computes
-    at a fraction of its per-column calls; otherwise it solves with
-    dgbtrs.  Inside a run the state stays node-major, so positions and
-    rates are the even and odd entries of one array, and dt/2 K X_pos
-    is one BLAS dgbmv on band storage fused with the sum.  When
-    6n <= _DENSE_STEP no band LU is built: the node-major I - dt/2 A is
-    inverted once, a step is one product X+ = P X with the step matrix
-    P = 2 (I - dt/2 A)^-1 - I, and its midpoint (X + X+) / 2 is read
-    back from the two states.  Its residual carries the states'
+    with kl = ku = 5, its K and C band arrays sliced from the node
+    blocks (DiscreteOperator.a_blocks): LAPACK dgbtrf factors it once.
+    When it made no row interchange, each step solves with two BLAS
+    dtbsv calls, the unit lower and the upper band factor, bitwise what
+    dgbtrs computes at a fraction of its per-column calls; otherwise it
+    solves with dgbtrs.  Inside a run the state stays node-major, so
+    positions and rates are the even and odd entries of one array, and
+    dt/2 K X_pos is one BLAS dgbmv on band storage fused with the sum.
+    When 6n <= _DENSE_STEP no band LU is built: the node-major
+    I - dt/2 A is inverted once, a step is one product X+ = P X with the
+    step matrix P = 2 (I - dt/2 A)^-1 - I, and its midpoint (X + X+) / 2
+    is read back from the two states.  Its residual carries the states'
     rounding times dt/2 |A|, so on a stiff operator or at a huge dt it
     can miss the guard where a solved midpoint passes: from the first
     such step on, the run solves with the inverse, which is kept since
@@ -105,8 +107,8 @@ class MidpointStepper:
     after which the step passes and the run goes on from it, or
     SolveFailure.
     Construction raises SolveFailure when the position rows are not
-    [0 | I], when a rate row reaches past the band, or when the reduced
-    matrix (band path) or I - dt/2 A (dense path) is singular.
+    [0 | I], or when the reduced matrix (band path) or I - dt/2 A (dense
+    path) is singular; node blocks keep every row inside the band.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
@@ -115,18 +117,13 @@ class MidpointStepper:
         self.op = op
         self.dt = float(dt)
         self._half = 0.5 * self.dt
-        row, col, vals = _node_major_triplets(op)
-        self._a = sp.csr_matrix((vals, (row, col)), shape=(6 * op.n, 6 * op.n))
-
-        # reduced rate system: node-major index // 2, K on the even
-        # (position) columns, C on the odd (rate) columns
-        rate = row % 2 == 1
-        i, j, vals = row[rate] // 2, col[rate] // 2, vals[rate]
-        on_rate = col[rate] % 2 == 1
-        if np.abs(i - j).max(initial=0) > _BAND:
+        position = np.zeros((op.n, 3, 3, 6))  # rows u, tau, R: v, theta, M of the node
+        position[:, 1, [0, 1, 2], [1, 3, 5]] = 1.0
+        if not np.array_equal(op.a_blocks[:, :, 0::2], position):
             raise SolveFailure(
-                f"rate rows of the operator are wider than the band "
-                f"kl = ku = {_BAND} of the reduced system")
+                "midpoint stepper needs position rows d(u, tau, R)/dt = (v, theta, M), "
+                "i.e. [0 | I]")
+        self._a = block_csr(op.a_blocks, node_major=True)
         if 6 * op.n <= _DENSE_STEP:
             try:
                 inv = np.linalg.inv(np.eye(6 * op.n) - self._half * self._a.toarray())
@@ -137,11 +134,12 @@ class MidpointStepper:
             return
         self._inv = self._p = None
         size = 3 * op.n
-        self._k_band = _band(i[~on_rate], j[~on_rate], vals[~on_rate], _BAND, _BAND, size)
+        # the reduced rate rows: K on the position columns, C on the rate ones
+        self._k_band = _band(op.a_blocks[:, :, 1::2, 0::2])
         # scipy's dgbmv asks for at least kl + ku + 1 rows; the rows past
         # size meet only zero band entries, and _solve drops them
         self._k_rows = max(size, 2 * _BAND + 1)
-        c_band = _band(i[on_rate], j[on_rate], vals[on_rate], _BAND, _BAND, size)
+        c_band = _band(op.a_blocks[:, :, 1::2, 1::2])
         # dgbtrf keeps its row interchanges in _BAND extra top rows
         lhs = np.zeros((3 * _BAND + 1, size), order="F")
         lhs[_BAND:] = -self._half * c_band - self._half ** 2 * self._k_band
@@ -248,28 +246,16 @@ def _node_major(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(6, -1).T.ravel()
 
 
-def _node_major_triplets(op: DiscreteOperator):
-    """Nonzero (row, col, value) triplets of op.a_mat in node-major
-    indices, after checking that the position rows are exactly [0 | I]."""
-    n = op.n
-    row, col, vals = _triplets(op.a_mat)
-    field_r, node_r = np.divmod(row, n)
-    field_c, node_c = np.divmod(col, n)
-    row, col = 6 * node_r + field_r, 6 * node_c + field_c
-    pos = row % 2 == 0
-    ident = pos & (col == row + 1) & (vals == 1.0)
-    if np.count_nonzero(pos) != 3 * n or np.count_nonzero(ident) != 3 * n:
-        raise SolveFailure(
-            "midpoint stepper needs position rows d(u, tau, R)/dt = (v, theta, M), "
-            "i.e. [0 | I]")
-    return row, col, vals
-
-
-def _band(row, col, vals, kl, ku, size):
-    """LAPACK band storage of the (row, col, value) triplets."""
-    ab = np.zeros((kl + ku + 1, size), order="F")
-    ab[ku + row - col, col] = vals
-    return ab
+def _band(blocks: np.ndarray) -> np.ndarray:
+    """LAPACK band storage, kl = ku = _BAND, of the 3n x 3n matrix of
+    (n, 3, 3, 3) node blocks: entry (a, b) of block (j, s) is at row
+    3j + a and column 3(j + s) + b, in band row _BAND + a - b - 3s."""
+    n = len(blocks)
+    # a node of zero columns padded on either side, for the end blocks
+    ab = np.zeros((2 * _BAND + 1, 3 * n + 6))
+    for s, a, b in itertools.product(range(3), repeat=3):
+        ab[_BAND + a - b - 3 * (s - 1), 3 * s + b::3][:n] = blocks[:, s, a, b]
+    return np.asfortranarray(ab[:, 3:-3])
 
 
 def snapshot_blocks(op: DiscreteOperator, init: np.ndarray, dt: float,

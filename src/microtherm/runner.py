@@ -269,7 +269,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     shared = ({"simulate", "localization"} <= set(scenario.tasks)
               and scenario.snapshot_every == 1)
     run = probe = aborted = None
-    threaded = op.a_mat.shape[0] >= _THREADED_SECTORS
+    threaded = 6 * op.n >= _THREADED_SECTORS
     ahead = {}  # the overlapped results, by task, until their turn
     for turn, task in enumerate(scenario.tasks):
         try:

@@ -1,14 +1,15 @@
 """Shared fixtures: reference operators, random-state helpers, the
 per-field difference formulas the assembled matrices are checked
-against, the block-wise scipy assembly of the generator and the form
-matrices (the oracle of the table builder), the one-wavenumber
-determinant expansion and root finder the batched dispersion routes are
-checked against, the hand-written Fourier symbol that the symbols read
-from the generator table are checked against, scipy's assignment as
-the oracle of the root pairing, the run oracles (a whole run as one
-array, the trapezoid energy balance and the decay fit), and the
-validation case registry (one passing and one failing fixture per
-inequality and per symmetry relation)."""
+against, the COO and the block-wise scipy assembly of the generator and
+the form matrices (the oracles of the node blocks), the node-major COO
+build of the stepper's guard matrix, block mutations of an operator, the
+one-wavenumber determinant expansion and root finder the batched
+dispersion routes are checked against, the hand-written Fourier symbol
+that the symbols read from the generator table are checked against,
+scipy's assignment as the oracle of the root pairing, the run oracles (a
+whole run as one array, the trapezoid energy balance and the decay fit),
+and the validation case registry (one passing and one failing fixture
+per inequality and per symmetry relation)."""
 
 import dataclasses
 import math
@@ -114,9 +115,83 @@ def gram_norm(op, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# assembly oracles: the generator and the form matrices built block by
-# block with scipy's constructors, which the table builder of discrete1d
-# must reproduce byte for byte
+# assembly oracles: the generator and the form matrices built from COO
+# triplets and block by block with scipy's constructors, whose CSR the
+# node blocks of discrete1d must reproduce byte for byte; the stepper's
+# node-major guard matrix built from COO; and mutations of an operator's
+# node blocks
+
+
+def stencil_triplets(n: int, h: float, scales=(1.0, 1.0, 1.0)):
+    """(rows, cols, values) triplets of the identity, the Laplacian and
+    the centered gradient on n nodes with zero ghosts, their values
+    times scales; (h, -h, h) gives the stencils of form_tables."""
+    j, i = np.arange(n), np.arange(n - 1)
+    off = np.ones(n - 1)
+    stencils = ((j, j, np.ones(n)),
+                (np.concatenate([i + 1, j, i]), np.concatenate([i, j, i + 1]),
+                 np.concatenate([off, np.full(n, -2.0), off]) * (1 / (h * h))),
+                (np.concatenate([i + 1, i]), np.concatenate([i, i + 1]),
+                 np.concatenate([-off, off]) * (1 / (2.0 * h))))
+    return [(r, c, v * s) for (r, c, v), s in zip(stencils, scales)]
+
+
+def table_matrix(table: np.ndarray, n: int, h: float, scales=(1.0, 1.0, 1.0)) -> sp.csr_matrix:
+    """sum_k kron(table[k], S_k) over the stencils of stencil_triplets,
+    built from COO triplets: block (a, b) holds S_k scaled by
+    table[k, a, b], and a zero coefficient adds no block.  The oracle of
+    the node blocks of discrete1d, whose field-major CSR (a_mat, g_mat)
+    must equal it byte for byte."""
+    rows, cols, data = [], [], []
+    for t, (r, c, v) in zip(table, stencil_triplets(n, h, scales)):
+        a, b = np.nonzero(t)
+        rows.append(np.add.outer(a * n, r).ravel())
+        cols.append(np.add.outer(b * n, c).ravel())
+        data.append(np.multiply.outer(t[a, b], v).ravel())
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(6 * n, 6 * n))
+
+
+def form_matrix(op, name: str) -> sp.csr_matrix:
+    """The 6n x 6n matrix F of form name, U^T F U the form's value at the
+    stacked state U: table_matrix of its table under the stencils h I,
+    -h Lap and h D of form_tables."""
+    h = op.grid.h
+    return table_matrix(op.forms[FORMS.index(name)], op.n, h, (h, -h, h))
+
+
+def node_major_csr(a_mat: sp.csr_matrix) -> sp.csr_matrix:
+    """The nonzero entries of a field-major CSR matrix in node-major
+    indices (the six fields of node 0, then those of node 1, ...), as a
+    CSR matrix built from COO triplets: the oracle of the stepper's
+    guard matrix."""
+    n = a_mat.shape[0] // 6
+    row = np.repeat(np.arange(6 * n), np.diff(a_mat.indptr))
+    nonzero = a_mat.data != 0.0
+    (field_r, node_r), (field_c, node_c) = (np.divmod(x[nonzero], n)
+                                            for x in (row, a_mat.indices))
+    return sp.csr_matrix((a_mat.data[nonzero], (6 * node_r + field_r, 6 * node_c + field_c)),
+                         shape=a_mat.shape)
+
+
+def with_generator(op, a_mat):
+    """op with the generator of the field-major matrix a_mat, which must
+    couple nodes at most one apart: its entries scattered into node
+    blocks (DiscreteOperator.a_blocks)."""
+    n = op.n
+    a_mat = sp.coo_matrix(a_mat)
+    (a, j), (b, k) = np.divmod(a_mat.row, n), np.divmod(a_mat.col, n)
+    assert (np.abs(k - j) <= 1).all(), "only the block tridiagonal is representable"
+    blocks = np.zeros((n, 3, 6, 6))
+    blocks[j, k - j + 1, a, b] = a_mat.data
+    return op._replace(a_blocks=blocks)
+
+
+def with_entry(op, row, col, value):
+    """op with the field-major generator entry A[row, col] set to value."""
+    a_mat = op.a_mat.tolil()
+    a_mat[row, col] = value
+    return with_generator(op, a_mat)
 
 
 def difference_matrices(n, h):

@@ -4,7 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
                         SizeLimit, SolveFailure, assemble_backward,
@@ -19,7 +18,7 @@ from microtherm.discrete1d import FIELDS, FORMS, form_values
 
 from conftest import (collect, fit_decay, gram_norm, other_threads,
                       product_mirror_blocks, random_state, root_set_distance,
-                      sine_init, staggered_difference, trapezoid_balance)
+                      sine_init, staggered_difference, trapezoid_balance, with_entry)
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -261,16 +260,15 @@ class TestDissipativityIdentity:
         # the energy and its dissipation form keep the true h_cond while
         # A damps at half of it; the spectrum still lies left of the axis
         halved = dataclasses.replace(moduli3, h_cond=0.5 * moduli3.h_cond)
-        tampered = op3._replace(a_mat=assemble_operator(op3.grid, halved).a_mat)
+        tampered = op3._replace(a_blocks=assemble_operator(op3.grid, halved).a_blocks)
         assert spectral_report(tampered).spectral_abscissa < 0.0
         assert dissipativity_residual(tampered) > 0.1
 
     def test_fails_for_a_one_sided_thermal_coupling(self, op3):
-        # beta flipped in the theta row only
-        n = op3.n
-        a = op3.a_mat.toarray()
-        a[3 * n:4 * n, n:2 * n] *= -1.0
-        tampered = op3._replace(a_mat=sp.csr_matrix(a))
+        # beta flipped in the theta row only: its v entries of every node
+        blocks = op3.a_blocks.copy()
+        blocks[:, :, FIELDS.index("theta"), FIELDS.index("v")] *= -1.0
+        tampered = op3._replace(a_blocks=blocks)
         assert dissipativity_residual(tampered) > 1e-3
 
 
@@ -315,7 +313,7 @@ class TestSpectralReport:
                                           (17, (52, 50))])
     def test_mirror_sector_sizes(self, n, sizes, moduli3):
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        assert tuple(b.shape for b in mirror_blocks(op.a_mat, n)) == tuple(
+        assert tuple(b.shape for b in mirror_blocks(op.a_blocks)) == tuple(
             (k, k) for k in sizes)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 29, 256])
@@ -323,7 +321,7 @@ class TestSpectralReport:
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_scattered_blocks_equal_the_sparse_products(self, n, reference, assemble):
         op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
-        got, want = mirror_blocks(op.a_mat, n), product_mirror_blocks(op.a_mat, n)
+        got, want = mirror_blocks(op.a_blocks), product_mirror_blocks(op.a_mat, n)
         assert len(got) == len(want) == 2
         for block, oracle in zip(got, want):
             assert block.dtype == oracle.dtype and block.shape == oracle.shape
@@ -341,10 +339,10 @@ class TestSpectralReport:
     def test_mirror_asymmetric_generator_is_refused(self, op3):
         # the u Laplacian of the v row changed at node 0 but not at its
         # mirror node n - 1
-        a = op3.a_mat.tolil()
-        a[op3.n, 0] *= 1.5
+        n = op3.n
+        tampered = with_entry(op3, n, 0, 1.5 * op3.a_mat[n, 0])
         with pytest.raises(EigenFailure, match="node reversal"):
-            spectral_report(op3._replace(a_mat=a.tocsr()))
+            spectral_report(tampered)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_mirror_signs_are_checked_with_the_pattern(self, n, moduli3):
@@ -352,15 +350,13 @@ class TestSpectralReport:
         # sparsity pattern under the mirror, but J |D| J = |D| where the
         # odd theta needs J D J = -D
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        a = op.a_mat.tolil()
-        for i in range(n):
-            for j in (i - 1, i + 1):
-                if 0 <= j < n:
-                    a[n + i, 3 * n + j] = abs(a[n + i, 3 * n + j])
-        tampered = a.tocsr()
-        for blocks in (mirror_blocks, product_mirror_blocks):
-            with pytest.raises(EigenFailure, match="node reversal"):
-                blocks(tampered, n)
+        blocks = op.a_blocks.copy()
+        v, theta = FIELDS.index("v"), FIELDS.index("theta")
+        blocks[:, :, v, theta] = np.abs(blocks[:, :, v, theta])
+        with pytest.raises(EigenFailure, match="node reversal"):
+            mirror_blocks(blocks)
+        with pytest.raises(EigenFailure, match="node reversal"):
+            product_mirror_blocks(op._replace(a_blocks=blocks).a_mat, n)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):
@@ -391,7 +387,7 @@ class TestThreadedSectors:
 
     def test_eigenvalues_equal_the_sequential_solves(self, big_op):
         lams = np.concatenate([np.linalg.eigvals(block)
-                               for block in mirror_blocks(big_op.a_mat, big_op.n)])
+                               for block in mirror_blocks(big_op.a_blocks)])
         lams = lams[np.lexsort((lams.imag, lams.real))]
         assert np.array_equal(spectral_report(big_op).eigenvalues, lams)
         assert other_threads() == []

@@ -9,19 +9,21 @@ from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
                         NonFinite, assemble_backward, assemble_operator, reference_type2,
                         reference_type3, to_moduli_1d)
 from microtherm.diagnostics import _BREAKDOWN
-from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, _stencils, form_matrix,
-                                   form_tables, form_values)
+from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, block_csr, form_blocks,
+                                   form_tables, form_values, generator_table)
+from microtherm.evolve import time_reversal
 
 from conftest import (bmat_generator, collect, difference_matrices, fields,
-                      first_difference, form_scale, gram_form_values, gram_norm,
+                      first_difference, form_matrix, form_scale, gram_form_values, gram_norm,
                       kron_form, random_state, random_valid_material, second_difference,
-                      sine_init, staggered_difference)
+                      sine_init, staggered_difference, stencil_triplets, table_matrix)
 
 
 def stencil_matrices(n, h):
     """The Laplacian and the centered gradient of the assembly's
     (rows, cols, values) triplets, as sparse n x n matrices."""
-    _, lap, grad = (sp.csr_matrix((v, (r, c)), shape=(n, n)) for r, c, v in _stencils(n, h))
+    _, lap, grad = (sp.csr_matrix((v, (r, c)), shape=(n, n))
+                    for r, c, v in stencil_triplets(n, h))
     return lap, grad
 
 
@@ -189,6 +191,25 @@ class TestOperatorAssembly:
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype, (name, attr)
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_block_csr_equals_the_coo_assembly_byte_for_byte(self, n, reference, assemble):
+        # a_mat, g_mat and every form's blocks as CSR, built from the node
+        # blocks, against the COO build of the tables that they replaced
+        grid = Grid1D(n_interior=n)
+        m = to_moduli_1d(reference())
+        op, h = assemble(grid, m), grid.h
+        pairs = [("a_mat", op.a_mat, table_matrix(generator_table(m, op.time_sign), n, h)),
+                 ("g_mat", op.g_mat,
+                  table_matrix(2.0 * op.forms[FORMS.index("total")], n, h, (h, -h, h)))]
+        pairs += [(name, block_csr(form_blocks(op, name)), form_matrix(op, name))
+                  for name in FORMS]
+        for name, got, want in pairs:
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype, (name, attr)
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
+
     def test_form_matrices_agree_with_form_values(self, op3, op3_back):
         rng = np.random.default_rng(14)
         states = rng.standard_normal((5, 6 * 16))
@@ -305,6 +326,20 @@ class TestOperatorAssembly:
         assert np.array_equal(op3_back.a_mat.toarray(), expected)
         assert op3_back.g_mat is op3.g_mat or (op3_back.g_mat != op3.g_mat).nnz == 0
         assert op3.time_sign == 1 and op3_back.time_sign == -1
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    def test_backward_blocks_are_the_reversed_forward_ones(self, n, reference):
+        # a_blocks(bwd) == -S a_blocks(fwd) S entry for entry, S the sign
+        # flip of v, theta, M (evolve.time_reversal), and the same G;
+        # each orientation is built from its own table
+        grid = Grid1D(n_interior=n)
+        m = to_moduli_1d(reference())
+        fwd, bwd = assemble_operator(grid, m), assemble_backward(grid, m)
+        flip = time_reversal(np.ones(6 * n)).reshape(6, n)[:, 0]
+        expected = -(fwd.a_blocks * np.multiply.outer(flip, flip))
+        assert np.count_nonzero(bwd.a_blocks != expected) == 0
+        assert np.array_equal(form_blocks(bwd, "total"), form_blocks(fwd, "total"))
 
     def test_backward_form_produces_energy(self, op3_back):
         rng = np.random.default_rng(9)

@@ -331,7 +331,7 @@ def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
     def halved_conduction(grid, moduli):
         op = assemble(grid, moduli)
         halved = dataclasses.replace(moduli, h_cond=0.5 * moduli.h_cond)
-        return op._replace(a_mat=assemble(grid, halved).a_mat)
+        return op._replace(a_blocks=assemble(grid, halved).a_blocks)
 
     monkeypatch.setattr(runner, "assemble_operator", halved_conduction)
     assert runner.run_scenario(scenario("spectrum"), str(tmp_path)) == 1
