@@ -255,14 +255,14 @@ def parse_scenario(text: str) -> Scenario:
             f"k_min = {scenario.k_min}, k_max = {scenario.k_max}, n_k = {scenario.n_k}"
         )
     _check_sizes(scenario)
-    # the random preset's draws times a huge amp can overflow, whatever
-    # the tasks: realize the state once here rather than fail in a run
+    # a huge amplitude can overflow the state or its square x . x, the
+    # stepper's range test, whatever the tasks: reject it here, not in a run
     with np.errstate(over="ignore"):
-        finite = np.isfinite(build_initial(scenario)).all()
-    if not finite:
-        raise ParseError(
-            f"[init] amp = {params.get('amp', 1.0)!r} makes the initial state "
-            "overflow the float range")
+        x = build_initial(scenario)
+        if not np.isfinite(x @ x):
+            amps = ", ".join(f"{k} = {v!r}" for k, v in sorted(params.items()) if k.endswith("amp"))
+            raise ParseError(f"[init] {amps} makes the initial state's x . x overflow the "
+                             "float range")
     return scenario
 
 

@@ -77,6 +77,8 @@ INVALID = {
     "init-seed-negative": ("u_amp = 1.0", "u_amp = 1.0\nseed = -4", "seed"),
     "init-impulse-node-outside-grid": ("preset = sine", "preset = impulse\nnode = 16",
                                        "node"),
+    # the state's square x . x, the stepper's range test, overflows
+    "init-u_amp-square-overflow": ("u_amp = 1.0", "u_amp = 1e160", "[init] u_amp"),
     "dispersion-n_k-above-2GiB": ("[tasks]", "[dispersion]\nn_k = 1000000000000\n\n[tasks]",
                                   "n_k"),
     # the random draws times amp overflow, whether or not a task steps
@@ -116,36 +118,30 @@ CONTRACT_EDGES = {
     # the dense inverse solves the huge-dt step within the guard; the
     # band solve does not (CONTRACT_BREAKS)
     "type3-dt-1e50-dense": (TYPE3, {"dt = 0.01": "dt = 1e50"}),
+    # a large grid at a small dt, and a stiff material: large relative
+    # residuals, backward errors within the guard
+    "type3-n8192-dt1e-4": (
+        TYPE3, {"n_interior = 16": "n_interior = 8192", "dt = 0.01": "dt = 1e-4",
+                "run = simulate, spectrum, dispersion, backward, localization":
+                "run = simulate"}),
+    "type3-lame-1e8": (TYPE3, {"model = type3": "model = type3\nlambda_e = 1e8\nmu_e = 1e8"}),
+    # |I - dt/2 A| near 1e200: the steps pass the guard, and the round
+    # trip FAILs (exit 1)
+    "type2-length-1e-100": (TYPE2, {"length = 1.0": "length = 1e-100"}),
 }
 
 # id -> (reference file, swaps, the CHANGES.md FOUND line that names it):
 # inputs that pass check but exit 2 in run (ROADMAP item 4)
 CONTRACT_BREAKS = {
-    "type3-n8192-dt1e-4": (
-        TYPE3, {"n_interior = 16": "n_interior = 8192", "dt = 0.01": "dt = 1e-4",
-                "run = simulate, spectrum, dispersion, backward, localization":
-                "run = simulate"},
-        "CHANGES.md FOUND on MidpointStepper._advance: the residual guard misses "
-        "at n_interior = 8192, dt = 1e-4"),
     "type3-k_max-1e12": (
         TYPE3, {"k_max = 8.0": "k_max = 1e12"},
         "CHANGES.md FOUND on polynomial_frequencies: the root residual guard "
         "rejects k above about 1e11"),
-    "type2-u_amp-1e160": (
-        TYPE2, {"u_amp = 1.0": "u_amp = 1e160"},
-        "CHANGES.md FOUND on MidpointStepper._advance: u_amp = 1e160 overflows "
-        "the step guard's squared norm"),
     "type3-dt-1e50-band": (
         TYPE3, {"dt = 0.01": "dt = 1e50", "n_interior = 16": f"n_interior = {DENSE_N + 1}"},
-        "CHANGES.md FOUND on scenario._check_dt: dt = 1e50 passes check and trips "
-        "the step guard"),
-    "type2-length-1e-100": (
-        TYPE2, {"length = 1.0": "length = 1e-100"},
-        "CHANGES.md FOUND on Grid1D: length = 1e-100 has a finite but huge 1/h^2"),
-    "type3-lame-1e8": (
-        TYPE3, {"model = type3": "model = type3\nlambda_e = 1e8\nmu_e = 1e8"},
-        "CHANGES.md FOUND on the MidpointStepper residual guard: a stiff material "
-        "misses it at the first simulate step"),
+        "CHANGES.md FOUND on scenario._check_dt / MidpointStepper._guard: on the band "
+        "path the reduced band LU's refined step at dt = 1e50 has backward error about "
+        "0.1 (residual 8.0e22 against a bound of 1.1e9), so it is not backward stable"),
 }
 
 
@@ -227,10 +223,10 @@ class TestRun:
         assert not out.exists()
         assert "--seed" in capsys.readouterr().err
 
-    def test_reversed_run_that_trips_the_solve_guard_is_recorded(self, tmp_path):
-        # the time-reversed type3 run misses the residual guard long
-        # before it overflows; the probe records it as an infinite
-        # round-trip error instead of aborting the run
+    def test_reversed_run_that_overflows_is_recorded(self, tmp_path):
+        # the time-reversed type3 run at n = 1024 leaves the float range
+        # (NonFinite) within 300 steps; the probe records it as an
+        # infinite round-trip error instead of aborting the run
         cfg = write(tmp_path, LOCALIZATION_1024)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 0

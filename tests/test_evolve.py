@@ -183,8 +183,10 @@ class TestMidpointStructure:
         assert diff <= 1e-3  # independent schemes, both at least 2nd order
 
 
-def make_stepper(model, n, dt, assemble=assemble_operator):
-    moduli = to_moduli_1d(reference_type2() if model == "type2" else reference_type3())
+def make_stepper(model, n, dt, assemble=assemble_operator, lame=1.0):
+    """The stepper of a reference material, with lambda_e = mu_e = lame."""
+    material = reference_type2() if model == "type2" else reference_type3()
+    moduli = to_moduli_1d(dataclasses.replace(material, lambda_e=lame, mu_e=lame))
     return MidpointStepper(assemble(Grid1D(n_interior=n), moduli), dt)
 
 
@@ -244,9 +246,12 @@ class TestChunkGuard:
     solve (band path); the residuals of a chunk of steps are checked
     together, and only states of a passing chunk leave."""
 
+    # lame = 1e8: a stiff material, whose relative residuals near 4e-8
+    # are within the backward-error guard
+    @pytest.mark.parametrize("lame", [1.0, 1e8])
     @pytest.mark.parametrize("n", [N_BAND, 512])
-    def test_corrupted_upper_band_raises(self, n):
-        stepper = make_stepper("type3", n, 1e-3)
+    def test_corrupted_upper_band_raises(self, n, lame):
+        stepper = make_stepper("type3", n, 1e-3, lame=lame)
         lower, upper = stepper._triangular
         upper = upper.copy()
         # one diagonal entry of U, that of v at a node where the sine
@@ -260,9 +265,10 @@ class TestChunkGuard:
                 kept.append(x.copy())
         assert not kept
 
-    def test_corrupted_dense_inverse_raises(self):
+    @pytest.mark.parametrize("lame", [1.0, 1e8])
+    def test_corrupted_dense_inverse_raises(self, lame):
         n = 16
-        stepper = make_stepper("type3", n, 1e-3)
+        stepper = make_stepper("type3", n, 1e-3, lame=lame)
         assert stepper._p is not None
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         node = 6 * (n // 2)  # u at the middle node, where the sine data peak
@@ -303,9 +309,8 @@ class TestChunkGuard:
         n, n_steps = 16, 100
         x0 = _node_major(sine_init(Grid1D(n_interior=n)))
         shift = 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7]
-        # dense path: the perturbed product's read-back midpoint misses
-        # the guard, and the run steps again from x_39 by the solve;
-        # band path: the perturbed solve is refined
+        # the perturbed step, a product with P (dense path) or a solve
+        # (band path), misses the guard and is refined by the solve
         for limit, name in ((evolve._DENSE_STEP, "_step"), (0, "_solve")):
             monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
             clean = drawn(make_stepper("type3", n, 1e-3).states(x0, n_steps))
@@ -316,10 +321,9 @@ class TestChunkGuard:
             assert np.array_equal(kept[:39], clean[:39])
             # the state x_40 is the clean one to round-off ...
             assert np.linalg.norm(kept[39] - clean[39]) <= 1e-14 * np.linalg.norm(clean[39])
-            # ... and the rest of the run steps on from it by the solve
-            rest = make_stepper("type3", n, 1e-3)
-            rest._p = None
-            rest = drawn(rest.states(kept[39], n_steps - 40))
+            # ... and the rest of the run steps on from it as a run from
+            # x_40 does, by P on the dense path
+            rest = drawn(make_stepper("type3", n, 1e-3).states(kept[39], n_steps - 40))
             assert np.array_equal(kept[40:], rest)
 
     def test_every_call_perturbed_raises(self):
@@ -333,26 +337,29 @@ class TestChunkGuard:
         with pytest.raises(SolveFailure, match="residual"):
             list(stepper.states(x0, 10))
 
-    def test_stiff_dense_run_goes_on_by_the_solve(self, monkeypatch):
+    def test_stiff_dense_run_steps_by_p(self, monkeypatch):
         # lambda_e = mu_e = 1e4 puts |dt/2 A| near 1.7e5 (17 at the
         # reference): a read-back midpoint's residual, the states'
-        # rounding times |dt/2 A|, misses the guard, and one refined from
-        # it misses it too; the run goes on solving with the dense inverse
+        # rounding times |dt/2 A|, is large, yet its backward error is
+        # within the guard, so every step is one product with P and none
+        # is refined by the solve
         grid = Grid1D(n_interior=16)
         op = assemble_operator(grid, to_moduli_1d(dataclasses.replace(
             reference_type3(), lambda_e=1e4, mu_e=1e4)))
-        products, step = [], MidpointStepper._step
+        calls = {"_step": 0, "_solve": 0}
+        for name in calls:
+            method = getattr(MidpointStepper, name)
 
-        def counted(self, x, out):
-            products.append(1)
-            step(self, x, out)
+            def counted(self, *args, name=name, method=method):
+                calls[name] += 1
+                return method(self, *args)
 
-        monkeypatch.setattr(MidpointStepper, "_step", counted)
+            monkeypatch.setattr(MidpointStepper, name, counted)
         runs = []
         for chunk in (1, 7, 32):
             monkeypatch.setattr(evolve, "_CHUNK", chunk)
             runs.append(collect(op, sine_init(grid), 0.01, 400))
-        assert 0 < len(products) < 3 * 32
+        assert calls == {"_step": 3 * 400, "_solve": 0}
         assert all(run.tobytes() == runs[0].tobytes() for run in runs[1:])
         energies = energy_table(op, runs[0])[:, 0]
         assert (np.diff(energies) <= 1e-12 * energies[0]).all()
@@ -495,6 +502,19 @@ class TestStepperKernels:
             got, expected = getattr(stepper._a, attr), getattr(want, attr)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), attr
 
+    @pytest.mark.parametrize("n", [2, 16, N_BAND])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    @pytest.mark.parametrize("dt", [1e-2, 1e50])
+    def test_midpoint_matrix_norm_is_the_dense_one(self, n, model, assemble, dt):
+        # the guard's |I - dt/2 A|, summed from the node blocks, against
+        # the inf-norm of the dense matrix; each row sums at most 18
+        # entries, in another order
+        stepper = make_stepper(model, n, dt, assemble)
+        lhs = np.eye(6 * n) - 0.5 * dt * stepper.op.a_mat.toarray()
+        expected = np.abs(lhs).sum(axis=1).max()
+        assert abs(stepper._norm - expected) <= 1e-14 * expected
+
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     def test_csr_product_is_the_generator(self, n, model):
@@ -524,6 +544,13 @@ class TestSolverGuard:
             monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
             with pytest.raises(SolveFailure, match="factored"):
                 MidpointStepper(with_generator(op2, a_mat), dt)
+
+    def test_overflowing_midpoint_matrix_raises(self, op2):
+        # dv/dt picks up 1e300 u: dt/2 A overflows at dt = 1e10, and a
+        # guard bound made of |I - dt/2 A| = inf would pass any step; the
+        # error reports it, with no overflow warning
+        with pytest.raises(SolveFailure, match="not a finite"):
+            MidpointStepper(with_entry(op2, 16, 0, 1e300), 1e10)
 
     @pytest.mark.parametrize("row, col, value", [
         (0, 16, 2.0),    # du/dt = 2 v
