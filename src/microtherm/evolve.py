@@ -15,7 +15,9 @@ dissipation the per-step balance
 holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 steps by a band LU of the reduced rate system, or on small grids by
 the dense step matrix P = 2 (I - dt/2 A)^-1 - I, all derived from the
-operator's node blocks.  Every step's backward error on the full
+operator's node blocks.  Only the band path imports scipy (its BLAS
+and LAPACK band routines and a CSR of A), so a run on small grids
+loads no scipy module.  Every step's backward error on the full
 system is checked before its states leave; a step that misses it
 raises SolveFailure, and one whose norms overflow raises NonFinite, so
 no run returns a non-finite snapshot.
@@ -37,7 +39,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .discrete1d import DiscreteOperator, block_csr, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
@@ -53,7 +54,7 @@ __all__ = [
 # u = 2^-53, above 3x the largest measured, 4.84 u at dt = 1e50, n = 16
 _ETA_TOL = 16 * 2.0 ** -53
 _BAND = 5  # kl = ku of the node-major reduced rate system
-_CHUNK = 32  # most steps whose residuals one sparse product checks
+_CHUNK = 32  # most steps whose residuals one product checks
 # largest 6n whose steps apply the dense step matrix: one product, with
 # its build spread over 400 steps, beats the band solve's calls
 _DENSE_STEP = 168
@@ -80,7 +81,10 @@ class MidpointStepper:
     solves with dgbtrs.  Inside a run the state stays node-major, so
     positions and rates are the even and odd entries of one array, and
     dt/2 K X_pos is one BLAS dgbmv on band storage fused with the sum.
-    When 6n <= _DENSE_STEP no band LU is built: the node-major
+    The band path imports scipy.linalg for these routines and keeps
+    them on the stepper.
+    When 6n <= _DENSE_STEP no band LU is built and no scipy module is
+    loaded: the node blocks are scattered into the dense node-major A,
     I - dt/2 A is inverted once, a step is one product X+ = P X with the
     step matrix P = 2 (I - dt/2 A)^-1 - I, and its midpoint (X + X+) / 2
     is read back from the two states.  The inverse is kept for the
@@ -89,7 +93,8 @@ class MidpointStepper:
     A step is the solve and 2 Y - X, or the product P X, with no sparse
     product or norm.
     Up to _CHUNK steps (and at most a block of states, block_rows) are
-    checked at once, by one CSR product over their midpoints: the
+    checked at once, by one product of A with their midpoints (one GEMM
+    on the dense A, or one node-major CSR product on the band path): the
     normwise backward error of Y, |r| / (|I - dt/2 A| |Y| + |X|) with
     r = (I - dt/2 A) Y - X and inf-norms, within _ETA_TOL, next state's
     square finite.  States are yielded only from a passing chunk, as
@@ -116,22 +121,23 @@ class MidpointStepper:
             raise SolveFailure(
                 "midpoint stepper needs position rows d(u, tau, R)/dt = (v, theta, M), "
                 "i.e. [0 | I]")
-        self._a = block_csr(op.a_blocks, node_major=True)
-        with np.errstate(over="ignore"):  # an overflow raises SolveFailure below
-            lhs = -self._half * op.a_blocks
-        lhs[:, 1] += np.eye(6)  # the diagonal block
-        self._norm = float(np.abs(lhs).sum(axis=(1, 3)).max())  # |I - dt/2 A|, inf-norm
+        self._norm = _midpoint_norm(op.a_blocks, self.dt)
         if not math.isfinite(self._norm):
             raise SolveFailure(f"|I - dt/2 A| = {self._norm} is not a finite float")
         if 6 * op.n <= _DENSE_STEP:
+            self._a = _dense(op.a_blocks)
             try:
-                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * self._a.toarray())
+                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * self._a)
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(
                     f"midpoint matrix could not be factored: {exc}") from None
             self._inv, self._p = inv, 2.0 * inv - np.eye(6 * op.n)
             return
+        from scipy.linalg import blas, lapack  # the band path alone loads scipy
+
+        self._a = block_csr(op.a_blocks, node_major=True)
         self._inv = self._p = None
+        self._dgbmv, self._dtbsv, self._dgbtrs = blas.dgbmv, blas.dtbsv, lapack.dgbtrs
         size = 3 * op.n
         # the reduced rate rows: K on the position columns, C on the rate ones
         self._k_band = _band(op.a_blocks[:, :, 1::2, 0::2])
@@ -171,14 +177,14 @@ class MidpointStepper:
         size = r.size // 2
         b = np.zeros(self._k_rows)
         b[:size] = r[1::2]
-        b = blas.dgbmv(self._k_rows, size, _BAND, _BAND, self._half, self._k_band, r,
-                       incx=2, beta=1.0, y=b, overwrite_y=1)[:size]
+        b = self._dgbmv(self._k_rows, size, _BAND, _BAND, self._half, self._k_band, r,
+                        incx=2, beta=1.0, y=b, overwrite_y=1)[:size]
         if self._triangular is None:
-            rate = lapack.dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
+            rate = self._dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
         else:
             lower, upper = self._triangular
-            rate = blas.dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
-            rate = blas.dtbsv(_BAND, upper, rate, overwrite_x=1)
+            rate = self._dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
+            rate = self._dtbsv(_BAND, upper, rate, overwrite_x=1)
         out = np.empty_like(r)
         out[1::2] = rate
         out[0::2] = r[0::2] + self._half * rate
@@ -238,6 +244,25 @@ class MidpointStepper:
                 yield xs[j:j + 1]
             xs[0] = xs[j]
             n_steps -= j
+
+
+def _midpoint_norm(a_blocks: np.ndarray, dt: float) -> float:
+    """|I - dt/2 A|, the inf-norm, summed from the node blocks of A; inf
+    when it overflows."""
+    with np.errstate(over="ignore"):
+        lhs = -(0.5 * dt) * a_blocks
+        lhs[:, 1] += np.eye(6)  # the diagonal block
+        return float(np.abs(lhs).sum(axis=(1, 3)).max())
+
+
+def _dense(a_blocks: np.ndarray) -> np.ndarray:
+    """The dense node-major (6n, 6n) matrix of node blocks, scattered
+    with no sparse matrix built."""
+    n, j = len(a_blocks), np.arange(len(a_blocks))
+    out = np.zeros((n, 6, n + 2, 6))  # column nodes -1 .. n
+    for s in range(3):
+        out[j, :, j + s] = a_blocks[:, s]
+    return out[:, :, 1:-1].reshape(6 * n, 6 * n)
 
 
 def _node_major(vec: np.ndarray) -> np.ndarray:

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 import numpy as np
 
 from .diagnostics import DENSE_LIMIT
-from .discrete1d import FIELDS, Grid1D, block_rows
+from .discrete1d import FIELDS, Grid1D, block_rows, generator_table, table_blocks
 from .errors import ParseError, ValidationError
-from .material import MaterialIsotropic, reference_type2, reference_type3, validate_isotropic
+from .evolve import _midpoint_norm
+from .material import (MaterialIsotropic, Moduli1D, _hypotheses, _reduce, reference_type2,
+                       reference_type3)
 
 __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 
@@ -34,15 +36,16 @@ _MAX_ARRAY_BYTES = 2 * 2**30  # largest peak of a run's arrays
 # run_scenario reads 142 to 175 B (type3, n_interior = 8 and 64, 2e4
 # to 1.2e5 kept states, the slope between the two), rounded up
 _BYTES_PER_KEPT_STATE = 192
-# peak bytes the dispersion task allocates per wavenumber: tracemalloc
-# around runner._dispersion read about 1300 B (both references, n_k =
-# 1000 to 80000) with the grid evaluated whole, rounded up; evaluated in
-# blocks of dispersion._K_BLOCK wavenumbers it reads 490 B from n_k =
-# 4000 up and 770 B at n_k = 1000, so the count is kept as a margin.
-# The margin also holds the dense spectrum that runner._overlapped
-# solves beside the dispersion: at 6n = DENSE_LIMIT spectral_report
-# peaks at 39 MiB under tracemalloc and adds 72 MiB of peak RSS
-_DISPERSION_BYTES_PER_K = 1536
+# peak bytes the dispersion task allocates per wavenumber: the slope of
+# the tracemalloc peak around runner._dispersion (both references, n_k =
+# 4000 to 200000, the grid solved in blocks of dispersion._K_BLOCK
+# wavenumbers) is 489.3 B, rounded up by 4.6%.  Below about 4000
+# wavenumbers the blocks' temporaries, about 1.5 MB, set the peak.  At
+# the limit, 2^31 / 512 = 4194304 wavenumbers, the measured line gives
+# 2.05e9 B, which leaves about 90 MiB for those temporaries and for the
+# dense spectrum that runner._overlapped solves beside the dispersion
+# (at 6n = DENSE_LIMIT spectral_report peaks at 39 MiB under tracemalloc)
+_DISPERSION_BYTES_PER_K = 512
 
 _MATERIAL_KEYS = frozenset({"model"} | {f.name for f in dc_fields(MaterialIsotropic)})
 _GRID_KEYS = frozenset({"n_interior", "length"})
@@ -167,7 +170,8 @@ def parse_scenario(text: str) -> Scenario:
                     f"{overrides[key]}"
                 )
     material = replace(base, **overrides)
-    report = validate_isotropic(material)
+    moduli = _reduce(material)  # validate_isotropic, keeping the moduli
+    report = _hypotheses(moduli)
     if not report.valid:
         raise ValidationError(str(report))
 
@@ -181,7 +185,8 @@ def parse_scenario(text: str) -> Scenario:
     n_steps = _as_int("time", "n_steps", _require(parsed, "time", "n_steps"))
     snapshot_every = _as_int("time", "snapshot_every",
                              time_raw.get("snapshot_every", "1"))
-    _check_dt("time", dt)
+    generators = _generator_blocks(moduli, grid)
+    _check_dt("time", dt, generators)
     if n_steps < 0 or snapshot_every < 1 or n_steps % snapshot_every:
         raise ParseError(
             f"[time] n_steps = {n_steps} must be a nonnegative multiple of "
@@ -241,7 +246,7 @@ def parse_scenario(text: str) -> Scenario:
         lam=_as_float("backward", "lam", back.get("lam", "2.0")),
         out_dir=out.get("directory", ""),
     )
-    _check_dt("backward", scenario.backward_dt)
+    _check_dt("backward", scenario.backward_dt, generators)
     if scenario.backward_n_steps < 0:
         raise ParseError(
             f"[backward] n_steps must be >= 0, got {scenario.backward_n_steps}")
@@ -266,13 +271,30 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _check_dt(section: str, dt: float):
+def _generator_blocks(moduli: Moduli1D, grid: Grid1D) -> np.ndarray:
+    """The node blocks of the forward A at the grid's h on at most three
+    nodes, then those of the time-reversed A_bwd = -S A S (S negating
+    the rates): a middle node's blocks are those of every interior node,
+    so their rows hold every row sum of either generator."""
+    if grid.n_interior > 3:
+        grid = Grid1D(n_interior=3, length=4 * grid.h)  # h = 4h / 4 exactly
+    forward = table_blocks(generator_table(moduli, 1), grid)
+    flip = np.array([1.0, -1.0] * 3)
+    return np.concatenate([forward, -(flip[:, None] * forward * flip)])
+
+
+def _check_dt(section: str, dt: float, generators: np.ndarray):
     """Reject a step the midpoint matrix I - dt/2 C - (dt/2)^2 K cannot
-    be formed with: dt not positive, or (dt/2)^2 not a finite float."""
+    be formed with: dt not positive, (dt/2)^2 not a finite float, or
+    |I - dt/2 A| (the step guard's inf-norm, evolve._midpoint_norm) not a
+    finite float for the forward or the time-reversed generator."""
     if dt <= 0:
         raise ParseError(f"[{section}] dt must be positive, got {dt}")
     if not math.isfinite((dt / 2) * (dt / 2)):
         raise ParseError(f"[{section}] dt = {dt} is too large: (dt/2)^2 overflows")
+    if not math.isfinite(_midpoint_norm(generators, dt)):
+        raise ParseError(f"[{section}] dt = {dt} is too large for the [grid] spacing: "
+                         "|I - dt/2 A| overflows")
 
 
 def _check_sizes(scenario: Scenario):

@@ -6,6 +6,7 @@ import pytest
 import microtherm
 from microtherm import evolve
 from microtherm.cli import main
+from microtherm.scenario import _DISPERSION_BYTES_PER_K, _MAX_ARRAY_BYTES
 
 CONFIG_DIR = pathlib.Path(microtherm.__file__).parent / "configs"
 TYPE3 = str(CONFIG_DIR / "reference_type3.cfg")
@@ -70,6 +71,14 @@ INVALID = {
     "time-dt-half-square-overflow": ("dt = 0.2", "dt = 1e160", "[time] dt"),
     "backward-dt-half-square-overflow": ("[tasks]", "[backward]\ndt = 1e160\n\n[tasks]",
                                          "[backward] dt"),
+    # dt/2 |A| overflows: the stiffness entries grow like dt m / (rho h^2)
+    "time-dt-midpoint-norm-overflow": ("n_interior = 16\n\n[time]\ndt = 0.2",
+                                       "n_interior = 16\nlength = 1e-150\n\n[time]\ndt = 1e10",
+                                       "[time] dt"),
+    "backward-dt-midpoint-norm-overflow": (
+        "n_interior = 16\n\n[time]\ndt = 0.2",
+        "n_interior = 16\nlength = 1e-150\n\n[backward]\ndt = 1e10\n\n[time]\ndt = 1e-10",
+        "[backward] dt"),
     "backward-eps-above-1": ("[tasks]", "[backward]\neps = 1.5\n\n[tasks]", "eps"),
     "backward-n_steps-negative": ("[tasks]", "[backward]\nn_steps = -3\n\n[tasks]",
                                   "n_steps"),
@@ -150,6 +159,9 @@ CONTRACT_BREAKS = {
 CONTRACT_MENDED = {
     # finite moduli whose reduction lambda_e + 2 mu_e overflows
     "type3-lame-1e308": (TYPE3, {"model = type3": "model = type3\nlambda_e = 1e308\nmu_e = 1e308"}),
+    # |I - dt/2 A| overflows, which the stepper's construction rejects
+    "type2-length-1e-150-dt-1e10": (TYPE2, {"length = 1.0": "length = 1e-150",
+                                            "dt = 0.01": "dt = 1e10"}),
 }
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -321,6 +333,17 @@ class TestCheck:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("error:") == 2 and f"task {task}" in err
+
+    def test_dispersion_size_limit_is_checked_on_both_sides(self, tmp_path, capsys):
+        # check runs no numerics: the largest n_k whose counted peak fits
+        # in 2 GiB passes, one more is rejected
+        limit = _MAX_ARRAY_BYTES // _DISPERSION_BYTES_PER_K
+        for n_k, code in ((limit, 0), (limit + 1, 2)):
+            cfg = write(tmp_path, SMALL_TYPE3.replace("[tasks]",
+                                                      f"[dispersion]\nn_k = {n_k}\n\n[tasks]"))
+            assert main(["check", cfg]) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"n_k = {limit + 1}" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import pathlib
 import re
@@ -13,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from microtherm import (RootFailure, characteristic_matrix, reference_type2,
                         reference_type3, solve_branches, symbol_frequencies,
                         to_moduli_1d)
-from microtherm import dispersion
+from microtherm import dispersion, evolve
 from microtherm.cli import main
 from microtherm.dispersion import (_symbols, det_coefficients, least_pairing,
                                    polynomial_frequencies, root_distances)
@@ -299,14 +300,58 @@ class TestLeastPairing:
             first = pairings[np.flatnonzero(sums == sums.min())[0]]
             assert np.array_equal(least_pairing(cost[None])[0], first)
 
-    def test_importing_the_package_leaves_scipy_optimize_out(self):
+
+class TestColdStart:
+    """What a fresh interpreter loads: scipy only for the band stepper."""
+
+    @staticmethod
+    def scipy_after(tmp_path, *commands):
+        """In a fresh interpreter: import microtherm.cli, then call main
+        on each (command, config) in turn.  Returns the exit codes and,
+        after the import and after each call, the scipy modules loaded."""
         src = pathlib.Path(dispersion.__file__).resolve().parents[1]
-        code = ("import sys, microtherm, microtherm.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        code = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import microtherm.cli\n"
+            "seen, codes = [loaded()], []\n"
+            "for i, (command, cfg) in enumerate(json.loads(sys.argv[1])):\n"
+            "    extra = ['--out', sys.argv[2] + '/' + str(i)] if command == 'run' else []\n"
+            "    codes.append(microtherm.cli.main([command, cfg] + extra))\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps([codes, seen]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_small_runs_load_no_scipy(self, tmp_path):
+        # the package, check and run of both references and a spectrum
+        # and dispersion run at n = 256 import no scipy module: only the
+        # band stepper (6n > evolve._DENSE_STEP) and a_mat/g_mat need it
+        configs = pathlib.Path(dispersion.__file__).parent / "configs"
+        wide = tmp_path / "spectral.cfg"
+        wide.write_text("[material]\nmodel = type3\n[grid]\nn_interior = 256\n"
+                        "[time]\ndt = 1e-3\nn_steps = 10\n[init]\npreset = sine\n"
+                        "u_amp = 1.0\n[tasks]\nrun = spectrum, dispersion\n")
+        commands = [(command, str(configs / f"reference_{model}.cfg"))
+                    for model in ("type2", "type3") for command in ("check", "run")]
+        codes, seen = self.scipy_after(tmp_path, *commands, ("run", str(wide)))
+        assert codes == [0] * 5
+        assert seen == [[]] * 6
+
+    def test_band_run_loads_scipy_linalg_and_sparse(self, tmp_path):
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text(
+            (pathlib.Path(dispersion.__file__).parent / "configs" / "reference_type3.cfg")
+            .read_text().replace("n_interior = 16", f"n_interior = {evolve._DENSE_STEP // 6 + 1}")
+            .replace("n_steps = 400", "n_steps = 20").replace("n_steps = 200", "n_steps = 20"))
+        codes, (imported, after) = self.scipy_after(tmp_path, ("run", str(cfg)))
+        assert codes == [0] and imported == []
+        assert {"scipy.linalg", "scipy.sparse"} <= set(after)
 
 
 class TestRootStructure:

@@ -428,18 +428,19 @@ class TestStepperKernels:
         # reversed type3 LU interchanges rows
         n, dt = 29, 0.01
         assert n == N_BAND
-        stepper = make_stepper("type3", n, dt, assemble_backward)
-        assert stepper._inv is None
-        assert np.any(stepper._piv != np.arange(3 * n))
-        assert stepper._triangular is None
         calls = []
-        dgbtrs = evolve.lapack.dgbtrs
+        dgbtrs = scipy.linalg.lapack.dgbtrs
 
         def counting(*args, **kwargs):
             calls.append(1)
             return dgbtrs(*args, **kwargs)
 
-        monkeypatch.setattr(evolve.lapack, "dgbtrs", counting)
+        # the band stepper takes its routines from scipy.linalg when built
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", counting)
+        stepper = make_stepper("type3", n, dt, assemble_backward)
+        assert stepper._inv is None
+        assert np.any(stepper._piv != np.arange(3 * n))
+        assert stepper._triangular is None
         rhs = np.random.default_rng(5).standard_normal(6 * n)
         got = field_major(stepper._solve(_node_major(rhs)))
         assert calls == [1]
@@ -489,15 +490,34 @@ class TestStepperKernels:
         # the dense path builds no band LU
         assert hasattr(stepper, "_lu") != dense
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
+    @staticmethod
+    def coo_build(stepper):
+        """The node-major CSR of the COO build of the nonzero triplets of
+        the stepper's generator table's field-major CSR."""
+        m, op = stepper.op.moduli, stepper.op
+        return node_major_csr(table_matrix(generator_table(m, op.time_sign), op.n, op.grid.h))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, N_BAND - 1])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
-    def test_guard_matrix_equals_the_coo_build(self, n, model, assemble):
-        # the node-major CSR made from the node blocks against the COO
-        # build of the nonzero triplets of the table's field-major CSR
+    def test_dense_guard_matrix_equals_the_coo_build(self, n, model, assemble):
+        # the dense A scattered from the node blocks against the dense
+        # form of the COO build, bit for bit
         stepper = make_stepper(model, n, 1e-3, assemble)
-        m, h = stepper.op.moduli, stepper.op.grid.h
-        want = node_major_csr(table_matrix(generator_table(m, stepper.op.time_sign), n, h))
+        assert stepper._p is not None
+        want = self.coo_build(stepper).toarray()
+        assert stepper._a.dtype == want.dtype and stepper._a.shape == want.shape
+        assert stepper._a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [N_BAND, 512])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_band_guard_matrix_equals_the_coo_build(self, n, model, assemble):
+        # the node-major CSR made from the node blocks against the COO
+        # build, byte for byte
+        stepper = make_stepper(model, n, 1e-3, assemble)
+        assert stepper._p is None
+        want = self.coo_build(stepper)
         for attr in ("indptr", "indices", "data"):
             got, expected = getattr(stepper._a, attr), getattr(want, attr)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), attr

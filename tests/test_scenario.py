@@ -4,11 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from microtherm import (ParseError, ValidationError, build_initial,
-                        parse_scenario, run_scenario, to_moduli_1d)
+from microtherm import (Grid1D, ParseError, ValidationError, assemble_backward,
+                        assemble_operator, build_initial, parse_scenario, run_scenario,
+                        to_moduli_1d)
 from microtherm.discrete1d import block_rows
+from microtherm.evolve import MidpointStepper, _midpoint_norm
 from microtherm.runner import _dispersion
-from microtherm.scenario import _BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K
+from microtherm.scenario import (_BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K,
+                                 _MAX_ARRAY_BYTES, _generator_blocks)
 
 from conftest import fields
 
@@ -174,19 +177,42 @@ class TestParse:
     def test_time_validation(self):
         with pytest.raises(ParseError, match="dt must be positive"):
             parse_scenario(minimal(**{"dt = 0.01": "dt = -0.01"}))
-        # the midpoint matrix needs (dt/2)^2 as a finite float
+        # the midpoint matrix needs (dt/2)^2 as a finite float, and the
+        # step guard |I - dt/2 A|, whose stiffness entries grow like
+        # dt m / (rho h^2)
+        grid_time = "n_interior = 8\n\n[time]\ndt = 0.01"
+        tiny = "n_interior = 8\nlength = 1e-150\n\n"
         for section, old_text, new_text in (
                 ("time", "dt = 0.01", "dt = 1e160"),
                 ("time", "dt = 0.01", "dt = 2.7e154"),
-                ("backward", "[tasks]", "[backward]\ndt = 1e160\n\n[tasks]")):
+                ("backward", "[tasks]", "[backward]\ndt = 1e160\n\n[tasks]"),
+                ("time", grid_time, tiny + "[time]\ndt = 1e10"),
+                ("backward", grid_time, tiny + "[backward]\ndt = 1e10\n\n[time]\ndt = 1e-10")):
             with pytest.raises(ParseError, match=rf"\[{section}\] dt = .* too large"):
                 parse_scenario(minimal(**{old_text: new_text}))
         assert parse_scenario(minimal(**{"dt = 0.01": "dt = 2.6e154"})).dt == 2.6e154
+        assert parse_scenario(minimal(**{grid_time: tiny + "[time]\ndt = 1e-10"})).dt == 1e-10
         with pytest.raises(ParseError, match="multiple"):
             parse_scenario(minimal(**{"n_steps = 10": "n_steps = 10\nsnapshot_every = 3"}))
         # the implicit midpoint rule is the only integrator, not a choice
         with pytest.raises(ParseError, match=r"unknown key 'scheme' in \[time\]"):
             parse_scenario(minimal(**{"dt = 0.01": "dt = 0.01\nscheme = midpoint"}))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("length", [1.0, 3.7, 1e-100])
+    def test_step_norm_is_the_steppers(self, n, model, length):
+        # |I - dt/2 A| from the node blocks of at most three nodes, for
+        # both generators, is the larger of the norms the forward and
+        # the time-reversed stepper sum over all n nodes, bit for bit
+        scenario = parse_scenario(minimal(model, **{
+            "n_interior = 8": f"n_interior = {n}\nlength = {length}"}))
+        grid, moduli = scenario.grid, to_moduli_1d(scenario.material)
+        blocks = _generator_blocks(moduli, grid)
+        for dt in (1e-3, 0.37, 1e50):
+            steppers = [MidpointStepper(assemble(grid, moduli), dt)
+                        for assemble in (assemble_operator, assemble_backward)]
+            assert _midpoint_norm(blocks, dt) == max(s._norm for s in steppers)
 
     def test_preset_and_task_validation(self):
         with pytest.raises(ParseError, match="preset"):
@@ -240,28 +266,38 @@ class TestSizeLimits:
         with pytest.raises(ParseError, match="backward"):
             parse_scenario(back.format(self.FIT))
 
-    def test_dispersion_counts_stacked_matrices(self):
-        # the measured peak of about 1.3 KiB per wavenumber, counted as
-        # 1536 B: 1398101 wavenumbers fit in 2 GiB
-        fit = 1398101
+    def test_dispersion_counts_its_peak_per_wavenumber(self):
+        # the measured slope of about 489 B per wavenumber, counted as
+        # 512 B: 4194304 wavenumbers fit in 2 GiB
+        fit = 4194304
         disp = minimal() + "\n[dispersion]\nn_k = {}\n"
         assert parse_scenario(disp.format(fit)).n_k == fit
         # the dispersion command runs this section whatever the task list
-        with pytest.raises(ParseError, match="n_k = 1398102 would need 1536 B.*2 GiB"):
+        with pytest.raises(ParseError, match="n_k = 4194305 would need 512 B.*2 GiB"):
             parse_scenario(disp.format(fit + 1))
 
     @pytest.mark.parametrize("model", ["type2", "type3"])
     def test_dispersion_peak_is_within_the_counted_bytes(self, model, tmp_path):
-        n_k = 2000
-        scenario = parse_scenario(minimal(model) + f"\n[dispersion]\nn_k = {n_k}\n")
-        moduli = to_moduli_1d(scenario.material)
-        tracemalloc.start()
-        try:
-            _dispersion(scenario, moduli, None, str(tmp_path), [], [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= n_k * _DISPERSION_BYTES_PER_K
+        # the tracemalloc peak at two sizes past the blocks' fixed
+        # temporaries: its slope is within the count per wavenumber, and
+        # the line through the two peaks stays, at the largest n_k the
+        # count admits, below 2 GiB less the 39 MiB of a dense spectrum
+        # solved beside the dispersion
+        peaks = []
+        for n_k in (4000, 4500):
+            scenario = parse_scenario(minimal(model) + f"\n[dispersion]\nn_k = {n_k}\n")
+            moduli = to_moduli_1d(scenario.material)
+            tracemalloc.start()
+            try:
+                _dispersion(scenario, moduli, None, str(tmp_path), [], [])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / 500
+        assert slope <= _DISPERSION_BYTES_PER_K
+        assert peaks[0] <= 4000 * _DISPERSION_BYTES_PER_K
+        limit = _MAX_ARRAY_BYTES // _DISPERSION_BYTES_PER_K
+        assert peaks[0] + slope * (limit - 4000) <= _MAX_ARRAY_BYTES - 39 * 2**20
 
     @pytest.mark.parametrize("tasks", ["simulate, localization", "backward"])
     def test_kept_state_peak_is_within_the_counted_bytes(self, tasks, tmp_path):
