@@ -14,7 +14,10 @@ tasks read: the energy table and the midpoint dissipation rates for
 simulate, the energies and the end states for the localization probe,
 the form table for backward.  No task holds a whole run, only the
 block it reduces and the next one while it is stepped, and the outputs
-are those of the run's states reduced as one array.
+are those of the run's states reduced as one array.  A scenario makes
+one forward run: simulate and localization read the same one, which
+keeps every step when localization is a task, simulate then taking
+every snapshot_every-th row of its energy table.
 
 The spectrum and the dispersion read only the operator and the moduli.
 When the two are consecutive tasks and 6n is at least
@@ -49,6 +52,8 @@ _ABS_FLOOR = 1e-30  # keeps relative tolerances meaningful near zero energy
 _CSV_CHUNK = 512  # rows per formatting call of _write_csv
 # consecutive tasks whose numbers are computed together (_overlapped)
 _OVERLAPPED = frozenset({"spectrum", "dispersion"})
+# the tasks that read the scenario's one forward run (_forward_run)
+_FORWARD = frozenset({"simulate", "localization"})
 
 
 @dataclass(frozen=True)
@@ -78,18 +83,27 @@ def _write_csv(path: str, header, table: np.ndarray):
             handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _forward_run(scenario: Scenario, op, init, every: int, midpoints: bool):
-    """The scenario's [time] run kept every `every` steps, streamed and
-    reduced (reduce_blocks): its energy table, with midpoints the
-    dissipation rates of the energy balance, and its first and last
-    state."""
+def _forward_run(scenario: Scenario, op, init):
+    """The scenario's [time] run, streamed and reduced (reduce_blocks):
+    its energy table, the dissipation rates of the energy balance when
+    simulate keeps every step, and its first and last state.  The run
+    keeps every step when the localization probe reads it, else every
+    snapshot_every-th."""
+    every = 1 if "localization" in scenario.tasks else scenario.snapshot_every
     blocks = snapshot_blocks(op, init, scenario.dt, scenario.n_steps, every)
-    return reduce_blocks(blocks, op, midpoints=midpoints)
+    return reduce_blocks(blocks, op, midpoints="simulate" in scenario.tasks
+                         and scenario.snapshot_every == 1)
 
 
 def _simulate(scenario: Scenario, run, out_dir, certs, notes):
+    """The simulate task on the forward run of _forward_run, whose every
+    snapshot_every-th row it keeps: a row's energies do not depend on
+    the rows beside it."""
     table, rates, _, _ = run
-    times = snapshot_times(scenario.dt, scenario.n_steps, scenario.snapshot_every)
+    every = scenario.snapshot_every
+    if "localization" in scenario.tasks:
+        table = table[::every]
+    times = snapshot_times(scenario.dt, scenario.n_steps, every)
     _write_csv(os.path.join(out_dir, "energy.csv"), ("t", *_BREAKDOWN),
                np.column_stack([times, table]))
     energies = table[:, 0]
@@ -211,14 +225,11 @@ def _backward(scenario: Scenario, op_bwd, init, out_dir, certs, notes):
         f"K = {funcs.gronwall_k:.6e}"))
 
 
-def _probe(scenario: Scenario, op_bwd, run):
-    """The localization probe on an every-step forward run, given as
-    the (energy table, rates, first, last) of _forward_run."""
+def _localization(scenario: Scenario, op_bwd, run, certs, notes):
+    """The localization task on the every-step forward run of
+    _forward_run."""
     table, _, first, last = run
-    return localization_probe(op_bwd, first, last, scenario.dt, table[:, 0])
-
-
-def _localization(scenario: Scenario, probe, certs, notes):
+    probe = localization_probe(op_bwd, first, last, scenario.dt, table[:, 0])
     if probe.trivial:
         certs.append(Certificate(
             "no finite time extinction", True, "trivial zero state"))
@@ -247,7 +258,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
         f"length = {_fmt(scenario.grid.length)}",
         f"# dt = {_fmt(scenario.dt)}, n_steps = {scenario.n_steps}, "
         "scheme = midpoint",
-        f"# seed = {scenario.init.params.get('seed', 0)}",
+        f"# seed = {scenario.init.value('seed')}",
     ]
     if not scenario.tasks:
         lines.append("no tasks")
@@ -263,12 +274,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     if "backward" in scenario.tasks or "localization" in scenario.tasks:
         op_bwd = assemble_backward(scenario.grid, moduli)
 
-    # an every-step midpoint simulate run is also the probe's forward
-    # run: the first of the two tasks makes the run and the probe, the
-    # other reuses them, and the run's tables are released after simulate
-    shared = ({"simulate", "localization"} <= set(scenario.tasks)
-              and scenario.snapshot_every == 1)
-    run = probe = aborted = None
+    run = aborted = None
     threaded = 6 * op.n >= _THREADED_SECTORS
     ahead = {}  # the overlapped results, by task, until their turn
     for turn, task in enumerate(scenario.tasks):
@@ -276,13 +282,14 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
             if (threaded and task not in ahead
                     and set(scenario.tasks[turn:turn + 2]) == _OVERLAPPED):
                 ahead = _overlapped(scenario, op, moduli)
-            if task == "simulate":
-                every = scenario.snapshot_every
-                run = run or _forward_run(scenario, op, init, every, every == 1)
-                _simulate(scenario, run, out_dir, certs, notes)
-                if shared and probe is None:
-                    probe = _probe(scenario, op_bwd, run)
-                run = None
+            if task in _FORWARD:
+                run = run or _forward_run(scenario, op, init)
+                if task == "simulate":
+                    _simulate(scenario, run, out_dir, certs, notes)
+                else:
+                    _localization(scenario, op_bwd, run, certs, notes)
+                if _FORWARD.isdisjoint(scenario.tasks[turn + 1:]):
+                    run = None  # no later task reads the run
             elif task == "spectrum":
                 _spectrum(scenario, op, ahead.pop(task, None), out_dir, certs, notes)
             elif task == "dispersion":
@@ -290,14 +297,6 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
                             notes)
             elif task == "backward":
                 _backward(scenario, op_bwd, init, out_dir, certs, notes)
-            elif task == "localization":
-                if probe is None:
-                    # simulate, still to come, reuses a shared run
-                    run = _forward_run(scenario, op, init, 1, shared)
-                    probe = _probe(scenario, op_bwd, run)
-                    if not shared:
-                        run = None
-                _localization(scenario, probe, certs, notes)
         except MicrothermError as exc:
             aborted = exc
             break

@@ -1,9 +1,10 @@
 """Scenario files: INI text describing one solver run.
 
 Required sections [material], [grid], [time], [init], [tasks]; optional
-[dispersion], [backward], [output].  Every key is validated against a
-known set, and every number against its range, so bad input fails loudly
-at parse time, before any numerics run.
+[dispersion], [backward], [output].  One table (_KEYS) declares every
+key: its type, its default, and the range of the rule that reads it
+alone; the rules that read several keys follow it in parse_scenario.
+So bad input fails loudly at parse time, before any numerics run.
 
 The [material] section selects model = type2 (conservative) or type3
 (dissipative) and may override any isotropic modulus; unset moduli fall
@@ -15,6 +16,7 @@ under model = type2 is rejected.
 import configparser
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,38 +49,69 @@ _BYTES_PER_KEPT_STATE = 192
 # (at 6n = DENSE_LIMIT spectral_report peaks at 39 MiB under tracemalloc)
 _DISPERSION_BYTES_PER_K = 512
 
-_MATERIAL_KEYS = frozenset({"model"} | {f.name for f in dc_fields(MaterialIsotropic)})
-_GRID_KEYS = frozenset({"n_interior", "length"})
-_TIME_KEYS = frozenset({"dt", "n_steps", "snapshot_every"})
-_INIT_KEYS = frozenset(
-    {"preset", "seed", "amp", "field", "node"}
-    | {f"{name}_mode" for name in FIELDS}
-    | {f"{name}_amp" for name in FIELDS}
-)
-_TASK_KEYS = frozenset({"run"})
-_DISPERSION_KEYS = frozenset({"k_min", "k_max", "n_k"})
-_BACKWARD_KEYS = frozenset({"dt", "n_steps", "eps", "lam"})
-_OUTPUT_KEYS = frozenset({"directory"})
+# a default that is no value: the key must be set, or a rule derives it
+# (an unset modulus is the model's reference material's, build_initial
+# puts an impulse at the middle node)
+_REQUIRED, _REFERENCE, _MIDDLE = "required", "reference material", "n_interior // 2"
+_AT_LEAST_0, _AT_LEAST_1 = (lambda v: v >= 0, ">= 0"), (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "positive")
 
-_SECTION_KEYS = {
-    "material": _MATERIAL_KEYS,
-    "grid": _GRID_KEYS,
-    "time": _TIME_KEYS,
-    "init": _INIT_KEYS,
-    "tasks": _TASK_KEYS,
-    "dispersion": _DISPERSION_KEYS,
-    "backward": _BACKWARD_KEYS,
-    "output": _OUTPUT_KEYS,
+
+def _one_of(choices: tuple):
+    return choices.__contains__, f"one of {choices}"
+
+
+class _Key(NamedTuple):
+    """A scenario key: kind (float, int, str, or tasks, a comma- or
+    space-separated list of _TASKS), its default, and the range where
+    the rule reads this key alone, as (test, text) or None."""
+
+    kind: str
+    default: object
+    rule: tuple = None
+
+
+# every [section] key a scenario file may set, in the order they are read
+_KEYS = {
+    ("material", "model"): _Key("str", _REQUIRED, _one_of(_MODELS)),
+    **{("material", f.name): _Key("float", _REFERENCE) for f in dc_fields(MaterialIsotropic)},
+    ("grid", "n_interior"): _Key("int", _REQUIRED),
+    ("grid", "length"): _Key("float", 1.0),
+    ("time", "dt"): _Key("float", _REQUIRED),
+    ("time", "n_steps"): _Key("int", _REQUIRED, _AT_LEAST_0),
+    ("time", "snapshot_every"): _Key("int", 1, _AT_LEAST_1),
+    ("init", "preset"): _Key("str", _REQUIRED, _one_of(_PRESETS)),
+    ("init", "seed"): _Key("int", 0, _AT_LEAST_0),
+    ("init", "amp"): _Key("float", 1.0),
+    ("init", "field"): _Key("str", "theta", _one_of(FIELDS)),
+    ("init", "node"): _Key("int", _MIDDLE),
+    **{("init", f"{name}_amp"): _Key("float", 0.0) for name in FIELDS},
+    **{("init", f"{name}_mode"): _Key("int", 1) for name in FIELDS},
+    ("tasks", "run"): _Key("tasks", ()),
+    ("dispersion", "k_min"): _Key("float", 0.5, _POSITIVE),
+    ("dispersion", "k_max"): _Key("float", 8.0),
+    ("dispersion", "n_k"): _Key("int", 16, _AT_LEAST_1),
+    ("backward", "dt"): _Key("float", 5e-5),
+    ("backward", "n_steps"): _Key("int", 200, _AT_LEAST_0),
+    ("backward", "eps"): _Key("float", 0.5, (lambda v: 0 < v < 1, "in (0, 1)")),
+    ("backward", "lam"): _Key("float", 2.0, _POSITIVE),
+    ("output", "directory"): _Key("str", ""),
 }
+_SECTIONS = dict.fromkeys(section for section, _ in _KEYS)
 _REQUIRED_SECTIONS = ("material", "grid", "time", "init", "tasks")
 
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial-data recipe; params hold the preset-specific knobs."""
+    """Initial-data recipe; params hold the preset-specific knobs the
+    file sets."""
 
     preset: str
     params: dict = field(default_factory=dict)
+
+    def value(self, key: str):
+        """The [init] key as the file set it, else its default."""
+        return self.params.get(key, _KEYS["init", key].default)
 
 
 @dataclass(frozen=True)
@@ -91,41 +124,51 @@ class Scenario:
     snapshot_every: int
     init: InitSpec
     tasks: tuple
-    k_min: float = 0.5
-    k_max: float = 8.0
-    n_k: int = 16
-    backward_dt: float = 5e-5
-    backward_n_steps: int = 200
-    eps: float = 0.5
-    lam: float = 2.0
-    out_dir: str = ""
+    k_min: float
+    k_max: float
+    n_k: int
+    backward_dt: float
+    backward_n_steps: int
+    eps: float
+    lam: float
+    out_dir: str
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
+def _convert(section: str, key: str, kind: str, raw: str):
+    """The text raw of [section] key as a value of its kind."""
+    if kind == "str":
+        return raw
+    if kind == "tasks":
+        tasks = tuple(raw.replace(",", " ").split())
+        for task in tasks:
+            if task not in _TASKS:
+                raise ParseError(f"unknown task {task!r}, expected one of {_TASKS}")
+        return tasks
     try:
-        value = float(raw)
+        value = float(raw) if kind == "float" else int(raw)
     except ValueError:
-        raise ParseError(
-            f"[{section}] {key}: could not parse {raw!r} as a number"
-        ) from None
+        what = "a number" if kind == "float" else "an integer"
+        raise ParseError(f"[{section}] {key}: could not parse {raw!r} as {what}") from None
     if not math.isfinite(value):
         raise ParseError(f"[{section}] {key}: {raw!r} is not a finite number")
     return value
 
 
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(
-            f"[{section}] {key}: could not parse {raw!r} as an integer"
-        ) from None
-
-
-def _require(parsed, section: str, key: str) -> str:
-    if key not in parsed[section]:
-        raise ParseError(f"missing key '{key}' in [{section}]")
-    return parsed[section][key]
+def _read_keys(parsed: dict) -> dict:
+    """The keys the file sets, by section, each converted to its kind and
+    checked against its own range; an unset required key is an error."""
+    values = {section: {} for section in _SECTIONS}
+    for (section, key), (kind, default, rule) in _KEYS.items():
+        raw = parsed.get(section, {}).get(key)
+        if raw is None:
+            if default == _REQUIRED:
+                raise ParseError(f"missing key '{key}' in [{section}]")
+            continue
+        value = _convert(section, key, kind, raw)
+        if rule is not None and not rule[0](value):
+            raise ParseError(f"[{section}] {key} must be {rule[1]}, got {value!r}")
+        values[section][key] = value
+    return values
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -140,125 +183,64 @@ def parse_scenario(text: str) -> Scenario:
         if name not in parsed:
             raise ParseError(f"missing [{name}] section")
     for name, keys in parsed.items():
-        known = _SECTION_KEYS.get(name)
-        if known is None:
+        if name not in _SECTIONS:
             raise ParseError(f"unknown section [{name}]")
         for key in keys:
-            if key not in known:
+            if (name, key) not in _KEYS:
                 raise ParseError(f"unknown key '{key}' in [{name}]")
+    values = _read_keys(parsed)
 
-    mat_raw = parsed["material"]
-    model = mat_raw.get("model", "").strip()
-    if model not in _MODELS:
-        raise ParseError(
-            f"[material] model must be one of {_MODELS}, got {model!r}"
-        )
-    base = reference_type2() if model == "type2" else reference_type3()
-    overrides = {
-        key: _as_float("material", key, raw)
-        for key, raw in mat_raw.items() if key != "model"
-    }
+    def value(section, key):
+        return values[section].get(key, _KEYS[section, key].default)
+
+    # the rules below read several keys
+    overrides = values["material"]
+    model = overrides.pop("model")
     if model == "type2":
-        if overrides.get("h_cond", 0.0) != 0.0:
-            raise ValidationError(
-                f"type II requires H=0, got h_cond = {overrides['h_cond']}"
-            )
-        for key in ("rho1", "rho2", "rho3"):
-            if overrides.get(key, 0.0) != 0.0:
-                raise ValidationError(
-                    f"type II requires vanishing rate moduli, got {key} = "
-                    f"{overrides[key]}"
-                )
+        for key in ("h_cond", "rho1", "rho2", "rho3"):
+            if overrides.get(key):
+                raise ValidationError(f"type II requires H=0 and vanishing rate moduli, "
+                                      f"got {key} = {overrides[key]}")
+    base = reference_type2() if model == "type2" else reference_type3()
     material = replace(base, **overrides)
     moduli = _reduce(material)  # validate_isotropic, keeping the moduli
     report = _hypotheses(moduli)
     if not report.valid:
         raise ValidationError(str(report))
 
-    grid = Grid1D(
-        n_interior=_as_int("grid", "n_interior", _require(parsed, "grid", "n_interior")),
-        length=_as_float("grid", "length", parsed["grid"].get("length", "1.0")),
-    )
-
-    time_raw = parsed["time"]
-    dt = _as_float("time", "dt", _require(parsed, "time", "dt"))
-    n_steps = _as_int("time", "n_steps", _require(parsed, "time", "n_steps"))
-    snapshot_every = _as_int("time", "snapshot_every",
-                             time_raw.get("snapshot_every", "1"))
-    generators = _generator_blocks(moduli, grid)
-    _check_dt("time", dt, generators)
-    if n_steps < 0 or snapshot_every < 1 or n_steps % snapshot_every:
-        raise ParseError(
-            f"[time] n_steps = {n_steps} must be a nonnegative multiple of "
-            f"snapshot_every = {snapshot_every}"
-        )
-
-    init_raw = parsed["init"]
-    preset = init_raw.get("preset", "").strip()
-    if preset not in _PRESETS:
-        raise ParseError(f"[init] preset must be one of {_PRESETS}, got {preset!r}")
-    params = {}
-    for key, raw in init_raw.items():
-        if key == "preset":
-            continue
-        if key in ("seed", "node"):
-            params[key] = _as_int("init", key, raw)
-            if key == "seed" and params[key] < 0:
-                raise ParseError(f"[init] seed must be >= 0, got {params[key]}")
-        elif key == "field":
-            if raw.strip() not in FIELDS:
-                raise ParseError(f"[init] field must be one of {FIELDS}, got {raw!r}")
-            params[key] = raw.strip()
-        elif key.endswith("_mode"):
-            params[key] = _as_int("init", key, raw)
-        else:
-            params[key] = _as_float("init", key, raw)
-    node = params.get("node", grid.n_interior // 2)
-    if preset == "impulse" and not 0 <= node < grid.n_interior:
-        raise ParseError(
-            f"[init] node = {node} outside the grid nodes 0..{grid.n_interior - 1}")
-    init = InitSpec(preset=preset, params=params)
-
-    run_raw = parsed["tasks"].get("run", "")
-    tasks = tuple(t for t in run_raw.replace(",", " ").split() if t)
-    for task in tasks:
-        if task not in _TASKS:
-            raise ParseError(f"unknown task {task!r}, expected one of {_TASKS}")
-
-    disp = parsed.get("dispersion", {})
-    back = parsed.get("backward", {})
-    out = parsed.get("output", {})
+    params = values["init"]
     scenario = Scenario(
         model=model,
         material=material,
-        grid=grid,
-        dt=dt,
-        n_steps=n_steps,
-        snapshot_every=snapshot_every,
-        init=init,
-        tasks=tasks,
-        k_min=_as_float("dispersion", "k_min", disp.get("k_min", "0.5")),
-        k_max=_as_float("dispersion", "k_max", disp.get("k_max", "8.0")),
-        n_k=_as_int("dispersion", "n_k", disp.get("n_k", "16")),
-        backward_dt=_as_float("backward", "dt", back.get("dt", "5e-5")),
-        backward_n_steps=_as_int("backward", "n_steps", back.get("n_steps", "200")),
-        eps=_as_float("backward", "eps", back.get("eps", "0.5")),
-        lam=_as_float("backward", "lam", back.get("lam", "2.0")),
-        out_dir=out.get("directory", ""),
+        grid=Grid1D(n_interior=value("grid", "n_interior"), length=value("grid", "length")),
+        dt=value("time", "dt"),
+        n_steps=value("time", "n_steps"),
+        snapshot_every=value("time", "snapshot_every"),
+        init=InitSpec(preset=params.pop("preset"), params=params),
+        tasks=value("tasks", "run"),
+        k_min=value("dispersion", "k_min"),
+        k_max=value("dispersion", "k_max"),
+        n_k=value("dispersion", "n_k"),
+        backward_dt=value("backward", "dt"),
+        backward_n_steps=value("backward", "n_steps"),
+        eps=value("backward", "eps"),
+        lam=value("backward", "lam"),
+        out_dir=value("output", "directory"),
     )
+    n = scenario.grid.n_interior
+    generators = _generator_blocks(moduli, scenario.grid)
+    _check_dt("time", scenario.dt, generators)
+    if scenario.n_steps % scenario.snapshot_every:
+        raise ParseError(
+            f"[time] n_steps = {scenario.n_steps} must be a multiple of "
+            f"snapshot_every = {scenario.snapshot_every}")
+    # an unset node is the middle one (build_initial), inside every grid
+    if scenario.init.preset == "impulse" and "node" in params and not 0 <= params["node"] < n:
+        raise ParseError(f"[init] node = {params['node']} outside the grid nodes 0..{n - 1}")
     _check_dt("backward", scenario.backward_dt, generators)
-    if scenario.backward_n_steps < 0:
-        raise ParseError(
-            f"[backward] n_steps must be >= 0, got {scenario.backward_n_steps}")
-    if not 0 < scenario.eps < 1:
-        raise ParseError(f"[backward] eps must be in (0, 1), got {scenario.eps}")
-    if scenario.lam <= 0:
-        raise ParseError(f"[backward] lam must be positive, got {scenario.lam}")
-    if scenario.n_k < 1 or not 0 < scenario.k_min <= scenario.k_max:
-        raise ParseError(
-            f"[dispersion] needs 0 < k_min <= k_max and n_k >= 1, got "
-            f"k_min = {scenario.k_min}, k_max = {scenario.k_max}, n_k = {scenario.n_k}"
-        )
+    if scenario.k_min > scenario.k_max:
+        raise ParseError(f"[dispersion] needs k_min <= k_max, got k_min = "
+                         f"{scenario.k_min}, k_max = {scenario.k_max}")
     _check_sizes(scenario)
     # a huge amplitude can overflow the state or its square x . x, the
     # stepper's range test, whatever the tasks: reject it here, not in a run
@@ -272,15 +254,15 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _generator_blocks(moduli: Moduli1D, grid: Grid1D) -> np.ndarray:
-    """The node blocks of the forward A at the grid's h on at most three
-    nodes, then those of the time-reversed A_bwd = -S A S (S negating
-    the rates): a middle node's blocks are those of every interior node,
-    so their rows hold every row sum of either generator."""
+    """The node blocks of the forward and then of the time-reversed
+    generator (the tables that assemble_operator and assemble_backward
+    read) at the grid's h on at most three nodes: a middle node's blocks
+    are those of every interior node, so their rows hold every row sum
+    of either generator."""
     if grid.n_interior > 3:
         grid = Grid1D(n_interior=3, length=4 * grid.h)  # h = 4h / 4 exactly
-    forward = table_blocks(generator_table(moduli, 1), grid)
-    flip = np.array([1.0, -1.0] * 3)
-    return np.concatenate([forward, -(flip[:, None] * forward * flip)])
+    return np.concatenate([table_blocks(generator_table(moduli, sign), grid)
+                           for sign in (1, -1)])
 
 
 def _check_dt(section: str, dt: float, generators: np.ndarray):
@@ -298,20 +280,25 @@ def _check_dt(section: str, dt: float, generators: np.ndarray):
 
 
 def _check_sizes(scenario: Scenario):
-    """Reject a scenario whose dense spectrum, kept states or
-    dispersion peak would exceed the size limits, before any numerics
-    run."""
+    """Reject a scenario whose initial state, dense spectrum, kept
+    states or dispersion peak would exceed the size limits, before any
+    numerics run."""
     n = scenario.grid.n_interior
     size = 6 * n
+    # the initial state, built for the x . x test whatever the tasks
+    if size * 8 > _MAX_ARRAY_BYTES:
+        raise ParseError(
+            f"[grid] n_interior = {n} makes a state of 6n * 8 = {size * 8} B, above the "
+            f"{_MAX_ARRAY_BYTES // 2**30} GiB limit on a run's arrays")
     if "spectrum" in scenario.tasks and size > DENSE_LIMIT:
         raise ParseError(
             f"task spectrum needs two dense eigensolves of about 3n = {3 * n} "
             f"each, and 6n = {size} is above the limit {DENSE_LIMIT}; "
             f"lower [grid] n_interior")
-    # states kept per run: simulate's every snapshot_every-th step, the
-    # localization probe's every step (whether it shares simulate's run
-    # or makes its own) and every step of the backward run; each is
-    # reduced as its block comes, so whole states count once per block
+    # states kept per run: simulate's every snapshot_every-th step,
+    # every step of the forward run when localization reads it, and every
+    # step of the backward run; each is reduced as its block comes, so
+    # whole states count once per block
     rows = {
         "simulate": scenario.n_steps // scenario.snapshot_every + 1,
         "localization": scenario.n_steps + 1,
@@ -339,23 +326,20 @@ def build_initial(scenario: Scenario) -> np.ndarray:
     grid, spec = scenario.grid, scenario.init
     n = grid.n_interior
     fields = np.zeros((len(FIELDS), n))
-    params = spec.params
     if spec.preset == "sine":
         x = grid.nodes
         for row, name in zip(fields, FIELDS):
-            amp = params.get(f"{name}_amp", 0.0)
+            amp = spec.value(f"{name}_amp")
             if amp:
-                mode = params.get(f"{name}_mode", 1)
-                row[:] = amp * np.sin(mode * np.pi * x / grid.length)
+                row[:] = amp * np.sin(spec.value(f"{name}_mode") * np.pi * x / grid.length)
     elif spec.preset == "impulse":
-        name = params.get("field", "theta")
-        node = params.get("node", n // 2)
+        node = spec.params.get("node", n // 2)  # the _MIDDLE default
         if not 0 <= node < n:
             raise ValidationError(f"impulse node {node} outside 0..{n - 1}")
-        fields[FIELDS.index(name), node] = params.get("amp", 1.0)
+        fields[FIELDS.index(spec.value("field")), node] = spec.value("amp")
     elif spec.preset == "random":
-        rng = np.random.default_rng(params.get("seed", 0))
-        fields = params.get("amp", 1.0) * rng.standard_normal((len(FIELDS), n))
+        rng = np.random.default_rng(spec.value("seed"))
+        fields = spec.value("amp") * rng.standard_normal((len(FIELDS), n))
     elif spec.preset != "zero":
         raise ValidationError(f"unknown preset {spec.preset!r}")
     return fields.ravel()

@@ -96,6 +96,13 @@ INVALID = {
     "init-random-amp-overflow-dispersion-only": (
         "preset = sine\nu_amp = 1.0\n\n[tasks]\nrun = simulate",
         "preset = random\nseed = 3\namp = 1e308\n\n[tasks]\nrun = dispersion", "[init] amp"),
+    # the initial state of 6n floats, built for the x . x test, above
+    # 2 GiB, with no task that steps or solves the spectrum
+    "grid-n_interior-state-above-2GiB": (
+        "n_interior = 16\n\n[time]\ndt = 0.2\nn_steps = 10\n\n[init]\npreset = sine\n"
+        "u_amp = 1.0\n\n[tasks]\nrun = simulate",
+        "n_interior = 1000000000000\n\n[time]\ndt = 0.2\nn_steps = 10\n\n[init]\n"
+        "preset = sine\nu_amp = 1.0\n\n[tasks]\nrun = dispersion", "n_interior"),
 }
 
 

@@ -1,6 +1,6 @@
 """run_scenario makes each scenario's forward midpoint run at most once:
-simulate and localization share it when simulate keeps every midpoint
-step, and the localization probe makes its own run otherwise.  Each run
+simulate and localization share it, an every-step run when localization
+is a task, of which simulate keeps every snapshot_every-th row.  Each run
 is streamed in blocks and never held whole.  From 6n = _THREADED_SECTORS
 up a spectrum and a dispersion that are consecutive tasks are computed
 together, the spectrum on worker threads, with the outputs and the
@@ -87,9 +87,9 @@ def test_every_step_midpoint_run_is_shared(tmp_path, runs, tasks):
     assert len(runs["probe"]) == 1
 
 
-def test_probe_makes_its_own_run_when_simulate_cannot_share(tmp_path, runs):
+def test_strided_simulate_shares_the_every_step_run(tmp_path, runs):
     runner.run_scenario(scenario("simulate, localization", every=2), str(tmp_path))
-    assert runs["runner"] == [2, 1]
+    assert runs["runner"] == [1]
     assert len(runs["probe"]) == 1
 
 
@@ -155,19 +155,27 @@ def test_zero_step_report(tmp_path, amp, first):
 
 
 @pytest.mark.parametrize("model", ["type2", "type3"])
-def test_simulate_output_does_not_depend_on_sharing(tmp_path, model):
+@pytest.mark.parametrize("every", [1, 2])
+def test_simulate_output_does_not_depend_on_sharing(tmp_path, model, every):
+    # energy.csv, and report.txt less the localization lines, are those
+    # of a simulate-only run byte for byte; with every = 2 simulate keeps
+    # every other row of the every-step run
     for name, tasks in (("alone", "simulate"), ("after", "simulate, localization"),
                         ("before", "localization, simulate")):
-        runner.run_scenario(scenario(tasks, model), str(tmp_path / name))
+        runner.run_scenario(scenario(tasks, model, every), str(tmp_path / name))
     energy = (tmp_path / "alone" / "energy.csv").read_bytes()
-    assert (tmp_path / "after" / "energy.csv").read_bytes() == energy
-    assert (tmp_path / "before" / "energy.csv").read_bytes() == energy
+    report = (tmp_path / "alone" / "report.txt").read_text()
+    for name in ("after", "before"):
+        assert (tmp_path / name / "energy.csv").read_bytes() == energy
+        lines = (tmp_path / name / "report.txt").read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(LOCALIZATION_LINES)]
+        assert len(kept) < len(lines) and "".join(kept) == report
 
 
 def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
     # the run is never held whole: when a block is drawn, at most the one
-    # before it is alive, and none is once simulate and the probe are done,
-    # at the turn of the spectrum task that follows them
+    # before it is alive, and none is at the turn of the spectrum task
+    # between simulate and localization, which keep only the run's tables
     refs, turns = [], []
     snapshot_blocks, spectrum = runner.snapshot_blocks, runner._spectrum
 
