@@ -13,14 +13,14 @@ dissipation the per-step balance
     E_{k+1} - E_k = -dt * D((U_k + U_{k+1}) / 2)
 
 holds exactly, D being the gradient-rate quadrature.  MidpointStepper
-steps by a band LU of the reduced rate system, or on small grids by
-the dense step matrix P = 2 (I - dt/2 A)^-1 - I, all derived from the
-operator's node blocks.  Only the band path imports scipy (its BLAS
-and LAPACK band routines and a CSR of A), so a run on small grids
-loads no scipy module.  Every step's backward error on the full
-system is checked before its states leave; a step that misses it
-raises SolveFailure, and one whose norms overflow raises NonFinite, so
-no run returns a non-finite snapshot.
+steps by a band LU of the reduced system on the rates (or at large dt
+the positions), or on small grids by the dense step matrix
+P = 2 (I - dt/2 A)^-1 - I, all derived from the operator's node
+blocks.  Only the band path imports scipy (band routines and CSRs), so
+a run on small grids loads no scipy module.  Every step's backward
+error on the full system is checked before its states leave; a step
+that misses it raises SolveFailure, and one whose norms overflow
+raises NonFinite, so no run returns a non-finite snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -53,11 +53,12 @@ __all__ = [
 # a step's normwise backward error bound (Rigal & Gaches, 1967): 16 u,
 # u = 2^-53, above 3x the largest measured, 4.84 u at dt = 1e50, n = 16
 _ETA_TOL = 16 * 2.0 ** -53
-_BAND = 5  # kl = ku of the node-major reduced rate system
+_BAND = 5  # kl = ku of the node-major reduced system
 _CHUNK = 32  # most steps whose residuals one product checks
 # largest 6n whose steps apply the dense step matrix: one product, with
 # its build spread over 400 steps, beats the band solve's calls
 _DENSE_STEP = 168
+_POSITIONS_ABOVE = 1.0  # h^2 |K| above which the band step solves for the positions
 
 
 class MidpointStepper:
@@ -65,24 +66,29 @@ class MidpointStepper:
 
     Every operator has position rows d(u, tau, R)/dt = (v, theta, M);
     the rate rows read d(v, theta, M)/dt = K (u, tau, R) + C (v, theta, M).
-    A step from the state X solves (I - dt/2 A) Y = X for the midpoint
-    Y and moves to 2 Y - X.  Eliminating the positions,
-    Y_pos = X_pos + dt/2 W, leaves the reduced system
+    A step from the state X solves (I - h A) Y = X, h = dt/2, for the
+    midpoint Y and moves to 2 Y - X.  Eliminating the positions,
+    Y_pos = X_pos + h Y_rate, or the rates, Y_rate = (Y_pos - X_pos) / h,
+    leaves one reduced matrix on the 3n rates or on the 3n positions:
 
-        (I - dt/2 C - dt^2/4 K) W = X_rate + dt/2 K X_pos
+        (I - h C - h^2 K) Y_rate = X_rate + h K X_pos,
+        (I - h C - h^2 K) Y_pos = X_pos - h C X_pos + h X_rate.
 
-    on the 3n midpoint rates W.  In node-major order (the six fields of
-    node 0, then those of node 1, ...) the reduced matrix is banded
-    with kl = ku = 5, its K and C band arrays sliced from the node
-    blocks (DiscreteOperator.a_blocks): LAPACK dgbtrf factors it once.
-    When it made no row interchange, each step solves with two BLAS
-    dtbsv calls, the unit lower and the upper band factor, bitwise what
-    dgbtrs computes at a fraction of its per-column calls; otherwise it
-    solves with dgbtrs.  Inside a run the state stays node-major, so
-    positions and rates are the even and odd entries of one array, and
-    dt/2 K X_pos is one BLAS dgbmv on band storage fused with the sum.
-    The band path imports scipy.linalg for these routines and keeps
-    them on the stepper.
+    The first loses u |X_pos| to cancellation in X_pos + h Y_rate once
+    Y_pos is small, a backward error up to about u sqrt(rho), rho =
+    h^2 |K| (inf-norm); the second loses u |X_pos| / h to the division,
+    about u / rho.  The two meet at rho = 1 (_POSITIONS_ABOVE), so each
+    stepper solves for the rates up to it and for the positions above.
+    In node-major order (the six fields of node 0, then those of node 1,
+    ...) the reduced matrix is banded with kl = ku = 5, its K and C band
+    arrays sliced from the node blocks (DiscreteOperator.a_blocks):
+    LAPACK dgbtrf factors it once.  When it made no row interchange,
+    each step solves with two BLAS dtbsv calls, the unit lower and the
+    upper band factor, bitwise what dgbtrs computes at a fraction of its
+    per-column calls; otherwise it solves with dgbtrs.  Inside a run the
+    state stays node-major, so positions and rates are the even and odd
+    entries of one array, and h K X_pos or -h C X_pos is one CSR product
+    of the state, h K or -h C built once on the position columns.
     When 6n <= _DENSE_STEP no band LU is built and no scipy module is
     loaded: the node blocks are scattered into the dense node-major A,
     I - dt/2 A is inverted once, a step is one product X+ = P X with the
@@ -90,8 +96,7 @@ class MidpointStepper:
     is read back from the two states.  The inverse is kept for the
     refinement, since (P r + r) / 2 loses its small entries at large dt.
 
-    A step is the solve and 2 Y - X, or the product P X, with no sparse
-    product or norm.
+    A step is the solve and 2 Y - X, or the product P X, with no norm.
     Up to _CHUNK steps (and at most a block of states, block_rows) are
     checked at once, by one product of A with their midpoints (one GEMM
     on the dense A, or one node-major CSR product on the band path): the
@@ -137,17 +142,20 @@ class MidpointStepper:
 
         self._a = block_csr(op.a_blocks, node_major=True)
         self._inv = self._p = None
-        self._dgbmv, self._dtbsv, self._dgbtrs = blas.dgbmv, blas.dtbsv, lapack.dgbtrs
+        self._dtbsv, self._dgbtrs = blas.dtbsv, lapack.dgbtrs
         size = 3 * op.n
         # the reduced rate rows: K on the position columns, C on the rate ones
-        self._k_band = _band(op.a_blocks[:, :, 1::2, 0::2])
-        # scipy's dgbmv asks for at least kl + ku + 1 rows; the rows past
-        # size meet only zero band entries, and _solve drops them
-        self._k_rows = max(size, 2 * _BAND + 1)
-        c_band = _band(op.a_blocks[:, :, 1::2, 1::2])
+        k_blocks, c_blocks = op.a_blocks[:, :, 1::2, 0::2], op.a_blocks[:, :, 1::2, 1::2]
+        self._positions = (self._half ** 2 * float(np.abs(k_blocks).sum(axis=(1, 3)).max())
+                           > _POSITIONS_ABOVE)
+        # the right-hand side's product, rate rows by position columns:
+        # -h C for the positions' solve, h K for the rates'
+        rhs = np.zeros_like(op.a_blocks)
+        rhs[:, :, 1::2, 0::2] = (-c_blocks if self._positions else k_blocks) * self._half
+        self._rhs = block_csr(rhs, node_major=True)[1::2]
         # dgbtrf keeps its row interchanges in _BAND extra top rows
         lhs = np.zeros((3 * _BAND + 1, size), order="F")
-        lhs[_BAND:] = -self._half * c_band - self._half ** 2 * self._k_band
+        lhs[_BAND:] = -self._half * _band(c_blocks) - self._half ** 2 * _band(k_blocks)
         lhs[2 * _BAND] += 1.0
         self._lu, self._piv, info = lapack.dgbtrf(lhs, _BAND, _BAND, overwrite_ab=1)
         if info != 0:
@@ -170,24 +178,29 @@ class MidpointStepper:
         """The dense path's step: out = P x, P = 2 (I - dt/2 A)^-1 - I."""
         np.dot(self._p, x, out=out)
 
-    def _solve(self, r: np.ndarray) -> np.ndarray:
-        """Node-major solution of (I - dt/2 A) out = r, dense or by the reduced system."""
+    def _solve(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, the node-major solution of (I - dt/2 A) out = r, dense or
+        by the reduced system."""
         if self._inv is not None:
-            return self._inv @ r
-        size = r.size // 2
-        b = np.zeros(self._k_rows)
-        b[:size] = r[1::2]
-        b = self._dgbmv(self._k_rows, size, _BAND, _BAND, self._half, self._k_band, r,
-                        incx=2, beta=1.0, y=b, overwrite_y=1)[:size]
+            return np.dot(self._inv, r, out=out)
+        b = self._rhs @ r
+        if self._positions:  # x_p - h C x_p + h x_r
+            b += r[0::2]
+            b += self._half * r[1::2]
+        else:  # x_r + h K x_p
+            b += r[1::2]
         if self._triangular is None:
-            rate = self._dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
+            w = self._dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
         else:
             lower, upper = self._triangular
-            rate = self._dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
-            rate = self._dtbsv(_BAND, upper, rate, overwrite_x=1)
-        out = np.empty_like(r)
-        out[1::2] = rate
-        out[0::2] = r[0::2] + self._half * rate
+            w = self._dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
+            w = self._dtbsv(_BAND, upper, w, overwrite_x=1)
+        if self._positions:  # y_r = (y_p - x_p) / h
+            out[0::2] = w
+            np.divide(w - r[0::2], self._half, out=out[1::2])
+        else:  # y_p = x_p + h y_r
+            out[1::2] = w
+            np.add(r[0::2], self._half * w, out=out[0::2])
         return out
 
     def _guard(self, xs: np.ndarray, ys: np.ndarray):
@@ -210,7 +223,7 @@ class MidpointStepper:
         xs = np.empty((rows + 1, x.size))  # a chunk's states x_0 .. x_m
         ys = np.empty((rows, x.size))  # and its midpoints y_0 .. y_{m-1}
         xs[0] = x
-        x_rows = list(xs)  # views, indexed faster than xs itself
+        x_rows, y_rows = list(xs), list(ys)  # views, indexed faster than the arrays
         while n_steps:
             m = min(rows, n_steps)
             if self._p is not None:
@@ -220,9 +233,9 @@ class MidpointStepper:
                 np.add(xs[:m], xs[1:m + 1], out=ys[:m])
                 ys[:m] *= 0.5
             else:
+                solve = self._solve
                 for k in range(m):
-                    y = self._solve(x_rows[k])
-                    ys[k] = y
+                    y = solve(x_rows[k], y_rows[k])
                     np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
             res, squares, _, ok = self._guard(xs[:m + 1], ys[:m])
             j = m if ok.all() else int(ok.argmin())  # the first failing step
@@ -233,7 +246,7 @@ class MidpointStepper:
                 if not np.isfinite([squares[j], r_sq, squares[j + 1]]).all():
                     raise NonFinite(f"midpoint step left the float range: |x| = "
                                     f"{np.sqrt(squares[j]):.3e}, residual = {np.sqrt(r_sq):.3e}")
-                ys[j] -= self._solve(res[j])
+                ys[j] -= self._solve(res[j], np.empty_like(res[j]))
                 np.subtract(ys[j] + ys[j], xs[j], out=xs[j + 1])
                 res, _, bound, ok = self._guard(xs[j:j + 2], ys[j:j + 1])
                 if not ok[0]:

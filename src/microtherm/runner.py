@@ -279,8 +279,7 @@ def run_scenario(scenario: Scenario, out_dir: str = "") -> int:
     ahead = {}  # the overlapped results, by task, until their turn
     for turn, task in enumerate(scenario.tasks):
         try:
-            if (threaded and task not in ahead
-                    and set(scenario.tasks[turn:turn + 2]) == _OVERLAPPED):
+            if threaded and set(scenario.tasks[turn:turn + 2]) == _OVERLAPPED:
                 ahead = _overlapped(scenario, op, moduli)
             if task in _FORWARD:
                 run = run or _forward_run(scenario, op, init)

@@ -140,9 +140,11 @@ def _convert(section: str, key: str, kind: str, raw: str):
         return raw
     if kind == "tasks":
         tasks = tuple(raw.replace(",", " ").split())
-        for task in tasks:
+        for k, task in enumerate(tasks):
             if task not in _TASKS:
                 raise ParseError(f"unknown task {task!r}, expected one of {_TASKS}")
+            if task in tasks[:k]:
+                raise ParseError(f"[tasks] run: task {task!r} is listed twice")
         return tasks
     try:
         value = float(raw) if kind == "float" else int(raw)

@@ -83,6 +83,8 @@ INVALID = {
     "backward-n_steps-negative": ("[tasks]", "[backward]\nn_steps = -3\n\n[tasks]",
                                   "n_steps"),
     "backward-lam-zero": ("[tasks]", "[backward]\nlam = 0\n\n[tasks]", "lam"),
+    # each task at most once: a repeat would run it, and write its files, twice
+    "tasks-run-repeated": ("run = simulate", "run = simulate, simulate", "[tasks] run"),
     "init-seed-negative": ("u_amp = 1.0", "u_amp = 1.0\nseed = -4", "seed"),
     "init-impulse-node-outside-grid": ("preset = sine", "preset = impulse\nnode = 16",
                                        "node"),
@@ -131,9 +133,11 @@ CONTRACT_EDGES = {
     "type3-above-dense-limit": (TYPE3, {"n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
     "type3-one-wavenumber": (TYPE3, {"k_min = 0.5\nk_max = 8.0\nn_k = 16":
                                      "k_min = 3.0\nk_max = 3.0\nn_k = 1"}),
-    # the dense inverse solves the huge-dt step within the guard; the
-    # band solve does not (CONTRACT_BREAKS)
+    # the huge-dt step within the guard: by the dense inverse, and by
+    # the band solve for the positions
     "type3-dt-1e50-dense": (TYPE3, {"dt = 0.01": "dt = 1e50"}),
+    "type3-dt-1e50-band": (
+        TYPE3, {"dt = 0.01": "dt = 1e50", "n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
     # a large grid at a small dt, and a stiff material: large relative
     # residuals, backward errors within the guard
     "type3-n8192-dt1e-4": (
@@ -153,11 +157,6 @@ CONTRACT_BREAKS = {
         TYPE3, {"k_max = 8.0": "k_max = 1e12"},
         "CHANGES.md FOUND on polynomial_frequencies: the root residual guard "
         "rejects k above about 1e11"),
-    "type3-dt-1e50-band": (
-        TYPE3, {"dt = 0.01": "dt = 1e50", "n_interior = 16": f"n_interior = {DENSE_N + 1}"},
-        "CHANGES.md FOUND on scenario._check_dt / MidpointStepper._guard: on the band "
-        "path the reduced band LU's refined step at dt = 1e50 has backward error about "
-        "0.1 (residual 8.0e22 against a bound of 1.1e9), so it is not backward stable"),
 }
 
 

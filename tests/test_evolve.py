@@ -265,6 +265,38 @@ class TestChunkGuard:
                 kept.append(x.copy())
         assert not kept
 
+    # the rates' solve (its product h K x_pos) and the positions' solve
+    # (-h C x_pos)
+    @pytest.mark.parametrize("dt, positions", [(1e-3, False), (1e3, True)])
+    @pytest.mark.parametrize("n", [N_BAND, 512])
+    def test_corrupted_right_hand_side_is_refined_at_every_step(self, monkeypatch, n, dt,
+                                                               positions):
+        # a doubled entry of the product's matrix misses the guard at
+        # every step; it raises no SolveFailure, because the refinement
+        # solves for a residual whose position rows, y_pos - h y_rate -
+        # x_pos, are round-off, so the doubled entry hardly enters the
+        # correction, and the refined step passes
+        monkeypatch.setattr(evolve, "_CHUNK", 1)
+        x0 = _node_major(sine_init(Grid1D(n_interior=n)))
+        clean = drawn(make_stepper("type3", n, dt).states(x0, 40))
+        stepper = make_stepper("type3", n, dt)
+        assert stepper._positions == positions
+        rhs = stepper._rhs.copy()
+        # the entry whose term of the product is largest on these data
+        k = np.argmax(np.abs(rhs.data * x0[rhs.indices]))
+        rhs.data[k] *= 2.0
+        stepper._rhs, solve, calls = rhs, stepper._solve, []
+
+        def counted(r, out):
+            calls.append(1)
+            return solve(r, out)
+
+        stepper._solve = counted
+        kept = drawn(stepper.states(x0, 40))
+        assert len(calls) == 2 * 40  # the step's solve and its refinement
+        err = np.abs(kept - clean).max(axis=1) / np.abs(clean).max(axis=1)
+        assert err.max() <= 1e-11
+
     @pytest.mark.parametrize("lame", [1.0, 1e8])
     def test_corrupted_dense_inverse_raises(self, lame):
         n = 16
@@ -291,19 +323,14 @@ class TestChunkGuard:
         calls (from 1), or on every call when calls is None."""
         method, count = getattr(stepper, name), [0]
 
-        def hit():
-            count[0] += 1
-            return calls is None or count[0] in calls
-
-        def step(x, out):
+        def perturbed(x, out):
             method(x, out)
-            if hit():
+            count[0] += 1
+            if calls is None or count[0] in calls:
                 out += shift
+            return out
 
-        def solve(r):
-            return method(r) + shift if hit() else method(r)
-
-        setattr(stepper, name, step if name == "_step" else solve)
+        setattr(stepper, name, perturbed)
 
     def test_one_perturbed_solve_is_refined(self, monkeypatch):
         n, n_steps = 16, 100
@@ -421,7 +448,8 @@ class TestStepperKernels:
         rng = np.random.default_rng(n)
         for _ in range(3):
             r = rng.standard_normal(2 * size)
-            assert np.array_equal(stepper._solve(r), pivoting._solve(r))
+            assert np.array_equal(stepper._solve(r, np.empty_like(r)),
+                                  pivoting._solve(r, np.empty_like(r)))
 
     def test_reversed_type3_interchanges_rows_and_keeps_dgbtrs(self, monkeypatch):
         # n = 29, the smallest grid on the band path, with dt = 0.01: the
@@ -442,7 +470,7 @@ class TestStepperKernels:
         assert np.any(stepper._piv != np.arange(3 * n))
         assert stepper._triangular is None
         rhs = np.random.default_rng(5).standard_normal(6 * n)
-        got = field_major(stepper._solve(_node_major(rhs)))
+        got = field_major(stepper._solve(_node_major(rhs), np.empty_like(rhs)))
         assert calls == [1]
         lhs = np.eye(6 * n) - 0.5 * dt * stepper.op.a_mat.toarray()
         expected = np.linalg.solve(lhs, rhs)
@@ -460,7 +488,7 @@ class TestStepperKernels:
         rng = np.random.default_rng(n)
         for _ in range(3):
             rhs = rng.standard_normal(6 * n)
-            got = field_major(stepper._solve(_node_major(rhs)))
+            got = field_major(stepper._solve(_node_major(rhs), np.empty_like(rhs)))
             expected = np.linalg.solve(lhs, rhs)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -535,6 +563,28 @@ class TestStepperKernels:
         expected = np.abs(lhs).sum(axis=1).max()
         assert abs(stepper._norm - expected) <= 1e-14 * expected
 
+    @pytest.mark.parametrize("n", [N_BAND, 512])
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    @pytest.mark.parametrize("dt", [1e-3, 1e3])
+    def test_right_hand_side_matrix_is_the_scaled_coo_build(self, n, model, assemble, dt):
+        # the rate rows of h K (rates' solve) or -h C (positions' solve),
+        # h = dt/2, on the position columns, against the COO build of
+        # the generator scaled alike, bit for bit
+        stepper = make_stepper(model, n, dt, assemble)
+        h = dt / 2
+        coo = self.coo_build(stepper)[1::2]
+        want = h * coo[:, 0::2] if not stepper._positions else -h * coo[:, 1::2]
+        want.eliminate_zeros()
+        got = stepper._rhs
+        assert got.shape == (3 * n, 6 * n) and got[:, 1::2].nnz == 0
+        got = got[:, 0::2]
+        for m in (got, want):
+            m.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     def test_csr_product_is_the_generator(self, n, model):
@@ -543,6 +593,44 @@ class TestStepperKernels:
         expected = _node_major(stepper.op.a_mat @ x)
         got = stepper._apply(_node_major(x))
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+class TestElimination:
+    """A band stepper solves its reduced system for the rates, or for the
+    positions when h^2 |K| > _POSITIONS_ABOVE (h = dt/2): one solve,
+    with no refinement, is backward stable at every dt."""
+
+    @staticmethod
+    def backward_error(op, dt, x, y) -> float:
+        """|r| / (|I - dt/2 A| |y| + |x|) with r = (I - dt/2 A) y - x and
+        inf-norms, for node-major x and y; r is summed from the node
+        blocks in long double, so that its own rounding hardly counts."""
+        n = op.n
+        h, blocks = np.longdouble(dt) / 2, op.a_blocks.astype(np.longdouble)
+        nodes = np.zeros((n + 2, 6), dtype=np.longdouble)  # nodes -1 .. n
+        nodes[1:-1] = y.reshape(n, 6)
+        a_y = sum(np.einsum("jab,jb->ja", blocks[:, s], nodes[s:s + n]) for s in range(3))
+        res = nodes[1:-1] - h * a_y - x.reshape(n, 6)
+        lhs = -h * blocks
+        lhs[:, 1] += np.eye(6)
+        norm = np.abs(lhs).sum(axis=(1, 3)).max()
+        return float(np.abs(res).max() / (norm * np.abs(y).max() + np.abs(x).max()))
+
+    # h^2 |K| is 3.0e-3, 0.30, 3.0e3, 3.0e9 and 3.0e103 at n = 29 and
+    # 0.87, 87, 8.7e5 and 8.7e11 at n = 512; on these data the other
+    # elimination's backward error reaches 212 u (positions, forward,
+    # n = 29, dt = 1e-3) and 6.2e14 u (rates, n = 29, dt = 1e50)
+    @pytest.mark.parametrize("n, dt, positions", [
+        (N_BAND, 1e-3, False), (N_BAND, 1e-2, False), (N_BAND, 1.0, True),
+        (N_BAND, 1e3, True), (N_BAND, 1e50, True),
+        (512, 1e-3, False), (512, 1e-2, True), (512, 1.0, True), (512, 1e3, True)])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    def test_one_solve_is_backward_stable(self, n, dt, positions, assemble):
+        stepper = make_stepper("type3", n, dt, assemble)
+        assert stepper._positions == positions
+        x = np.random.default_rng(n).standard_normal(6 * n)
+        y = stepper._solve(x, np.empty_like(x))
+        assert self.backward_error(stepper.op, dt, x, y) <= evolve._ETA_TOL
 
 
 class TestSolverGuard:

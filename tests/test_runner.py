@@ -299,13 +299,14 @@ class TestOverlappedSpectrum:
         monkeypatch.setattr(runner, "spectral_report", recording_report)
         monkeypatch.setattr(runner, "_dispersion_numbers", recording_numbers)
         monkeypatch.setattr(runner, "snapshot_blocks", stepping)
-        tasks = "spectrum, simulate, dispersion, spectrum, backward"
-        scenario = threaded_scenario(tasks, "\n[backward]\ndt = 1e-7\nn_steps = 20\n")
-        assert runner.run_scenario(scenario, str(tmp_path)) == 0
+        for k, tasks in enumerate(("spectrum, simulate, dispersion",
+                                   "dispersion, spectrum, backward")):
+            scenario = threaded_scenario(tasks, "\n[backward]\ndt = 1e-7\nn_steps = 20\n")
+            assert runner.run_scenario(scenario, str(tmp_path / str(k))) == 0
         main = threading.main_thread()
         assert threads[0] is main and threads[1] is not main
         # simulate after the lone spectrum, backward after the pair
-        assert steps == [([], [True]), ([], [True, True, True])]
+        assert steps == [([], [True]), ([], [True, True, True, True])]
         assert other_threads() == []
 
     def test_outputs_equal_the_sequential_run(self, tmp_path, monkeypatch):
