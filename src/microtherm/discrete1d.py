@@ -30,19 +30,16 @@ own in the same layout (generator_table), over the unscaled identity,
 Laplacian and gradient.  A stencil couples a node only with its
 neighbours, so one builder (table_blocks) fills any such matrix as node
 blocks, 6 x 6 blocks of node j with nodes j - 1, j, j + 1.  The node
-blocks of A are the only stored form of the operator, from which the
-stepper, the mirror sectors, the dissipativity identity and, on access,
-the CSR a_mat and g_mat are derived.  Only block_csr, behind a_mat,
-g_mat and the band stepper's guard, imports scipy.sparse; the dense
-stepper's guard product is one GEMM on the node blocks scattered into
-a dense A, so a run on small grids loads no scipy module.  The Gram
-matrix G is the matrix of twice the energy, U^T G U = sum h*(rho v^2 +
-c_cap theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 + 2 m_ur u'R' +
-k_cond (tau')^2 + m_rr (R')^2), and the two structural choices above make sym(G A) = -Q
-exactly, Q the matrix of the dissipation_rate form.  form_values
-evaluates any of the forms at every row of a block of states, and
-diagnostics.reduce_blocks reduces a streamed run block by block through
-the same kernel.
+blocks of A are the only form of the operator, from which the stepper,
+the mirror sectors and the dissipativity identity are derived; only
+the band stepper (evolve) builds a sparse matrix from them, and this
+module imports numpy alone.  The Gram matrix G is the matrix of twice
+the energy, U^T G U = sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) +
+sum_i h*(m_uu (u')^2 + 2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2),
+and the two structural choices above make sym(G A) = -Q exactly, Q the
+matrix of the dissipation_rate form.  form_values evaluates any of the
+forms at every row of a block of states, and diagnostics.reduce_blocks
+reduces a streamed run block by block through the same kernel.
 """
 
 from dataclasses import dataclass
@@ -108,9 +105,7 @@ class DiscreteOperator(NamedTuple):
     a_blocks[j, s + 1, a, b] = A[6j + a, 6(j + s) + b] in node-major
     indices for s = -1, 0, +1, zero past node 0 and node n - 1; forms:
     the tables of form_tables, U^T G U = 2 * energy; time_sign: +1
-    forward, -1 time-reversed.  a_mat and g_mat build the field-major
-    CSR of A and of G on each access (block_csr, which imports
-    scipy.sparse).  Treat as read-only.
+    forward, -1 time-reversed.  Treat as read-only.
     """
 
     a_blocks: np.ndarray
@@ -122,14 +117,6 @@ class DiscreteOperator(NamedTuple):
     @property
     def n(self) -> int:
         return self.grid.n_interior
-
-    @property
-    def a_mat(self) -> "scipy.sparse.csr_matrix":
-        return block_csr(self.a_blocks)
-
-    @property
-    def g_mat(self) -> "scipy.sparse.csr_matrix":
-        return block_csr(form_blocks(self, "total", 2.0))
 
 
 def table_blocks(table: np.ndarray, grid: Grid1D, scales=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -154,24 +141,6 @@ def form_blocks(op: DiscreteOperator, name: str, factor: float = 1.0) -> np.ndar
     form name: U^T F U is the form's value at the stacked state U."""
     h = op.grid.h
     return table_blocks(factor * op.forms[FORMS.index(name)], op.grid, (h, -h, h))
-
-
-def block_csr(blocks: np.ndarray, node_major: bool = False) -> "scipy.sparse.csr_matrix":
-    """The field-major or node-major CSR matrix of node blocks, only the
-    nonzero entries, columns ascending, built with no COO step.  scipy.sparse
-    is imported here, so that only a caller of this loads it."""
-    import scipy.sparse as sp
-
-    n = len(blocks)
-    # 18 entries a row in column order: axes (node, field, offset, field)
-    # node-major, (field, node, field, offset) field-major
-    ordered = np.ascontiguousarray(blocks.transpose((0, 2, 1, 3) if node_major else (2, 0, 3, 1)))
-    at = np.flatnonzero(ordered)
-    row, rest = np.divmod(at, 18)
-    col = row - row % 6 + rest - 6 if node_major else rest // 3 * n + row % n + rest % 3 - 1
-    indptr = np.zeros(6 * n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=6 * n), out=indptr[1:])
-    return sp.csr_matrix((ordered.ravel()[at], col, indptr), shape=(6 * n, 6 * n))
 
 
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:

@@ -288,7 +288,8 @@ def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     jump = np.zeros(len(ks))
     for i in range(2, len(k_all)):
         cur = roots[i - 1]
-        slope = (omega[i - 1] - omega[i - 2]) / (k_all[i - 1] - k_all[i - 2])
+        step = k_all[i - 1] - k_all[i - 2]  # zero at a repeated wavenumber: no slope
+        slope = (omega[i - 1] - omega[i - 2]) / step if step else 0.0
         predicted = omega[i - 1] + slope * (k_all[i] - k_all[i - 1])
         cost = np.abs(predicted[:, None] - cur)
         cols = least_pairing(cost[None])[0]

@@ -16,7 +16,8 @@ holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 steps by a band LU of the reduced system on the rates (or at large dt
 the positions), or on small grids by the dense step matrix
 P = 2 (I - dt/2 A)^-1 - I, all derived from the operator's node
-blocks.  Only the band path imports scipy (band routines and CSRs), so
+blocks by this module's three scatters of them (_dense, _band, _csr).
+Only the band path imports scipy (band routines and CSRs), so
 a run on small grids loads no scipy module.  Every step's backward
 error on the full system is checked before its states leave; a step
 that misses it raises SolveFailure, and one whose norms overflow
@@ -40,7 +41,7 @@ import math
 
 import numpy as np
 
-from .discrete1d import DiscreteOperator, block_csr, block_rows
+from .discrete1d import DiscreteOperator, block_rows
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
@@ -69,10 +70,11 @@ class MidpointStepper:
     A step from the state X solves (I - h A) Y = X, h = dt/2, for the
     midpoint Y and moves to 2 Y - X.  Eliminating the positions,
     Y_pos = X_pos + h Y_rate, or the rates, Y_rate = (Y_pos - X_pos) / h,
-    leaves one reduced matrix on the 3n rates or on the 3n positions:
+    leaves one reduced system on the 3n rates or on the 3n positions,
+    the second divided by h so that no h^2 K can overflow:
 
         (I - h C - h^2 K) Y_rate = X_rate + h K X_pos,
-        (I - h C - h^2 K) Y_pos = X_pos - h C X_pos + h X_rate.
+        (I / h - C - h K) Y_pos = X_pos / h - C X_pos + X_rate.
 
     The first loses u |X_pos| to cancellation in X_pos + h Y_rate once
     Y_pos is small, a backward error up to about u sqrt(rho), rho =
@@ -87,8 +89,8 @@ class MidpointStepper:
     upper band factor, bitwise what dgbtrs computes at a fraction of its
     per-column calls; otherwise it solves with dgbtrs.  Inside a run the
     state stays node-major, so positions and rates are the even and odd
-    entries of one array, and h K X_pos or -h C X_pos is one CSR product
-    of the state, h K or -h C built once on the position columns.
+    entries of one array, and h K X_pos or -C X_pos is one CSR product
+    of the state, h K or -C built once on the position columns.
     When 6n <= _DENSE_STEP no band LU is built and no scipy module is
     loaded: the node blocks are scattered into the dense node-major A,
     I - dt/2 A is inverted once, a step is one product X+ = P X with the
@@ -140,7 +142,7 @@ class MidpointStepper:
             return
         from scipy.linalg import blas, lapack  # the band path alone loads scipy
 
-        self._a = block_csr(op.a_blocks, node_major=True)
+        self._a = _csr(op.a_blocks)
         self._inv = self._p = None
         self._dtbsv, self._dgbtrs = blas.dtbsv, lapack.dgbtrs
         size = 3 * op.n
@@ -149,14 +151,18 @@ class MidpointStepper:
         self._positions = (self._half ** 2 * float(np.abs(k_blocks).sum(axis=(1, 3)).max())
                            > _POSITIONS_ABOVE)
         # the right-hand side's product, rate rows by position columns:
-        # -h C for the positions' solve, h K for the rates'
+        # -C for the positions' solve, h K for the rates'
         rhs = np.zeros_like(op.a_blocks)
-        rhs[:, :, 1::2, 0::2] = (-c_blocks if self._positions else k_blocks) * self._half
-        self._rhs = block_csr(rhs, node_major=True)[1::2]
+        rhs[:, :, 1::2, 0::2] = -c_blocks if self._positions else k_blocks * self._half
+        self._rhs = _csr(rhs)[1::2]
         # dgbtrf keeps its row interchanges in _BAND extra top rows
         lhs = np.zeros((3 * _BAND + 1, size), order="F")
-        lhs[_BAND:] = -self._half * _band(c_blocks) - self._half ** 2 * _band(k_blocks)
-        lhs[2 * _BAND] += 1.0
+        if self._positions:  # I / h - C - h K
+            lhs[_BAND:] = -_band(c_blocks) - self._half * _band(k_blocks)
+            lhs[2 * _BAND] += 1.0 / self._half
+        else:  # I - h C - h^2 K
+            lhs[_BAND:] = -self._half * _band(c_blocks) - self._half ** 2 * _band(k_blocks)
+            lhs[2 * _BAND] += 1.0
         self._lu, self._piv, info = lapack.dgbtrf(lhs, _BAND, _BAND, overwrite_ab=1)
         if info != 0:
             raise SolveFailure(
@@ -184,9 +190,9 @@ class MidpointStepper:
         if self._inv is not None:
             return np.dot(self._inv, r, out=out)
         b = self._rhs @ r
-        if self._positions:  # x_p - h C x_p + h x_r
-            b += r[0::2]
-            b += self._half * r[1::2]
+        if self._positions:  # x_p / h - C x_p + x_r
+            b += r[0::2] / self._half
+            b += r[1::2]
         else:  # x_r + h K x_p
             b += r[1::2]
         if self._triangular is None:
@@ -278,7 +284,24 @@ def _dense(a_blocks: np.ndarray) -> np.ndarray:
     return out[:, :, 1:-1].reshape(6 * n, 6 * n)
 
 
-def _node_major(vec: np.ndarray) -> np.ndarray:
+def _csr(blocks: np.ndarray) -> "scipy.sparse.csr_matrix":
+    """The node-major CSR matrix of node blocks, only the nonzero entries,
+    columns ascending, built with no COO step.  scipy.sparse is imported
+    here, so that only the band path loads it."""
+    import scipy.sparse as sp
+
+    n = len(blocks)
+    # 18 entries a row in column order: axes (node, field, offset, field)
+    ordered = np.ascontiguousarray(blocks.transpose(0, 2, 1, 3))
+    at = np.flatnonzero(ordered)
+    row, rest = np.divmod(at, 18)
+    indptr = np.zeros(6 * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=6 * n), out=indptr[1:])
+    return sp.csr_matrix((ordered.ravel()[at], row - row % 6 + rest - 6, indptr),
+                         shape=(6 * n, 6 * n))
+
+
+def _by_node(vec: np.ndarray) -> np.ndarray:
     """Field-major stacking (all of u, then all of v, ...) to node-major."""
     return vec.reshape(6, -1).T.ravel()
 
@@ -329,7 +352,7 @@ def snapshot_blocks(op: DiscreteOperator, init: np.ndarray, dt: float,
 
 def _blocks(op, vec, dt, n_steps, snapshot_every):
     n, left = op.n, n_steps // snapshot_every + 1
-    x = _node_major(vec)
+    x = _by_node(vec)
     # the initial state is a chunk of its own; skip counts the states to
     # pass before the next kept one, carried across the chunks.
     # MidpointStepper is looked up as a module global at each call, so

@@ -25,7 +25,7 @@ from microtherm import (FIELDS, EigenFailure, Grid1D, MaterialIsotropic, assembl
                         reference_type3, snapshot_blocks, to_moduli_1d,
                         validate_isotropic)
 from microtherm.diagnostics import balance_residuals
-from microtherm.discrete1d import FORMS
+from microtherm.discrete1d import FORMS, generator_table
 
 # ---------------------------------------------------------------------------
 # operators
@@ -111,15 +111,15 @@ def staggered_difference(f, h):
 
 def gram_norm(op, x: np.ndarray) -> float:
     """Energy norm sqrt(U^T G U) = sqrt(2 * energy) of a stacked state."""
-    return float(np.sqrt(max(float(x @ (op.g_mat @ x)), 0.0)))
+    return float(np.sqrt(max(float(x @ (gram_matrix(op) @ x)), 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # assembly oracles: the generator and the form matrices built from COO
-# triplets and block by block with scipy's constructors, whose CSR the
-# node blocks of discrete1d must reproduce byte for byte; the stepper's
-# node-major guard matrix built from COO; and mutations of an operator's
-# node blocks
+# triplets and block by block with scipy's constructors, whose nonzero
+# entries the node blocks of discrete1d must reproduce byte for byte; the
+# node-major CSR of the COO build (that of evolve._csr, the stepper's
+# guard matrix); and mutations of an operator's node blocks
 
 
 def stencil_triplets(n: int, h: float, scales=(1.0, 1.0, 1.0)):
@@ -140,8 +140,8 @@ def table_matrix(table: np.ndarray, n: int, h: float, scales=(1.0, 1.0, 1.0)) ->
     """sum_k kron(table[k], S_k) over the stencils of stencil_triplets,
     built from COO triplets: block (a, b) holds S_k scaled by
     table[k, a, b], and a zero coefficient adds no block.  The oracle of
-    the node blocks of discrete1d, whose field-major CSR (a_mat, g_mat)
-    must equal it byte for byte."""
+    the node blocks of discrete1d, whose node-major CSR (evolve._csr)
+    must equal its node_major_csr byte for byte."""
     rows, cols, data = [], [], []
     for t, (r, c, v) in zip(table, stencil_triplets(n, h, scales)):
         a, b = np.nonzero(t)
@@ -160,11 +160,32 @@ def form_matrix(op, name: str) -> sp.csr_matrix:
     return table_matrix(op.forms[FORMS.index(name)], op.n, h, (h, -h, h))
 
 
+def generator_matrix(op) -> sp.csr_matrix:
+    """The field-major generator A of op's moduli and time orientation:
+    the COO build of generator_table, which op.a_blocks hold entry for
+    entry unless a test has changed them (then blocks_matrix)."""
+    return table_matrix(generator_table(op.moduli, op.time_sign), op.n, op.grid.h)
+
+
+def gram_matrix(op) -> sp.csr_matrix:
+    """The field-major Gram matrix G = 2 F_total, U^T G U = 2 * energy."""
+    return 2.0 * form_matrix(op, "total")
+
+
+def blocks_matrix(blocks: np.ndarray) -> sp.csr_matrix:
+    """The field-major CSR matrix of node blocks (DiscreteOperator.a_blocks),
+    built from COO triplets: the inverse of with_generator's scatter, for
+    blocks that a test has changed."""
+    n = len(blocks)
+    j, s, a, b = np.nonzero(blocks)
+    return sp.csr_matrix((blocks[j, s, a, b], (a * n + j, b * n + j + s - 1)),
+                         shape=(6 * n, 6 * n))
+
+
 def node_major_csr(a_mat: sp.csr_matrix) -> sp.csr_matrix:
     """The nonzero entries of a field-major CSR matrix in node-major
     indices (the six fields of node 0, then those of node 1, ...), as a
-    CSR matrix built from COO triplets: the oracle of the stepper's
-    guard matrix."""
+    CSR matrix built from COO triplets: the oracle of evolve._csr."""
     n = a_mat.shape[0] // 6
     row = np.repeat(np.arange(6 * n), np.diff(a_mat.indptr))
     nonzero = a_mat.data != 0.0
@@ -188,10 +209,13 @@ def with_generator(op, a_mat):
 
 
 def with_entry(op, row, col, value):
-    """op with the field-major generator entry A[row, col] set to value."""
-    a_mat = op.a_mat.tolil()
-    a_mat[row, col] = value
-    return with_generator(op, a_mat)
+    """op with the field-major generator entry A[row, col] set to value,
+    written into a copy of its node blocks."""
+    (a, j), (b, k) = divmod(row, op.n), divmod(col, op.n)
+    assert abs(k - j) <= 1, "only the block tridiagonal is representable"
+    blocks = op.a_blocks.copy()
+    blocks[j, k - j + 1, a, b] = value
+    return op._replace(a_blocks=blocks)
 
 
 def difference_matrices(n, h):

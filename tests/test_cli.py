@@ -133,11 +133,18 @@ CONTRACT_EDGES = {
     "type3-above-dense-limit": (TYPE3, {"n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
     "type3-one-wavenumber": (TYPE3, {"k_min = 0.5\nk_max = 8.0\nn_k = 16":
                                      "k_min = 3.0\nk_max = 3.0\nn_k = 1"}),
+    # a zero step between wavenumbers: the branch matcher's secant
+    "type3-repeated-wavenumber": (TYPE3, {"k_min = 0.5\nk_max = 8.0\nn_k = 16":
+                                          "k_min = 3.0\nk_max = 3.0\nn_k = 3"}),
     # the huge-dt step within the guard: by the dense inverse, and by
     # the band solve for the positions
     "type3-dt-1e50-dense": (TYPE3, {"dt = 0.01": "dt = 1e50"}),
     "type3-dt-1e50-band": (
         TYPE3, {"dt = 0.01": "dt = 1e50", "n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
+    # (dt/2)^2 |K| overflows, and the positions' system divided by h
+    # forms no h^2 K
+    "type3-dt-1e154-band": (
+        TYPE3, {"dt = 0.01": "dt = 1e154", "n_interior = 16": f"n_interior = {DENSE_N + 1}"}),
     # a large grid at a small dt, and a stiff material: large relative
     # residuals, backward errors within the guard
     "type3-n8192-dt1e-4": (

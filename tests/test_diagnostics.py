@@ -16,9 +16,10 @@ from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
                                     mirror_blocks, reduce_blocks)
 from microtherm.discrete1d import FIELDS, FORMS, form_values
 
-from conftest import (collect, fit_decay, gram_norm, other_threads,
-                      product_mirror_blocks, random_state, root_set_distance,
-                      sine_init, staggered_difference, trapezoid_balance, with_entry)
+from conftest import (blocks_matrix, collect, fit_decay, generator_matrix, gram_matrix,
+                      gram_norm, other_threads, product_mirror_blocks, random_state,
+                      root_set_distance, sine_init, staggered_difference, trapezoid_balance,
+                      with_entry)
 
 
 def functionals(states: np.ndarray, dt, op, **kwargs):
@@ -198,11 +199,12 @@ class TestDissipationRate:
     def test_matches_generator_quadratic_form(self, op3, op3_back):
         rng = np.random.default_rng(2)
         for op in (op3, op3_back):
+            a_mat, g_mat = generator_matrix(op), gram_matrix(op)
             for _ in range(20):
                 u = random_state(16, rng)
                 d = energy_table(op, u[None])[0, -1]
-                quad = -float(u @ (op.g_mat @ (op.a_mat @ u)))
-                scale = d + float(u @ (op.g_mat @ u))
+                quad = -float(u @ (g_mat @ (a_mat @ u)))
+                scale = d + float(u @ (g_mat @ u))
                 assert abs(d - quad) <= 1e-10 * scale
 
     def test_nonnegative_forward_and_type2_exact_zero(self, op3, op2):
@@ -321,7 +323,7 @@ class TestSpectralReport:
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_scattered_blocks_equal_the_sparse_products(self, n, reference, assemble):
         op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
-        got, want = mirror_blocks(op.a_blocks), product_mirror_blocks(op.a_mat, n)
+        got, want = mirror_blocks(op.a_blocks), product_mirror_blocks(generator_matrix(op), n)
         assert len(got) == len(want) == 2
         for block, oracle in zip(got, want):
             assert block.dtype == oracle.dtype and block.shape == oracle.shape
@@ -332,7 +334,7 @@ class TestSpectralReport:
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_split_matches_the_full_eigensolve(self, n, reference, assemble):
         op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
-        full = np.linalg.eigvals(op.a_mat.toarray())
+        full = np.linalg.eigvals(generator_matrix(op).toarray())
         split = spectral_report(op).eigenvalues
         assert root_set_distance(split, full) <= 1e-12 * np.abs(full).max()
 
@@ -340,7 +342,7 @@ class TestSpectralReport:
         # the u Laplacian of the v row changed at node 0 but not at its
         # mirror node n - 1
         n = op3.n
-        tampered = with_entry(op3, n, 0, 1.5 * op3.a_mat[n, 0])
+        tampered = with_entry(op3, n, 0, 1.5 * generator_matrix(op3)[n, 0])
         with pytest.raises(EigenFailure, match="node reversal"):
             spectral_report(tampered)
 
@@ -356,7 +358,7 @@ class TestSpectralReport:
         with pytest.raises(EigenFailure, match="node reversal"):
             mirror_blocks(blocks)
         with pytest.raises(EigenFailure, match="node reversal"):
-            product_mirror_blocks(op._replace(a_blocks=blocks).a_mat, n)
+            product_mirror_blocks(blocks_matrix(blocks), n)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):

@@ -9,14 +9,15 @@ from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
                         NonFinite, assemble_backward, assemble_operator, reference_type2,
                         reference_type3, to_moduli_1d)
 from microtherm.diagnostics import _BREAKDOWN
-from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, block_csr, form_blocks,
-                                   form_tables, form_values, generator_table)
-from microtherm.evolve import time_reversal
+from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, form_blocks, form_tables,
+                                   form_values)
+from microtherm.evolve import _csr, time_reversal
 
 from conftest import (bmat_generator, collect, difference_matrices, fields,
-                      first_difference, form_matrix, form_scale, gram_form_values, gram_norm,
-                      kron_form, random_state, random_valid_material, second_difference,
-                      sine_init, staggered_difference, stencil_triplets, table_matrix)
+                      first_difference, form_matrix, form_scale, generator_matrix,
+                      gram_form_values, gram_matrix, gram_norm, kron_form, node_major_csr,
+                      random_state, random_valid_material, second_difference, sine_init,
+                      staggered_difference, stencil_triplets)
 
 
 def stencil_matrices(n, h):
@@ -124,7 +125,8 @@ class TestOperatorAssembly:
         rng = np.random.default_rng(5)
         m, h = moduli3, op3.grid.h
         x = random_state(16, rng)
-        s, out = fields(x), fields(op3.a_mat @ x)
+        a_mat = generator_matrix(op3)
+        s, out = fields(x), fields(a_mat @ x)
         p = m.varpi_plus_hbar
         assert np.array_equal(out["u"], s["v"])
         assert np.array_equal(out["tau"], s["theta"])
@@ -140,7 +142,7 @@ class TestOperatorAssembly:
                  + m.m_rr * second_difference(s["r"], h)
                  + m.m_rr_rate * second_difference(s["m"], h)
                  - p * first_difference(s["theta"], h)) / m.alpha_m
-        scale = np.abs(op3.a_mat @ x).max()
+        scale = np.abs(a_mat @ x).max()
         assert np.abs(out["v"] - v_dot).max() <= 1e-13 * scale
         assert np.abs(out["theta"] - th_dot).max() <= 1e-13 * scale
         assert np.abs(out["m"] - m_dot).max() <= 1e-13 * scale
@@ -157,7 +159,7 @@ class TestOperatorAssembly:
                        + m.alpha_m * mm @ mm + m.m_uu * du @ du
                        + 2.0 * m.m_ur * du @ dr + m.k_cond * dtau @ dtau
                        + m.m_rr * dr @ dr)
-        quad = float(x @ (op3.g_mat @ x))
+        quad = float(x @ (gram_matrix(op3) @ x))
         assert quad == pytest.approx(by_hand, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
@@ -183,7 +185,7 @@ class TestOperatorAssembly:
         op = assemble(grid, m)
         explicit_a = bmat_generator(grid, m, op.time_sign)
         explicit_a.eliminate_zeros()
-        pairs = [("a_mat", op.a_mat, explicit_a), ("g_mat", op.g_mat, explicit_g)]
+        pairs = [("A", generator_matrix(op), explicit_a), ("G", gram_matrix(op), explicit_g)]
         pairs += [(name, form_matrix(op, name), kron_form(op.forms[FORMS.index(name)], n, h))
                   for name in FORMS]
         for name, got, want in pairs:
@@ -195,17 +197,15 @@ class TestOperatorAssembly:
     @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_block_csr_equals_the_coo_assembly_byte_for_byte(self, n, reference, assemble):
-        # a_mat, g_mat and every form's blocks as CSR, built from the node
-        # blocks, against the COO build of the tables that they replaced
-        grid = Grid1D(n_interior=n)
-        m = to_moduli_1d(reference())
-        op, h = assemble(grid, m), grid.h
-        pairs = [("a_mat", op.a_mat, table_matrix(generator_table(m, op.time_sign), n, h)),
-                 ("g_mat", op.g_mat,
-                  table_matrix(2.0 * op.forms[FORMS.index("total")], n, h, (h, -h, h)))]
-        pairs += [(name, block_csr(form_blocks(op, name)), form_matrix(op, name))
-                  for name in FORMS]
-        for name, got, want in pairs:
+        # the node-major CSR (evolve._csr) of the node blocks of A, of 2G
+        # and of every form, against the node-major CSR of the COO build
+        # of their tables
+        op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
+        pairs = [("A", op.a_blocks, generator_matrix(op)),
+                 ("2G", form_blocks(op, "total", 2.0), gram_matrix(op))]
+        pairs += [(name, form_blocks(op, name), form_matrix(op, name)) for name in FORMS]
+        for name, blocks, coo in pairs:
+            got, want = _csr(blocks), node_major_csr(coo)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype, (name, attr)
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
@@ -280,7 +280,7 @@ class TestOperatorAssembly:
         assert (np.abs(got - want) <= 1e-14 * form_scale(op, states, forms, midpoints)).all()
 
     def test_gram_is_symmetric_positive_definite(self, op3):
-        g = op3.g_mat
+        g = gram_matrix(op3)
         assert (g != g.T).nnz == 0
         eigs = np.linalg.eigvalsh(g.toarray())
         assert eigs.min() > 0
@@ -302,29 +302,31 @@ class TestOperatorAssembly:
         rng = np.random.default_rng(7)
         for _ in range(5):
             op = assemble_operator(grid, to_moduli_1d(random_valid_material(rng)))
+            a_mat, g_mat = generator_matrix(op), gram_matrix(op)
             for _ in range(50):
                 u = random_state(16, rng)
-                quad = float(u @ (op.g_mat @ (op.a_mat @ u)))
-                assert quad <= 1e-12 * float(u @ (op.g_mat @ u))
+                quad = float(u @ (g_mat @ (a_mat @ u)))
+                assert quad <= 1e-12 * float(u @ (g_mat @ u))
 
     def test_type2_quadratic_form_vanishes(self):
         grid = Grid1D(n_interior=8)
         op = assemble_operator(grid, to_moduli_1d(reference_type2()))
         rng = np.random.default_rng(8)
+        a_mat, g_mat = generator_matrix(op), gram_matrix(op)
         for _ in range(100):
             u = rng.standard_normal(48)
             u /= np.linalg.norm(u)
-            quad = float(u @ (op.g_mat @ (op.a_mat @ u)))
-            assert abs(quad) <= 1e-12 * float(u @ (op.g_mat @ u))
+            quad = float(u @ (g_mat @ (a_mat @ u)))
+            assert abs(quad) <= 1e-12 * float(u @ (g_mat @ u))
 
     def test_backward_generator_is_reversal_conjugate(self, op3, op3_back, grid16):
         n = grid16.n_interior
         signs = np.concatenate([np.ones(n), -np.ones(n), np.ones(n),
                                 -np.ones(n), np.ones(n), -np.ones(n)])
         s_mat = sp.diags(signs)
-        expected = -(s_mat @ op3.a_mat @ s_mat).toarray()
-        assert np.array_equal(op3_back.a_mat.toarray(), expected)
-        assert op3_back.g_mat is op3.g_mat or (op3_back.g_mat != op3.g_mat).nnz == 0
+        expected = -(s_mat @ generator_matrix(op3) @ s_mat).toarray()
+        assert np.array_equal(generator_matrix(op3_back).toarray(), expected)
+        assert (gram_matrix(op3_back) != gram_matrix(op3)).nnz == 0
         assert op3.time_sign == 1 and op3_back.time_sign == -1
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
@@ -343,10 +345,11 @@ class TestOperatorAssembly:
 
     def test_backward_form_produces_energy(self, op3_back):
         rng = np.random.default_rng(9)
+        a_mat, g_mat = generator_matrix(op3_back), gram_matrix(op3_back)
         for _ in range(20):
             u = random_state(16, rng)
-            quad = float(u @ (op3_back.g_mat @ (op3_back.a_mat @ u)))
-            assert quad >= -1e-12 * float(u @ (op3_back.g_mat @ u))
+            quad = float(u @ (g_mat @ (a_mat @ u)))
+            assert quad >= -1e-12 * float(u @ (g_mat @ u))
 
     def test_invalid_moduli_rejected_at_assembly(self):
         # a NaN fails no comparison, so a modulus is checked finite first
@@ -374,7 +377,7 @@ class TestOperatorAssembly:
             pi = np.pi
             s = np.concatenate([sin(pi * x), sin(2 * pi * x), sin(3 * pi * x),
                                 sin(pi * x), sin(2 * pi * x), sin(3 * pi * x)])
-            got = fields(assemble_operator(Grid1D(n_interior=n), m).a_mat @ s)
+            got = fields(generator_matrix(assemble_operator(Grid1D(n_interior=n), m)) @ s)
             v_dot = (m.m_uu * (-pi ** 2) * sin(pi * x)
                      - m.beta * pi * cos(pi * x)
                      + m.m_ur * (-4 * pi ** 2) * sin(2 * pi * x)) / m.rho

@@ -331,7 +331,7 @@ class TestColdStart:
     def test_small_runs_load_no_scipy(self, tmp_path):
         # the package, check and run of both references and a spectrum
         # and dispersion run at n = 256 import no scipy module: only the
-        # band stepper (6n > evolve._DENSE_STEP) and a_mat/g_mat need it
+        # band stepper (6n > evolve._DENSE_STEP) needs it
         configs = pathlib.Path(dispersion.__file__).parent / "configs"
         wide = tmp_path / "spectral.cfg"
         wide.write_text("[material]\nmodel = type3\n[grid]\nn_interior = 256\n"
@@ -439,6 +439,13 @@ class TestBranches:
     def test_decay_rates_sign(self, moduli3):
         res = solve_branches(moduli3, np.linspace(0.5, 8.0, 8))
         assert res.decay_rates.min() >= -1e-10 * np.abs(res.omega).max()
+
+    def test_repeated_wavenumber_keeps_its_labels(self, moduli3):
+        # a zero step between wavenumbers has no secant: the prediction
+        # is the last frequencies, so the same roots keep their labels
+        res = solve_branches(moduli3, [3.0, 3.0, 3.0])
+        assert np.array_equal(res.omega[1:], res.omega[:2])
+        assert not res.crossings.any()
 
     def test_wavenumber_grid_validation(self, moduli3):
         for bad in ([], [[1.0, 2.0]], [0.5, -1.0], [0.5, 0.0]):
