@@ -21,10 +21,14 @@ __all__ = ["main"]
 
 def _load(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read {path}: not UTF-8 text ({exc.reason} at byte "
+              f"{exc.start})", file=sys.stderr)
         return None
     try:
         return parse_scenario(text)
@@ -72,6 +76,9 @@ def main(argv=None) -> int:
         return run_scenario(scenario, out_dir=args.out)
     except MicrothermError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # making or writing the output directory
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
 

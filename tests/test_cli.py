@@ -92,6 +92,8 @@ INVALID = {
     "init-u_amp-square-overflow": ("u_amp = 1.0", "u_amp = 1e160", "[init] u_amp"),
     "dispersion-n_k-above-2GiB": ("[tasks]", "[dispersion]\nn_k = 1000000000000\n\n[tasks]",
                                   "n_k"),
+    # bytes 0xff 0xfe end the model line (write keeps them as bytes)
+    "file-not-utf-8": ("model = type3", "model = type2\udcff\udcfe", "not UTF-8 text"),
     # the random draws times amp overflow, whether or not a task steps
     "init-random-amp-overflow": ("preset = sine", "preset = random\nseed = 3\namp = 1e308",
                                  "[init] amp"),
@@ -178,8 +180,10 @@ CONTRACT_MENDED = {
 }
 
 def write(tmp_path, text, name="scenario.cfg"):
+    """The text as a UTF-8 file, its lone surrogates U+DC80..U+DCFF
+    written as the bytes 0x80..0xff."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -274,6 +278,21 @@ class TestRun:
         assert "gronwall bound" not in report
         assert "overall: FAIL" in report
         assert not (out / "backward.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "dispersion"])
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_unwritable_output_directory_is_exit_2(self, tmp_path, capsys, command, under):
+        # --out names an existing file, or a path under one: one error
+        # line, no report, and the file left as it was
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "out" if under else taken
+        assert main([command, TYPE2, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "cannot write the output" in captured.err and str(out) in captured.err
+        assert taken.read_text() == "kept\n"
 
     def test_aborted_task_still_writes_a_report(self, tmp_path, capsys):
         # the polynomial route's residual guard rejects k = 1e15 after

@@ -276,40 +276,46 @@ class TestOverlappedSpectrum:
     def test_only_consecutive_tasks_overlap(self, tmp_path, monkeypatch):
         # the spectrum and the dispersion overlap only as neighbours, and
         # the stepping tasks run with no worker alive and no spectral or
-        # dispersion result held
-        spectral_report, numbers = runner.spectral_report, runner._dispersion_numbers
+        # dispersion result, nor their rendered CSV rows, held
         snapshot_blocks = runner.snapshot_blocks
         threads, results, steps = [], [], []
 
-        def recording_report(op):
-            threads.append(threading.current_thread())
-            report = spectral_report(op)
-            results.append(weakref.ref(report))
-            return report
+        class Rows(list):
+            """Rendered rows that a weak reference can follow."""
 
-        def recording_numbers(*args):
-            result = numbers(*args)
-            results.append(weakref.ref(result[0]))
-            return result
+        def recording(name):
+            numbers = getattr(runner, name)
+
+            def recorded(*args):
+                threads.append((name, threading.current_thread()))
+                *values, rows = numbers(*args)
+                rows = Rows(rows)
+                results.extend([weakref.ref(values[0]), weakref.ref(rows)])
+                return (*values, rows)
+            monkeypatch.setattr(runner, name, recorded)
 
         def stepping(*args, **kwargs):
             steps.append((other_threads(), [ref() is None for ref in results]))
             return snapshot_blocks(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "spectral_report", recording_report)
-        monkeypatch.setattr(runner, "_dispersion_numbers", recording_numbers)
+        recording("_spectrum_numbers")
+        recording("_dispersion_numbers")
         monkeypatch.setattr(runner, "snapshot_blocks", stepping)
         for k, tasks in enumerate(("spectrum, simulate, dispersion",
                                    "dispersion, spectrum, backward")):
             scenario = threaded_scenario(tasks, "\n[backward]\ndt = 1e-7\nn_steps = 20\n")
             assert runner.run_scenario(scenario, str(tmp_path / str(k))) == 0
         main = threading.main_thread()
-        assert threads[0] is main and threads[1] is not main
+        on_main = {name: [thread is main for called, thread in threads if called == name]
+                   for name in ("_spectrum_numbers", "_dispersion_numbers")}
+        assert on_main == {"_spectrum_numbers": [True, False],
+                           "_dispersion_numbers": [True, True]}
         # simulate after the lone spectrum, backward after the pair
-        assert steps == [([], [True]), ([], [True, True, True, True])]
+        assert steps == [([], [True] * 2), ([], [True] * 8)]
         assert other_threads() == []
 
-    def test_outputs_equal_the_sequential_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("tasks", ["spectrum, dispersion", "dispersion, spectrum"])
+    def test_outputs_equal_the_sequential_run(self, tmp_path, monkeypatch, tasks):
         # as shipped the spectrum runs off the calling thread; with the
         # threshold above 6n the tasks run one after the other
         spectral_report, threads = runner.spectral_report, []
@@ -319,7 +325,7 @@ class TestOverlappedSpectrum:
             return spectral_report(op)
 
         monkeypatch.setattr(runner, "spectral_report", recording)
-        scenario = threaded_scenario("spectrum, dispersion", "\n[dispersion]\nn_k = 600\n")
+        scenario = threaded_scenario(tasks, "\n[dispersion]\nn_k = 600\n")
         assert runner.run_scenario(scenario, str(tmp_path / "overlapped")) == 0
         monkeypatch.setattr(runner, "_THREADED_SECTORS", 6 * LEAST_THREADED + 1)
         assert runner.run_scenario(scenario, str(tmp_path / "sequential")) == 0
@@ -350,15 +356,15 @@ def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
 
 
 def test_csv_writer_bytes_match_csv_module(tmp_path):
-    # the writer formats whole chunks of rows with one %; its bytes must
-    # be those of csv.writer on format(x, ".17g") row by row
+    # the renderer formats whole chunks of rows with one %; the written
+    # bytes must be those of csv.writer on format(x, ".17g") row by row
     specials = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -12.0, 1e16, 0.1]
     rows = 2 * runner._CSV_CHUNK + 7
     table = np.random.default_rng(3).standard_normal((rows, 5))
     table.ravel()[:len(specials)] = specials
     table[-1] = specials[-5:]
     header = ("t", "E1", "E2", "E3", "calE")
-    runner._write_csv(str(tmp_path / "new.csv"), header, table)
+    runner._write_csv(str(tmp_path / "new.csv"), header, runner._render(list(table.T)))
     with open(tmp_path / "oracle.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

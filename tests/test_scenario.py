@@ -267,13 +267,13 @@ class TestSizeLimits:
             parse_scenario(back.format(self.FIT))
 
     def test_dispersion_counts_its_peak_per_wavenumber(self):
-        # the measured slope of about 489 B per wavenumber, counted as
-        # 512 B: 4194304 wavenumbers fit in 2 GiB
-        fit = 4194304
+        # the measured slope of 608 to 665 B per wavenumber, counted as
+        # 768 B: 2796202 wavenumbers fit in 2 GiB
+        fit = 2796202
         disp = minimal() + "\n[dispersion]\nn_k = {}\n"
         assert parse_scenario(disp.format(fit)).n_k == fit
         # the dispersion command runs this section whatever the task list
-        with pytest.raises(ParseError, match="n_k = 4194305 would need 512 B.*2 GiB"):
+        with pytest.raises(ParseError, match="n_k = 2796203 would need 768 B.*2 GiB"):
             parse_scenario(disp.format(fit + 1))
 
     @pytest.mark.parametrize("model", ["type2", "type3"])
