@@ -14,9 +14,12 @@ dissipation the per-step balance
 
 holds exactly, D being the gradient-rate quadrature.  MidpointStepper
 steps by a band LU of the reduced system on the rates (or at large dt
-the positions), or on small grids by the dense step matrix
-P = 2 (I - dt/2 A)^-1 - I, all derived from the operator's node
-blocks by this module's three scatters of them (_dense, _band, _csr).
+the positions), its upper factor kept as U = U' diag(U) with U' unit
+upper, so that a step's two triangular solves divide by nothing and
+its solution is scaled by 1/diag(U) once; or on small grids by the
+dense step matrix P = 2 (I - dt/2 A)^-1 - I, all derived from the
+operator's node blocks by this module's three scatters of them
+(_dense, _band, _csr).
 Only the band path imports scipy (band routines and CSRs), so
 a run on small grids loads no scipy module.  Every step's backward
 error on the full system is checked before its states leave; a step
@@ -52,7 +55,8 @@ __all__ = [
 ]
 
 # a step's normwise backward error bound (Rigal & Gaches, 1967): 16 u,
-# u = 2^-53, above 3x the largest measured, 4.84 u at dt = 1e50, n = 16
+# u = 2^-53, above 10x the largest measured at dt = 1e-3, 1.40 u (type3
+# reference, n = 16); at large dt steps reach it and are refined
 _ETA_TOL = 16 * 2.0 ** -53
 _BAND = 5  # kl = ku of the node-major reduced system
 _CHUNK = 32  # most steps whose residuals one product checks
@@ -84,10 +88,15 @@ class MidpointStepper:
     In node-major order (the six fields of node 0, then those of node 1,
     ...) the reduced matrix is banded with kl = ku = 5, its K and C band
     arrays sliced from the node blocks (DiscreteOperator.a_blocks):
-    LAPACK dgbtrf factors it once.  When it made no row interchange,
-    each step solves with two BLAS dtbsv calls, the unit lower and the
-    upper band factor, bitwise what dgbtrs computes at a fraction of its
-    per-column calls; otherwise it solves with dgbtrs.  Inside a run the
+    LAPACK dgbtrf factors it once.  When it made no row interchange, the
+    upper factor is split once as U = U' D, D = diag(U): U' is U's band
+    with each column divided by its diagonal entry, and 1/diag(U) is
+    kept.  Each step then solves with two unit-diagonal BLAS dtbsv
+    calls, L and U', at a fraction of dgbtrs's per-column calls and with
+    no division, and scales the solution by 1/diag(U); column scaling
+    of a triangular factor keeps the solve backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 8).
+    Otherwise it solves with dgbtrs.  Inside a run the
     state stays node-major, so positions and rates are the even and odd
     entries of one array, and h K X_pos or -C X_pos is one CSR product
     of the state, h K or -C built once on the position columns.
@@ -109,11 +118,14 @@ class MidpointStepper:
     states before it are yielded; then NonFinite if X . X, r . r or the
     next state's square is not finite, so no non-finite state leaves,
     else one refinement pass by the solve follows, after which the step
-    passes and the run goes on from it, or SolveFailure.
+    passes and the run goes on from it, or SolveFailure.  The steps
+    after a refined one are redone from it: the next chunk is one step,
+    and each passing chunk doubles the next back up to _CHUNK, so a run
+    refined at every step redoes one step per refinement, not a chunk.
     Construction raises SolveFailure when the position rows are not
-    [0 | I], when |I - dt/2 A| overflows, or when the reduced matrix
-    (band path) or I - dt/2 A (dense path) is singular; node blocks keep
-    every row inside the band.
+    [0 | I], when |I - dt/2 A| overflows, when the reduced matrix
+    (band path) or I - dt/2 A (dense path) is singular, or when U' or
+    1/diag(U) is not finite; node blocks keep every row inside the band.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
@@ -167,14 +179,20 @@ class MidpointStepper:
         if info != 0:
             raise SolveFailure(
                 f"midpoint matrix could not be factored: dgbtrf info = {info}")
-        # without a row interchange U keeps the band ku = _BAND, so two
-        # triangular band solves do exactly what dgbtrs does: the unit L
-        # with its multipliers in the _BAND rows under U's diagonal row
-        # (which a unit solve never reads), then U
+        # without a row interchange U keeps the band ku = _BAND: a solve
+        # is the unit L, its multipliers in the _BAND rows under U's
+        # diagonal row (which a unit solve never reads), then the unit U'
+        # of U = U' diag(U), and a product with 1/diag(U)
         self._triangular = None
         if np.array_equal(self._piv, np.arange(size)):
-            self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]),
-                                np.asfortranarray(self._lu[_BAND:2 * _BAND + 1]))
+            upper = self._lu[_BAND:2 * _BAND + 1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                unit, inv_diag = np.asfortranarray(upper / upper[-1]), 1.0 / upper[-1]
+            if not (np.isfinite(unit).all() and np.isfinite(inv_diag).all()):
+                raise SolveFailure(
+                    "midpoint matrix could not be factored: its unit upper factor or "
+                    "1/diag(U) is not finite")
+            self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]), unit, inv_diag)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a node-major state x, or for one in each column of x."""
@@ -198,24 +216,28 @@ class MidpointStepper:
         if self._triangular is None:
             w = self._dgbtrs(self._lu, _BAND, _BAND, b, self._piv, overwrite_b=1)[0]
         else:
-            lower, upper = self._triangular
+            lower, unit, inv_diag = self._triangular
             w = self._dtbsv(_BAND, lower, b, lower=1, diag=1, overwrite_x=1)
-            w = self._dtbsv(_BAND, upper, w, overwrite_x=1)
+            w = self._dtbsv(_BAND, unit, w, diag=1, overwrite_x=1)
+            w *= inv_diag
         if self._positions:  # y_r = (y_p - x_p) / h
             out[0::2] = w
-            np.divide(w - r[0::2], self._half, out=out[1::2])
+            w -= r[0::2]
+            np.divide(w, self._half, out=out[1::2])
         else:  # y_p = x_p + h y_r
             out[1::2] = w
-            np.add(r[0::2], self._half * w, out=out[0::2])
+            w *= self._half
+            np.add(r[0::2], w, out=out[0::2])
         return out
 
-    def _guard(self, xs: np.ndarray, ys: np.ndarray):
-        """Residuals r_k = (I - dt/2 A) ys[k] - xs[k], the squares
-        xs[k] . xs[k] (one row more than ys), the bounds
-        _ETA_TOL (|I - dt/2 A| |ys[k]| + |xs[k]|) and whether each step
-        passes: |r_k| within its bound (inf-norms), xs[k + 1] . xs[k + 1]
-        finite."""
-        res = ys - self._half * self._apply(ys.T).T
+    def _guard(self, xs: np.ndarray, ys: np.ndarray, res: np.ndarray):
+        """Residuals r_k = (I - dt/2 A) ys[k] - xs[k], written into res
+        (in the rows of ys), the squares xs[k] . xs[k] (one row more than
+        ys), the bounds _ETA_TOL (|I - dt/2 A| |ys[k]| + |xs[k]|) and
+        whether each step passes: |r_k| within its bound (inf-norms),
+        xs[k + 1] . xs[k + 1] finite."""
+        np.multiply(self._apply(ys.T).T, self._half, out=res)
+        np.subtract(ys, res, out=res)
         res -= xs[:-1]
         squares = np.einsum("ij,ij->i", xs, xs)
         bound = _ETA_TOL * (self._norm * np.abs(ys).max(axis=1) + np.abs(xs[:-1]).max(axis=1))
@@ -227,11 +249,13 @@ class MidpointStepper:
         in a buffer that later draws overwrite, so copy what to keep."""
         rows = min(_CHUNK, block_rows(self.op.n))
         xs = np.empty((rows + 1, x.size))  # a chunk's states x_0 .. x_m
-        ys = np.empty((rows, x.size))  # and its midpoints y_0 .. y_{m-1}
+        ys = np.empty((rows, x.size))  # its midpoints y_0 .. y_{m-1}
+        rs = np.empty((rows, x.size))  # and their residuals
         xs[0] = x
         x_rows, y_rows = list(xs), list(ys)  # views, indexed faster than the arrays
+        size = rows
         while n_steps:
-            m = min(rows, n_steps)
+            m = min(size, n_steps)
             if self._p is not None:
                 step = self._step
                 for k in range(m):
@@ -241,20 +265,23 @@ class MidpointStepper:
             else:
                 solve = self._solve
                 for k in range(m):
-                    y = solve(x_rows[k], y_rows[k])
-                    np.subtract(y + y, x_rows[k], out=x_rows[k + 1])
-            res, squares, _, ok = self._guard(xs[:m + 1], ys[:m])
+                    y, x_next = solve(x_rows[k], y_rows[k]), x_rows[k + 1]
+                    np.add(y, y, out=x_next)
+                    x_next -= x_rows[k]
+            res, squares, _, ok = self._guard(xs[:m + 1], ys[:m], rs[:m])
             j = m if ok.all() else int(ok.argmin())  # the first failing step
             if j:
                 yield xs[1:j + 1]
+            size = min(2 * size, rows) if j == m else 1
             if j < m:
                 r_sq = np.einsum("ij,ij->i", res[j:j + 1], res[j:j + 1])[0]
                 if not np.isfinite([squares[j], r_sq, squares[j + 1]]).all():
                     raise NonFinite(f"midpoint step left the float range: |x| = "
                                     f"{np.sqrt(squares[j]):.3e}, residual = {np.sqrt(r_sq):.3e}")
                 ys[j] -= self._solve(res[j], np.empty_like(res[j]))
-                np.subtract(ys[j] + ys[j], xs[j], out=xs[j + 1])
-                res, _, bound, ok = self._guard(xs[j:j + 2], ys[j:j + 1])
+                np.add(ys[j], ys[j], out=xs[j + 1])
+                xs[j + 1] -= xs[j]
+                res, _, bound, ok = self._guard(xs[j:j + 2], ys[j:j + 1], rs[j:j + 1])
                 if not ok[0]:
                     raise SolveFailure(
                         f"midpoint step residual {np.abs(res[0]).max():.3e} exceeds its "

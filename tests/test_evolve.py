@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import numpy as np
@@ -251,18 +250,31 @@ class TestChunkGuard:
     @pytest.mark.parametrize("n", [N_BAND, 512])
     def test_corrupted_upper_band_raises(self, n, lame):
         stepper = make_stepper("type3", n, 1e-3, lame=lame)
-        lower, upper = stepper._triangular
-        upper = upper.copy()
-        # one diagonal entry of U, that of v at a node where the sine
-        # data's u is nonzero (the middle one at n = 29 is theta's, which
-        # these data leave at round-off level by symmetry)
-        upper[-1, 3 * (n // 3)] *= 2.0
-        stepper._triangular = (lower, upper)
+        lower, unit, inv_diag = stepper._triangular
+        inv_diag = inv_diag.copy()
+        # one entry of the kept 1/diag(U), that of v at a node where the
+        # sine data's u is nonzero (the middle one at n = 29 is theta's,
+        # which these data leave at round-off level by symmetry)
+        inv_diag[3 * (n // 3)] *= 2.0
+        stepper._triangular = (lower, unit, inv_diag)
         kept = []
         with pytest.raises(SolveFailure, match="residual"):
             for x in stepper.states(_by_node(sine_init(Grid1D(n_interior=n))), 40):
                 kept.append(x.copy())
         assert not kept
+
+    @pytest.mark.parametrize("n", [N_BAND, 512])
+    def test_stored_upper_diagonal_row_is_never_read(self, n):
+        # the unit upper factor's solve reads no diagonal: doubling the
+        # row that stores it changes no state
+        x0 = _by_node(sine_init(Grid1D(n_interior=n)))
+        clean = drawn(make_stepper("type3", n, 1e-3).states(x0, 40))
+        stepper = make_stepper("type3", n, 1e-3)
+        lower, unit, inv_diag = stepper._triangular
+        unit = unit.copy()
+        unit[-1] *= 2.0
+        stepper._triangular = (lower, unit, inv_diag)
+        assert drawn(stepper.states(x0, 40)).tobytes() == clean.tobytes()
 
     # the rates' solve (its product h K x_pos) and the positions' solve
     # (-h C x_pos)
@@ -363,6 +375,25 @@ class TestChunkGuard:
         with pytest.raises(SolveFailure, match="residual"):
             list(stepper.states(x0, 10))
 
+    def test_run_refined_at_every_step_makes_few_products(self):
+        # at dt = 300 every dense step misses the guard and is refined by
+        # the solve; the chunk after a refined step is one step, so the
+        # run makes at most two products with P a step, not one chunk's
+        n, n_steps = 16, 400
+        stepper = make_stepper("type3", n, 300.0)
+        assert stepper._p is not None
+        calls = {"_step": 0, "_solve": 0}
+        for name in calls:
+            def counted(*args, _method=getattr(stepper, name), _name=name):
+                calls[_name] += 1
+                return _method(*args)
+
+            setattr(stepper, name, counted)
+        kept = drawn(stepper.states(_by_node(sine_init(Grid1D(n_interior=n))), n_steps))
+        assert len(kept) == n_steps
+        assert calls["_solve"] == n_steps  # one refinement a step
+        assert calls["_step"] <= 2 * n_steps
+
     def test_stiff_dense_run_steps_by_p(self, monkeypatch):
         # lambda_e = mu_e = 1e4 puts |dt/2 A| near 1.7e5 (17 at the
         # reference): a read-back midpoint's residual, the states'
@@ -429,26 +460,23 @@ class TestChunkGuard:
 
 
 class TestStepperKernels:
-    """The CSR product and the two triangular band solves reproduce the
-    node-major band kernels they replace."""
+    """The CSR product and the two unit triangular band solves, scaled by
+    1/diag(U), stand in for the node-major band kernels they replace."""
 
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("dt", [1e-3, 5e-5])
-    def test_forward_solve_is_dgbtrs_bitwise(self, monkeypatch, n, model, dt):
+    def test_forward_triangular_solve_is_backward_stable(self, monkeypatch, n, model, dt):
         monkeypatch.setattr(evolve, "_DENSE_STEP", 0)  # the band kernels at every n
         stepper = make_stepper(model, n, dt)
         size = 3 * n
         assert np.array_equal(stepper._piv, np.arange(size))
         assert stepper._triangular is not None
-        # the same stepper made to take the dgbtrs path
-        pivoting = copy.copy(stepper)
-        pivoting._triangular = None
         rng = np.random.default_rng(n)
         for _ in range(3):
             r = rng.standard_normal(2 * size)
-            assert np.array_equal(stepper._solve(r, np.empty_like(r)),
-                                  pivoting._solve(r, np.empty_like(r)))
+            y = stepper._solve(r, np.empty_like(r))
+            assert TestElimination.backward_error(stepper.op, dt, r, y) <= evolve._ETA_TOL
 
     def test_reversed_type3_interchanges_rows_and_keeps_dgbtrs(self, monkeypatch):
         # n = 29, the smallest grid on the band path, with dt = 0.01: the
@@ -651,6 +679,24 @@ class TestSolverGuard:
             monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
             with pytest.raises(SolveFailure, match="factored"):
                 MidpointStepper(with_generator(op2, a_mat), dt)
+
+    # a diagonal entry of U whose reciprocal overflows, and one that a
+    # larger entry above it in its column overflows when divided by it
+    @pytest.mark.parametrize("diagonal, above", [(1e-310, None), (1e-10, 1e300)])
+    def test_non_finite_unit_upper_factor_raises(self, monkeypatch, diagonal, above):
+        dgbtrf = scipy.linalg.lapack.dgbtrf
+
+        def scaled(*args, **kwargs):
+            lu, piv, info = dgbtrf(*args, **kwargs)
+            lu[2 * evolve._BAND, 40] = diagonal
+            if above is not None:
+                lu[2 * evolve._BAND - 1, 40] = above
+            return lu, piv, info
+
+        # the band stepper takes its routines from scipy.linalg when built
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", scaled)
+        with pytest.raises(SolveFailure, match="not finite"):
+            make_stepper("type3", N_BAND, 1e-3)
 
     def test_overflowing_midpoint_matrix_raises(self, op2):
         # dv/dt picks up 1e300 u: dt/2 A overflows at dt = 1e10, and a
