@@ -103,7 +103,11 @@ class DiscreteOperator(NamedTuple):
 
     a_blocks: the generator A of dU/dt = A U as (n, 3, 6, 6) node blocks,
     a_blocks[j, s + 1, a, b] = A[6j + a, 6(j + s) + b] in node-major
-    indices for s = -1, 0, +1, zero past node 0 and node n - 1; forms:
+    indices for s = -1, 0, +1, zero past node 0 and node n - 1.  They are
+    one node stencil: table_blocks writes each entry alike at every
+    node, so every node holds the same three blocks but for the two
+    zero end couplings, and evolve.MidpointStepper checks that exactly,
+    since its residual guard applies the stencil to all nodes; forms:
     the tables of form_tables, U^T G U = 2 * energy; time_sign: +1
     forward, -1 time-reversed.  Treat as read-only.
     """

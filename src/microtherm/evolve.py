@@ -20,11 +20,13 @@ its solution is scaled by 1/diag(U) once; or on small grids by the
 dense step matrix P = 2 (I - dt/2 A)^-1 - I, all derived from the
 operator's node blocks by this module's three scatters of them
 (_dense, _band, _csr).
-Only the band path imports scipy (band routines and CSRs), so
+Only the band path imports scipy (band routines and a CSR), so
 a run on small grids loads no scipy module.  Every step's backward
-error on the full system is checked before its states leave; a step
-that misses it raises SolveFailure, and one whose norms overflow
-raises NonFinite, so no run returns a non-finite snapshot.
+error on the full system is checked before its states leave, on both
+paths by the node stencil of I - dt/2 A, three 6 x 6 GEMMs over the
+nodes of a chunk's midpoints; a step that misses it raises
+SolveFailure, and one whose norms overflow raises NonFinite, so no run
+returns a non-finite snapshot.
 
 A run is one stream, and the only way to make one: snapshot_blocks
 takes the initial state as a stacked 6n vector (discrete1d) and steps
@@ -55,11 +57,12 @@ __all__ = [
 ]
 
 # a step's normwise backward error bound (Rigal & Gaches, 1967): 16 u,
-# u = 2^-53, above 10x the largest measured at dt = 1e-3, 1.40 u (type3
-# reference, n = 16); at large dt steps reach it and are refined
+# u = 2^-53, above 10x the largest the guard measured at dt = 1e-3,
+# 1.47 u (type3 reference, n = 16); at large dt steps reach it and are
+# refined
 _ETA_TOL = 16 * 2.0 ** -53
 _BAND = 5  # kl = ku of the node-major reduced system
-_CHUNK = 32  # most steps whose residuals one product checks
+_CHUNK = 32  # most steps whose residuals one guard call checks
 # largest 6n whose steps apply the dense step matrix: one product, with
 # its build spread over 400 steps, beats the band solve's calls
 _DENSE_STEP = 168
@@ -109,12 +112,17 @@ class MidpointStepper:
 
     A step is the solve and 2 Y - X, or the product P X, with no norm.
     Up to _CHUNK steps (and at most a block of states, block_rows) are
-    checked at once, by one product of A with their midpoints (one GEMM
-    on the dense A, or one node-major CSR product on the band path): the
-    normwise backward error of Y, |r| / (|I - dt/2 A| |Y| + |X|) with
-    r = (I - dt/2 A) Y - X and inf-norms, within _ETA_TOL, next state's
-    square finite.  States are yielded only from a passing chunk, as
-    one (m, 6n) view of its states.  At the first failing step the
+    checked at once on the full system: the normwise backward error of
+    Y, |r| / (|I - dt/2 A| |Y| + |X|) with r = (I - dt/2 A) Y - X and
+    inf-norms, within _ETA_TOL, next state's square finite.  Every
+    operator is one node stencil (DiscreteOperator), so the midpoints
+    are kept node-major with a zero ghost node at each end of a row, and
+    (I - dt/2 A) Y for the whole chunk is three GEMMs of its (nodes, 6)
+    rows with the stencil's 6 x 6 blocks, on both paths; construction
+    checks that the operator is that stencil.  Any summation order of r
+    has the same error class (Higham, ch. 3), so the bound holds alike.
+    States are yielded only from a passing chunk, as one (m, 6n) view of
+    its states.  At the first failing step the
     states before it are yielded; then NonFinite if X . X, r . r or the
     next state's square is not finite, so no non-finite state leaves,
     else one refinement pass by the solve follows, after which the step
@@ -123,9 +131,11 @@ class MidpointStepper:
     and each passing chunk doubles the next back up to _CHUNK, so a run
     refined at every step redoes one step per refinement, not a chunk.
     Construction raises SolveFailure when the position rows are not
-    [0 | I], when |I - dt/2 A| overflows, when the reduced matrix
-    (band path) or I - dt/2 A (dense path) is singular, or when U' or
-    1/diag(U) is not finite; node blocks keep every row inside the band.
+    [0 | I], when |I - dt/2 A| overflows, when the node blocks are not
+    one stencil repeated at every node with zero end couplings, when the
+    reduced matrix (band path) or I - dt/2 A (dense path) is singular,
+    or when U' or 1/diag(U) is not finite; node blocks keep every row
+    inside the band.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
@@ -143,10 +153,24 @@ class MidpointStepper:
         self._norm = _midpoint_norm(op.a_blocks, self.dt)
         if not math.isfinite(self._norm):
             raise SolveFailure(f"|I - dt/2 A| = {self._norm} is not a finite float")
+        # the node stencil of A, offsets -1, 0, +1: node 1's left block
+        # (a node with a left neighbour at every n >= 2), node 0's others
+        stencil = np.stack([op.a_blocks[-1, 0], op.a_blocks[0, 1], op.a_blocks[0, 2]])
+        repeated = np.broadcast_to(stencil, op.a_blocks.shape).copy()
+        repeated[0, 0] = repeated[-1, 2] = 0.0
+        if not np.array_equal(op.a_blocks, repeated):
+            raise SolveFailure(
+                "midpoint stepper needs one node stencil: the same node blocks at "
+                "every node, the two end couplings zero")
+        lhs = np.zeros((3, 6, 6))  # the stencil of I - dt/2 A
+        lhs[1] = np.eye(6)
+        lhs -= self._half * stencil
+        # its blocks transposed, the right factors of the guard's GEMMs,
+        # copied to C order: numpy's matmul is slower on the views
+        self._stencil = np.ascontiguousarray(lhs.transpose(0, 2, 1))
         if 6 * op.n <= _DENSE_STEP:
-            self._a = _dense(op.a_blocks)
             try:
-                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * self._a)
+                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * _dense(op.a_blocks))
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(
                     f"midpoint matrix could not be factored: {exc}") from None
@@ -154,7 +178,6 @@ class MidpointStepper:
             return
         from scipy.linalg import blas, lapack  # the band path alone loads scipy
 
-        self._a = _csr(op.a_blocks)
         self._inv = self._p = None
         self._dtbsv, self._dgbtrs = blas.dtbsv, lapack.dgbtrs
         size = 3 * op.n
@@ -194,10 +217,6 @@ class MidpointStepper:
                     "1/diag(U) is not finite")
             self._triangular = (np.asfortranarray(self._lu[2 * _BAND:]), unit, inv_diag)
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for a node-major state x, or for one in each column of x."""
-        return self._a @ x
-
     def _step(self, x: np.ndarray, out: np.ndarray):
         """The dense path's step: out = P x, P = 2 (I - dt/2 A)^-1 - I."""
         np.dot(self._p, x, out=out)
@@ -231,15 +250,23 @@ class MidpointStepper:
         return out
 
     def _guard(self, xs: np.ndarray, ys: np.ndarray, res: np.ndarray):
-        """Residuals r_k = (I - dt/2 A) ys[k] - xs[k], written into res
-        (in the rows of ys), the squares xs[k] . xs[k] (one row more than
-        ys), the bounds _ETA_TOL (|I - dt/2 A| |ys[k]| + |xs[k]|) and
-        whether each step passes: |r_k| within its bound (inf-norms),
-        xs[k + 1] . xs[k + 1] finite."""
-        np.multiply(self._apply(ys.T).T, self._half, out=res)
-        np.subtract(ys, res, out=res)
-        res -= xs[:-1]
-        squares = np.einsum("ij,ij->i", xs, xs)
+        """Residuals r_k = (I - dt/2 A) ys[k] - xs[k], written into res,
+        the squares xs[k] . xs[k] (one row more than ys), the bounds
+        _ETA_TOL (|I - dt/2 A| |ys[k]| + |xs[k]|) and whether each step
+        passes: |r_k| within its bound (inf-norms), xs[k + 1] . xs[k + 1]
+        finite.  The rows of ys and res are node-major with a zero ghost
+        node at each end, (m, 6(n + 2)), so that r is the stencil's three
+        GEMMs on all their nodes at once; res keeps zero ghost nodes."""
+        m, n = len(ys), self.op.n
+        y, r = ys.reshape(-1, 6), res.reshape(-1, 6)
+        left, centre, right = self._stencil
+        np.matmul(y[1:-1], centre, out=r[1:-1])
+        r[1:-1] += y[:-2] @ left
+        r[1:-1] += y[2:] @ right
+        nodes = r.reshape(m, n + 2, 6)
+        nodes[:, 1:-1] -= xs[:-1].reshape(m, n, 6)
+        nodes[:, 0] = nodes[:, -1] = 0.0
+        squares = np.vecdot(xs, xs)
         bound = _ETA_TOL * (self._norm * np.abs(ys).max(axis=1) + np.abs(xs[:-1]).max(axis=1))
         return res, squares, bound, (np.abs(res).max(axis=1) <= bound) & np.isfinite(squares[1:])
 
@@ -249,10 +276,14 @@ class MidpointStepper:
         in a buffer that later draws overwrite, so copy what to keep."""
         rows = min(_CHUNK, block_rows(self.op.n))
         xs = np.empty((rows + 1, x.size))  # a chunk's states x_0 .. x_m
-        ys = np.empty((rows, x.size))  # its midpoints y_0 .. y_{m-1}
-        rs = np.empty((rows, x.size))  # and their residuals
+        # its midpoints y_0 .. y_{m-1}, each row with a zero ghost node at
+        # either end (_guard), steps writing the nodes between, and their
+        # residuals, whose ghost nodes _guard zeroes
+        ys = np.zeros((rows, x.size + 12))
+        rs = np.empty_like(ys)
+        inner = ys[:, 6:-6]
         xs[0] = x
-        x_rows, y_rows = list(xs), list(ys)  # views, indexed faster than the arrays
+        x_rows, y_rows = list(xs), list(inner)  # views, indexed faster than the arrays
         size = rows
         while n_steps:
             m = min(size, n_steps)
@@ -260,8 +291,8 @@ class MidpointStepper:
                 step = self._step
                 for k in range(m):
                     step(x_rows[k], x_rows[k + 1])
-                np.add(xs[:m], xs[1:m + 1], out=ys[:m])
-                ys[:m] *= 0.5
+                np.add(xs[:m], xs[1:m + 1], out=inner[:m])
+                inner[:m] *= 0.5
             else:
                 solve = self._solve
                 for k in range(m):
@@ -274,12 +305,12 @@ class MidpointStepper:
                 yield xs[1:j + 1]
             size = min(2 * size, rows) if j == m else 1
             if j < m:
-                r_sq = np.einsum("ij,ij->i", res[j:j + 1], res[j:j + 1])[0]
+                r_sq = np.vecdot(res[j], res[j])
                 if not np.isfinite([squares[j], r_sq, squares[j + 1]]).all():
                     raise NonFinite(f"midpoint step left the float range: |x| = "
                                     f"{np.sqrt(squares[j]):.3e}, residual = {np.sqrt(r_sq):.3e}")
-                ys[j] -= self._solve(res[j], np.empty_like(res[j]))
-                np.add(ys[j], ys[j], out=xs[j + 1])
+                inner[j] -= self._solve(res[j, 6:-6], np.empty_like(xs[j]))
+                np.add(inner[j], inner[j], out=xs[j + 1])
                 xs[j + 1] -= xs[j]
                 res, _, bound, ok = self._guard(xs[j:j + 2], ys[j:j + 1], rs[j:j + 1])
                 if not ok[0]:

@@ -118,8 +118,8 @@ def gram_norm(op, x: np.ndarray) -> float:
 # assembly oracles: the generator and the form matrices built from COO
 # triplets and block by block with scipy's constructors, whose nonzero
 # entries the node blocks of discrete1d must reproduce byte for byte; the
-# node-major CSR of the COO build (that of evolve._csr, the stepper's
-# guard matrix); and mutations of an operator's node blocks
+# node-major CSR of the COO build (that of evolve._csr, which builds the
+# band stepper's right-hand side); and mutations of an operator's node blocks
 
 
 def stencil_triplets(n: int, h: float, scales=(1.0, 1.0, 1.0)):

@@ -439,7 +439,7 @@ class TestChunkGuard:
     @pytest.mark.parametrize("strided", [False, True], ids=["every", "last"])
     def test_one_solve_per_step_and_none_past_the_end(self, op3, monkeypatch,
                                                       n_steps, strided):
-        calls = dict.fromkeys(("_step", "_solve", "_apply"), 0)
+        calls = dict.fromkeys(("_step", "_solve", "_guard"), 0)
         for name in calls:
             method = getattr(MidpointStepper, name)
 
@@ -451,17 +451,49 @@ class TestChunkGuard:
         every = max(n_steps, 1) if strided else 1
         chunks = -(-n_steps // 32)
         # n = 16: one step product per step on the dense path, one solve
-        # per step on the band path; one sparse product per chunk of 32
+        # per step on the band path; one guard call per chunk of 32
         for limit, per_step in ((evolve._DENSE_STEP, "_step"), (0, "_solve")):
             monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
             calls.update(dict.fromkeys(calls, 0))
             collect(op3, sine_init(op3.grid), 0.01, n_steps, every)
-            assert calls == {"_step": 0, "_solve": 0, per_step: n_steps, "_apply": chunks}
+            assert calls == {"_step": 0, "_solve": 0, per_step: n_steps, "_guard": chunks}
+
+    @pytest.mark.parametrize("limit", [evolve._DENSE_STEP, 0], ids=["dense", "band"])
+    def test_one_row_refinement_through_the_padded_buffers(self, monkeypatch, limit):
+        # a perturbed step is refined by the one-row guard call on the
+        # padded rows of the chunk's buffers, whose ghost nodes stay zero
+        monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
+        n, n_steps = 16, 40
+        x0 = _by_node(sine_init(Grid1D(n_interior=n)))
+        clean = drawn(make_stepper("type3", n, 1e-3).states(x0, n_steps))
+        stepper = make_stepper("type3", n, 1e-3)
+        shift = 1e-9 * np.linalg.norm(x0) * np.eye(x0.size)[7]
+        self.perturb(stepper, {5}, shift, "_step" if limit else "_solve")
+        guard, calls = stepper._guard, []
+
+        def recorded(xs, ys, res):
+            out = guard(xs, ys, res)
+            assert ys.shape == res.shape == (len(xs) - 1, 6 * (n + 2))
+            for rows in (ys, res):
+                ghosts = rows.reshape(len(rows), n + 2, 6)[:, [0, -1]]
+                assert not ghosts.any()
+            calls.append((len(ys), bool(out[3].all())))
+            return out
+
+        stepper._guard = recorded
+        kept = drawn(stepper.states(x0, n_steps))
+        # the first chunk misses at its fifth step, the refinement's
+        # one-row call passes, and the chunk after it is one step
+        assert calls[:3] == [(32, False), (1, True), (1, True)]
+        assert len(kept) == n_steps and np.array_equal(kept[:4], clean[:4])
+        err = np.abs(kept - clean).max(axis=1) / np.abs(clean).max(axis=1)
+        assert err.max() <= 1e-14
 
 
 class TestStepperKernels:
-    """The CSR product and the two unit triangular band solves, scaled by
-    1/diag(U), stand in for the node-major band kernels they replace."""
+    """The right-hand side's CSR product and the two unit triangular band
+    solves, scaled by 1/diag(U), stand in for the node-major band kernels
+    they replace, and the guard's stencil GEMMs for the generator."""
 
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
@@ -551,30 +583,22 @@ class TestStepperKernels:
         the stepper's generator table's field-major CSR."""
         return node_major_csr(generator_matrix(stepper.op))
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 17, N_BAND - 1])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, N_BAND - 1, N_BAND, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
-    def test_dense_guard_matrix_equals_the_coo_build(self, n, model, assemble):
-        # the dense A scattered from the node blocks against the dense
-        # form of the COO build, bit for bit
-        stepper = make_stepper(model, n, 1e-3, assemble)
-        assert stepper._p is not None
-        want = self.coo_build(stepper).toarray()
-        assert stepper._a.dtype == want.dtype and stepper._a.shape == want.shape
-        assert stepper._a.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [N_BAND, 512])
-    @pytest.mark.parametrize("model", ["type2", "type3"])
-    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
-    def test_band_guard_matrix_equals_the_coo_build(self, n, model, assemble):
-        # the node-major CSR made from the node blocks against the COO
-        # build, byte for byte
-        stepper = make_stepper(model, n, 1e-3, assemble)
-        assert stepper._p is None
-        want = self.coo_build(stepper)
-        for attr in ("indptr", "indices", "data"):
-            got, expected = getattr(stepper._a, attr), getattr(want, attr)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), attr
+    def test_guard_stencil_equals_the_coo_build(self, n, model, assemble):
+        # the guard's stencil of I - h A, h = dt/2, expanded to node
+        # blocks (zero end couplings), against the node blocks of I - h
+        # times the COO build, bit for bit
+        dt = 1e-3
+        stepper = make_stepper(model, n, dt, assemble)
+        got = np.broadcast_to(stepper._stencil.transpose(0, 2, 1), (n, 3, 6, 6)).copy()
+        got[0, 0] = got[-1, 2] = 0.0
+        lhs = (sp.identity(6 * n) - (dt / 2) * self.coo_build(stepper)).tocoo()
+        (j, a), (col, b) = np.divmod(lhs.row, 6), np.divmod(lhs.col, 6)
+        want = np.zeros((n, 3, 6, 6))
+        want[j, col - j + 1, a, b] = lhs.data
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 16, N_BAND])
     @pytest.mark.parametrize("model", ["type2", "type3"])
@@ -613,12 +637,20 @@ class TestStepperKernels:
 
     @pytest.mark.parametrize("n", [2, 16, 512])
     @pytest.mark.parametrize("model", ["type2", "type3"])
-    def test_csr_product_is_the_generator(self, n, model):
-        stepper = make_stepper(model, n, 1e-3)
-        x = np.random.default_rng(n + 1).standard_normal(6 * n)
-        expected = _by_node(generator_matrix(stepper.op) @ x)
-        got = stepper._apply(_by_node(x))
-        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+    def test_guard_residual_is_the_generators(self, n, model):
+        # the stencil's GEMMs on random (x, y) against the residual summed
+        # from the node blocks in long double: apart by the rounding of a
+        # residual, within the guard's bound
+        dt = 1e-3
+        stepper = make_stepper(model, n, dt)
+        rng = np.random.default_rng(n + 1)
+        xs, y = rng.standard_normal((2, 6 * n)), rng.standard_normal(6 * n)
+        ys = np.zeros((1, 6 * (n + 2)))
+        ys[0, 6:-6] = y
+        res, _, bound, _ = stepper._guard(xs, ys, np.empty_like(ys))
+        expected = TestElimination.residual(stepper.op, dt, xs[0], y)
+        assert np.abs(res[0, 6:-6] - expected).max() <= bound[0]
+        assert not res[0, :6].any() and not res[0, -6:].any()
 
 
 class TestElimination:
@@ -627,19 +659,26 @@ class TestElimination:
     with no refinement, is backward stable at every dt."""
 
     @staticmethod
-    def backward_error(op, dt, x, y) -> float:
-        """|r| / (|I - dt/2 A| |y| + |x|) with r = (I - dt/2 A) y - x and
-        inf-norms, for node-major x and y; r is summed from the node
-        blocks in long double, so that its own rounding hardly counts."""
+    def residual(op, dt, x, y) -> np.ndarray:
+        """r = (I - dt/2 A) y - x for node-major x and y, summed from the
+        node blocks in long double, so that its own rounding hardly
+        counts."""
         n = op.n
         h, blocks = np.longdouble(dt) / 2, op.a_blocks.astype(np.longdouble)
         nodes = np.zeros((n + 2, 6), dtype=np.longdouble)  # nodes -1 .. n
         nodes[1:-1] = y.reshape(n, 6)
         a_y = sum(np.einsum("jab,jb->ja", blocks[:, s], nodes[s:s + n]) for s in range(3))
-        res = nodes[1:-1] - h * a_y - x.reshape(n, 6)
+        return (nodes[1:-1] - h * a_y - x.reshape(n, 6)).ravel()
+
+    @staticmethod
+    def backward_error(op, dt, x, y) -> float:
+        """|r| / (|I - dt/2 A| |y| + |x|) with r = (I - dt/2 A) y - x and
+        inf-norms, for node-major x and y, r and the norm in long double."""
+        h, blocks = np.longdouble(dt) / 2, op.a_blocks.astype(np.longdouble)
         lhs = -h * blocks
         lhs[:, 1] += np.eye(6)
         norm = np.abs(lhs).sum(axis=(1, 3)).max()
+        res = TestElimination.residual(op, dt, x, y)
         return float(np.abs(res).max() / (norm * np.abs(y).max() + np.abs(x).max()))
 
     # h^2 |K| is 3.0e-3, 0.30, 3.0e3, 3.0e9 and 3.0e103 at n = 29 and
@@ -704,6 +743,24 @@ class TestSolverGuard:
         # error reports it, with no overflow warning
         with pytest.raises(SolveFailure, match="not a finite"):
             MidpointStepper(with_entry(op2, 16, 0, 1e300), 1e10)
+
+    @pytest.mark.parametrize("limit", [evolve._DENSE_STEP, 0], ids=["dense", "band"])
+    @pytest.mark.parametrize("end", [False, True], ids=["interior", "end"])
+    def test_operator_off_its_node_stencil_raises(self, op2, monkeypatch, limit, end):
+        # the u Laplacian of the v row doubled at node 5, or node 0's
+        # blocks given the coupling past the boundary that the other
+        # nodes have on the left: the position rows keep [0 | I], and the
+        # guard's stencil would not be the operator
+        monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
+        n = op2.n
+        if end:
+            blocks = op2.a_blocks.copy()
+            blocks[0, 0] = blocks[1, 0]
+            tampered = op2._replace(a_blocks=blocks)
+        else:
+            tampered = with_entry(op2, n + 5, 5, 2.0 * generator_matrix(op2)[n + 5, 5])
+        with pytest.raises(SolveFailure, match="one node stencil"):
+            MidpointStepper(tampered, 0.01)
 
     @pytest.mark.parametrize("row, col, value", [
         (0, 16, 2.0),    # du/dt = 2 v
