@@ -8,22 +8,22 @@ function takes a grid of n_k wavenumbers at once and returns (n_k, ...)
 arrays; frequencies come as (n_k, 6), rows sorted by (real, imag).  Two
 independent routes, each one stacked eigensolve, are kept side by side:
 
-* the (n_k, 6, 6) companion matrices of the degree-6 polynomial
-  assembled by permutation expansion of the determinant of
-  characteristic_matrix, written by hand from the second-order
-  equations;
+* the (n_k, 6, 6) scaled first companion linearizations of the
+  quadratic eigenproblem M(omega) v = 0, M from characteristic_matrix,
+  written by hand from the second-order equations;
 * the (n_k, 6, 6) Fourier symbols (d/dx -> ik) of the generator the
   stepper runs, read from discrete1d.generator_table, whose
   eigenvalues s map through omega = i s.
 
 Agreement of the two root sets is a correctness certificate, so neither
-route is ever expressed in terms of the other, and a wrong coefficient
-in the stepper's table shows as a disagreement.  Root sets are compared,
+route is ever expressed in terms of the other, and it is the one check
+of each root: a wrong coefficient in the stepper's table or in
+characteristic_matrix shows as a disagreement.  Root sets are compared,
 and branches followed from one wavenumber to the next, through the
 least-sum pairing of six roots (least_pairing), exact over all 720
-pairings and vectorized over the grid.  Conservative moduli
-yield real frequencies (no temporal decay) with k-independent phase
-speeds; rate terms bend the roots into the lower half plane.
+pairings and vectorized over the grid.  Conservative moduli yield real
+frequencies (no temporal decay) with k-independent phase speeds; rate
+terms bend the roots into the lower half plane.
 """
 
 import itertools
@@ -42,23 +42,17 @@ __all__ = [
     "solve_branches",
 ]
 
-_RESIDUAL_TOL = 1e-8   # relative to the magnitude-weighted coefficient scale
 _JUMP_FRACTION = 0.1   # branch jump above this fraction of the scale flags a crossing
-# wavenumbers per block of the stacked evaluations (polynomial_frequencies,
+# wavenumbers per block of the stacked evaluations (quadratic_frequencies,
 # symbol_frequencies, root_distances): their (n_k, 6, 6) temporaries of
 # 576 B a wavenumber would otherwise grow with the grid, and the runner
 # computes them while the dense spectrum's sector blocks are alive on
-# its worker threads (n = 256 spectrum and 4000 wavenumbers: 94.3 MiB
-# peak RSS with the grid whole, 90.4-90.7 in blocks of 512, 88.5-88.9
-# with the tasks one after the other).  Every row is computed on its own,
-# so the results do not depend on the block size
+# its worker threads (n = 256 spectrum and 4000 wavenumbers, a CLI run's
+# ru_maxrss: 57.3-57.7 MiB with the grid whole, 54.0-55.1 in blocks of
+# 512, 51.6-52.2 with the tasks one after the other).  Every row is
+# computed on its own, so the results do not depend on the block size
 _K_BLOCK = 512
 
-# the six permutations of {0,1,2} with their signs
-_PERMS = (
-    ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-    ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0),
-)
 # the 720 pairings of six roots, in lexicographic order
 _PAIRINGS = np.array(list(itertools.permutations(range(6))))
 _SIX = np.arange(6)
@@ -94,47 +88,6 @@ def characteristic_matrix(m: Moduli1D, k_values) -> np.ndarray:
     return c
 
 
-def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise np.convolve(a[i], v[i]), bit for bit: each coefficient is
-    np.convolve's complex BLAS dot (longer operand first), as one stacked
-    matmul on contiguous operands; strided ones would leave BLAS."""
-    if v.shape[1] > a.shape[1]:
-        a, v = v, a
-    n1, n2 = a.shape[1], v.shape[1]
-    rev = v[:, ::-1]
-    out = np.empty((len(a), n1 + n2 - 1), dtype=complex)
-    for t in range(n1 + n2 - 1):
-        lo, hi = max(0, t - n2 + 1), min(t, n1 - 1) + 1
-        x = np.ascontiguousarray(a[:, lo:hi])[:, None, :]
-        y = np.ascontiguousarray(rev[:, n2 - 1 - t + lo:n2 - 1 - t + hi])[:, :, None]
-        out[:, t] = (x @ y)[:, 0, 0]
-    return out
-
-
-def det_coefficients(m: Moduli1D, k_values) -> np.ndarray:
-    """Ascending coefficients of det(M(omega)), degree 6, as (n_k, 7):
-    permutation expansion with per-entry quadratics multiplied as
-    polynomials, no matrix inversions, so exact up to round-off."""
-    entry = characteristic_matrix(m, k_values)
-    n_k = len(entry)
-    # the six permutations' products stacked along rows, one factor at a time
-    prod = np.ones((6 * n_k, 1), dtype=complex)
-    for row in range(3):
-        prod = _convolve_rows(prod, np.concatenate([entry[:, :, row, p[row]] for p, _ in _PERMS]))
-    total = np.zeros((n_k, 7), dtype=complex)
-    for (_, sign), part in zip(_PERMS, prod.reshape(6, n_k, 7)):
-        total += sign * part
-    return total
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row's ascending polynomial at that row's points, by Horner."""
-    y = np.zeros_like(x)
-    for c in coeffs[:, ::-1].T:
-        y = y * x + c[:, None]
-    return y
-
-
 def _blockwise(fn, *rows) -> np.ndarray:
     """fn of consecutive _K_BLOCK-row slices of the arrays rows, in
     order, the results concatenated; an error raised for one block
@@ -148,43 +101,44 @@ def _sorted(freqs: np.ndarray) -> np.ndarray:
     return np.take_along_axis(freqs, order, axis=-1)
 
 
-def polynomial_frequencies(m: Moduli1D, k_values) -> np.ndarray:
-    """The determinant polynomial's roots, (n_k, 6), rows sorted by
-    (real, imag).  Raises RootFailure at the first wavenumber whose
-    coefficients, companion or residuals leave the float range (too
-    large for this route) or whose root misses the residual guard.
-    The grid is solved _K_BLOCK wavenumbers at a time."""
-    return _blockwise(lambda ks: _polynomial_block(m, ks), _wavenumbers(k_values))
+def quadratic_frequencies(m: Moduli1D, k_values) -> np.ndarray:
+    """The roots of det(M(omega)) = 0, (n_k, 6), rows sorted by (real,
+    imag): the eigenvalues mu of the first companion linearization
+    [[-m1 / (d gamma), -m0 / (d gamma^2)], [I, 0]] of characteristic_matrix,
+    d = diag(m2), times gamma = sqrt(|m0| / |m2|) (largest real or
+    imaginary part; 1 where 0 or not finite), so that mu is of order one
+    at every k (Fan, Lin & Van Dooren, SIAM J. Matrix Anal. Appl. 26(1),
+    2004).  Raises RootFailure at the first wavenumber whose
+    linearization or roots leave the float range (k^2 overflows from k
+    of about 1.3e154).  _K_BLOCK wavenumbers at a time."""
+    return _blockwise(lambda ks: _quadratic_block(m, ks), _wavenumbers(k_values))
 
 
-def _polynomial_block(m: Moduli1D, ks: np.ndarray) -> np.ndarray:
-    # companions as the one-polynomial root finder builds them, of the
-    # max-scaled coefficients; a row out of float range gets a stand-in
+def _quadratic_block(m: Moduli1D, ks: np.ndarray) -> np.ndarray:
+    # a row out of float range gets a stand-in, and is named below
     with np.errstate(all="ignore"):
-        coeffs = det_coefficients(m, ks)
-        p = coeffs[:, ::-1] / np.abs(coeffs).max(axis=1, keepdims=True)
-        top = -p[:, 1:] / p[:, :1]
-    finite = np.isfinite(top).all(axis=1)
-    companion = np.zeros((len(ks), 6, 6), dtype=complex)
-    companion[:, 0, :] = np.where(finite[:, None], top, 0.0)
-    companion[:, range(1, 6), range(5)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    # certify every root against the full polynomial, weighting by
-    # coefficient magnitudes so the guard is scale-free
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.abs(_horner(coeffs, roots))
-        bound = _horner(np.abs(coeffs), np.abs(roots))
-    bad = ~((value <= _RESIDUAL_TOL * bound) & (_RESIDUAL_TOL * bound < np.inf))
-    failed = ~finite | bad.any(axis=1)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if not finite[i]:
-            raise RootFailure(
-                f"determinant coefficients leave the float range at k = {float(ks[i])}")
-        j = int(np.argmax(bad[i]))
-        raise RootFailure(
-            f"root residual {value[i, j]:.3e} exceeds {_RESIDUAL_TOL:.0e} "
-            f"* {bound[i, j]:.3e} at k = {float(ks[i])}")
+        c = characteristic_matrix(m, ks)
+        d = -c[0, 2].diagonal().real[:, None]  # -diag(m2), one row each
+        # float views, real and imaginary parts side by side: divided as
+        # reals, since numpy's complex by real division forms 1/d
+        m0, m1 = c[:, 0].view(float), c[:, 1].view(float)
+        gamma = np.sqrt(np.abs(m0).max(axis=(1, 2)) / np.abs(d).max())
+        gamma[~((gamma > 0) & (gamma < np.inf))] = 1.0
+        g = gamma[:, None, None]
+        a = np.zeros((len(ks), 6, 6), dtype=complex)
+        top = a[:, :3].view(float)
+        np.divide(m1, d, out=top[:, :, :6])
+        np.divide(m0, d, out=top[:, :, 6:])
+        top /= g
+        top[:, :, 6:] /= g
+        a[:, range(3, 6), range(3)] = 1.0
+        finite = np.isfinite(top).all(axis=(1, 2))
+        a[~finite] = 0.0
+        roots = gamma[:, None] * np.linalg.eigvals(a)
+        finite &= np.isfinite(roots).all(axis=1)
+    if not finite.all():
+        raise RootFailure("the linearization or its roots leave the float range "
+                          f"at k = {float(ks[np.argmin(finite)])}")
     return _sorted(roots)
 
 
@@ -279,7 +233,7 @@ class DispersionResult:
 
 def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     ks = _wavenumbers(k_values)
-    roots = polynomial_frequencies(m, ks)
+    roots = quadratic_frequencies(m, ks)
 
     # row 0 is omega(0) = 0, the origin of the first step's secant
     k_all = np.concatenate([[0.0], ks])
@@ -289,7 +243,9 @@ def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     for i in range(2, len(k_all)):
         cur = roots[i - 1]
         step = k_all[i - 1] - k_all[i - 2]  # zero at a repeated wavenumber: no slope
-        slope = (omega[i - 1] - omega[i - 2]) / step if step else 0.0
+        slope = np.zeros(6, dtype=complex)
+        if step:  # by parts: numpy's complex by real division forms 1/step
+            np.divide((omega[i - 1] - omega[i - 2]).view(float), step, out=slope.view(float))
         predicted = omega[i - 1] + slope * (k_all[i] - k_all[i - 1])
         cost = np.abs(predicted[:, None] - cur)
         cols = least_pairing(cost[None])[0]

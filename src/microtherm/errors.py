@@ -44,7 +44,8 @@ class IndefiniteForm(MicrothermError, ValueError):
 
 
 class RootFailure(MicrothermError, RuntimeError):
-    """A polynomial root failed its residual check."""
+    """A dispersion wavenumber whose linearization or frequencies leave
+    the float range (k^2 overflows)."""
 
 
 class ParseError(MicrothermError, ValueError):

@@ -332,14 +332,38 @@ def product_mirror_blocks(a_mat, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# reference formulas: the dispersion polynomial one wavenumber at a time,
-# and the Fourier symbol written by hand
+# reference formulas: the dispersion's quadratic eigenproblem and its
+# determinant polynomial one wavenumber at a time, and the Fourier symbol
+# written by hand
 
 # the six permutations of {0,1,2} with their signs
 _PERMS = (
     ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
     ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0),
 )
+
+
+def linearized_roots(entry):
+    """The eigenvalues of one wavenumber's quadratic eigenproblem
+    (m0 + omega m1 + omega^2 m2) v = 0, entry its (power of omega, row,
+    col) coefficients, sorted by (real, imag): the first companion
+    matrix [[-m1 / (d gamma), -m0 / (d gamma^2)], [I, 0]], d = diag(m2),
+    divided part by part, its eigenvalues times gamma = sqrt(max |m0| /
+    max |d|) over real and imaginary parts, or 1 where that is 0 or not
+    finite.  The oracle of dispersion.quadratic_frequencies."""
+    m0, m1, m2 = entry
+    d = np.diag(m2).real[:, None]
+    gamma = np.sqrt(max(np.abs(m0.real).max(), np.abs(m0.imag).max()) / np.abs(d).max())
+    if not 0.0 < gamma < np.inf:
+        gamma = 1.0
+    a = np.zeros((6, 6), dtype=complex)
+    a.real[:3, :3] = -m1.real / d / gamma
+    a.imag[:3, :3] = -m1.imag / d / gamma
+    a.real[:3, 3:] = -m0.real / d / gamma / gamma
+    a.imag[:3, 3:] = -m0.imag / d / gamma / gamma
+    a[3:, :3] = np.eye(3)
+    roots = gamma * np.linalg.eigvals(a)
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 def convolve_det_coefficients(entry):

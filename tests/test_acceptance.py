@@ -23,7 +23,7 @@ from microtherm import (Grid1D, assemble_backward, assemble_operator,
                         solve_branches, spectral_report, symbol_frequencies,
                         to_moduli_1d, validate_anisotropic, validate_isotropic)
 from microtherm.discrete1d import form_values
-from microtherm.dispersion import polynomial_frequencies
+from microtherm.dispersion import quadratic_frequencies
 
 from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, first_order_symbol,
                       fit_decay, generator_matrix, gram_matrix, random_state,
@@ -116,7 +116,7 @@ def test_criterion_4_finite_wave_speeds(capsys):
               np.sqrt(dec.m_rr / dec.alpha_m)]
     closed = 0.0
     ks = np.array([0.1, 1.0, 10.0])
-    for k, w in zip(ks, polynomial_frequencies(dec, ks)):
+    for k, w in zip(ks, quadratic_frequencies(dec, ks)):
         for s in speeds:
             closed = max(closed, float(np.abs(w.real / k - s).min()),
                          float(np.abs(w.real / k + s).min()))
@@ -191,7 +191,7 @@ def test_criterion_6_discretization_orders(capsys):
     agree = 0.0
     for moduli in (to_moduli_1d(reference_type2()), to_moduli_1d(reference_type3())):
         ks = np.linspace(0.1, 10.0, 23)
-        for a, b in zip(polynomial_frequencies(moduli, ks), symbol_frequencies(moduli, ks)):
+        for a, b in zip(quadratic_frequencies(moduli, ks), symbol_frequencies(moduli, ks)):
             agree = max(agree, root_set_distance(a, b) / max(1.0, float(np.abs(b).max())))
 
     ok = (all(o >= 1.9 for o in space_orders)

@@ -157,15 +157,23 @@ CONTRACT_EDGES = {
     # |I - dt/2 A| near 1e200: the steps pass the guard, and the round
     # trip FAILs (exit 1)
     "type2-length-1e-100": (TYPE2, {"length = 1.0": "length = 1e-100"}),
+    # large wavenumbers, whose k^2 is still a float
+    "type3-k_max-1e12": (TYPE3, {"k_max = 8.0": "k_max = 1e12"}),
+    "type2-k_max-1e30": (TYPE2, {"k_max = 8.0": "k_max = 1e30"}),
+    "type3-k_max-1e30": (TYPE3, {"k_max = 8.0": "k_max = 1e30"}),
+    # the least positive wavenumber: k^2 underflows to 0, and the branch
+    # matcher's first secant divides by a subnormal step
+    "type2-k_min-5e-324": (TYPE2, {"k_min = 0.5": "k_min = 5e-324"}),
+    "type3-k_min-5e-324": (TYPE3, {"k_min = 0.5": "k_min = 5e-324"}),
 }
 
 # id -> (reference file, swaps, the CHANGES.md FOUND line that names it):
 # inputs that pass check but exit 2 in run (ROADMAP item 4)
 CONTRACT_BREAKS = {
-    "type3-k_max-1e12": (
-        TYPE3, {"k_max = 8.0": "k_max = 1e12"},
-        "CHANGES.md FOUND on polynomial_frequencies: the root residual guard "
-        "rejects k above about 1e11"),
+    "type3-k_max-1e160": (
+        TYPE3, {"k_max = 8.0": "k_max = 1e160"},
+        "CHANGES.md FOUND on quadratic_frequencies: k^2 overflows in "
+        "characteristic_matrix from k of about 1.3e154, a RootFailure"),
 }
 
 
@@ -295,24 +303,24 @@ class TestRun:
         assert taken.read_text() == "kept\n"
 
     def test_aborted_task_still_writes_a_report(self, tmp_path, capsys):
-        # the polynomial route's residual guard rejects k = 1e15 after
+        # k^2 overflows at the second wavenumber, 1e160 / 15, after
         # simulate and spectrum have certified; the report keeps their
         # lines and ends in the abort, with no overall verdict
-        text = pathlib.Path(TYPE3).read_text().replace("k_max = 8.0", "k_max = 1e15")
+        text = pathlib.Path(TYPE3).read_text().replace("k_max = 8.0", "k_max = 1e160")
         cfg = write(tmp_path, text)
         out = tmp_path / "out"
         assert main(["check", cfg]) == 0
         assert main(["run", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.count("error:") == 1 and "root residual" in captured.err
+        assert captured.err.count("error:") == 1 and "float range" in captured.err
         report = (out / "report.txt").read_text()
         assert report.startswith("# model = type3\n")
         assert "dissipativity: PASS" in report
         assert "spectral_abscissa < 0: PASS" in report
         assert "# final energy = " in report
-        assert report.splitlines()[-1].startswith(
-            "aborted: dispersion: root residual 1.281e+80 exceeds 1e-08 * 1.049e+84 "
-            "at k = 66666666666667.13")
+        assert report.splitlines()[-1] == (
+            "aborted: dispersion: the linearization or its roots leave the float range "
+            "at k = 6.666666666666667e+158")
         assert "overall" not in report and "backward" not in report
         assert report in captured.out
         assert (out / "energy.csv").exists() and (out / "spectrum.csv").exists()
@@ -411,15 +419,15 @@ class TestExitCodeContract:
 class TestDispersionCommand:
     def test_overflowing_wavenumber_is_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, SMALL_TYPE3.replace(
-            "[tasks]", "[dispersion]\nk_min = 1e60\nk_max = 1e60\nn_k = 1\n\n[tasks]"))
+            "[tasks]", "[dispersion]\nk_min = 1e160\nk_max = 1e160\nn_k = 1\n\n[tasks]"))
         out = tmp_path / "out"
         assert main(["dispersion", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "float range" in err
         report = (out / "report.txt").read_text().splitlines()
         assert all(line.startswith("# ") for line in report[:-1])
-        assert report[-1] == ("aborted: dispersion: determinant coefficients "
-                              "leave the float range at k = 1e+60")
+        assert report[-1] == ("aborted: dispersion: the linearization or its roots "
+                              "leave the float range at k = 1e+160")
 
     def test_writes_only_dispersion_output(self, tmp_path):
         out = tmp_path / "out"

@@ -16,15 +16,14 @@ from microtherm import (RootFailure, characteristic_matrix, reference_type2,
                         to_moduli_1d)
 from microtherm import dispersion, evolve
 from microtherm.cli import main
-from microtherm.dispersion import (_symbols, det_coefficients, least_pairing,
-                                   polynomial_frequencies, root_distances)
+from microtherm.dispersion import (_symbols, least_pairing, quadratic_frequencies,
+                                   root_distances)
 
 from conftest import (convolve_det_coefficients, first_order_symbol,
-                      root_set_distance, sorted_roots)
+                      linearized_roots, root_set_distance, sorted_roots)
 
 # solve_branches has its own grid validation test below
-BATCHED = (characteristic_matrix, det_coefficients, polynomial_frequencies,
-           _symbols, symbol_frequencies)
+BATCHED = (characteristic_matrix, quadratic_frequencies, _symbols, symbol_frequencies)
 GRIDS = {
     "linear4000": np.linspace(0.5, 40.0, 4000),
     "linear16": np.linspace(0.5, 8.0, 16),
@@ -50,14 +49,14 @@ class TestCharacteristicMatrix:
     def test_stacked_shapes(self, moduli3):
         ks = np.linspace(0.5, 8.0, 5)
         assert characteristic_matrix(moduli3, ks).shape == (5, 3, 3, 3)
-        assert det_coefficients(moduli3, ks).shape == (5, 7)
-        assert polynomial_frequencies(moduli3, ks).shape == (5, 6)
+        assert quadratic_frequencies(moduli3, ks).shape == (5, 6)
         assert _symbols(moduli3, ks).shape == (5, 6, 6)
         assert symbol_frequencies(moduli3, ks).shape == (5, 6)
 
     def test_coefficients_evaluate_to_determinant(self, moduli3):
+        # the determinant polynomial of the np.roots oracle (TestTwoRoutes)
         e = characteristic_matrix(moduli3, [1.7])
-        coeffs = det_coefficients(moduli3, [1.7])[0]
+        coeffs = convolve_det_coefficients(e[0])
         mags = np.abs(coeffs)
         for w in (0.3 + 0.7j, -1.2 + 0.1j, 2.0 - 3.0j):
             poly = np.polyval(coeffs[::-1], w)
@@ -66,40 +65,35 @@ class TestCharacteristicMatrix:
             assert abs(poly - det) <= 1e-12 * scale
 
     def test_leading_coefficient_is_inertia_product(self, moduli3):
-        coeffs = det_coefficients(moduli3, [2.0])[0]
+        coeffs = convolve_det_coefficients(characteristic_matrix(moduli3, [2.0])[0])
         target = moduli3.rho * moduli3.c_cap * moduli3.alpha_m
         assert coeffs[6] == pytest.approx(target, rel=1e-14)
 
-    def test_bad_roots_are_rejected(self, moduli3, monkeypatch):
-        monkeypatch.setattr(dispersion.np.linalg, "eigvals",
-                            lambda a: np.zeros(a.shape[:-1], dtype=complex))
-        with pytest.raises(RootFailure, match="root residual.*at k = 1.0$"):
-            polynomial_frequencies(moduli3, [1.0, 2.0])
-
     @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
-    def test_overflowing_coefficients_are_a_root_failure(self, moduli, request):
-        # k^6 leaves the float range: no root is certified, and no
+    def test_overflowing_wavenumber_is_a_root_failure(self, moduli, request):
+        # k^2 leaves the float range: no root is returned, and no
         # overflow warning escapes
         m = request.getfixturevalue(moduli)
-        with pytest.raises(RootFailure, match="float range at k = 1e\\+60"):
-            polynomial_frequencies(m, [1.0, 1e60])
+        with pytest.raises(RootFailure, match="float range at k = 1e\\+160$"):
+            quadratic_frequencies(m, [1.0, 1e160])
         with pytest.raises(RootFailure):
-            solve_branches(m, [1.0, 1e60])
+            solve_branches(m, [1.0, 1e160])
 
-    def test_overflowing_companion_is_a_root_failure(self):
-        # tiny inertias: at k = 1e50 the coefficients are finite but
-        # their ratios to the leading one are not
+    def test_tiny_inertias_at_large_wavenumbers_are_solved(self):
+        # tiny inertias at k = 1e50: the determinant's coefficients are
+        # finite but their ratios to the leading one are not, and the
+        # scaled linearization forms no such ratio
         m = to_moduli_1d(dataclasses.replace(
             reference_type3(), rho=1e-3, c_cap=1e-3, alpha_m=1e-3))
-        assert np.isfinite(det_coefficients(m, [1e50])).all()
-        with pytest.raises(RootFailure, match="float range at k = 1e\\+50"):
-            polynomial_frequencies(m, [1.0, 1e50])
+        ks = [1.0, 1e50]
+        w, sym = quadratic_frequencies(m, ks), symbol_frequencies(m, ks)
+        assert (root_distances(w, sym) <= 1e-13 * np.abs(sym).max(axis=1)).all()
 
     def test_first_failing_wavenumber_is_named(self, moduli3):
-        # a residual failure below an overflowing wavenumber is the one
-        # reported
-        with pytest.raises(RootFailure, match="root residual.*at k = 1000000000000000.0$"):
-            polynomial_frequencies(moduli3, [1.0, 1e15, 1e60])
+        # the first overflowing wavenumber in grid order, not the largest;
+        # k = 1e15 is solved
+        with pytest.raises(RootFailure, match="float range at k = 1e\\+200$"):
+            quadratic_frequencies(moduli3, [1.0, 1e15, 1e200, 1e160])
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -108,25 +102,11 @@ class TestBatchedBits:
     """The batched routes give, bit for bit, what the one-wavenumber
     formulas give."""
 
-    def test_det_coefficients_match_convolve_expansion(self, moduli, grid, request):
+    def test_quadratic_frequencies_match_the_linearization(self, moduli, grid, request):
+        # the whole grid, 1e-3 to 1e12 included
         m, ks = request.getfixturevalue(moduli), GRIDS[grid]
-        entries = characteristic_matrix(m, ks)
-        expected = np.array([convolve_det_coefficients(e) for e in entries])
-        assert np.array_equal(det_coefficients(m, ks), expected)
-
-    def test_polynomial_frequencies_match_np_roots(self, moduli, grid, request):
-        m, ks = request.getfixturevalue(moduli), GRIDS[grid]
-        if (moduli, grid) == ("moduli3", "geometric3000"):
-            # the residual guard rejects type3 from k of about 1.1e11 on;
-            # below the wavenumber it names, the roots must still match
-            with pytest.raises(RootFailure) as exc:
-                polynomial_frequencies(m, ks)
-            k_bad = float(re.search(r"at k = (\S+)$", str(exc.value)).group(1))
-            ks = ks[: int(np.searchsorted(ks, k_bad))]
-            assert len(ks) > 2500
-        got = polynomial_frequencies(m, ks)
-        expected = np.array([sorted_roots(c) for c in det_coefficients(m, ks)])
-        assert np.array_equal(got, expected)
+        expected = np.array([linearized_roots(e) for e in characteristic_matrix(m, ks)])
+        assert np.array_equal(quadratic_frequencies(m, ks), expected)
 
     def test_symbol_frequencies_match_per_k_eigvals(self, moduli, grid, request):
         # the eigenvalues of the hand-written symbol, one wavenumber at a
@@ -140,7 +120,7 @@ class TestBatchedBits:
 
     def test_strided_grid_gives_contiguous_bits(self, moduli, grid, request):
         m, ks = request.getfixturevalue(moduli), GRIDS[grid][:400]
-        for func in (det_coefficients, polynomial_frequencies, symbol_frequencies):
+        for func in (quadratic_frequencies, symbol_frequencies):
             assert np.array_equal(func(m, ks[::2]), func(m, ks[::2].copy()))
 
 
@@ -155,8 +135,8 @@ class TestBlocks:
     @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
     def test_blocks_equal_the_per_wavenumber_results(self, moduli, request):
         m, ks = request.getfixturevalue(moduli), self.KS
-        poly, sym = polynomial_frequencies(m, ks), symbol_frequencies(m, ks)
-        assert np.array_equal(poly, np.concatenate([polynomial_frequencies(m, [k])
+        poly, sym = quadratic_frequencies(m, ks), symbol_frequencies(m, ks)
+        assert np.array_equal(poly, np.concatenate([quadratic_frequencies(m, [k])
                                                     for k in ks]))
         assert np.array_equal(sym, np.concatenate([symbol_frequencies(m, [k]) for k in ks]))
         assert np.array_equal(root_distances(poly, sym),
@@ -165,17 +145,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("first", ["second block", "third block"])
     def test_first_failure_in_a_later_block_is_named(self, moduli3, first):
-        # k = 1e15 misses the residual guard and k = 1e60 leaves the float
-        # range; the earlier of the two is reported
+        # k = 1e160 and k = 1e200 both overflow k^2; the earlier of the
+        # two in the grid is reported, whichever is larger
         ks, late = self.KS.copy(), 2 * dispersion._K_BLOCK + 5
         if first == "second block":
-            ks[dispersion._K_BLOCK + 3], ks[late] = 1e60, 1e15
-            match = "float range at k = 1e\\+60$"
+            ks[dispersion._K_BLOCK + 3], ks[late] = 1e160, 1e200
+            match = "float range at k = 1e\\+160$"
         else:
-            ks[late], ks[late + 4] = 1e15, 1e60
-            match = "root residual.*at k = 1000000000000000.0$"
+            ks[late], ks[late + 4] = 1e200, 1e160
+            match = "float range at k = 1e\\+200$"
         with pytest.raises(RootFailure, match=match):
-            polynomial_frequencies(moduli3, ks)
+            quadratic_frequencies(moduli3, ks)
 
 
 class TestDerivedSymbol:
@@ -230,13 +210,68 @@ class TestDerivedSymbol:
 
 
 class TestTwoRoutes:
+    @pytest.mark.parametrize("grid", ["linear4000", "linear16"])
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_quadratic_frequencies_match_np_roots(self, moduli, grid, request):
+        # an oracle independent of the linearization: np.roots of the
+        # determinant polynomial, within its rounding (type3 on
+        # linear4000: 1.7e-13); on the geometric grid the coefficients
+        # span too many decades for np.roots
+        m, ks = request.getfixturevalue(moduli), GRIDS[grid]
+        for w, e in zip(quadratic_frequencies(m, ks), characteristic_matrix(m, ks)):
+            assert (root_set_distance(w, sorted_roots(convolve_det_coefficients(e)))
+                    <= 1e-11 * max(1.0, np.abs(w).max()))
+
     @pytest.mark.parametrize("which", ["type2", "type3"])
-    def test_polynomial_and_symbol_roots_agree(self, which, moduli2, moduli3):
+    def test_quadratic_and_symbol_roots_agree(self, which, moduli2, moduli3):
         m = moduli2 if which == "type2" else moduli3
         ks = np.linspace(0.1, 10.0, 23)
-        for a, b in zip(polynomial_frequencies(m, ks), symbol_frequencies(m, ks)):
+        for a, b in zip(quadratic_frequencies(m, ks), symbol_frequencies(m, ks)):
             scale = max(np.abs(a).max(), 1.0)
             assert root_set_distance(a, b) <= 1e-10 * scale
+
+    @staticmethod
+    def dispersion_lines(tmp_path, model):
+        """The dispersion command's exit code on a reference file, and its
+        report's certificate lines by name."""
+        cfg = pathlib.Path(dispersion.__file__).parent / "configs" / f"reference_{model}.cfg"
+        code = main(["dispersion", str(cfg), "--out", str(tmp_path / "out")])
+        report = (tmp_path / "out" / "report.txt").read_text()
+        return code, dict(s.split(": ", 1) for s in report.splitlines() if ": " in s)
+
+    @pytest.mark.parametrize("model", ["type2", "type3"])
+    def test_a_wrong_characteristic_entry_fails_the_route_agreement(self, monkeypatch,
+                                                                    tmp_path, model):
+        # the quadratic route reads the hand-written characteristic_matrix,
+        # so doubling its m_ur k^2 entry must fail "dispersion routes agree"
+        matrix = dispersion.characteristic_matrix
+
+        def doubled(m, k_values):
+            c = matrix(m, k_values)
+            c[:, 0, 2, 0] *= 2.0  # m0[m, u] = m_ur k^2
+            return c
+
+        monkeypatch.setattr(dispersion, "characteristic_matrix", doubled)
+        code, lines = self.dispersion_lines(tmp_path, model)
+        assert code == 1
+        assert lines["dispersion routes agree"].startswith("FAIL")
+        assert float(re.search(r"distance (\S+)", lines["dispersion routes agree"]).group(1)) > 1e-2
+
+    def test_an_imaginary_rate_entry_fails_real_frequencies(self, monkeypatch, tmp_path):
+        # a thermal rate term -i h k^2 written into type2's matrix bends
+        # its roots off the real axis
+        matrix = dispersion.characteristic_matrix
+
+        def damped(m, k_values):
+            c = matrix(m, k_values)
+            c[:, 1, 1, 1] = -0.5j * np.asarray(k_values) ** 2
+            return c
+
+        monkeypatch.setattr(dispersion, "characteristic_matrix", damped)
+        code, lines = self.dispersion_lines(tmp_path, "type2")
+        assert code == 1
+        assert lines["real frequencies"].startswith("FAIL")
+        assert lines["dispersion routes agree"].startswith("FAIL")
 
     def test_distance_requires_matching_shapes(self):
         with pytest.raises(ValueError):
@@ -356,29 +391,29 @@ class TestColdStart:
 
 class TestRootStructure:
     def test_conservative_frequencies_are_real(self, moduli2):
-        for w in polynomial_frequencies(moduli2, np.linspace(0.1, 10.0, 23)):
+        for w in quadratic_frequencies(moduli2, np.linspace(0.1, 10.0, 23)):
             assert np.abs(w.imag).max() <= 1e-10 * np.abs(w).max()
 
     def test_dissipative_roots_stay_in_lower_half_plane(self, moduli3):
-        for w in polynomial_frequencies(moduli3, np.linspace(0.1, 10.0, 23)):
+        for w in quadratic_frequencies(moduli3, np.linspace(0.1, 10.0, 23)):
             assert w.imag.max() <= 1e-10 * np.abs(w).max()
 
     def test_conjugate_symmetry(self, moduli2, moduli3):
         # real-coefficient systems: the root set maps to itself under
         # omega -> -conj(omega)
         for m in (moduli2, moduli3):
-            for w in polynomial_frequencies(m, [0.3, 1.0, 4.0]):
+            for w in quadratic_frequencies(m, [0.3, 1.0, 4.0]):
                 assert root_set_distance(w, -w.conj()) <= 1e-10 * np.abs(w).max()
 
     def test_all_branches_vanish_with_k(self, moduli3):
         ks = np.array([1e-3, 1e-2])
-        for k, w in zip(ks, polynomial_frequencies(moduli3, ks)):
+        for k, w in zip(ks, quadratic_frequencies(moduli3, ks)):
             assert np.abs(w).max() <= 3.0 * k
 
     def test_decoupled_closed_forms(self):
         m = decoupled(reference_type2(), alpha_m=2.0)
         ks = np.array([0.1, 1.0, 10.0])
-        for k, w in zip(ks, polynomial_frequencies(m, ks)):
+        for k, w in zip(ks, quadratic_frequencies(m, ks)):
             scale = np.abs(w).max()
             for s2 in (m.m_uu / m.rho, m.k_cond / m.c_cap, m.m_rr / m.alpha_m):
                 target = np.sqrt(s2) * k
@@ -389,7 +424,7 @@ class TestRootStructure:
         m = decoupled(reference_type3(), alpha_m=2.0)
         c, kc, h = m.c_cap, m.k_cond, m.h_cond
         ks = np.array([0.5, 5.0])
-        for k, w in zip(ks, polynomial_frequencies(m, ks)):
+        for k, w in zip(ks, quadratic_frequencies(m, ks)):
             disc = np.sqrt(complex(-h * h * k ** 4 + 4.0 * c * kc * k * k))
             for root in ((-1j * h * k * k + disc) / (2 * c),
                          (-1j * h * k * k - disc) / (2 * c)):
@@ -412,7 +447,7 @@ class TestRootStructure:
 
 class TestBranches:
     def test_conservative_speeds_frozen_values(self, moduli2):
-        w = polynomial_frequencies(moduli2, [10.0])[0]
+        w = quadratic_frequencies(moduli2, [10.0])[0]
         speeds = np.sort(w.real[w.real > 0]) / 10.0
         expected = (0.830204584837, 0.980824368576, 2.094932911891)
         assert speeds.shape == (3,)

@@ -203,6 +203,11 @@ def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
 LEAST_THREADED = math.ceil(runner._THREADED_SECTORS / 6)
 
 
+# a dispersion grid whose k^2 overflows, and the report line it aborts with
+OVERFLOWING_K = "\n[dispersion]\nk_max = 1e160\n"
+OVERFLOW_ABORT = "aborted: dispersion: the linearization or its roots leave the float range"
+
+
 def threaded_scenario(tasks, extra=""):
     text = (SCENARIO.format(model="type3", every=1, tasks=tasks)
             .replace("n_interior = 16", f"n_interior = {LEAST_THREADED}")
@@ -240,12 +245,12 @@ class TestOverlappedSpectrum:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.csv", "report.txt"]
 
     def test_failing_dispersion_aborts_before_the_spectrum(self, tmp_path):
-        scenario = threaded_scenario("dispersion, spectrum", "\n[dispersion]\nk_max = 1e12\n")
+        scenario = threaded_scenario("dispersion, spectrum", OVERFLOWING_K)
         with pytest.raises(RootFailure):
             runner.run_scenario(scenario, str(tmp_path))
         assert other_threads() == []
         lines = (tmp_path / "report.txt").read_text().splitlines()
-        assert len(lines) == 5 and lines[4].startswith("aborted: dispersion: root residual")
+        assert len(lines) == 5 and lines[4].startswith(OVERFLOW_ABORT)
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
     def test_failing_dispersion_joins_the_sectors(self, tmp_path, monkeypatch):
@@ -264,13 +269,13 @@ class TestOverlappedSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvals", flagged)
         monkeypatch.setattr(runner, "solve_branches", failing)
-        scenario = threaded_scenario("spectrum, dispersion", "\n[dispersion]\nk_max = 1e12\n")
+        scenario = threaded_scenario("spectrum, dispersion", OVERFLOWING_K)
         with pytest.raises(RootFailure):
             runner.run_scenario(scenario, str(tmp_path))
         assert other_threads() == []
         lines = (tmp_path / "report.txt").read_text().splitlines()
         assert lines[4].startswith("spectral_abscissa < 0: PASS")
-        assert lines[-1].startswith("aborted: dispersion: root residual")
+        assert lines[-1].startswith(OVERFLOW_ABORT)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "spectrum.csv"]
 
     def test_only_consecutive_tasks_overlap(self, tmp_path, monkeypatch):
