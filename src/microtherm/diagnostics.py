@@ -6,7 +6,7 @@ Every energy-type quantity is one of the operator's quadratic forms
 once by discrete1d.form_values (energy_table: the energy, its terms
 and the dissipation rate), or block by block along a streamed run by
 reduce_blocks.  The same tables define the Gram matrix G and
-the dissipation matrix Q (discrete1d.form_blocks), so the structural
+the dissipation matrix Q (discrete1d.form_stencil), so the structural
 identities hold at round-off level rather than discretization level:
 
 * the total column of energy_table is exactly half the squared Gram
@@ -26,9 +26,9 @@ under A, and A restricted to each is a similarity P A F with P F = I
 whose entries are sums of two entries of A, scattered from the node
 blocks of A (mirror_blocks): the spectrum is the union of two
 eigensolves of about 3n, with no change to the discretization.
-spectral_report checks R A R == A exactly before it splits.  From
-6n = _THREADED_SECTORS up, the two sectors are solved on two threads
-(numpy's eigvals releases the GIL).
+spectral_report checks R A R == A exactly on A's stencil before it
+splits.  From 6n = _THREADED_SECTORS up, the two sectors are solved on
+two threads (numpy's eigvals releases the GIL).
 """
 
 import itertools
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete1d import FORMS, DiscreteOperator, _form_kernel, form_blocks, form_values
+from .discrete1d import (FORMS, DiscreteOperator, _form_kernel, form_stencil, form_values,
+                         node_blocks, row_blocks)
 from .errors import (DimensionMismatch, EigenFailure, IndefiniteForm, NonFinite,
                      SizeLimit, SolveFailure)
 from .evolve import snapshot_blocks, time_reversal
@@ -57,15 +58,10 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 3000        # largest 6n for the dense spectrum
-# least 6n whose two mirror sectors are solved on two threads, measured
-# with one BLAS thread (numpy 2.4.6 with its OpenBLAS on a 2-vCPU Xeon,
-# OPENBLAS_NUM_THREADS=1 as the benchmark runs): below sectors of about
-# 505 rows the two eigvals calls ran one after the other (process CPU
-# time equal to wall time), so a thread only adds its start and its GIL
-# handoffs (n = 16: 1.3-1.6 -> 1.7-1.8 ms a call); from n = 176 up the
-# pair took 0.5-0.7 of the sequential time.  From here up the runner also
-# overlaps consecutive spectrum and dispersion tasks (runner.run_scenario;
-# the README gives the times with OpenBLAS's own threads left on)
+# least 6n whose two mirror sectors are solved on two threads: below it
+# the two eigvals calls were measured not to overlap with one BLAS thread
+# (the README gives the times).  From here up the runner also overlaps
+# consecutive spectrum and dispersion tasks (runner.run_scenario)
 _THREADED_SECTORS = 1056
 # sign of each field, in FIELDS order, under the node reversal of R
 _FIELD_PARITY = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
@@ -128,12 +124,13 @@ def dissipativity_residual(op: DiscreteOperator) -> float:
 
     The identity says dE/dt = U^T G A U = -D(U) for every state U, the
     step that makes the generator dissipative once Q is positive
-    semidefinite.  It is checked on the node blocks by 6 x 6 block
-    products, so it needs no probe states and no dense matrix.
+    semidefinite.  It is checked on node blocks (row_blocks) by 6 x 6
+    block products, so it needs no probe states and no dense matrix.
     """
-    n, g = op.n, form_blocks(op, "total", 2.0)
+    g = row_blocks(form_stencil(op, "total", 2.0), op.n)
+    n = len(g)
     a = np.zeros((n + 2, 3, 6, 6))  # A with a zero node padded on either side
-    a[1:-1] = op.a_blocks
+    a[1:-1] = row_blocks(op.stencil, op.n)
     # G A is block pentadiagonal, its block (j, t - 2) the sum of
     # G[j, s - 1] A[j + s - 1, t - s - 1]; two zero nodes padded on either side
     g_a = np.zeros((n + 4, 5, 6, 6))
@@ -142,7 +139,7 @@ def dissipativity_residual(op: DiscreteOperator) -> float:
     # sym(G A) + Q is symmetric, so its blocks at offsets 0, 1, 2 hold every entry
     resid = 0.5 * np.stack([g_a[2:-2, t] + g_a[t:t + n, 4 - t].transpose(0, 2, 1)
                             for t in range(2, 5)], axis=1)
-    resid[:, :2] += form_blocks(op, "dissipation_rate")[:, 1:]
+    resid[:, :2] += row_blocks(form_stencil(op, "dissipation_rate"), op.n)[:, 1:]
     return float(np.abs(resid).max() / np.abs(g_a).max())
 
 
@@ -173,7 +170,7 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
             f"dense spectrum limited to 6n <= {DENSE_LIMIT} (two eigensolves "
             f"of about 3n each), got 6n = {size}"
         )
-    blocks = mirror_blocks(op.a_blocks)
+    blocks = mirror_blocks(op.stencil, op.n)
     try:
         if size < _THREADED_SECTORS:
             lams = [np.linalg.eigvals(block) for block in blocks]
@@ -189,10 +186,10 @@ def spectral_report(op: DiscreteOperator) -> SpectralReport:
                           spectral_abscissa=float(lams.real.max()))
 
 
-def mirror_blocks(a_blocks: np.ndarray) -> list:
+def mirror_blocks(stencil: np.ndarray, n: int) -> list:
     """The dense blocks P A F, on the +1 and -1 eigenspaces of
     R = diag(J, J, -J, -J, J, J), J the reversal of the n nodes, of the
-    generator A with node blocks a_blocks (DiscreteOperator.a_blocks).
+    generator A with node stencil stencil (DiscreteOperator.stencil).
 
     A field of sign s in a sector is even (s = +1) or odd (s = -1) in
     its nodes and keeps its first ceil(n/2) or floor(n/2) of them (in
@@ -201,14 +198,14 @@ def mirror_blocks(a_blocks: np.ndarray) -> list:
     node) and P picks the kept rows, so P F = I.  An entry of a kept row
     goes to its kept node's column, or times s to its mirror's, so each
     block entry is one float sum of at most two entries of A.  Raises
-    EigenFailure unless R A R == A exactly, a_blocks[j, s] ==
-    Pi a_blocks[n - 1 - j, -s] Pi with Pi the field parities.
+    EigenFailure unless R A R == A exactly, stencil[1 + s] ==
+    Pi stencil[1 - s] Pi with Pi the field parities.
     """
-    n = len(a_blocks)
-    if not np.array_equal(a_blocks[::-1, ::-1] * np.multiply.outer(_FIELD_PARITY, _FIELD_PARITY),
-                          a_blocks):
+    if not np.array_equal(stencil[::-1] * np.multiply.outer(_FIELD_PARITY, _FIELD_PARITY),
+                          stencil):
         raise EigenFailure("generator does not commute with the node reversal, "
                            "so its spectrum does not split into mirror sectors")
+    a_blocks = node_blocks(stencil, n)
     half = (n + 1) // 2  # the kept nodes of an even field, the middle one included
     # the offsets and field pairs that A holds, at the rows of the kept nodes
     s, a, b = np.nonzero(a_blocks[:half].any(axis=0))

@@ -28,18 +28,20 @@ table T over field pairs and three stencils S_k (form_tables), and its
 matrix is F = sum_k kron(T[k], S_k).  The generator A has a table of its
 own in the same layout (generator_table), over the unscaled identity,
 Laplacian and gradient.  A stencil couples a node only with its
-neighbours, so one builder (table_blocks) fills any such matrix as node
-blocks, 6 x 6 blocks of node j with nodes j - 1, j, j + 1.  The node
-blocks of A are the only form of the operator, from which the stepper,
-the mirror sectors and the dissipativity identity are derived; only
-the band stepper (evolve) builds a sparse matrix from them, and this
-module imports numpy alone.  The Gram matrix G is the matrix of twice
-the energy, U^T G U = sum h*(rho v^2 + c_cap theta^2 + alpha_m M^2) +
-sum_i h*(m_uu (u')^2 + 2 m_ur u'R' + k_cond (tau')^2 + m_rr (R')^2),
-and the two structural choices above make sym(G A) = -Q exactly, Q the
-matrix of the dissipation_rate form.  form_values evaluates any of the
-forms at every row of a block of states, and diagnostics.reduce_blocks
-reduces a streamed run block by block through the same kernel.
+neighbours, and the medium is homogeneous, so any such matrix is one
+node stencil (table_stencil): three 6 x 6 blocks coupling node j with
+nodes j - 1, j, j + 1, alike at every node, those past the two ends
+zero.  The stencil of A is the only form of the operator; the stepper,
+the mirror sectors and the dissipativity identity read its node blocks
+(node_blocks), only the band stepper (evolve) builds a sparse matrix
+from them, and this module imports numpy alone.  The Gram matrix G is
+the matrix of twice the energy, U^T G U = sum h*(rho v^2 + c_cap
+theta^2 + alpha_m M^2) + sum_i h*(m_uu (u')^2 + 2 m_ur u'R' + k_cond
+(tau')^2 + m_rr (R')^2), and the two structural choices above make
+sym(G A) = -Q exactly, Q the matrix of the dissipation_rate form.
+form_values evaluates any of the forms at every row of a block of
+states, and diagnostics.reduce_blocks reduces a streamed run block by
+block through the same kernel.
 """
 
 from dataclasses import dataclass
@@ -69,6 +71,7 @@ FORMS = ("total", "kinetic", "thermal", "microthermal", "elastic", "coupling",
          "tau_gradient", "r_gradient", "dissipation_rate", "e3")
 
 _BLOCK_ENTRIES = 1 << 15  # state entries per block (block_rows): 256 KiB
+_ROW_NODES = 7  # nodes whose blocks hold every distinct row (row_blocks)
 
 
 @dataclass(frozen=True)
@@ -99,20 +102,17 @@ class Grid1D:
 
 
 class DiscreteOperator(NamedTuple):
-    """The evolution operator as node blocks, and the forms' tables.
+    """The evolution operator as its node stencil, and the forms' tables.
 
-    a_blocks: the generator A of dU/dt = A U as (n, 3, 6, 6) node blocks,
-    a_blocks[j, s + 1, a, b] = A[6j + a, 6(j + s) + b] in node-major
-    indices for s = -1, 0, +1, zero past node 0 and node n - 1.  They are
-    one node stencil: table_blocks writes each entry alike at every
-    node, so every node holds the same three blocks but for the two
-    zero end couplings, and evolve.MidpointStepper checks that exactly,
-    since its residual guard applies the stencil to all nodes; forms:
-    the tables of form_tables, U^T G U = 2 * energy; time_sign: +1
-    forward, -1 time-reversed.  Treat as read-only.
+    stencil: the generator A of dU/dt = A U as its (3, 6, 6) node
+    stencil, stencil[s + 1, a, b] = A[6j + a, 6(j + s) + b] in node-major
+    indices for s = -1, 0, +1 at every node j, but for the couplings past
+    node 0 and node n - 1, which are zero (node_blocks); forms: the
+    tables of form_tables, U^T G U = 2 * energy; time_sign: +1 forward,
+    -1 time-reversed.  Treat as read-only.
     """
 
-    a_blocks: np.ndarray
+    stencil: np.ndarray
     forms: np.ndarray
     moduli: Moduli1D
     grid: Grid1D
@@ -123,28 +123,44 @@ class DiscreteOperator(NamedTuple):
         return self.grid.n_interior
 
 
-def table_blocks(table: np.ndarray, grid: Grid1D, scales=(1.0, 1.0, 1.0)) -> np.ndarray:
-    """The node blocks (DiscreteOperator.a_blocks) of sum_k kron(table[k],
-    S_k), S_k the identity, Laplacian and centered gradient with zero
-    ghosts times scales ((h, -h, h): the stencils of form_tables).  Each
-    entry sums table[k, a, b] * (w * scale) over k, w the weight at its
-    offset: one product, as no two stencils of a module table share a pair."""
-    lap, grad = 1 / (grid.h * grid.h), 1 / (2.0 * grid.h)
+def table_stencil(table: np.ndarray, h: float, scales=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """The node stencil (DiscreteOperator.stencil) of sum_k kron(table[k],
+    S_k), S_k the identity, Laplacian and centered gradient at spacing h
+    times scales ((h, -h, h): the stencils of form_tables).  Each entry
+    sums table[k, a, b] * (w * scale) over k, w the weight at its offset:
+    one product, as no two stencils of a module table share a pair."""
+    lap, grad = 1 / (h * h), 1 / (2.0 * h)
     weights = (((0, 1.0),), ((-1, lap), (0, -2.0 * lap), (1, lap)), ((-1, -grad), (1, grad)))
-    out = np.zeros((grid.n_interior, 3, 6, 6))
+    out = np.zeros((3, 6, 6))
     for t, scale, stencil in zip(table, scales, weights):
         a, b = np.nonzero(t)
         for s, w in stencil:
-            out[:, s + 1, a, b] += t[a, b] * (w * scale)
+            out[s + 1, a, b] += t[a, b] * (w * scale)
+    return out
+
+
+def node_blocks(stencil: np.ndarray, m: int) -> np.ndarray:
+    """The (m, 3, 6, 6) node blocks of a node stencil on m nodes,
+    blocks[j, s + 1] = stencil[s + 1] but for the couplings past node 0
+    and node m - 1, which are zero."""
+    out = np.broadcast_to(stencil, (m, 3, 6, 6)).copy()
     out[0, 0] = out[-1, 2] = 0.0
     return out
 
 
-def form_blocks(op: DiscreteOperator, name: str, factor: float = 1.0) -> np.ndarray:
-    """The node blocks (table_blocks) of factor times the matrix F of
+def row_blocks(stencil: np.ndarray, n: int) -> np.ndarray:
+    """The node blocks of a node stencil on min(n, _ROW_NODES) nodes:
+    every distinct row of its n-node matrix and of a product of two such
+    matrices (whose end rows reach two nodes in), so a row norm or the
+    largest entry of a product is the n-node grid's, bit for bit."""
+    return node_blocks(stencil, min(n, _ROW_NODES))
+
+
+def form_stencil(op: DiscreteOperator, name: str, factor: float = 1.0) -> np.ndarray:
+    """The node stencil (table_stencil) of factor times the matrix F of
     form name: U^T F U is the form's value at the stacked state U."""
     h = op.grid.h
-    return table_blocks(factor * op.forms[FORMS.index(name)], op.grid, (h, -h, h))
+    return table_stencil(factor * op.forms[FORMS.index(name)], h, (h, -h, h))
 
 
 def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
@@ -153,7 +169,7 @@ def _assemble(grid: Grid1D, m: Moduli1D, time_sign: int) -> DiscreteOperator:
     report = _hypotheses(m)
     if not report.valid:
         raise InvalidMaterial(str(report))
-    return DiscreteOperator(a_blocks=table_blocks(generator_table(m, time_sign), grid),
+    return DiscreteOperator(stencil=table_stencil(generator_table(m, time_sign), grid.h),
                             forms=form_tables(m, time_sign), moduli=m, grid=grid,
                             time_sign=int(time_sign))
 

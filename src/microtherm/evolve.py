@@ -18,8 +18,8 @@ the positions), its upper factor kept as U = U' diag(U) with U' unit
 upper, so that a step's two triangular solves divide by nothing and
 its solution is scaled by 1/diag(U) once; or on small grids by the
 dense step matrix P = 2 (I - dt/2 A)^-1 - I, all derived from the
-operator's node blocks by this module's three scatters of them
-(_dense, _band, _csr).
+operator's node blocks (discrete1d.node_blocks) by this module's three
+scatters of them (_dense, _band, _csr).
 Only the band path imports scipy (band routines and a CSR), so
 a run on small grids loads no scipy module.  Every step's backward
 error on the full system is checked before its states leave, on both
@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .discrete1d import DiscreteOperator, block_rows
+from .discrete1d import DiscreteOperator, block_rows, node_blocks, row_blocks
 from .errors import DimensionMismatch, NonFinite, SolveFailure
 
 __all__ = [
@@ -57,9 +57,7 @@ __all__ = [
 ]
 
 # a step's normwise backward error bound (Rigal & Gaches, 1967): 16 u,
-# u = 2^-53, above 10x the largest the guard measured at dt = 1e-3,
-# 1.47 u (type3 reference, n = 16); at large dt steps reach it and are
-# refined
+# u = 2^-53, above 10x the largest measured at dt = 1e-3 (README)
 _ETA_TOL = 16 * 2.0 ** -53
 _BAND = 5  # kl = ku of the node-major reduced system
 _CHUNK = 32  # most steps whose residuals one guard call checks
@@ -90,7 +88,7 @@ class MidpointStepper:
     stepper solves for the rates up to it and for the positions above.
     In node-major order (the six fields of node 0, then those of node 1,
     ...) the reduced matrix is banded with kl = ku = 5, its K and C band
-    arrays sliced from the node blocks (DiscreteOperator.a_blocks):
+    arrays sliced from the node blocks of the operator's stencil:
     LAPACK dgbtrf factors it once.  When it made no row interchange, the
     upper factor is split once as U = U' D, D = diag(U): U' is U's band
     with each column divided by its diagonal entry, and 1/diag(U) is
@@ -114,13 +112,13 @@ class MidpointStepper:
     Up to _CHUNK steps (and at most a block of states, block_rows) are
     checked at once on the full system: the normwise backward error of
     Y, |r| / (|I - dt/2 A| |Y| + |X|) with r = (I - dt/2 A) Y - X and
-    inf-norms, within _ETA_TOL, next state's square finite.  Every
-    operator is one node stencil (DiscreteOperator), so the midpoints
+    inf-norms, within _ETA_TOL, next state's square finite.  The
+    operator is a node stencil (DiscreteOperator), so the midpoints
     are kept node-major with a zero ghost node at each end of a row, and
     (I - dt/2 A) Y for the whole chunk is three GEMMs of its (nodes, 6)
-    rows with the stencil's 6 x 6 blocks, on both paths; construction
-    checks that the operator is that stencil.  Any summation order of r
-    has the same error class (Higham, ch. 3), so the bound holds alike.
+    rows with the stencil's 6 x 6 blocks, on both paths.  Any summation
+    order of r has the same error class (Higham, ch. 3), so the bound
+    holds alike.
     States are yielded only from a passing chunk, as one (m, 6n) view of
     its states.  At the first failing step the
     states before it are yielded; then NonFinite if X . X, r . r or the
@@ -131,11 +129,10 @@ class MidpointStepper:
     and each passing chunk doubles the next back up to _CHUNK, so a run
     refined at every step redoes one step per refinement, not a chunk.
     Construction raises SolveFailure when the position rows are not
-    [0 | I], when |I - dt/2 A| overflows, when the node blocks are not
-    one stencil repeated at every node with zero end couplings, when the
-    reduced matrix (band path) or I - dt/2 A (dense path) is singular,
-    or when U' or 1/diag(U) is not finite; node blocks keep every row
-    inside the band.
+    [0 | I], when |I - dt/2 A| overflows, when the reduced matrix (band
+    path) or I - dt/2 A (dense path) is singular, or when U' or
+    1/diag(U) (band path) or (I - dt/2 A)^-1 or P (dense path) is not
+    finite; a node stencil keeps every row inside the band.
     """
 
     def __init__(self, op: DiscreteOperator, dt: float):
@@ -144,37 +141,33 @@ class MidpointStepper:
         self.op = op
         self.dt = float(dt)
         self._half = 0.5 * self.dt
-        position = np.zeros((op.n, 3, 3, 6))  # rows u, tau, R: v, theta, M of the node
-        position[:, 1, [0, 1, 2], [1, 3, 5]] = 1.0
-        if not np.array_equal(op.a_blocks[:, :, 0::2], position):
+        position = np.zeros((3, 3, 6))  # rows u, tau, R: v, theta, M of the node
+        position[1, [0, 1, 2], [1, 3, 5]] = 1.0
+        if not np.array_equal(op.stencil[:, 0::2], position):
             raise SolveFailure(
                 "midpoint stepper needs position rows d(u, tau, R)/dt = (v, theta, M), "
                 "i.e. [0 | I]")
-        self._norm = _midpoint_norm(op.a_blocks, self.dt)
+        self._norm = _midpoint_norm(op.stencil, op.n, self.dt)
         if not math.isfinite(self._norm):
             raise SolveFailure(f"|I - dt/2 A| = {self._norm} is not a finite float")
-        # the node stencil of A, offsets -1, 0, +1: node 1's left block
-        # (a node with a left neighbour at every n >= 2), node 0's others
-        stencil = np.stack([op.a_blocks[-1, 0], op.a_blocks[0, 1], op.a_blocks[0, 2]])
-        repeated = np.broadcast_to(stencil, op.a_blocks.shape).copy()
-        repeated[0, 0] = repeated[-1, 2] = 0.0
-        if not np.array_equal(op.a_blocks, repeated):
-            raise SolveFailure(
-                "midpoint stepper needs one node stencil: the same node blocks at "
-                "every node, the two end couplings zero")
         lhs = np.zeros((3, 6, 6))  # the stencil of I - dt/2 A
         lhs[1] = np.eye(6)
-        lhs -= self._half * stencil
+        lhs -= self._half * op.stencil
         # its blocks transposed, the right factors of the guard's GEMMs,
         # copied to C order: numpy's matmul is slower on the views
         self._stencil = np.ascontiguousarray(lhs.transpose(0, 2, 1))
+        blocks = node_blocks(op.stencil, op.n)
         if 6 * op.n <= _DENSE_STEP:
             try:
-                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * _dense(op.a_blocks))
+                inv = np.linalg.inv(np.eye(6 * op.n) - self._half * _dense(blocks))
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(
                     f"midpoint matrix could not be factored: {exc}") from None
-            self._inv, self._p = inv, 2.0 * inv - np.eye(6 * op.n)
+            with np.errstate(over="ignore"):
+                self._inv, self._p = inv, 2.0 * inv - np.eye(6 * op.n)
+            if not np.isfinite(self._p).all():  # nor, then, is the inverse
+                raise SolveFailure("midpoint matrix could not be factored: (I - dt/2 A)^-1 "
+                                   "or P = 2 (I - dt/2 A)^-1 - I is not finite")
             return
         from scipy.linalg import blas, lapack  # the band path alone loads scipy
 
@@ -182,12 +175,13 @@ class MidpointStepper:
         self._dtbsv, self._dgbtrs = blas.dtbsv, lapack.dgbtrs
         size = 3 * op.n
         # the reduced rate rows: K on the position columns, C on the rate ones
-        k_blocks, c_blocks = op.a_blocks[:, :, 1::2, 0::2], op.a_blocks[:, :, 1::2, 1::2]
-        self._positions = (self._half ** 2 * float(np.abs(k_blocks).sum(axis=(1, 3)).max())
+        k_blocks, c_blocks = blocks[:, :, 1::2, 0::2], blocks[:, :, 1::2, 1::2]
+        k_rows = row_blocks(op.stencil, op.n)[:, :, 1::2, 0::2]
+        self._positions = (self._half ** 2 * float(np.abs(k_rows).sum(axis=(1, 3)).max())
                            > _POSITIONS_ABOVE)
         # the right-hand side's product, rate rows by position columns:
         # -C for the positions' solve, h K for the rates'
-        rhs = np.zeros_like(op.a_blocks)
+        rhs = np.zeros_like(blocks)
         rhs[:, :, 1::2, 0::2] = -c_blocks if self._positions else k_blocks * self._half
         self._rhs = _csr(rhs)[1::2]
         # dgbtrf keeps its row interchanges in _BAND extra top rows
@@ -323,22 +317,22 @@ class MidpointStepper:
             n_steps -= j
 
 
-def _midpoint_norm(a_blocks: np.ndarray, dt: float) -> float:
-    """|I - dt/2 A|, the inf-norm, summed from the node blocks of A; inf
-    when it overflows."""
+def _midpoint_norm(stencil: np.ndarray, n: int, dt: float) -> float:
+    """|I - dt/2 A|, the inf-norm on n nodes, summed from the node
+    blocks (row_blocks) of the stencil of A; inf when it overflows."""
     with np.errstate(over="ignore"):
-        lhs = -(0.5 * dt) * a_blocks
+        lhs = -(0.5 * dt) * row_blocks(stencil, n)
         lhs[:, 1] += np.eye(6)  # the diagonal block
         return float(np.abs(lhs).sum(axis=(1, 3)).max())
 
 
-def _dense(a_blocks: np.ndarray) -> np.ndarray:
+def _dense(blocks: np.ndarray) -> np.ndarray:
     """The dense node-major (6n, 6n) matrix of node blocks, scattered
     with no sparse matrix built."""
-    n, j = len(a_blocks), np.arange(len(a_blocks))
+    n, j = len(blocks), np.arange(len(blocks))
     out = np.zeros((n, 6, n + 2, 6))  # column nodes -1 .. n
     for s in range(3):
-        out[j, :, j + s] = a_blocks[:, s]
+        out[j, :, j + s] = blocks[:, s]
     return out[:, :, 1:-1].reshape(6 * n, 6 * n)
 
 

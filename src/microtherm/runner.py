@@ -34,11 +34,6 @@ computed at its own turn on this thread, by the same functions.  No
 other task runs while the worker does or while a result waits for its
 turn.  Each task still writes and certifies at its turn and raises its
 error there, so an abort leaves the later tasks without output.
-On an n = 256 "spectrum, dispersion" scenario of 4000 wavenumbers
-(shared 2-vCPU Xeon, the median of the medians of five runs in 10
-processes) run_scenario took 0.61 s with one BLAS thread and 1.15 s
-with OpenBLAS's own threads, against 0.63 and 1.29 s with both files
-formatted after the join, whose serial tail of 84-111 ms fell to 7 ms.
 """
 
 import os

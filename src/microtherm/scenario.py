@@ -4,7 +4,8 @@ Required sections [material], [grid], [time], [init], [tasks]; optional
 [dispersion], [backward], [output].  One table (_KEYS) declares every
 key: its type, its default, and the range of the rule that reads it
 alone; the rules that read several keys follow it in parse_scenario.
-So bad input fails loudly at parse time, before any numerics run.
+The dt rules read the generators' node stencils, the k_max rule the
+dispersion route at k_max.  So bad input fails loudly at parse time.
 
 The [material] section selects model = type2 (conservative) or type3
 (dissipative) and may override any isotropic modulus; unset moduli fall
@@ -21,11 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import DENSE_LIMIT
-from .discrete1d import FIELDS, Grid1D, block_rows, generator_table, table_blocks
-from .errors import ParseError, ValidationError
+from .discrete1d import FIELDS, Grid1D, block_rows, generator_table, table_stencil
+from .dispersion import quadratic_frequencies
+from .errors import ParseError, RootFailure, ValidationError
 from .evolve import _midpoint_norm
-from .material import (MaterialIsotropic, Moduli1D, _hypotheses, _reduce, reference_type2,
-                       reference_type3)
+from .material import MaterialIsotropic, _hypotheses, _reduce, reference_type2, reference_type3
 
 __all__ = ["InitSpec", "Scenario", "parse_scenario", "build_initial"]
 
@@ -237,8 +238,9 @@ def parse_scenario(text: str) -> Scenario:
         out_dir=value("output", "directory"),
     )
     n = scenario.grid.n_interior
-    generators = _generator_blocks(moduli, scenario.grid)
-    _check_dt("time", scenario.dt, generators)
+    generators = [table_stencil(generator_table(moduli, sign), scenario.grid.h)
+                  for sign in (1, -1)]
+    _check_dt("time", scenario.dt, generators, n)
     if scenario.n_steps % scenario.snapshot_every:
         raise ParseError(
             f"[time] n_steps = {scenario.n_steps} must be a multiple of "
@@ -246,10 +248,16 @@ def parse_scenario(text: str) -> Scenario:
     # an unset node is the middle one (build_initial), inside every grid
     if scenario.init.preset == "impulse" and "node" in params and not 0 <= params["node"] < n:
         raise ParseError(f"[init] node = {params['node']} outside the grid nodes 0..{n - 1}")
-    _check_dt("backward", scenario.backward_dt, generators)
+    _check_dt("backward", scenario.backward_dt, generators, n)
     if scenario.k_min > scenario.k_max:
         raise ParseError(f"[dispersion] needs k_min <= k_max, got k_min = "
                          f"{scenario.k_min}, k_max = {scenario.k_max}")
+    # k_max has the grid's largest k^2, where the dispersion fails first;
+    # checked whatever the tasks, as the dispersion command runs it
+    try:
+        quadratic_frequencies(moduli, [scenario.k_max])
+    except RootFailure as exc:
+        raise ParseError(f"[dispersion] k_max = {scenario.k_max} is too large: {exc}") from None
     _check_sizes(scenario)
     # a huge amplitude can overflow the state or its square x . x, the
     # stepper's range test, whatever the tasks: reject it here, not in a run
@@ -262,28 +270,16 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _generator_blocks(moduli: Moduli1D, grid: Grid1D) -> np.ndarray:
-    """The node blocks of the forward and then of the time-reversed
-    generator (the tables that assemble_operator and assemble_backward
-    read) at the grid's h on at most three nodes: a middle node's blocks
-    are those of every interior node, so their rows hold every row sum
-    of either generator."""
-    if grid.n_interior > 3:
-        grid = Grid1D(n_interior=3, length=4 * grid.h)  # h = 4h / 4 exactly
-    return np.concatenate([table_blocks(generator_table(moduli, sign), grid)
-                           for sign in (1, -1)])
-
-
-def _check_dt(section: str, dt: float, generators: np.ndarray):
+def _check_dt(section: str, dt: float, generators: list, n: int):
     """Reject a step the midpoint matrix I - dt/2 C - (dt/2)^2 K cannot
     be formed with: dt not positive, (dt/2)^2 not a finite float, or
-    |I - dt/2 A| (the step guard's inf-norm, evolve._midpoint_norm) not a
-    finite float for the forward or the time-reversed generator."""
+    |I - dt/2 A| on n nodes (evolve._midpoint_norm, the step guard's)
+    not a finite float for a generator of the stencils generators."""
     if dt <= 0:
         raise ParseError(f"[{section}] dt must be positive, got {dt}")
     if not math.isfinite((dt / 2) * (dt / 2)):
         raise ParseError(f"[{section}] dt = {dt} is too large: (dt/2)^2 overflows")
-    if not math.isfinite(_midpoint_norm(generators, dt)):
+    if not all(math.isfinite(_midpoint_norm(stencil, n, dt)) for stencil in generators):
         raise ParseError(f"[{section}] dt = {dt} is too large for the [grid] spacing: "
                          "|I - dt/2 A| overflows")
 

@@ -1,8 +1,8 @@
 """Shared fixtures: reference operators, random-state helpers, the
 per-field difference formulas the assembled matrices are checked
 against, the COO and the block-wise scipy assembly of the generator and
-the form matrices (the oracles of the node blocks), the node-major COO
-build of the stepper's guard matrix, block mutations of an operator, the
+the form matrices (the oracles of the node stencils), the node-major COO
+build of the stepper's guard matrix, stencil mutations of an operator, the
 one-wavenumber determinant expansion and root finder the batched
 dispersion routes are checked against, the hand-written Fourier symbol
 that the symbols read from the generator table are checked against,
@@ -20,12 +20,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from microtherm import (FIELDS, EigenFailure, Grid1D, MaterialIsotropic, assemble_backward,
-                        assemble_operator, isotropic_embedding, reference_type2,
-                        reference_type3, snapshot_blocks, to_moduli_1d,
+from microtherm import (FIELDS, EigenFailure, Grid1D, MaterialIsotropic, RootFailure,
+                        assemble_backward, assemble_operator, isotropic_embedding,
+                        reference_type2, reference_type3, snapshot_blocks, to_moduli_1d,
                         validate_isotropic)
 from microtherm.diagnostics import balance_residuals
-from microtherm.discrete1d import FORMS, generator_table
+from microtherm.discrete1d import FORMS, generator_table, node_blocks
 
 # ---------------------------------------------------------------------------
 # operators
@@ -117,9 +117,10 @@ def gram_norm(op, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # assembly oracles: the generator and the form matrices built from COO
 # triplets and block by block with scipy's constructors, whose nonzero
-# entries the node blocks of discrete1d must reproduce byte for byte; the
-# node-major CSR of the COO build (that of evolve._csr, which builds the
-# band stepper's right-hand side); and mutations of an operator's node blocks
+# entries the node blocks of discrete1d's stencils must reproduce byte for
+# byte; the node-major CSR of the COO build (that of evolve._csr, which
+# builds the band stepper's right-hand side); and mutations of an
+# operator's stencil
 
 
 def stencil_triplets(n: int, h: float, scales=(1.0, 1.0, 1.0)):
@@ -140,8 +141,8 @@ def table_matrix(table: np.ndarray, n: int, h: float, scales=(1.0, 1.0, 1.0)) ->
     """sum_k kron(table[k], S_k) over the stencils of stencil_triplets,
     built from COO triplets: block (a, b) holds S_k scaled by
     table[k, a, b], and a zero coefficient adds no block.  The oracle of
-    the node blocks of discrete1d, whose node-major CSR (evolve._csr)
-    must equal its node_major_csr byte for byte."""
+    the node stencils of discrete1d, whose node blocks' node-major CSR
+    (evolve._csr) must equal its node_major_csr byte for byte."""
     rows, cols, data = [], [], []
     for t, (r, c, v) in zip(table, stencil_triplets(n, h, scales)):
         a, b = np.nonzero(t)
@@ -162,8 +163,9 @@ def form_matrix(op, name: str) -> sp.csr_matrix:
 
 def generator_matrix(op) -> sp.csr_matrix:
     """The field-major generator A of op's moduli and time orientation:
-    the COO build of generator_table, which op.a_blocks hold entry for
-    entry unless a test has changed them (then blocks_matrix)."""
+    the COO build of generator_table, which the node blocks of
+    op.stencil hold entry for entry unless a test has changed it (then
+    blocks_matrix)."""
     return table_matrix(generator_table(op.moduli, op.time_sign), op.n, op.grid.h)
 
 
@@ -173,9 +175,9 @@ def gram_matrix(op) -> sp.csr_matrix:
 
 
 def blocks_matrix(blocks: np.ndarray) -> sp.csr_matrix:
-    """The field-major CSR matrix of node blocks (DiscreteOperator.a_blocks),
+    """The field-major CSR matrix of node blocks (discrete1d.node_blocks),
     built from COO triplets: the inverse of with_generator's scatter, for
-    blocks that a test has changed."""
+    a stencil that a test has changed."""
     n = len(blocks)
     j, s, a, b = np.nonzero(blocks)
     return sp.csr_matrix((blocks[j, s, a, b], (a * n + j, b * n + j + s - 1)),
@@ -197,25 +199,27 @@ def node_major_csr(a_mat: sp.csr_matrix) -> sp.csr_matrix:
 
 def with_generator(op, a_mat):
     """op with the generator of the field-major matrix a_mat, which must
-    couple nodes at most one apart: its entries scattered into node
-    blocks (DiscreteOperator.a_blocks)."""
+    be one node stencil (DiscreteOperator.stencil): its entries
+    scattered into the stencil, whose node blocks must give a_mat back."""
     n = op.n
     a_mat = sp.coo_matrix(a_mat)
     (a, j), (b, k) = np.divmod(a_mat.row, n), np.divmod(a_mat.col, n)
     assert (np.abs(k - j) <= 1).all(), "only the block tridiagonal is representable"
-    blocks = np.zeros((n, 3, 6, 6))
-    blocks[j, k - j + 1, a, b] = a_mat.data
-    return op._replace(a_blocks=blocks)
+    stencil = np.zeros((3, 6, 6))
+    stencil[k - j + 1, a, b] = a_mat.data
+    assert (blocks_matrix(node_blocks(stencil, n)) != a_mat).nnz == 0, "not one node stencil"
+    return op._replace(stencil=stencil)
 
 
 def with_entry(op, row, col, value):
-    """op with the field-major generator entry A[row, col] set to value,
-    written into a copy of its node blocks."""
+    """op with the stencil entry of the field-major generator entry
+    A[row, col] set to value, written into a copy of its stencil: every
+    entry of A with the same fields and node offset changes with it."""
     (a, j), (b, k) = divmod(row, op.n), divmod(col, op.n)
     assert abs(k - j) <= 1, "only the block tridiagonal is representable"
-    blocks = op.a_blocks.copy()
-    blocks[j, k - j + 1, a, b] = value
-    return op._replace(a_blocks=blocks)
+    stencil = op.stencil.copy()
+    stencil[k - j + 1, a, b] = value
+    return op._replace(stencil=stencil)
 
 
 def difference_matrices(n, h):
@@ -440,6 +444,14 @@ def other_threads():
     """The threads alive besides the main one: none once a call that
     starts workers has returned or raised."""
     return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+def overflowing_branches(*args):
+    """A stand-in for runner.solve_branches that raises the dispersion's
+    RootFailure at a wavenumber whose k^2 overflows, as it would at
+    k_max = 1e160, which check rejects: the failing dispersion task that
+    a run meets only by this injection."""
+    raise RootFailure("the linearization or its roots leave the float range at k = 1e+160")
 
 
 def trapezoid_balance(table: np.ndarray, dt_snap) -> np.ndarray:

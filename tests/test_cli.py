@@ -4,9 +4,11 @@ import re
 import pytest
 
 import microtherm
-from microtherm import evolve
+from microtherm import evolve, runner
 from microtherm.cli import main
 from microtherm.scenario import _DISPERSION_BYTES_PER_K, _MAX_ARRAY_BYTES
+
+from conftest import overflowing_branches
 
 CONFIG_DIR = pathlib.Path(microtherm.__file__).parent / "configs"
 TYPE3 = str(CONFIG_DIR / "reference_type3.cfg")
@@ -66,6 +68,9 @@ INVALID = {
     "grid-length-h2-inf": ("n_interior = 16", "n_interior = 16\nlength = 1e200", "length"),
     "init-u_amp-nan": ("u_amp = 1.0", "u_amp = nan", "u_amp"),
     "dispersion-k_max-inf": ("[tasks]", "[dispersion]\nk_max = inf\n\n[tasks]", "k_max"),
+    # k_max^2 overflows in the dispersion route, whatever the task list
+    "dispersion-k_max-square-overflow": ("[tasks]", "[dispersion]\nk_max = 1e160\n\n[tasks]",
+                                         "[dispersion] k_max"),
     "backward-dt-negative": ("[tasks]", "[backward]\ndt = -1\n\n[tasks]", "dt"),
     # (dt/2)^2 of the midpoint matrix overflows
     "time-dt-half-square-overflow": ("dt = 0.2", "dt = 1e160", "[time] dt"),
@@ -167,13 +172,14 @@ CONTRACT_EDGES = {
     "type3-k_min-5e-324": (TYPE3, {"k_min = 0.5": "k_min = 5e-324"}),
 }
 
-# id -> (reference file, swaps, the CHANGES.md FOUND line that names it):
-# inputs that pass check but exit 2 in run (ROADMAP item 4)
+# id -> (reference file, swaps, the CHANGES.md FOUND line or ROADMAP item
+# that names it): inputs that pass check but exit 2 in run (ROADMAP items
+# 4 and 16)
 CONTRACT_BREAKS = {
-    "type3-k_max-1e160": (
-        TYPE3, {"k_max = 8.0": "k_max = 1e160"},
-        "CHANGES.md FOUND on quadratic_frequencies: k^2 overflows in "
-        "characteristic_matrix from k of about 1.3e154, a RootFailure"),
+    "type3-length-1e-150": (
+        TYPE3, {"length = 1.0": "length = 1e-150"},
+        "ROADMAP item 16: |I - dt/2 A| = 1.9e301 is finite, but the dense "
+        "inverse is not, a SolveFailure at the stepper's construction"),
 }
 
 
@@ -185,6 +191,8 @@ CONTRACT_MENDED = {
     # |I - dt/2 A| overflows, which the stepper's construction rejects
     "type2-length-1e-150-dt-1e10": (TYPE2, {"length = 1.0": "length = 1e-150",
                                             "dt = 0.01": "dt = 1e10"}),
+    # k^2 overflows in characteristic_matrix from k of about 1.3e154
+    "type3-k_max-1e160": (TYPE3, {"k_max = 8.0": "k_max = 1e160"}),
 }
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -302,15 +310,14 @@ class TestRun:
         assert "cannot write the output" in captured.err and str(out) in captured.err
         assert taken.read_text() == "kept\n"
 
-    def test_aborted_task_still_writes_a_report(self, tmp_path, capsys):
-        # k^2 overflows at the second wavenumber, 1e160 / 15, after
-        # simulate and spectrum have certified; the report keeps their
-        # lines and ends in the abort, with no overall verdict
-        text = pathlib.Path(TYPE3).read_text().replace("k_max = 8.0", "k_max = 1e160")
-        cfg = write(tmp_path, text)
+    def test_aborted_task_still_writes_a_report(self, tmp_path, capsys, monkeypatch):
+        # the dispersion fails after simulate and spectrum have
+        # certified; the report keeps their lines and ends in the abort,
+        # with no overall verdict
+        monkeypatch.setattr(runner, "solve_branches", overflowing_branches)
         out = tmp_path / "out"
-        assert main(["check", cfg]) == 0
-        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert main(["check", TYPE3]) == 0
+        assert main(["run", TYPE3, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and "float range" in captured.err
         report = (out / "report.txt").read_text()
@@ -320,7 +327,7 @@ class TestRun:
         assert "# final energy = " in report
         assert report.splitlines()[-1] == (
             "aborted: dispersion: the linearization or its roots leave the float range "
-            "at k = 6.666666666666667e+158")
+            "at k = 1e+160")
         assert "overall" not in report and "backward" not in report
         assert report in captured.out
         assert (out / "energy.csv").exists() and (out / "spectrum.csv").exists()
@@ -417,9 +424,9 @@ class TestExitCodeContract:
 
 
 class TestDispersionCommand:
-    def test_overflowing_wavenumber_is_exit_2(self, tmp_path, capsys):
-        cfg = write(tmp_path, SMALL_TYPE3.replace(
-            "[tasks]", "[dispersion]\nk_min = 1e160\nk_max = 1e160\nn_k = 1\n\n[tasks]"))
+    def test_overflowing_wavenumber_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "solve_branches", overflowing_branches)
+        cfg = write(tmp_path, SMALL_TYPE3)
         out = tmp_path / "out"
         assert main(["dispersion", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -14,7 +14,7 @@ from microtherm import (DimensionMismatch, EigenFailure, Grid1D, IndefiniteForm,
 from microtherm import diagnostics
 from microtherm.diagnostics import (balance_residuals, dissipativity_residual,
                                     mirror_blocks, reduce_blocks)
-from microtherm.discrete1d import FIELDS, FORMS, form_values
+from microtherm.discrete1d import FIELDS, FORMS, form_values, node_blocks
 
 from conftest import (blocks_matrix, collect, fit_decay, generator_matrix, gram_matrix,
                       gram_norm, other_threads, product_mirror_blocks, random_state,
@@ -262,15 +262,15 @@ class TestDissipativityIdentity:
         # the energy and its dissipation form keep the true h_cond while
         # A damps at half of it; the spectrum still lies left of the axis
         halved = dataclasses.replace(moduli3, h_cond=0.5 * moduli3.h_cond)
-        tampered = op3._replace(a_blocks=assemble_operator(op3.grid, halved).a_blocks)
+        tampered = op3._replace(stencil=assemble_operator(op3.grid, halved).stencil)
         assert spectral_report(tampered).spectral_abscissa < 0.0
         assert dissipativity_residual(tampered) > 0.1
 
     def test_fails_for_a_one_sided_thermal_coupling(self, op3):
-        # beta flipped in the theta row only: its v entries of every node
-        blocks = op3.a_blocks.copy()
-        blocks[:, :, FIELDS.index("theta"), FIELDS.index("v")] *= -1.0
-        tampered = op3._replace(a_blocks=blocks)
+        # beta flipped in the theta row only: its v entries of the stencil
+        stencil = op3.stencil.copy()
+        stencil[:, FIELDS.index("theta"), FIELDS.index("v")] *= -1.0
+        tampered = op3._replace(stencil=stencil)
         assert dissipativity_residual(tampered) > 1e-3
 
 
@@ -315,7 +315,7 @@ class TestSpectralReport:
                                           (17, (52, 50))])
     def test_mirror_sector_sizes(self, n, sizes, moduli3):
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        assert tuple(b.shape for b in mirror_blocks(op.a_blocks)) == tuple(
+        assert tuple(b.shape for b in mirror_blocks(op.stencil, n)) == tuple(
             (k, k) for k in sizes)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 29, 256])
@@ -323,7 +323,8 @@ class TestSpectralReport:
     @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
     def test_scattered_blocks_equal_the_sparse_products(self, n, reference, assemble):
         op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
-        got, want = mirror_blocks(op.a_blocks), product_mirror_blocks(generator_matrix(op), n)
+        got = mirror_blocks(op.stencil, n)
+        want = product_mirror_blocks(generator_matrix(op), n)
         assert len(got) == len(want) == 2
         for block, oracle in zip(got, want):
             assert block.dtype == oracle.dtype and block.shape == oracle.shape
@@ -339,10 +340,10 @@ class TestSpectralReport:
         assert root_set_distance(split, full) <= 1e-12 * np.abs(full).max()
 
     def test_mirror_asymmetric_generator_is_refused(self, op3):
-        # the u Laplacian of the v row changed at node 0 but not at its
-        # mirror node n - 1
+        # the u Laplacian of the v row changed on the left neighbour (node
+        # 0 of node 1's row) but not on the right one, its mirror
         n = op3.n
-        tampered = with_entry(op3, n, 0, 1.5 * generator_matrix(op3)[n, 0])
+        tampered = with_entry(op3, n + 1, 0, 1.5 * generator_matrix(op3)[n + 1, 0])
         with pytest.raises(EigenFailure, match="node reversal"):
             spectral_report(tampered)
 
@@ -352,13 +353,13 @@ class TestSpectralReport:
         # sparsity pattern under the mirror, but J |D| J = |D| where the
         # odd theta needs J D J = -D
         op = assemble_operator(Grid1D(n_interior=n), moduli3)
-        blocks = op.a_blocks.copy()
+        stencil = op.stencil.copy()
         v, theta = FIELDS.index("v"), FIELDS.index("theta")
-        blocks[:, :, v, theta] = np.abs(blocks[:, :, v, theta])
+        stencil[:, v, theta] = np.abs(stencil[:, v, theta])
         with pytest.raises(EigenFailure, match="node reversal"):
-            mirror_blocks(blocks)
+            mirror_blocks(stencil, n)
         with pytest.raises(EigenFailure, match="node reversal"):
-            product_mirror_blocks(blocks_matrix(blocks), n)
+            product_mirror_blocks(blocks_matrix(node_blocks(stencil, n)), n)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_eigensolver_failure_is_wrapped(self, op3, monkeypatch):
@@ -389,7 +390,7 @@ class TestThreadedSectors:
 
     def test_eigenvalues_equal_the_sequential_solves(self, big_op):
         lams = np.concatenate([np.linalg.eigvals(block)
-                               for block in mirror_blocks(big_op.a_blocks)])
+                               for block in mirror_blocks(big_op.stencil, big_op.n)])
         lams = lams[np.lexsort((lams.imag, lams.real))]
         assert np.array_equal(spectral_report(big_op).eigenvalues, lams)
         assert other_threads() == []

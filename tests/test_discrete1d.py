@@ -8,10 +8,11 @@ import scipy.sparse as sp
 from microtherm import (DimensionMismatch, Grid1D, InvalidGrid, InvalidMaterial,
                         NonFinite, assemble_backward, assemble_operator, reference_type2,
                         reference_type3, to_moduli_1d)
-from microtherm.diagnostics import _BREAKDOWN
-from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, form_blocks, form_tables,
-                                   form_values)
-from microtherm.evolve import _csr, time_reversal
+from microtherm import discrete1d
+from microtherm.diagnostics import _BREAKDOWN, dissipativity_residual
+from microtherm.discrete1d import (FIELDS, FORMS, _form_kernel, form_stencil, form_tables,
+                                   form_values, node_blocks, row_blocks)
+from microtherm.evolve import _csr, _midpoint_norm, time_reversal
 
 from conftest import (bmat_generator, collect, difference_matrices, fields,
                       first_difference, form_matrix, form_scale, generator_matrix,
@@ -201,11 +202,11 @@ class TestOperatorAssembly:
         # and of every form, against the node-major CSR of the COO build
         # of their tables
         op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
-        pairs = [("A", op.a_blocks, generator_matrix(op)),
-                 ("2G", form_blocks(op, "total", 2.0), gram_matrix(op))]
-        pairs += [(name, form_blocks(op, name), form_matrix(op, name)) for name in FORMS]
-        for name, blocks, coo in pairs:
-            got, want = _csr(blocks), node_major_csr(coo)
+        pairs = [("A", op.stencil, generator_matrix(op)),
+                 ("2G", form_stencil(op, "total", 2.0), gram_matrix(op))]
+        pairs += [(name, form_stencil(op, name), form_matrix(op, name)) for name in FORMS]
+        for name, stencil, coo in pairs:
+            got, want = _csr(node_blocks(stencil, n)), node_major_csr(coo)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype, (name, attr)
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
@@ -332,16 +333,16 @@ class TestOperatorAssembly:
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 512])
     @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
     def test_backward_blocks_are_the_reversed_forward_ones(self, n, reference):
-        # a_blocks(bwd) == -S a_blocks(fwd) S entry for entry, S the sign
+        # stencil(bwd) == -S stencil(fwd) S entry for entry, S the sign
         # flip of v, theta, M (evolve.time_reversal), and the same G;
         # each orientation is built from its own table
         grid = Grid1D(n_interior=n)
         m = to_moduli_1d(reference())
         fwd, bwd = assemble_operator(grid, m), assemble_backward(grid, m)
         flip = time_reversal(np.ones(6 * n)).reshape(6, n)[:, 0]
-        expected = -(fwd.a_blocks * np.multiply.outer(flip, flip))
-        assert np.count_nonzero(bwd.a_blocks != expected) == 0
-        assert np.array_equal(form_blocks(bwd, "total"), form_blocks(fwd, "total"))
+        expected = -(fwd.stencil * np.multiply.outer(flip, flip))
+        assert np.count_nonzero(bwd.stencil != expected) == 0
+        assert np.array_equal(form_stencil(bwd, "total"), form_stencil(fwd, "total"))
 
     def test_backward_form_produces_energy(self, op3_back):
         rng = np.random.default_rng(9)
@@ -396,3 +397,33 @@ class TestOperatorAssembly:
         e_coarse, e_fine = error_at(31), error_at(63)
         order = np.log2(e_coarse / e_fine)
         assert order >= 1.9
+
+
+class TestRowBlocks:
+    """The node blocks of min(n, 7) nodes (row_blocks) hold every
+    distinct row of an n-node operator and of the product G A, so the
+    numbers read from them are the full grid's, bit for bit."""
+
+    @staticmethod
+    def derived(op):
+        """|I - dt/2 A| at two dt, the band stepper's |K| (inf-norm, the
+        rate rows on the position columns) and the dissipativity
+        residual, each read from row_blocks."""
+        k_rows = row_blocks(op.stencil, op.n)[:, :, 1::2, 0::2]
+        return (_midpoint_norm(op.stencil, op.n, 1e-3), _midpoint_norm(op.stencil, op.n, 1e50),
+                float(np.abs(k_rows).sum(axis=(1, 3)).max()), dissipativity_residual(op))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 17, 64])
+    @pytest.mark.parametrize("reference", [reference_type2, reference_type3])
+    @pytest.mark.parametrize("assemble", [assemble_operator, assemble_backward])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["stencil", "v-u-scaled"])
+    def test_equal_the_full_grid(self, n, reference, assemble, scaled, monkeypatch):
+        op = assemble(Grid1D(n_interior=n), to_moduli_1d(reference()))
+        if scaled:  # the v row's u Laplacian on the left neighbour only
+            stencil = op.stencil.copy()
+            stencil[0, FIELDS.index("v"), FIELDS.index("u")] *= 1.0 + 1e-9
+            op = op._replace(stencil=stencil)
+        got = self.derived(op)
+        monkeypatch.setattr(discrete1d, "_ROW_NODES", n)
+        assert got == self.derived(op)
+        assert (got[-1] > 1e-10) == scaled

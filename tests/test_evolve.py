@@ -11,6 +11,7 @@ from microtherm import (DimensionMismatch, Grid1D, NonFinite,
                         reference_type3, snapshot_blocks, snapshot_times,
                         time_reversal, to_moduli_1d)
 from microtherm import evolve
+from microtherm.discrete1d import node_blocks
 from microtherm.evolve import MidpointStepper, _by_node
 
 from conftest import (collect, field_major, fields, generator_matrix, gram_norm, node_major_csr,
@@ -592,8 +593,7 @@ class TestStepperKernels:
         # times the COO build, bit for bit
         dt = 1e-3
         stepper = make_stepper(model, n, dt, assemble)
-        got = np.broadcast_to(stepper._stencil.transpose(0, 2, 1), (n, 3, 6, 6)).copy()
-        got[0, 0] = got[-1, 2] = 0.0
+        got = node_blocks(stepper._stencil.transpose(0, 2, 1), n)
         lhs = (sp.identity(6 * n) - (dt / 2) * self.coo_build(stepper)).tocoo()
         (j, a), (col, b) = np.divmod(lhs.row, 6), np.divmod(lhs.col, 6)
         want = np.zeros((n, 3, 6, 6))
@@ -660,21 +660,21 @@ class TestElimination:
 
     @staticmethod
     def residual(op, dt, x, y) -> np.ndarray:
-        """r = (I - dt/2 A) y - x for node-major x and y, summed from the
-        node blocks in long double, so that its own rounding hardly
+        """r = (I - dt/2 A) y - x for node-major x and y, three products
+        of the stencil in long double, so that its own rounding hardly
         counts."""
         n = op.n
-        h, blocks = np.longdouble(dt) / 2, op.a_blocks.astype(np.longdouble)
-        nodes = np.zeros((n + 2, 6), dtype=np.longdouble)  # nodes -1 .. n
+        h, stencil = np.longdouble(dt) / 2, op.stencil.astype(np.longdouble)
+        nodes = np.zeros((n + 2, 6), dtype=np.longdouble)  # nodes -1 .. n, zero ghosts
         nodes[1:-1] = y.reshape(n, 6)
-        a_y = sum(np.einsum("jab,jb->ja", blocks[:, s], nodes[s:s + n]) for s in range(3))
+        a_y = sum(np.einsum("ab,jb->ja", stencil[s], nodes[s:s + n]) for s in range(3))
         return (nodes[1:-1] - h * a_y - x.reshape(n, 6)).ravel()
 
     @staticmethod
     def backward_error(op, dt, x, y) -> float:
         """|r| / (|I - dt/2 A| |y| + |x|) with r = (I - dt/2 A) y - x and
         inf-norms, for node-major x and y, r and the norm in long double."""
-        h, blocks = np.longdouble(dt) / 2, op.a_blocks.astype(np.longdouble)
+        h, blocks = np.longdouble(dt) / 2, node_blocks(op.stencil, op.n).astype(np.longdouble)
         lhs = -h * blocks
         lhs[:, 1] += np.eye(6)
         norm = np.abs(lhs).sum(axis=(1, 3)).max()
@@ -744,23 +744,14 @@ class TestSolverGuard:
         with pytest.raises(SolveFailure, match="not a finite"):
             MidpointStepper(with_entry(op2, 16, 0, 1e300), 1e10)
 
-    @pytest.mark.parametrize("limit", [evolve._DENSE_STEP, 0], ids=["dense", "band"])
-    @pytest.mark.parametrize("end", [False, True], ids=["interior", "end"])
-    def test_operator_off_its_node_stencil_raises(self, op2, monkeypatch, limit, end):
-        # the u Laplacian of the v row doubled at node 5, or node 0's
-        # blocks given the coupling past the boundary that the other
-        # nodes have on the left: the position rows keep [0 | I], and the
-        # guard's stencil would not be the operator
-        monkeypatch.setattr(evolve, "_DENSE_STEP", limit)
-        n = op2.n
-        if end:
-            blocks = op2.a_blocks.copy()
-            blocks[0, 0] = blocks[1, 0]
-            tampered = op2._replace(a_blocks=blocks)
-        else:
-            tampered = with_entry(op2, n + 5, 5, 2.0 * generator_matrix(op2)[n + 5, 5])
-        with pytest.raises(SolveFailure, match="one node stencil"):
-            MidpointStepper(tampered, 0.01)
+    def test_non_finite_dense_inverse_raises(self):
+        # at length = 1e-150 |I - dt/2 A| is finite, 1.9e301, but the
+        # dense inverse is not: construction raises, with no warning,
+        # where the first step product was NaN
+        grid = Grid1D(n_interior=16, length=1e-150)
+        op = assemble_operator(grid, to_moduli_1d(reference_type3()))
+        with pytest.raises(SolveFailure, match=r"\(I - dt/2 A\)\^-1 .*not finite"):
+            MidpointStepper(op, 0.01)
 
     @pytest.mark.parametrize("row, col, value", [
         (0, 16, 2.0),    # du/dt = 2 v

@@ -19,7 +19,7 @@ import pytest
 from microtherm import (EigenFailure, RootFailure, SolveFailure, diagnostics,
                         parse_scenario, runner)
 
-from conftest import other_threads
+from conftest import other_threads, overflowing_branches
 
 SCENARIO = """\
 [material]
@@ -203,8 +203,7 @@ def test_shared_trajectory_is_released_after_simulate(tmp_path, monkeypatch):
 LEAST_THREADED = math.ceil(runner._THREADED_SECTORS / 6)
 
 
-# a dispersion grid whose k^2 overflows, and the report line it aborts with
-OVERFLOWING_K = "\n[dispersion]\nk_max = 1e160\n"
+# the report line of a dispersion that fails (overflowing_branches)
 OVERFLOW_ABORT = "aborted: dispersion: the linearization or its roots leave the float range"
 
 
@@ -244,8 +243,9 @@ class TestOverlappedSpectrum:
         assert lines[7:] == ["aborted: spectrum: dense eigensolve failed: did not converge"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.csv", "report.txt"]
 
-    def test_failing_dispersion_aborts_before_the_spectrum(self, tmp_path):
-        scenario = threaded_scenario("dispersion, spectrum", OVERFLOWING_K)
+    def test_failing_dispersion_aborts_before_the_spectrum(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "solve_branches", overflowing_branches)
+        scenario = threaded_scenario("dispersion, spectrum")
         with pytest.raises(RootFailure):
             runner.run_scenario(scenario, str(tmp_path))
         assert other_threads() == []
@@ -256,7 +256,7 @@ class TestOverlappedSpectrum:
     def test_failing_dispersion_joins_the_sectors(self, tmp_path, monkeypatch):
         # the dispersion fails while the worker threads solve the sectors
         solving = threading.Event()
-        eigvals, solve_branches = np.linalg.eigvals, runner.solve_branches
+        eigvals = np.linalg.eigvals
 
         def flagged(a):
             if a.ndim == 2:
@@ -265,11 +265,11 @@ class TestOverlappedSpectrum:
 
         def failing(*args):
             assert solving.wait(timeout=60)
-            return solve_branches(*args)
+            return overflowing_branches(*args)
 
         monkeypatch.setattr(np.linalg, "eigvals", flagged)
         monkeypatch.setattr(runner, "solve_branches", failing)
-        scenario = threaded_scenario("spectrum, dispersion", OVERFLOWING_K)
+        scenario = threaded_scenario("spectrum, dispersion")
         with pytest.raises(RootFailure):
             runner.run_scenario(scenario, str(tmp_path))
         assert other_threads() == []
@@ -351,7 +351,7 @@ def test_dissipativity_certificate_checks_the_identity(tmp_path, monkeypatch):
     def halved_conduction(grid, moduli):
         op = assemble(grid, moduli)
         halved = dataclasses.replace(moduli, h_cond=0.5 * moduli.h_cond)
-        return op._replace(a_blocks=assemble(grid, halved).a_blocks)
+        return op._replace(stencil=assemble(grid, halved).stencil)
 
     monkeypatch.setattr(runner, "assemble_operator", halved_conduction)
     assert runner.run_scenario(scenario("spectrum"), str(tmp_path)) == 1

@@ -8,10 +8,10 @@ from microtherm import (Grid1D, ParseError, ValidationError, assemble_backward,
                         assemble_operator, build_initial, parse_scenario, run_scenario,
                         to_moduli_1d)
 from microtherm.discrete1d import block_rows
-from microtherm.evolve import MidpointStepper, _midpoint_norm
+from microtherm.evolve import _midpoint_norm
 from microtherm.runner import _dispersion
-from microtherm.scenario import (_BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K,
-                                 _MAX_ARRAY_BYTES, _generator_blocks)
+from microtherm import scenario as scenario_module
+from microtherm.scenario import _BYTES_PER_KEPT_STATE, _DISPERSION_BYTES_PER_K, _MAX_ARRAY_BYTES
 
 from conftest import fields
 
@@ -201,18 +201,26 @@ class TestParse:
     @pytest.mark.parametrize("n", [2, 3, 4, 16])
     @pytest.mark.parametrize("model", ["type2", "type3"])
     @pytest.mark.parametrize("length", [1.0, 3.7, 1e-100])
-    def test_step_norm_is_the_steppers(self, n, model, length):
-        # |I - dt/2 A| from the node blocks of at most three nodes, for
-        # both generators, is the larger of the norms the forward and
-        # the time-reversed stepper sum over all n nodes, bit for bit
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 1e50])
+    def test_step_norm_is_the_steppers(self, n, model, length, dt, monkeypatch):
+        # the dt rules take |I - dt/2 A| (evolve._midpoint_norm) of the
+        # forward and the time-reversed generator's stencils on n nodes:
+        # the stencils, node count and steps the steppers of both
+        # assembled operators read, bit for bit
+        calls = []
+
+        def recorded(stencil, nodes, step):
+            calls.append((stencil.tobytes(), nodes, step))
+            return _midpoint_norm(stencil, nodes, step)
+
+        monkeypatch.setattr(scenario_module, "_midpoint_norm", recorded)
         scenario = parse_scenario(minimal(model, **{
-            "n_interior = 8": f"n_interior = {n}\nlength = {length}"}))
+            "n_interior = 8": f"n_interior = {n}\nlength = {length}",
+            "dt = 0.01": f"dt = {dt}"}))
         grid, moduli = scenario.grid, to_moduli_1d(scenario.material)
-        blocks = _generator_blocks(moduli, grid)
-        for dt in (1e-3, 0.37, 1e50):
-            steppers = [MidpointStepper(assemble(grid, moduli), dt)
-                        for assemble in (assemble_operator, assemble_backward)]
-            assert _midpoint_norm(blocks, dt) == max(s._norm for s in steppers)
+        ops = [assemble(grid, moduli) for assemble in (assemble_operator, assemble_backward)]
+        assert calls == [(op.stencil.tobytes(), n, step)
+                         for step in (dt, scenario.backward_dt) for op in ops]
 
     def test_preset_and_task_validation(self):
         with pytest.raises(ParseError, match="preset"):
