@@ -299,7 +299,8 @@ def backward_functionals(times: np.ndarray, forms: np.ndarray, op: DiscreteOpera
 
     gronwall_k = 0.0
     if n_snap > 1:
-        rate = np.gradient(cal_e, times)
+        # a scalar step: by coordinates, h1 h2 (h1 + h2) underflows at dt = 1e-300
+        rate = np.gradient(cal_e, times[1] - times[0])
         mask = cal_e > _GRONWALL_FLOOR
         if mask.any():
             gronwall_k = float(np.max(rate[mask] / (4.0 * cal_e[mask])))

@@ -2,28 +2,28 @@
 system on the whole line.
 
 Ansatz exp(i(k x - omega t)) with k > 0 real; temporal decay therefore
-means Im(omega) < 0.  For each k the admissible frequencies are the six
-roots of det(M(omega; k)) = 0 where M is quadratic in omega.  Every
-function takes a grid of n_k wavenumbers at once and returns (n_k, ...)
-arrays; frequencies come as (n_k, 6), rows sorted by (real, imag).  Two
-independent routes, each one stacked eigensolve, are kept side by side:
+means Im(omega) < 0.  For each k the frequencies are the six roots of
+det(M(omega; k)) = 0, M quadratic in omega.  Every function takes a
+grid of n_k wavenumbers and returns (n_k, ...) arrays, frequencies as
+(n_k, 6) rows sorted by (real, imag).  Two independent routes, each
+one stacked real eigensolve in s = -i omega, are kept side by side:
 
-* the (n_k, 6, 6) scaled first companion linearizations of the
-  quadratic eigenproblem M(omega) v = 0, M from characteristic_matrix,
-  written by hand from the second-order equations;
-* the (n_k, 6, 6) Fourier symbols (d/dx -> ik) of the generator the
-  stepper runs, read from discrete1d.generator_table, whose
-  eigenvalues s map through omega = i s.
+* the (n_k, 6, 6) scaled first companion linearizations of D M(i s) D^*,
+  D = diag(1, -i, 1), M the hand-written characteristic_matrix;
+* the (n_k, 6, 6) Fourier symbols (d/dx -> ik) S^-1 A(k) S, S = diag(1,
+  1, i, i, 1, 1), of the generator the stepper runs (generator_table).
 
+Each similarity multiplies entries by 1, -1, i or -i, exactly, and
+leaves them real; an entry it leaves complex raises RootFailure.
 Agreement of the two root sets is a correctness certificate, so neither
 route is ever expressed in terms of the other, and it is the one check
 of each root: a wrong coefficient in the stepper's table or in
 characteristic_matrix shows as a disagreement.  Root sets are compared,
 and branches followed from one wavenumber to the next, through the
 least-sum pairing of six roots (least_pairing), exact over all 720
-pairings and vectorized over the grid.  Conservative moduli yield real
-frequencies (no temporal decay) with k-independent phase speeds; rate
-terms bend the roots into the lower half plane.
+pairings.  Conservative moduli yield real frequencies with
+k-independent phase speeds; rate terms bend the roots into the lower
+half plane.
 """
 
 import itertools
@@ -43,14 +43,9 @@ __all__ = [
 ]
 
 _JUMP_FRACTION = 0.1   # branch jump above this fraction of the scale flags a crossing
-# wavenumbers per block of the stacked evaluations (quadratic_frequencies,
-# symbol_frequencies, root_distances): their (n_k, 6, 6) temporaries of
-# 576 B a wavenumber would otherwise grow with the grid, and the runner
-# computes them while the dense spectrum's sector blocks are alive on
-# its worker threads (n = 256 spectrum and 4000 wavenumbers, a CLI run's
-# ru_maxrss: 57.3-57.7 MiB with the grid whole, 54.0-55.1 in blocks of
-# 512, 51.6-52.2 with the tasks one after the other).  Every row is
-# computed on its own, so the results do not depend on the block size
+# wavenumbers per block of the stacked evaluations and of the branch
+# matcher's pairings, whose temporaries would otherwise grow with the
+# grid (README); no result depends on the block size
 _K_BLOCK = 512
 
 # the 720 pairings of six roots, in lexicographic order
@@ -96,19 +91,27 @@ def _blockwise(fn, *rows) -> np.ndarray:
                            for i in range(0, max(len(rows[0]), 1), _K_BLOCK)])
 
 
-def _sorted(freqs: np.ndarray) -> np.ndarray:
-    order = np.lexsort((freqs.imag, freqs.real), axis=-1)
-    return np.take_along_axis(freqs, order, axis=-1)
+def _real(z: np.ndarray, units: np.ndarray, name: str) -> np.ndarray:
+    """z * units (each 1, -1, i or -i: exact) as reals, or RootFailure."""
+    z = z * units
+    if ((z.imag != 0) & np.isfinite(z)).any():
+        raise RootFailure(f"{name} has an entry that its route's similarity leaves complex")
+    return z.real
+
+
+def _omega(s: np.ndarray, scale=1.0) -> np.ndarray:
+    """omega = i scale s, sorted rows, its parts + 0.0: no -0 is written."""
+    w = s * (1j * scale) + 0.0
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 
 def quadratic_frequencies(m: Moduli1D, k_values) -> np.ndarray:
-    """The roots of det(M(omega)) = 0, (n_k, 6), rows sorted by (real,
-    imag): the eigenvalues mu of the first companion linearization
-    [[-m1 / (d gamma), -m0 / (d gamma^2)], [I, 0]] of characteristic_matrix,
-    d = diag(m2), times gamma = sqrt(|m0| / |m2|) (largest real or
-    imaginary part; 1 where 0 or not finite), so that mu is of order one
-    at every k (Fan, Lin & Van Dooren, SIAM J. Matrix Anal. Appl. 26(1),
-    2004).  Raises RootFailure at the first wavenumber whose
+    """The roots of det(M(omega)) = 0, (n_k, 6), sorted rows: omega = i
+    gamma mu, mu the eigenvalues of [[-n1 / (d gamma), -n0 / (d
+    gamma^2)], [I, 0]], the first companion of n0 + s n1 + s^2 n2 = D
+    M(i s) D^*, d = diag(n2), gamma = sqrt(max |n0| / max |d|) or 1 where
+    0 or not finite (Fan, Lin & Van Dooren, SIAM J. Matrix Anal. Appl.
+    26(1), 2004).  Raises RootFailure at the first wavenumber whose
     linearization or roots leave the float range (k^2 overflows from k
     of about 1.3e154).  _K_BLOCK wavenumbers at a time."""
     return _blockwise(lambda ks: _quadratic_block(m, ks), _wavenumbers(k_values))
@@ -117,61 +120,57 @@ def quadratic_frequencies(m: Moduli1D, k_values) -> np.ndarray:
 def _quadratic_block(m: Moduli1D, ks: np.ndarray) -> np.ndarray:
     # a row out of float range gets a stand-in, and is named below
     with np.errstate(all="ignore"):
-        c = characteristic_matrix(m, ks)
-        d = -c[0, 2].diagonal().real[:, None]  # -diag(m2), one row each
-        # float views, real and imaginary parts side by side: divided as
-        # reals, since numpy's complex by real division forms 1/d
-        m0, m1 = c[:, 0].view(float), c[:, 1].view(float)
-        gamma = np.sqrt(np.abs(m0).max(axis=(1, 2)) / np.abs(d).max())
+        dg = np.array([1, -1j, 1])  # D; n_p = i^p D m_p D^*, the coefficient of s^p
+        c = _real(characteristic_matrix(m, ks), np.array([1, 1j, -1])[:, None, None]
+                  * np.outer(dg, dg.conj()), "characteristic_matrix")
+        d = -c[0, 2].diagonal()[:, None]  # -diag(n2), one row each
+        gamma = np.sqrt(np.abs(c[:, 0]).max(axis=(1, 2)) / np.abs(d).max())
         gamma[~((gamma > 0) & (gamma < np.inf))] = 1.0
-        g = gamma[:, None, None]
-        a = np.zeros((len(ks), 6, 6), dtype=complex)
-        top = a[:, :3].view(float)
-        np.divide(m1, d, out=top[:, :, :6])
-        np.divide(m0, d, out=top[:, :, 6:])
-        top /= g
-        top[:, :, 6:] /= g
+        a = np.zeros((len(ks), 6, 6))
+        top = a[:, :3]
+        np.divide(c[:, 1], d, out=top[:, :, :3])
+        np.divide(c[:, 0], d, out=top[:, :, 3:])
+        top /= gamma[:, None, None]
+        top[:, :, 3:] /= gamma[:, None, None]
         a[:, range(3, 6), range(3)] = 1.0
         finite = np.isfinite(top).all(axis=(1, 2))
         a[~finite] = 0.0
-        roots = gamma[:, None] * np.linalg.eigvals(a)
+        roots = _omega(np.linalg.eigvals(a), gamma[:, None])
         finite &= np.isfinite(roots).all(axis=1)
     if not finite.all():
         raise RootFailure("the linearization or its roots leave the float range "
                           f"at k = {float(ks[np.argmin(finite)])}")
-    return _sorted(roots)
+    return roots
 
 
 def _symbols(m: Moduli1D, k_values) -> np.ndarray:
-    """Generators of the Fourier modes (d/dx -> ik), stacked as (n_k, 6,
-    6) in FIELDS order: the stepper's generator_table(m, +1) contracted
-    with the continuum symbols (1, -k^2, ik) of its identity, Laplacian
-    and gradient, real and imaginary parts written in place."""
+    """The Fourier modes' (d/dx -> ik) generators S^-1 A(k) S, stacked as
+    real (n_k, 6, 6) in FIELDS order: the stepper's generator_table(m,
+    +1) contracted with the continuum symbols (1, -k^2, ik) of its
+    identity, Laplacian and gradient, ik T[grad] made -+k T[grad]."""
     ks = _wavenumbers(k_values)[:, None, None]
-    t = generator_table(m, +1)
-    a = np.empty((len(ks), 6, 6), dtype=complex)
-    np.multiply(ks * ks, -t[1], out=a.real)
-    np.add(a.real, t[0], out=a.real)
-    np.multiply(ks, t[2], out=a.imag)
+    s = np.array([1, 1, 1j, 1j, 1, 1])
+    t = _real(generator_table(m, +1), np.array([1, 1, 1j])[:, None, None]
+              * np.outer(s.conj(), s), "generator_table")
+    a = np.multiply(ks * ks, -t[1])
+    a += t[0]
+    a += ks * t[2]
     return a
 
 
 def symbol_frequencies(m: Moduli1D, k_values) -> np.ndarray:
-    """Frequencies via the Fourier symbols, omega = i * eig(A(k)), as
-    (n_k, 6), each row sorted by (real, imag), _K_BLOCK wavenumbers at a
-    time."""
-    return _blockwise(lambda ks: _sorted(1j * np.linalg.eigvals(_symbols(m, ks))),
+    """Frequencies via the Fourier symbols, omega = i eig(_symbols), as
+    (n_k, 6), rows sorted by (real, imag), _K_BLOCK wavenumbers at a time."""
+    return _blockwise(lambda ks: _omega(np.linalg.eigvals(_symbols(m, ks))),
                       _wavenumbers(k_values))
 
 
 def least_pairing(cost: np.ndarray) -> np.ndarray:
     """For each (6, 6) cost matrix of an (n, 6, 6) stack, the columns
     cols (n, 6) that pair row j with column cols[:, j] at the least total
-    cost, ties going to the first least-sum pairing in lexicographic
-    order.  The row-wise argmin is that pairing whenever it is a
-    permutation, the sum of the row minima bounding every pairing from
-    below; otherwise the 720 pairings are summed and the least taken.
-    """
+    cost, ties to the first such pairing in lexicographic order: the
+    row-wise argmin where it is a permutation (the row minima bound every
+    pairing's sum), else the least sum of the 720 pairings."""
     cols = cost.argmin(axis=2)
     for i, row in enumerate(cols.tolist()):
         if len(set(row)) < 6:
@@ -181,10 +180,8 @@ def least_pairing(cost: np.ndarray) -> np.ndarray:
 
 def root_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of two (n_k, 6) root arrays, the largest distance between
-    paired roots under the least-sum pairing (least_pairing).  Sorting
-    complex roots is not stable when real parts coincide to round-off,
-    so set equivalence is judged through a pairing, never through sorted
-    order.  The rows are paired _K_BLOCK at a time."""
+    paired roots under least_pairing, never by sorted order (unstable
+    where real parts tie to round-off), _K_BLOCK rows at a time."""
     return _blockwise(_paired_distances, a, b)
 
 
@@ -200,16 +197,14 @@ class DispersionResult:
 
     omega has shape (n_k, 6), branch j (dispersion.csv's branch_index)
     continuous in k only where crossings is False: each step pairs the
-    new roots with a linear extrapolation of the branches at the least
-    total distance (least_pairing, ties to the first pairing in
-    lexicographic order), so smooth advection is not mistaken for
-    relabeling.  Every root vanishes with k, so the first step
-    extrapolates along the secant through omega(0) = 0; a flat first
-    prediction would tie every same-sign pairing of k-independent phase
-    speeds (type2) and leave the labels to the tie rule.  crossings[i] is
-    True when the best match at step i still deviated from the
-    prediction by more than a tenth of the frequency scale, i.e. labels
-    may have swapped there (5 of the type3 reference's 16 wavenumbers).
+    new roots with a linear extrapolation of the branches, through
+    omega(0) = 0 at the first step (a flat one would tie type2's
+    k-independent phase speeds), by least_pairing.  Steps are paired a
+    block at a time on the sorted roots while the branches keep their
+    sorted positions, else one at a time, bit for bit alike.
+    crossings[i] is True when the best match at step i still deviated
+    from the prediction by more than a tenth of the frequency scale:
+    labels may have swapped there (5 of the type3 reference's 16).
     """
 
     k_values: np.ndarray
@@ -220,37 +215,51 @@ class DispersionResult:
     def phase_speed(self) -> np.ndarray:
         return self.omega.real / self.k_values[:, None]
 
-    @property
-    def decay_rates(self) -> np.ndarray:
-        """Temporal amplitude decay, positive means damped."""
-        return -self.omega.imag
 
-    def group_speed(self) -> np.ndarray:
-        if len(self.k_values) < 2:
-            raise ValueError("group speed needs at least two wavenumbers")
-        return np.gradient(self.omega.real, self.k_values, axis=0)
+def _costs(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The (n, 6, 6) costs |predicted - r[2:]| of n steps: branches r[:-2]
+    and r[1:-1], at k[:-2] and k[1:-1], extrapolated to k[2:]."""
+    step = (k[1:-1] - k[:-2])[:, None]  # zero at a repeated wavenumber: no slope
+    slope = np.zeros(r[1:-1].shape, dtype=complex)
+    # by parts: numpy's complex by real division forms 1/step
+    np.divide((r[1:-1] - r[:-2]).view(float), step, out=slope.view(float), where=step != 0)
+    predicted = r[1:-1] + slope * (k[2:] - k[1:-1])[:, None]
+    return np.abs(predicted[:, :, None] - r[2:, None, :])
 
 
 def solve_branches(m: Moduli1D, k_values) -> DispersionResult:
     ks = _wavenumbers(k_values)
-    roots = quadratic_frequencies(m, ks)
-
-    # row 0 is omega(0) = 0, the origin of the first step's secant
+    # row 0 is omega(0) = 0, the origin of the first step's secant; omega[i]
+    # is rows[i, labels], and kept: the last two rows share their labels
     k_all = np.concatenate([[0.0], ks])
-    omega = np.zeros((len(ks) + 1, 6), dtype=complex)
-    omega[1] = roots[0]
-    jump = np.zeros(len(ks))
-    for i in range(2, len(k_all)):
-        cur = roots[i - 1]
-        step = k_all[i - 1] - k_all[i - 2]  # zero at a repeated wavenumber: no slope
-        slope = np.zeros(6, dtype=complex)
-        if step:  # by parts: numpy's complex by real division forms 1/step
-            np.divide((omega[i - 1] - omega[i - 2]).view(float), step, out=slope.view(float))
-        predicted = omega[i - 1] + slope * (k_all[i] - k_all[i - 1])
-        cost = np.abs(predicted[:, None] - cur)
-        cols = least_pairing(cost[None])[0]
-        omega[i] = cur[cols]
-        jump[i - 1] = cost[_SIX, cols].max()
-    scale = np.maximum(1.0, np.abs(roots).max(axis=1))
+    rows = np.concatenate([np.zeros((1, 6), dtype=complex), quadratic_frequencies(m, ks)])
+    omega, jump = rows.copy(), np.zeros(len(ks))
+    labels, kept = _SIX, True
+    for start in range(2, len(rows), _K_BLOCK):
+        stop = min(start + _K_BLOCK, len(rows))
+        # the block's costs on the sorted rows: each step's own, rows
+        # permuted by labels, where its last two rows share them
+        cost = _costs(rows[start - 2:stop], k_all[start - 2:stop])
+        cols = cost.argmin(axis=2)
+        jump[start - 1:stop - 1] = np.take_along_axis(cost, cols[..., None], 2).max(axis=(1, 2))
+        moved = iter((np.flatnonzero((cols != _SIX).any(axis=1)) + start).tolist())
+        i = start
+        while i < stop:
+            if kept:  # the batched pairings, up to the next step off the sorted order
+                end = next((j for j in moved if j >= i), stop)
+                omega[i:end] = rows[i:end, labels]
+                if end == stop:
+                    break
+                i = end
+            if kept and len(set(cols[i - start].tolist())) == 6:
+                new = cols[i - start][labels]
+            else:  # the step on the labelled branches
+                cost = _costs(np.concatenate([omega[i - 2:i], rows[i:i + 1]]), k_all[i - 2:i + 1])
+                new = least_pairing(cost)[0]
+                jump[i - 1] = cost[0, _SIX, new].max()
+            omega[i] = rows[i, new]
+            kept, labels = np.array_equal(new, labels), new
+            i += 1
+    scale = np.maximum(1.0, np.abs(rows[1:]).max(axis=1))
     return DispersionResult(k_values=ks, omega=omega[1:],
                             crossings=jump > _JUMP_FRACTION * scale)

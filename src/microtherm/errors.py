@@ -45,7 +45,8 @@ class IndefiniteForm(MicrothermError, ValueError):
 
 class RootFailure(MicrothermError, RuntimeError):
     """A dispersion wavenumber whose linearization or frequencies leave
-    the float range (k^2 overflows)."""
+    the float range (k^2 overflows), or a coefficient table entry that
+    its route's similarity leaves complex."""
 
 
 class ParseError(MicrothermError, ValueError):

@@ -41,20 +41,7 @@ _MAX_ARRAY_BYTES = 2 * 2**30  # largest peak of a run's arrays
 _BYTES_PER_KEPT_STATE = 192
 # peak bytes the dispersion task allocates per wavenumber, its numbers
 # held with their rendered dispersion.csv rows (runner._dispersion_numbers):
-# the slope of the tracemalloc peak around runner._dispersion (n_k = 4000
-# to 200000, the grid solved in blocks of dispersion._K_BLOCK
-# wavenumbers) is 619.2 B on the type2 and 608.1 B on the type3
-# reference, and 660 and 665 B on grids of k_min = 1.1e-5 to k_max =
-# 9.9e-5, whose every value prints with an exponent.  Of that, 106 to
-# 154 B are the branches and the columns of the block being rendered,
-# the rest the text: 506 to 559 B there, and at most 6 rows of 102
-# characters, 612 B.  The count is 612 + 154 B rounded up.  Below about
-# 4000 wavenumbers the blocks' temporaries, about 1.5 MB, set the peak.
-# At the limit, 2^31 / 768 = 2796202 wavenumbers, the steepest measured
-# line gives 1.86e9 B, which leaves about 270 MiB for those temporaries
-# and for the dense spectrum that runner._overlapped solves beside the
-# dispersion (at 6n = DENSE_LIMIT spectral_report peaks at 39 MiB under
-# tracemalloc)
+# 612 B of text and 154 B of branches and columns, rounded up (README)
 _DISPERSION_BYTES_PER_K = 768
 
 # a default that is no value: the key must be set, or a rule derives it

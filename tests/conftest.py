@@ -3,13 +3,16 @@ per-field difference formulas the assembled matrices are checked
 against, the COO and the block-wise scipy assembly of the generator and
 the form matrices (the oracles of the node stencils), the node-major COO
 build of the stepper's guard matrix, stencil mutations of an operator, the
-one-wavenumber determinant expansion and root finder the batched
-dispersion routes are checked against, the hand-written Fourier symbol
+one-wavenumber determinant expansion and root finders, complex and
+real, the batched dispersion routes are checked against, the
+hand-written Fourier symbol, complex and under the routes' similarity,
 that the symbols read from the generator table are checked against,
-scipy's assignment as the oracle of the root pairing, the run oracles (a
-whole run as one array, the trapezoid energy balance and the decay fit),
-and the validation case registry (one passing and one failing fixture
-per inequality and per symmetry relation)."""
+scipy's assignment as the oracle of the root pairing, the branch
+matcher one step at a time and the dispersion quantities only tests
+read, the run oracles (a whole run as one array, the trapezoid energy
+balance and the decay fit), and the validation case registry (one
+passing and one failing fixture per inequality and per symmetry
+relation)."""
 
 import dataclasses
 import math
@@ -26,6 +29,8 @@ from microtherm import (FIELDS, EigenFailure, Grid1D, MaterialIsotropic, RootFai
                         validate_isotropic)
 from microtherm.diagnostics import balance_residuals
 from microtherm.discrete1d import FORMS, generator_table, node_blocks
+from microtherm.dispersion import (_JUMP_FRACTION, _SIX, DispersionResult, least_pairing,
+                                   quadratic_frequencies)
 
 # ---------------------------------------------------------------------------
 # operators
@@ -370,6 +375,35 @@ def linearized_roots(entry):
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
+def omega_of_s(s, gamma=1.0):
+    """omega = i gamma s, its parts + 0.0 (no -0), sorted by (real,
+    imag)."""
+    w = 1j * gamma * np.asarray(s, dtype=complex) + 0.0
+    return w[np.lexsort((w.imag, w.real))]
+
+
+def linearized_roots_in_s(entry):
+    """linearized_roots in s = -i omega and real arithmetic: the
+    coefficients i^p D m_p D^*, D = diag(1, -i, 1), of s^p, which are
+    real, their first companion matrix [[-n1 / (d gamma), -n0 / (d
+    gamma^2)], [I, 0]], d = diag(n2), and omega = i gamma eig, gamma =
+    sqrt(max |n0| / max |d|) or 1.  The oracle of
+    dispersion.quadratic_frequencies, bit for bit."""
+    d = np.array([1, -1j, 1])
+    n = entry * (np.array([1, 1j, -1])[:, None, None] * np.outer(d, d.conj()))
+    assert not n.imag.any(), "the similarity leaves an entry complex"
+    n0, n1, n2 = n.real
+    d = np.diag(n2)[:, None]
+    gamma = np.sqrt(np.abs(n0).max() / np.abs(d).max())
+    if not 0.0 < gamma < np.inf:
+        gamma = 1.0
+    a = np.zeros((6, 6))
+    a[:3, :3] = -n1 / d / gamma
+    a[:3, 3:] = -n0 / d / gamma / gamma
+    a[3:, :3] = np.eye(3)
+    return omega_of_s(np.linalg.eigvals(a), gamma)
+
+
 def convolve_det_coefficients(entry):
     """Ascending coefficients of det(M(omega)) for one wavenumber's
     (power of omega, row, col) coefficients, expanded over permutations
@@ -415,6 +449,17 @@ def first_order_symbol(m, k_values) -> np.ndarray:
     return a
 
 
+def first_order_symbol_under_s(m, k_values) -> np.ndarray:
+    """S^-1 a S for each symbol a of first_order_symbol, S = diag(1, 1,
+    i, i, 1, 1), as the real (n_k, 6, 6) array it is: the ik entries
+    coupling theta with v and m become real.  The oracle of
+    dispersion._symbols."""
+    s = np.array([1, 1, 1j, 1j, 1, 1])
+    a = first_order_symbol(m, k_values) * np.outer(s.conj(), s)
+    assert not a.imag.any(), "the similarity leaves an entry complex"
+    return a.real
+
+
 def root_set_distance(a, b) -> float:
     """Max pointwise distance between two root multisets of any equal
     size under the least-sum pairing of scipy's linear_sum_assignment:
@@ -427,6 +472,44 @@ def root_set_distance(a, b) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def sequential_branches(m, k_values) -> DispersionResult:
+    """dispersion.solve_branches one step at a time: each step's
+    prediction from the labelled branches of the last two rows, its
+    costs, and least_pairing.  The oracle of the batched matcher."""
+    ks = np.asarray(k_values, dtype=float)
+    roots = quadratic_frequencies(m, ks)
+    # row 0 is omega(0) = 0, the origin of the first step's secant
+    k_all = np.concatenate([[0.0], ks])
+    omega = np.zeros((len(ks) + 1, 6), dtype=complex)
+    omega[1] = roots[0]
+    jump = np.zeros(len(ks))
+    for i in range(2, len(k_all)):
+        cur = roots[i - 1]
+        step = k_all[i - 1] - k_all[i - 2]  # zero at a repeated wavenumber: no slope
+        slope = np.zeros(6, dtype=complex)
+        if step:  # by parts: numpy's complex by real division forms 1/step
+            np.divide((omega[i - 1] - omega[i - 2]).view(float), step, out=slope.view(float))
+        predicted = omega[i - 1] + slope * (k_all[i] - k_all[i - 1])
+        cost = np.abs(predicted[:, None] - cur)
+        cols = least_pairing(cost[None])[0]
+        omega[i] = cur[cols]
+        jump[i - 1] = cost[_SIX, cols].max()
+    scale = np.maximum(1.0, np.abs(roots).max(axis=1))
+    return DispersionResult(k_values=ks, omega=omega[1:], crossings=jump > _JUMP_FRACTION * scale)
+
+
+def decay_rates(result: DispersionResult) -> np.ndarray:
+    """Temporal amplitude decay of each branch, positive means damped."""
+    return -result.omega.imag
+
+
+def group_speed(result: DispersionResult) -> np.ndarray:
+    """d Re(omega) / dk of each branch by np.gradient over the grid."""
+    if len(result.k_values) < 2:
+        raise ValueError("group speed needs at least two wavenumbers")
+    return np.gradient(result.omega.real, result.k_values, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from microtherm.discrete1d import form_values
 from microtherm.dispersion import quadratic_frequencies
 
 from conftest import (ISOTROPIC_FAILS, SYMMETRY_FAILS, collect, first_order_symbol,
-                      fit_decay, generator_matrix, gram_matrix, random_state,
+                      fit_decay, generator_matrix, gram_matrix, group_speed, random_state,
                       random_valid_material, root_set_distance, sine_init, trapezoid_balance)
 
 
@@ -105,7 +105,7 @@ def test_criterion_4_finite_wave_speeds(capsys):
     m2 = to_moduli_1d(reference_type2())
     res = solve_branches(m2, np.linspace(0.1, 10.0, 100))
     max_phase = float(np.abs(res.phase_speed).max())
-    max_group = float(np.abs(res.group_speed()).max())
+    max_group = float(np.abs(group_speed(res)).max())
     bounded = max_phase <= 2.5 and max_group <= 2.5
     real_ok = float(np.abs(res.omega.imag).max()) <= 1e-10
 

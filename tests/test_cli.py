@@ -170,6 +170,9 @@ CONTRACT_EDGES = {
     # matcher's first secant divides by a subnormal step
     "type2-k_min-5e-324": (TYPE2, {"k_min = 0.5": "k_min = 5e-324"}),
     "type3-k_min-5e-324": (TYPE3, {"k_min = 0.5": "k_min = 5e-324"}),
+    # backward_functionals' difference quotient spaced by a scalar step,
+    # whose spacings' products do not underflow
+    "type3-backward-dt-1e-300": (TYPE3, {"dt = 5e-5": "dt = 1e-300"}),
 }
 
 # id -> (reference file, swaps, the CHANGES.md FOUND line or ROADMAP item

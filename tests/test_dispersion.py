@@ -19,8 +19,10 @@ from microtherm.cli import main
 from microtherm.dispersion import (_symbols, least_pairing, quadratic_frequencies,
                                    root_distances)
 
-from conftest import (convolve_det_coefficients, first_order_symbol,
-                      linearized_roots, root_set_distance, sorted_roots)
+from conftest import (convolve_det_coefficients, decay_rates, first_order_symbol,
+                      first_order_symbol_under_s, group_speed, linearized_roots,
+                      linearized_roots_in_s, omega_of_s, root_set_distance,
+                      sequential_branches, sorted_roots)
 
 # solve_branches has its own grid validation test below
 BATCHED = (characteristic_matrix, quadratic_frequencies, _symbols, symbol_frequencies)
@@ -100,23 +102,44 @@ class TestCharacteristicMatrix:
 @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
 class TestBatchedBits:
     """The batched routes give, bit for bit, what the one-wavenumber
-    formulas give."""
+    formulas in real arithmetic give, and agree with the complex ones to
+    within 1e-12 of each row's largest root."""
+
+    @staticmethod
+    def close(got, oracle):
+        """got within 1e-12 of each oracle row's largest root, pairing
+        the rows' roots."""
+        return (root_distances(got, oracle) <= 1e-12 * np.abs(oracle).max(axis=1)).all()
 
     def test_quadratic_frequencies_match_the_linearization(self, moduli, grid, request):
         # the whole grid, 1e-3 to 1e12 included
         m, ks = request.getfixturevalue(moduli), GRIDS[grid]
-        expected = np.array([linearized_roots(e) for e in characteristic_matrix(m, ks)])
-        assert np.array_equal(quadratic_frequencies(m, ks), expected)
+        got, entries = quadratic_frequencies(m, ks), characteristic_matrix(m, ks)
+        assert np.array_equal(got, np.array([linearized_roots_in_s(e) for e in entries]))
+        assert self.close(got, np.array([linearized_roots(e) for e in entries]))
 
     def test_symbol_frequencies_match_per_k_eigvals(self, moduli, grid, request):
         # the eigenvalues of the hand-written symbol, one wavenumber at a
         # time: bitwise at the references' unit inertias (TestDerivedSymbol)
         m, ks = request.getfixturevalue(moduli), GRIDS[grid]
-        expected = []
+        got = symbol_frequencies(m, ks)
+        assert np.array_equal(got, np.array([omega_of_s(np.linalg.eigvals(a))
+                                             for a in first_order_symbol_under_s(m, ks)]))
+        complex_roots = []
         for a in first_order_symbol(m, ks):
             w = 1j * np.linalg.eigvals(a)
-            expected.append(w[np.lexsort((w.imag, w.real))])
-        assert np.array_equal(symbol_frequencies(m, ks), np.array(expected))
+            complex_roots.append(w[np.lexsort((w.imag, w.real))])
+        assert self.close(got, np.array(complex_roots))
+
+    def test_no_negative_zero(self, moduli, grid, request):
+        # omega = i s turns a real s's zero imaginary part into -0, which
+        # the routes write as +0: type3's purely damped roots have real s
+        m, ks = request.getfixturevalue(moduli), GRIDS[grid]
+        for w in (quadratic_frequencies(m, ks), symbol_frequencies(m, ks),
+                  solve_branches(m, ks).omega):
+            parts = w.view(float)
+            assert not np.signbit(parts[parts == 0]).any()
+            assert moduli == "moduli2" or (w.real == 0).any()
 
     def test_strided_grid_gives_contiguous_bits(self, moduli, grid, request):
         m, ks = request.getfixturevalue(moduli), GRIDS[grid][:400]
@@ -171,7 +194,7 @@ class TestDerivedSymbol:
         # equal symbols make equal frequencies (TestBatchedBits checks
         # those against the oracle's per-wavenumber eigenvalues)
         m = request.getfixturevalue(moduli)
-        assert np.array_equal(_symbols(m, ks), first_order_symbol(m, ks))
+        assert np.array_equal(_symbols(m, ks), first_order_symbol_under_s(m, ks))
 
     @pytest.mark.parametrize("material", [reference_type2(), reference_type3()],
                              ids=["type2", "type3"])
@@ -180,14 +203,16 @@ class TestDerivedSymbol:
         # the same entries, each within an ulp or two
         m = to_moduli_1d(dataclasses.replace(material, rho=1.7, c_cap=0.6, alpha_m=2.3))
         ks = np.geomspace(1e-3, 1e15, 2000)
-        got, oracle = _symbols(m, ks), first_order_symbol(m, ks)
+        got, oracle = _symbols(m, ks), first_order_symbol_under_s(m, ks)
         assert np.array_equal(got == 0, oracle == 0)
         nonzero = oracle != 0
         assert (np.abs(got - oracle)[nonzero] <= 1e-15 * np.abs(oracle)[nonzero]).all()
-        # the frequencies move by some ulps of the row's largest root
-        w = 1j * np.linalg.eigvals(oracle)
-        scale = np.maximum(1.0, np.abs(w).max(axis=1))
-        assert (root_distances(symbol_frequencies(m, ks), w) <= 1e-13 * scale).all()
+        # the frequencies move by some ulps of the row's largest root,
+        # against those of the oracle and of the complex symbol
+        for a in (oracle, first_order_symbol(m, ks)):
+            w = 1j * np.linalg.eigvals(a)
+            scale = np.maximum(1.0, np.abs(w).max(axis=1))
+            assert (root_distances(symbol_frequencies(m, ks), w) <= 1e-13 * scale).all()
 
     def test_a_wrong_table_entry_fails_the_route_agreement(self, monkeypatch, tmp_path):
         # the symbol route reads the stepper's table, so doubling its
@@ -207,6 +232,73 @@ class TestDerivedSymbol:
         line = next(s for s in report.splitlines() if s.startswith("dispersion routes agree"))
         assert line.startswith("dispersion routes agree: FAIL")
         assert float(re.search(r"distance (\S+)", line).group(1)) > 1e-2
+
+
+class TestSimilarities:
+    """Each route's diagonal similarity multiplies every entry by 1, -1,
+    i or -i and leaves it real: a single-entry x0, x2 or x-1 mutant of
+    generator_table or characteristic_matrix keeps that pattern and is
+    solved, and the route agreement catches it; an entry off the
+    pattern raises RootFailure, never dropped."""
+
+    KS = GRIDS["linear16"]
+
+    @staticmethod
+    def worst_distance(m, ks):
+        w = symbol_frequencies(m, ks)
+        return float((root_distances(quadratic_frequencies(m, ks), w)
+                      / np.maximum(1.0, np.abs(w).max(axis=1))).max())
+
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_entry_mutants_keep_the_pattern_and_fail_the_agreement(self, moduli, request,
+                                                                   monkeypatch):
+        m = request.getfixturevalue(moduli)
+        fns = {"generator_table": dispersion.generator_table,
+               "characteristic_matrix": dispersion.characteristic_matrix}
+        cases = [("generator_table", idx)
+                 for idx in zip(*np.nonzero(fns["generator_table"](m, +1)))]
+        cases += [("characteristic_matrix", (slice(None),) + idx)
+                  for idx in zip(*np.nonzero(fns["characteristic_matrix"](m, [1.0])[0]))]
+        for (name, idx), factor in itertools.product(cases, (0.0, 2.0, -1.0)):
+            def mutant(*args, fn=fns[name], idx=idx, factor=factor):
+                out = fn(*args)
+                out[idx] *= factor
+                return out
+
+            monkeypatch.setattr(dispersion, name, mutant)
+            if name == "characteristic_matrix" and idx[1] == 2 and factor == 0.0:
+                # a zero inertia: the linearization divides by it
+                with pytest.raises(RootFailure, match="float range"):
+                    quadratic_frequencies(m, self.KS)
+            else:
+                assert self.worst_distance(m, self.KS) > 1e-10, (name, idx, factor)
+            monkeypatch.undo()
+
+    def test_a_table_entry_off_the_pattern_raises(self, moduli3, monkeypatch):
+        # a gradient entry from v to u: i k under S stays imaginary
+        table = dispersion.generator_table
+
+        def coupled(m, time_sign):
+            t = table(m, time_sign)
+            t[2, 0, 1] = 1.0
+            return t
+
+        monkeypatch.setattr(dispersion, "generator_table", coupled)
+        with pytest.raises(RootFailure, match="^generator_table has an entry"):
+            symbol_frequencies(moduli3, self.KS)
+
+    def test_a_characteristic_entry_off_the_pattern_raises(self, moduli3, monkeypatch):
+        # a real m0 entry from theta to u: i under D(.)D^*
+        matrix = dispersion.characteristic_matrix
+
+        def coupled(m, k_values):
+            c = matrix(m, k_values)
+            c[:, 0, 0, 1] = 1.0
+            return c
+
+        monkeypatch.setattr(dispersion, "characteristic_matrix", coupled)
+        with pytest.raises(RootFailure, match="^characteristic_matrix has an entry"):
+            quadratic_frequencies(moduli3, self.KS)
 
 
 class TestTwoRoutes:
@@ -469,11 +561,11 @@ class TestBranches:
         # where branches rearrange near the low-k end
         res = solve_branches(moduli2, np.linspace(0.1, 10.0, 100))
         assert np.abs(res.phase_speed).max() <= 2.5
-        assert np.abs(res.group_speed()).max() <= 2.5
+        assert np.abs(group_speed(res)).max() <= 2.5
 
     def test_decay_rates_sign(self, moduli3):
         res = solve_branches(moduli3, np.linspace(0.5, 8.0, 8))
-        assert res.decay_rates.min() >= -1e-10 * np.abs(res.omega).max()
+        assert decay_rates(res).min() >= -1e-10 * np.abs(res.omega).max()
 
     def test_repeated_wavenumber_keeps_its_labels(self, moduli3):
         # a zero step between wavenumbers has no secant: the prediction
@@ -490,4 +582,61 @@ class TestBranches:
     def test_group_speed_needs_two_wavenumbers(self, moduli3):
         res = solve_branches(moduli3, [1.0])
         with pytest.raises(ValueError):
-            res.group_speed()
+            group_speed(res)
+
+
+class TestBatchedMatcher:
+    """solve_branches pairs a block of steps at once on the sorted roots
+    and steps one at a time only where the branches leave their sorted
+    positions: omega and crossings are, bit for bit, those of the loop
+    over every step (conftest.sequential_branches)."""
+
+    @staticmethod
+    def assert_sequential(m, ks):
+        got, expected = solve_branches(m, ks), sequential_branches(m, ks)
+        assert np.array_equal(got.omega, expected.omega)
+        assert np.array_equal(got.crossings, expected.crossings)
+        return expected
+
+    @staticmethod
+    def label_changes(m, ks, result):
+        """The grid indices at which the branches' sorted positions
+        change from those at the index before."""
+        roots = quadratic_frequencies(m, ks)
+        labels = [tuple(np.flatnonzero(row == w)[0] for w in omega)
+                  for row, omega in zip(roots, result.omega)]
+        return [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    def test_grids(self, moduli, grid, request):
+        self.assert_sequential(request.getfixturevalue(moduli), GRIDS[grid])
+
+    def test_through_the_exceptional_point(self, moduli3):
+        # the spectral grid: type3's branches leave their sorted positions
+        # at five steps, one at k of about 2.17 (index 169)
+        ks = GRIDS["linear4000"]
+        expected = self.assert_sequential(moduli3, ks)
+        assert 169 in self.label_changes(moduli3, ks, expected)
+        assert ks[169] == pytest.approx(2.17, abs=5e-3)
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["last-of-block", "first-of-block",
+                                                   "second-of-block"])
+    def test_a_label_swap_across_a_block_boundary(self, moduli3, at):
+        # the swap at k of about 2.17 placed at grid index _K_BLOCK + at,
+        # the step of omega's row _K_BLOCK + 1 + at (the first block's
+        # steps are rows 2 to _K_BLOCK + 1): the steps one at a time
+        # after it run from one block into the next
+        linear, block = GRIDS["linear4000"], dispersion._K_BLOCK
+        spacing = (linear[1] - linear[0]) / 4
+        ks = linear[169] + spacing * (np.arange(700) - block - 1 - at)
+        expected = self.assert_sequential(moduli3, ks)
+        assert block + at in self.label_changes(moduli3, ks, expected)
+
+    @pytest.mark.parametrize("moduli", ["moduli2", "moduli3"])
+    @pytest.mark.parametrize("ks", [[3.0, 3.0, 3.0], [3.0], np.linspace(5e-324, 8.0, 16),
+                                    np.random.default_rng(3).uniform(0.1, 10.0, 700)],
+                             ids=["repeated", "single", "k_min-5e-324", "unsorted"])
+    def test_edge_grids(self, moduli, ks, request):
+        # an unsorted grid leaves the sorted positions at most steps
+        self.assert_sequential(request.getfixturevalue(moduli), ks)
